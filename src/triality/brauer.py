@@ -569,7 +569,19 @@ def commutation_factor(A: StructAlgebra, grading: Grading, chi1, chi2):
 
 def _character_unit(A: StructAlgebra, grading: Grading, chi):
     """A nonzero solution of u a = chi(deg a) a u over all homogeneous basis
-    elements a, verified invertible."""
+    elements a, verified invertible.  The unit is solved once per (algebra,
+    character) and kept on the grading, whose degrees are fixed, so the
+    character pairs of verify_brauer_relations share it."""
+    units = grading.__dict__.setdefault("_character_units", {})
+    hit = units.get(chi)
+    if hit is not None and hit[0] is A:
+        return hit[1]
+    u = _solve_character_unit(A, grading, chi)
+    units[chi] = (A, u)
+    return u
+
+
+def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     F = A.field
     rows = {}
     for j in range(A.dim):

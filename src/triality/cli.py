@@ -391,19 +391,21 @@ def cmd_catalog(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # environment defaults stay strings: argparse converts them with `type`
+    # during parse_args, so a bad value is a usage error (exit 2)
     ap = argparse.ArgumentParser(prog="triality", description=__doc__)
     ap.add_argument(
         "--field-conductor",
         dest="conductor",
         type=int,
-        default=int(os.environ.get("TRIALITY_FIELD_CONDUCTOR", "12")),
-        help="conductor N of the cyclotomic scalar field Q(zeta_N)",
+        default=os.environ.get("TRIALITY_FIELD_CONDUCTOR", "12"),
+        help="conductor N of the cyclotomic scalar field Q(zeta_N) (env TRIALITY_FIELD_CONDUCTOR)",
     )
     ap.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("TRIALITY_SEED", "0")),
-        help="seed for randomized sweeps",
+        default=os.environ.get("TRIALITY_SEED", "0"),
+        help="seed for randomized sweeps (env TRIALITY_SEED)",
     )
     ap.add_argument("--out", default=os.environ.get("TRIALITY_OUT"), help="write the JSON report to a file")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -237,6 +237,10 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     def tr(A):
         return A[0][0] + A[1][1] + A[2][2]
 
+    def tr_prod(A, B):
+        """tr(AB) as a sum of 9 entry products."""
+        return sum((A[i][k] * B[k][i] for i in range(3) for k in range(3)), zero)
+
     X = [[one, zero, zero], [zero, w, zero], [zero, zero, w * w]]
     Y = [[zero, zero, one], [one, zero, zero], [zero, one, zero]]
     eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
@@ -258,14 +262,16 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
         out = mat_add(mat_scale(mu, AB), mat_scale(one_minus_mu, BA))
         return mat_add(out, mat_scale(-(third * tr(AB)), eye))
 
+    # the trace pairing tr(M_k M_-k) is nonzero; its reciprocals are computed once
+    duals = [mono[((-a) % 3, (-b) % 3)] for a, b in keys]
+    inv_pairing = [tr_prod(mono[k], dual).inverse() for k, dual in zip(keys, duals)]
+
     def expand(Z):
         """Coordinates of a traceless matrix in the monomial basis via the
         trace pairing tr(M_k M_{-k})."""
         out = {}
-        for idx, (a, b) in enumerate(keys):
-            dual = mono[((-a) % 3, (-b) % 3)]
-            denom = tr(mat_mul(mono[(a, b)], dual))
-            c = tr(mat_mul(Z, dual)) / denom
+        for idx, dual in enumerate(duals):
+            c = tr_prod(Z, dual) * inv_pairing[idx]
             if not c.is_zero():
                 out[idx] = c
         return out
@@ -277,7 +283,7 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
             row = expand(star(mono[ki], mono[kj]))
             if row:
                 mul[(i, j)] = row
-            c = third * tr(mat_mul(mono[ki], mono[kj]))
+            c = third * tr_prod(mono[ki], mono[kj])
             if not c.is_zero():
                 n_polar[(i, j)] = c
     labels = [f"X^{a}Y^{b}" if a and b else (f"X^{a}" if a else f"Y^{b}") for a, b in keys]
@@ -440,31 +446,36 @@ class IdempotentSearchError(RuntimeError):
     pass
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root floor(n^(1/3)) of n >= 0, by integer Newton
+    iteration from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > n^(1/3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _cube_roots(field, c):
     """All cube roots of c in the field, found among r * zeta^j with r a
     rational cube root of a rational; sufficient for the desk-scale scalars
     this search meets (roots of unity times rational cubes)."""
     roots = []
-    seen = set()
     for j in range(field.conductor):
         t = c * field.zeta(-3 * j % field.conductor)
         if not t.is_rational():
             continue
         q = t.rational_value()
-        num, den = q.numerator, q.denominator
-        for sign in (1, -1):
-            n3 = round(abs(num) ** (1 / 3)) if num else 0
-            d3 = round(den ** (1 / 3))
-            for nn in (n3 - 1, n3, n3 + 1):
-                for dd in (d3 - 1, d3, d3 + 1):
-                    if nn < 0 or dd <= 0:
-                        continue
-                    cand = field.scalar(sign * nn, dd) * field.zeta(j)
-                    if cand.coeffs in seen:
-                        continue
-                    if cand * cand * cand == c:
-                        seen.add(cand.coeffs)
-                        roots.append(cand)
+        # q is in lowest terms: a rational cube iff |numerator| and denominator are
+        n3, d3 = _icbrt(abs(q.numerator)), _icbrt(q.denominator)
+        if n3 ** 3 != abs(q.numerator) or d3 ** 3 != q.denominator:
+            continue
+        cand = field.scalar(n3 if q >= 0 else -n3, d3) * field.zeta(j)
+        if cand not in roots and cand * cand * cand == c:
+            roots.append(cand)
     return roots
 
 

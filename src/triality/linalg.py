@@ -76,7 +76,7 @@ class Echelon:
         out = []
         for p in sorted(self.rows):
             row = self.rows[p]
-            out.append(tuple((j, row[j].coeffs) for j in sorted(row)))
+            out.append(tuple((j, row[j]) for j in sorted(row)))
         return tuple(out)
 
 

@@ -1,29 +1,30 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Scalars are stored in the power basis 1, zeta, ..., zeta^(phi(N)-1) with
-rational coefficients, eagerly reduced modulo the N-th cyclotomic polynomial,
-so equality of scalars is coefficient-wise equality.  The default conductor
-is 12, which contains a primitive cube root of unity omega = zeta^4 and a
-primitive fourth root zeta^3 while keeping the field degree at 4.
+A scalar is stored in the power basis 1, zeta, ..., zeta^(phi(N)-1) as a
+tuple of Python int numerators over one positive int denominator, in lowest
+terms: gcd(*num, den) == 1, and zero is (0, ..., 0) / 1.  The form is
+canonical, so equality of scalars is equality of (num, den) and the zero
+test is a test on ints.  The default conductor is 12, which contains a
+primitive cube root of unity omega = zeta^4 and a primitive fourth root
+zeta^3 while keeping the field degree at 4.
 
-Rationals are arbitrary-precision and always in lowest terms.  gmpy2.mpq is
-used when available (it is considerably faster); fractions.Fraction is the
-drop-in fallback.  Both print as "p/q" which is what the JSON serialization
-uses.
+The N-th cyclotomic polynomial Phi_N is monic with integer coefficients, so
+a product is an integer convolution, a reduction by the integer rows of
+x^j mod Phi_N, and one gcd against the product of the denominators.  The
+inverse of a is the product of its other Galois conjugates divided by the
+rational norm N(a), again in integers.
+
+`coeffs` gives the coefficients as a tuple of fractions.Fraction (exported
+here as `Rational`), derived on demand; they print as "p/q", which is what
+the JSON serialization uses.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Rational
 from functools import lru_cache
 from math import gcd
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
-
-_Q0 = Rational(0)
-_Q1 = Rational(1)
+from operator import add, neg, sub
 
 
 def _euler_phi(n: int) -> int:
@@ -41,53 +42,44 @@ def _euler_phi(n: int) -> int:
     return result
 
 
-# -- dense polynomial helpers over the rationals (lists, lowest degree first)
-
-
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
+# -- dense integer polynomials (lists, lowest degree first)
 
 
 def _poly_mul(a, b):
-    out = [_Q0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _poly_trim(out)
+        for j, bj in enumerate(b, i):
+            out[j] += ai * bj
+    return out
 
 
-def _poly_divmod(a, b):
+def _poly_divmod_monic(a, b):
+    """Quotient and remainder of a by the monic polynomial b."""
     a = list(a)
-    q = [_Q0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = _Q1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
+    n = len(b) - 1
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = a[i + n]
         if c:
             q[i] = c
             for j, bj in enumerate(b):
-                if bj:
-                    a[i + j] -= c * bj
-    return q, _poly_trim(a)
+                a[i + j] -= c * bj
+    return q, a[:n]
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(n: int):
-    """Phi_n as a coefficient tuple, computed by exact division of x^n - 1
-    by the product of Phi_d over proper divisors d of n."""
+    """Phi_n as an integer coefficient tuple, computed by exact division of
+    x^n - 1 by the product of Phi_d over proper divisors d of n."""
     if n == 1:
-        return (-_Q1, _Q1)
-    xn1 = [-_Q1] + [_Q0] * (n - 1) + [_Q1]
-    den = [_Q1]
+        return (-1, 1)
+    xn1 = [-1] + [0] * (n - 1) + [1]
+    den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(_cyclotomic_poly(d)))
-    quo, rem = _poly_divmod(xn1, den)
-    if rem:
+            den = _poly_mul(den, _cyclotomic_poly(d))
+    quo, rem = _poly_divmod_monic(xn1, den)
+    if any(rem):
         raise ArithmeticError(f"cyclotomic division left a remainder for n={n}")
     return tuple(quo)
 
@@ -101,43 +93,48 @@ class CycloField:
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
         self.conductor = conductor
-        self.minimal_polynomial = _cyclotomic_poly(conductor)
-        self.degree = len(self.minimal_polynomial) - 1
-        assert self.degree == _euler_phi(conductor)
-        d = self.degree
-        # x^j mod Phi_N for j = 0 .. max(2d-2, N-1); row j is a coeff tuple.
+        self.minimal_polynomial = phi = _cyclotomic_poly(conductor)
+        self.degree = d = len(phi) - 1
+        assert d == _euler_phi(conductor)
+        # x^j mod Phi_N for j = 0 .. max(2d-1, N); row j is an int tuple.
         rows = []
-        cur = [_Q1] + [_Q0] * (d - 1)
-        top = max(2 * d - 1, conductor)
-        for _ in range(top):
+        cur = [1] + [0] * (d - 1)
+        for _ in range(max(2 * d - 1, conductor)):
             rows.append(tuple(cur))
-            cur = [_Q0] + cur[: d - 1] + [cur[d - 1]]
-            lead = cur.pop()
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
             if lead:
                 for i in range(d):
-                    c = self.minimal_polynomial[i]
-                    if c:
-                        cur[i] -= lead * c
+                    cur[i] -= lead * phi[i]
         rows.append(tuple(cur))
         self._pow_rows = rows
-        self.zero = CycloScalar(self, (_Q0,) * d)
-        self.one = CycloScalar(self, (_Q1,) + (_Q0,) * (d - 1))
+        # the nonzero entries of the rows that fold x^d .. x^(2d-2) back
+        self._fold = [(j, [(i, r) for i, r in enumerate(rows[j]) if r]) for j in range(d, 2 * d - 1)]
+        # zeta -> zeta^k for the units k != 1: the conjugates in the norm
+        self._conjugators = [k for k in range(2, conductor) if gcd(k, conductor) == 1]
+        self.zero = CycloScalar(self, (0,) * d, 1)
+        self.one = CycloScalar(self, (1,) + (0,) * (d - 1), 1)
 
     # -- element constructors
 
     def element(self, coeffs) -> CycloScalar:
-        coeffs = tuple(Rational(c) for c in coeffs)
-        if len(coeffs) != self.degree:
+        """The scalar with the given rational power-basis coefficients."""
+        qs = [Rational(c) for c in coeffs]
+        if len(qs) != self.degree:
             raise ValueError("coefficient vector has the wrong length")
-        return CycloScalar(self, coeffs)
+        den = 1
+        for q in qs:
+            den = den * q.denominator // gcd(den, q.denominator)
+        # every prime power of den is the exact denominator of some entry,
+        # whose numerator it does not divide: the result is in lowest terms
+        return CycloScalar(self, tuple(q.numerator * (den // q.denominator) for q in qs), den)
 
     def scalar(self, p, q=1) -> CycloScalar:
-        c = [_Q0] * self.degree
-        c[0] = Rational(p) / Rational(q)
-        return CycloScalar(self, tuple(c))
+        r = Rational(p) / Rational(q)
+        return CycloScalar(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def zeta(self, power: int = 1) -> CycloScalar:
-        return CycloScalar(self, self._pow_rows[power % self.conductor])
+        return CycloScalar(self, self._pow_rows[power % self.conductor], 1)
 
     @property
     def omega(self) -> CycloScalar:
@@ -146,19 +143,24 @@ class CycloField:
             raise ValueError("field contains no primitive cube root of unity")
         return self.zeta(self.conductor // 3)
 
+    def _galois_num(self, num, k: int) -> list:
+        """The numerators of zeta -> zeta^k applied to num (0 <= k < N)."""
+        out = [0] * self.degree
+        rows, n = self._pow_rows, self.conductor
+        for i, c in enumerate(num):
+            if c:
+                for j, r in enumerate(rows[(i * k) % n]):
+                    out[j] += c * r
+        return out
+
     def galois(self, a: CycloScalar, k: int) -> CycloScalar:
         """The field automorphism zeta -> zeta^k, gcd(k, N) = 1."""
         k %= self.conductor
         if gcd(k, self.conductor) != 1:
             raise ValueError(f"zeta -> zeta^{k} is not an automorphism")
-        out = [_Q0] * self.degree
-        for i, c in enumerate(a.coeffs):
-            if c:
-                row = self._pow_rows[(i * k) % self.conductor]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return CycloScalar(self, tuple(out))
+        # an automorphism of Z[zeta] is unimodular on the power basis, so the
+        # numerators keep their content and the denominator stays reduced
+        return CycloScalar(self, tuple(self._galois_num(a.num, k)), a.den)
 
     def from_strings(self, strings) -> CycloScalar:
         return self.element([Rational(s) for s in strings])
@@ -174,24 +176,35 @@ class CycloField:
 
 
 class CycloScalar:
-    """An element of Q(zeta_N) in the reduced power basis."""
+    """An element of Q(zeta_N): int numerators `num` in the reduced power
+    basis over the positive int denominator `den`, in lowest terms.  Build
+    values through the CycloField constructors."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    def __init__(self, field: CycloField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as fractions."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Rational, self.num))
+        return tuple(Rational(c, den) for c in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Rational(self.num[0], self.den)
 
     def _check(self, other):
         if self.field is not other.field and self.field != other.field:
@@ -200,78 +213,72 @@ class CycloScalar:
     def __add__(self, other):
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        self._check(other)
-        return CycloScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.field is not other.field:
+            self._check(other)
+        return _combine(self, other, add)
 
     def __sub__(self, other):
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        self._check(other)
-        return CycloScalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if self.field is not other.field:
+            self._check(other)
+        return _combine(self, other, sub)
 
     def __neg__(self):
-        return CycloScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycloScalar(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        F = self.field
+        if F is not other.field:
+            self._check(other)
+        a, b = self.num, other.num
         # rational fast paths carry most of the split-algebra arithmetic
         if not any(b[1:]):
             q = b[0]
             if not q:
-                return self.field.zero
-            return CycloScalar(self.field, tuple(c * q for c in a))
-        if not any(a[1:]):
+                return F.zero
+            out = [c * q for c in a]
+        elif not any(a[1:]):
             q = a[0]
             if not q:
-                return self.field.zero
-            return CycloScalar(self.field, tuple(c * q for c in b))
-        d = self.field.degree
-        conv = [_Q0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:d])
-        rows = self.field._pow_rows
-        for j in range(d, 2 * d - 1):
-            cj = conv[j]
-            if cj:
-                row = rows[j]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += cj * row[i]
-        return CycloScalar(self.field, tuple(out))
+                return F.zero
+            out = [q * c for c in b]
+        else:
+            out = _convolve(F, a, b)
+        den = self.den * other.den
+        if den != 1:
+            g = gcd(den, *out)
+            if g != 1:
+                den //= g
+                out = [c // g for c in out]
+        return CycloScalar(F, tuple(out), den)
 
     def inverse(self) -> CycloScalar:
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta_N)")
-        if self.is_rational():
-            c = [_Q0] * self.field.degree
-            c[0] = _Q1 / self.coeffs[0]
-            return CycloScalar(self.field, tuple(c))
-        # extended Euclid against Phi_N: find u with u*a = 1 (mod Phi)
-        r0 = list(self.field.minimal_polynomial)
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_Q1]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1) if q and s1 else []
-            s = [_Q0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                s[i] += c
-            for i, c in enumerate(qs1):
-                s[i] -= c
-            _poly_trim(s)
-            r0, r1, s0, s1 = r1, r, s1, s
-        if len(r0) != 1:
-            raise ZeroDivisionError("scalar is a zero divisor (not a field element)")
-        inv_c = _Q1 / r0[0]
-        out = [c * inv_c for c in s0] + [_Q0] * self.field.degree
-        return CycloScalar(self.field, tuple(out[: self.field.degree]))
+        F = self.field
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            q = num[0]
+            if not q:
+                raise ZeroDivisionError("division by zero in Q(zeta_N)")
+            if q < 0:
+                q, den = -q, -den
+            return CycloScalar(F, (den,) + num[1:], q)
+        # a = A/den with A in Z[zeta]; P, the product of the other Galois
+        # conjugates of A, satisfies P A = N(A) in Z, so 1/a = den P / N(A)
+        cof = F.one.num
+        for k in F._conjugators:
+            cof = _convolve(F, cof, F._galois_num(num, k))
+        norm = _convolve(F, num, cof)
+        n = norm[0]
+        # Q(zeta_N) with phi(N) > 1 is a CM field: the norm is a product of
+        # |sigma(a)|^2 and so a positive rational
+        if n <= 0 or any(norm[1:]):
+            raise ArithmeticError("the product of the conjugates is not a positive rational")
+        out = [den * c for c in cof]
+        g = gcd(n, *out)
+        return CycloScalar(F, tuple([c // g for c in out]), n // g)
 
     def __truediv__(self, other):
         if not isinstance(other, CycloScalar):
@@ -285,10 +292,14 @@ class CycloScalar:
     def __eq__(self, other):
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (
+            self.num == other.num
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
+        )
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        return hash((self.field.conductor, self.num, self.den))
 
     def to_strings(self):
         return [str(c) for c in self.coeffs]
@@ -309,12 +320,52 @@ class CycloScalar:
         return " + ".join(parts)
 
 
+def _convolve(F: CycloField, a, b) -> list:
+    """The numerators of the product of two numerator vectors: an integer
+    convolution folded back by the rows of x^j mod Phi_N."""
+    d = F.degree
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                conv[j] += x * y
+    out = conv[:d]
+    for j, row in F._fold:
+        c = conv[j]
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+def _combine(x: CycloScalar, y: CycloScalar, op) -> CycloScalar:
+    """x op y for op in {add, sub}, brought to lowest terms."""
+    dx, dy = x.den, y.den
+    if dx == dy:
+        out = tuple(map(op, x.num, y.num))
+        if dx != 1:
+            g = gcd(dx, *out)
+            if g != 1:
+                return CycloScalar(x.field, tuple([c // g for c in out]), dx // g)
+        return CycloScalar(x.field, out, dx)
+    g = gcd(dx, dy)
+    mx, my = dy // g, dx // g
+    out = tuple([op(a * mx, b * my) for a, b in zip(x.num, y.num)])
+    den = dx * mx
+    if g != 1:
+        # coprime denominators leave the sum in lowest terms; others may not
+        h = gcd(den, *out)
+        if h != 1:
+            return CycloScalar(x.field, tuple([c // h for c in out]), den // h)
+    return CycloScalar(x.field, out, den)
+
+
 @lru_cache(maxsize=None)
 def make_field(conductor: int) -> CycloField:
     """The cyclotomic field Q(zeta_N); instances are shared per conductor.
 
-    >>> tuple(str(c) for c in make_field(1).minimal_polynomial)
-    ('-1', '1')
+    >>> make_field(1).minimal_polynomial
+    (-1, 1)
     >>> make_field(12).degree
     4
     """

@@ -206,3 +206,17 @@ def test_brauer_relations_z2cubed(field, fines):
     triple = related_triple([(pr(g), t) for g, t in adapted], built.V.S)
     rep = verify_brauer_relations(triple, field)
     assert rep.ok()
+
+
+def test_character_units_solved_once_per_character(field, monkeypatch):
+    import triality.brauer as brauer
+
+    m1 = -field.one
+    alg = graded_division_from_pair(make_group(0, [2, 2]), [[field.one, m1], [m1, field.one]], field)
+    solved = []
+    solve = brauer._solve_character_unit
+    monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append(chi) or solve(A, g, chi))
+    chars = characters(alg.grading.group, field)
+    factors = [commutation_factor(alg.struct, alg.grading, c1, c2) for c1, c2 in itertools.combinations(chars, 2)]
+    assert sorted(c.exps for c in solved) == sorted(c.exps for c in chars)
+    assert sorted(str(f) for f in factors) == ["-1", "-1", "-1", "1", "1", "1"]

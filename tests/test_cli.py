@@ -90,3 +90,12 @@ def test_env_override(tmp_path, monkeypatch):
     assert proc.stdout == ""
     data = json.loads(out.read_text())
     assert data["seed"] == 3
+
+
+@pytest.mark.parametrize("name", ["TRIALITY_SEED", "TRIALITY_FIELD_CONDUCTOR"])
+def test_bad_env_value_is_usage_error(monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    proc = run_cli("catalog", "fine-typeIII")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "invalid int value: 'abc'" in proc.stderr

@@ -2,6 +2,7 @@ import pytest
 
 from triality.composition import (
     CompositionError,
+    _cube_roots,
     IdempotentSearchError,
     SymCompAlgebra,
     cartan_grading_cayley,
@@ -181,3 +182,17 @@ def test_idempotent_search(field, mod):
     bad = SymCompAlgebra(field, ["x"], {}, {(0, 0): field.one})
     with pytest.raises(IdempotentSearchError):
         nonzero_idempotent(bad)
+
+
+def test_cube_roots_exact_for_large_rationals(field):
+    # a float cube root misses every root of this cube and overflows on 10**400
+    r = 10**20 + 39
+    c = field.scalar(r**3)
+    roots = _cube_roots(field, c)
+    assert len(roots) == 3
+    assert field.scalar(r) in roots
+    assert all(x * x * x == c for x in roots)
+    assert _cube_roots(field, field.scalar(r**3, 7**3)) == [
+        x * field.scalar(1, 7) for x in roots
+    ]
+    assert _cube_roots(field, field.scalar(10**400)) == []

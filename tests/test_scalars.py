@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,3 +132,87 @@ def test_serialization_roundtrip(field):
     strings = x.to_strings()
     assert all(isinstance(s, str) for s in strings)
     assert field.from_strings(strings) == x
+
+
+# -- the integer kernel against an independent Fraction reference
+
+_DENS = [1, 1, 2, 3, 4, 6, 9, 35, 2**70]
+
+
+def _ref_reduce(poly, field):
+    """poly (Fraction coefficients) mod Phi_N by schoolbook division."""
+    phi = [Rational(c) for c in field.minimal_polynomial]
+    _q, rem = naive_poly_divmod(list(poly), phi)
+    rem = [Rational(c) for c in rem] + [Rational(0)] * field.degree
+    return tuple(rem[: field.degree])
+
+
+def _ref_mul(x, y, field):
+    prod = [Rational(0)] * (2 * field.degree - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    return _ref_reduce(prod, field)
+
+
+def _ref_galois(x, k, field):
+    N = field.conductor
+    poly = [Rational(0)] * N
+    for i, a in enumerate(x):
+        poly[(i * k) % N] += a
+    return _ref_reduce(poly, field)
+
+
+@st.composite
+def _scalar_coeffs(draw, degree):
+    """Coefficients with mixed non-unit denominators; sometimes rational
+    (the fast path) or zero."""
+    q = st.builds(Rational, st.integers(-40, 40), st.sampled_from(_DENS))
+    coeffs = draw(st.lists(q, min_size=degree, max_size=degree))
+    shape = draw(st.sampled_from(["full", "full", "rational", "zero"]))
+    if shape == "rational":
+        coeffs[1:] = [Rational(0)] * (degree - 1)
+    elif shape == "zero":
+        coeffs = [Rational(0)] * degree
+    return coeffs
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert all(isinstance(c, int) for c in x.num + (x.den,))
+    if not any(x.num):
+        assert x.den == 1 and x.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 12, 24]), st.data())
+def test_kernel_against_fraction_reference(conductor, data):
+    F = make_field(conductor)
+    d = F.degree
+    ca = data.draw(_scalar_coeffs(d))
+    cb = data.draw(_scalar_coeffs(d))
+    a, b = F.element(ca), F.element(cb)
+    assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+    zero_sum = a + (-a)
+    for x in (a, b, a * b, a + b, a - b, zero_sum):
+        _assert_canonical(x)
+    assert zero_sum.num == (0,) * d and zero_sum.den == 1
+    assert (a * b).coeffs == _ref_mul(ca, cb, F)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    # canonical form: equality of scalars is equality of coefficients
+    assert (a == b) == (ca == cb)
+    assert (a * b == b * a) and (a - b == -(b - a))
+    if not b.is_zero():
+        inv = b.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(inv.coeffs, cb, F) == F.one.coeffs
+        _assert_canonical(a / b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    k = data.draw(st.sampled_from([k for k in range(1, conductor) if gcd(k, conductor) == 1]))
+    g = galois(a, k)
+    _assert_canonical(g)
+    assert g.coeffs == _ref_galois(ca, k, F)
