@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fgab import AbGroup, GroupElem, make_group, characters, subgroup_generated, quotient, subgroup_elements
+from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Echelon, null_space
-from .trilie import mat_zero
+from .linalg import Coordinates, Echelon, compose, invert_dense, null_space, to_dense, to_flat
 
 
 class BrauerError(ValueError):
@@ -232,25 +231,6 @@ class DivisionParams:
         return all(v == one or v == -one for v in self.beta.values())
 
 
-def _algebra_product(A: StructAlgebra, x, y):
-    return A.product(x, y)
-
-
-def _left_ideal(A, gens, ambient_dim):
-    ech = Echelon(A.field, ambient_dim)
-    for g in gens:
-        ech.insert(dict(g))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(A.dim):
-            bi = A.basis_vec(i)
-            for row in list(ech.basis()):
-                if ech.insert(A.product(bi, row)):
-                    changed = True
-    return ech
-
-
 def primitive_idempotent(A: StructAlgebra, e_indices, unit_vec):
     """A primitive idempotent of the identity component, found through a
     minimal left ideal: for x in a minimal left ideal I of A_e with
@@ -436,60 +416,36 @@ class RelatedTriple:
     bases: list       # per algebra: list of 8x8 matrices (dense)
 
 
-def _flatten_mat(F, M, n=8):
-    return {i * n + j: M[i][j] for i in range(n) for j in range(n) if not M[i][j].is_zero()}
-
-
-def _unflatten(F, vec, n=8):
-    M = mat_zero(F, n)
-    for idx, c in vec.items():
-        M[idx // n][idx % n] = c
-    return M
-
-
 def related_triple(adapted_coarse, S) -> RelatedTriple:
     """Propagate a Type I grading on tri(S) to End_F(S) through each of the
     three component projections: seed with the projected homogeneous
     derivations, close under products until the 64-dimensional algebra is
     exhausted, and check that the degree assignment is consistent (the
-    component spans are independent) and sigma_n-stable."""
-    from .trilie import mat_mul
-    from .linalg import invert_dense
-
+    component spans are independent) and sigma_n-stable.  Products are
+    taken on flat matrices (linalg.compose); only the returned bases are
+    dense."""
     F = S.field
     n = S.dim
     G = adapted_coarse[0][0].group
     Gram = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
-    Ginv = invert_dense(F, Gram)
+    Ginv = to_flat(invert_dense(F, Gram))
+    Gram = to_flat(Gram)
     out_algs, out_grads, out_bases = [], [], []
     for comp in range(3):
         buckets = {}
         for g, trip in adapted_coarse:
-            vec = _flatten_mat(F, trip[comp], n)
+            vec = to_flat(trip[comp])
             if vec:
                 buckets.setdefault(g.canonical(), []).append(vec)
         spans = {g: Echelon(F, n * n) for g in buckets}
-        work = []
-        for g, vecs in buckets.items():
-            for v in vecs:
-                if spans[g].insert(v):
-                    work.append((g, v))
-        total = sum(e.rank for e in spans.values())
+        work = [(g, v) for g, vecs in buckets.items() for v in vecs if spans[g].insert(v)]
         while work:
             g1, v1 = work.pop()
-            M1 = _unflatten(F, v1, n)
-            snapshot = [(g2, dict(r)) for g2, e in spans.items() for r in e.basis()]
+            snapshot = [(g2, r) for g2, e in spans.items() for r in e.basis()]
             for g2, v2 in snapshot:
-                M2 = _unflatten(F, v2, n)
-                for gg, prod in (
-                    ((G.element(g1) + G.element(g2)).canonical(), mat_mul(F, M1, M2)),
-                    ((G.element(g2) + G.element(g1)).canonical(), mat_mul(F, M2, M1)),
-                ):
-                    pv = _flatten_mat(F, prod, n)
-                    if not pv:
-                        continue
-                    ech = spans.setdefault(gg, Echelon(F, n * n))
-                    if ech.insert(pv):
+                gg = (G.element(g1) + G.element(g2)).canonical()
+                for pv in (compose(v1, v2, n), compose(v2, v1, n)):
+                    if pv and spans.setdefault(gg, Echelon(F, n * n)).insert(pv):
                         work.append((gg, pv))
         total = sum(e.rank for e in spans.values())
         if total != n * n:
@@ -501,53 +457,42 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
         if union.rank != n * n:
             raise BrauerError("propagated components are not independent")
         # adapted homogeneous basis and structure constants
-        basis_mats = []
+        rows = []
         degs = []
-        flat_rows = []
         for g in sorted(spans):
             for row in spans[g].basis():
-                basis_mats.append(_unflatten(F, row, n))
+                rows.append(row)
                 degs.append(G.element(g))
-                flat_rows.append(row)
-        exp = Echelon(F, n * n + len(flat_rows))
-        for k, row in enumerate(flat_rows):
-            v = dict(row)
-            v[n * n + k] = F.one
-            exp.insert(v)
+        coords = Coordinates(F, n * n, rows)
 
-        def expand(M):
-            red = exp.reduce(_flatten_mat(F, M, n))
-            outv = {}
-            for col, c in red.items():
-                if col < n * n:
-                    raise BrauerError("product outside the propagated span")
-                outv[col - n * n] = -c
-            return outv
+        def expand(vec):
+            out = coords(vec)
+            if out is None:
+                raise BrauerError("product outside the propagated span")
+            return out
 
         mul = {}
-        for a in range(len(basis_mats)):
-            for b in range(len(basis_mats)):
-                row = expand(mat_mul(F, basis_mats[a], basis_mats[b]))
+        for a, x in enumerate(rows):
+            for b, y in enumerate(rows):
+                row = expand(compose(x, y, n))
                 if row:
                     mul[(a, b)] = row
-        # sigma_n must preserve each component
+        # sigma_n must preserve each component: sigma_n(M) = G^-1 M^T G
         invol = {}
-        for a, M in enumerate(basis_mats):
-            MT = [[M[j][i] for j in range(n)] for i in range(n)]
-            adj = mat_mul(F, Ginv, mat_mul(F, MT, Gram))
-            coords = expand(adj)
-            for k in coords:
-                if degs[k] != degs[a]:
-                    raise BrauerError("sigma_n does not preserve the propagated components")
-            invol[a] = coords
-        alg = StructAlgebra(F, [f"a{k}" for k in range(len(basis_mats))], mul, "associative", involution=invol)
+        for a, x in enumerate(rows):
+            xt = {(idx % n) * n + idx // n: c for idx, c in x.items()}
+            cs = expand(compose(Ginv, compose(xt, Gram, n), n))
+            if any(degs[k] != degs[a] for k in cs):
+                raise BrauerError("sigma_n does not preserve the propagated components")
+            invol[a] = cs
+        alg = StructAlgebra(F, [f"a{k}" for k in range(len(rows))], mul, "associative", involution=invol)
         gr = Grading(alg, G, {"A": degs})
         rep = verify_grading(gr)
         if not rep.ok:
             raise BrauerError(f"propagated grading failed to verify: {rep.violations[:3]}")
         out_algs.append(alg)
         out_grads.append(gr)
-        out_bases.append(basis_mats)
+        out_bases.append([to_dense(F, row, n) for row in rows])
     return RelatedTriple(out_algs, out_grads, out_bases)
 
 
@@ -586,12 +531,10 @@ def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     rows = {}
     for j in range(A.dim):
         aj = A.basis_vec(j)
-        val = chi(grading.degrees["A"][j])
+        neg_val = -chi(grading.degrees["A"][j])
         for i in range(A.dim):
             ui = A.basis_vec(i)
-            left = A.product(ui, aj)
-            right = A.scale(val, A.product(aj, ui))
-            resid = A.add(left, A.scale(F.scalar(-1), right))
+            resid = A.add(A.product(ui, aj), A.scale(neg_val, A.product(aj, ui)))
             for out_idx, c in resid.items():
                 rows.setdefault((j, out_idx), {})[i] = c
     sols = null_space(F, A.dim, list(rows.values()))

@@ -271,17 +271,6 @@ def _h_span(p: TypeIIIParams) -> frozenset:
     return frozenset({G.identity().canonical(), p.h.canonical(), (2 * p.h).canonical()})
 
 
-def _dlog_z3sq(G, basis, target):
-    """Coordinates of target in terms of two independent order-3 elements,
-    modulo <h> handled by the caller (brute force over Z3 x Z3)."""
-    b1, b2 = basis
-    for a in range(3):
-        for b in range(3):
-            if (a * b1 + b * b2) == target:
-                return (a, b)
-    return None
-
-
 def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
     """The sign of the grading of p read against the ordered generator
     frame (k1, k2), working modulo H = <h>: the chart of p maps its own
@@ -643,7 +632,6 @@ def _witness_rank2_shift(G, gamma, h, conductor):
         for i in idxs:
             e.insert(V.basis_vec(i))
         comp_spans[g] = e
-    adapted = []
     per_degree = {}
     for vec in basis:
         pieces = {}
@@ -704,14 +692,9 @@ def _witness_rank2_shift(G, gamma, h, conductor):
 def _subalgebra_on_basis(V, hom_basis, eps):
     """The cut algebra rebuilt on a prescribed homogeneous basis."""
     from .composition import SymCompAlgebra, is_symmetric_composition
-    from .linalg import Echelon
 
     F = V.field
     L = V.L
-    ech = Echelon(F, V.dim)
-    for b in hom_basis:
-        ech.insert(dict(b))
-    basis = []
     # keep the prescribed vectors (they are echelon rows per degree already)
     basis = [dict(b) for b in hom_basis]
 

@@ -21,7 +21,6 @@ import sys
 import time
 
 from . import __version__
-from .scalars import make_field
 from .fgab import make_group
 from .grading import invariants, universal_group, verify_grading
 from . import classify
@@ -38,7 +37,6 @@ from .classify import (
     params_r8,
     refinement_impossible,
     similar_params,
-    witness_map,
 )
 
 
@@ -47,28 +45,56 @@ class UsageError(ValueError):
 
 
 def group_from_json(data) -> "AbGroup":
-    return make_group(int(data.get("free_rank", 0)), [int(d) for d in data.get("torsion", [])])
+    try:
+        return make_group(int(data.get("free_rank", 0)), [int(d) for d in data.get("torsion", [])])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad group {json.dumps(data)}: {exc}") from exc
+
+
+def element_from_json(G, coords):
+    """A group element from a JSON list of integer coordinates."""
+    if not isinstance(coords, list) or not all(type(c) is int for c in coords):
+        raise UsageError(f"a group element is a list of integers, got {json.dumps(coords)}")
+    try:
+        return G.element(coords)
+    except ValueError as exc:
+        raise UsageError(f"bad group element {json.dumps(coords)} of {G}: {exc}") from exc
+
+
+def elements_from_json(G, items) -> list:
+    if not isinstance(items, list):
+        raise UsageError(f"expected a list of group elements, got {json.dumps(items)}")
+    return [element_from_json(G, x) for x in items]
 
 
 def params_from_json(data) -> TypeIIIParams:
+    """TypeIIIParams from a JSON parameter object.  A malformed object is a
+    usage error; well-formed but invalid parameters raise ParamError."""
+    if not isinstance(data, dict):
+        raise UsageError(f"parameters must be a JSON object, got {json.dumps(data)}")
     try:
         G = group_from_json(data["group"])
-        r = int(data["rank"])
-        h = G.element(data["h"])
+        try:
+            r = int(data["rank"])
+        except (TypeError, ValueError):
+            r = None
+        h = element_from_json(G, data["h"])
         if r == 0:
-            k1, k2 = (G.element(k) for k in data["K"])
-            return params_r0(G, k1, k2, h, data["delta"])
+            K = elements_from_json(G, data["K"])
+            if len(K) != 2:
+                raise UsageError(f"rank 0 takes K = [k1, k2], got {len(K)} elements")
+            return params_r0(G, *K, h, data["delta"])
         if r == 1:
-            return params_r1(G, [G.element(k) for k in data["K"]], h)
+            return params_r1(G, elements_from_json(G, data["K"]), h)
         if r == 2:
-            return params_r2(G, tuple(G.element(g) for g in data["gamma"]), h)
+            return params_r2(G, tuple(elements_from_json(G, data["gamma"])), h)
         if r == 4:
-            return params_r4(G, G.element(data["g"]), h)
+            return params_r4(G, element_from_json(G, data["g"]), h)
         if r == 8:
             return params_r8(G, h, data["t"])
     except KeyError as exc:
         raise UsageError(f"missing parameter field: {exc}") from exc
-    raise UsageError(f"rank must be 0, 1, 2, 4 or 8, got {data['rank']}")
+    raise UsageError(f"rank must be 0, 1, 2, 4 or 8, got {json.dumps(data['rank'])}")
 
 
 def emit(report: dict, out_path, exit_code: int) -> int:
@@ -221,8 +247,6 @@ def _suite_jordan(args, mod):
 
 def _suite_grading(args, mod):
     from .composition import cartan_grading_cayley, okubo_grading, zorn_cayley
-    from .grading import coarsen, is_refinement, universal_group
-    from .fgab import GroupHom
 
     F = mod["field"]
     checks = {}
@@ -287,6 +311,8 @@ def invariants_of_built(built) -> dict:
 
 def cmd_similar(args) -> int:
     data = json.loads(args.params)
+    if not isinstance(data, dict) or not {"first", "second"} <= data.keys():
+        raise UsageError('similar takes --params {"first": {...}, "second": {...}}')
     p = params_from_json(data["first"])
     q = params_from_json(data["second"])
     verdict = similar_params(p, q)
@@ -304,7 +330,7 @@ def cmd_similar(args) -> int:
 
 def cmd_brauer(args) -> int:
     from .trilie import tri_basis, induce_tri_grading
-    from .brauer import related_triple, division_params, verify_brauer_relations
+    from .brauer import related_triple, verify_brauer_relations
     from .fgab import quotient
 
     kind = args.kind
@@ -441,6 +467,9 @@ def main(argv=None) -> int:
     ap = make_parser()
     try:
         args = ap.parse_args(argv)
+        if args.conductor < 1 or args.conductor % 3:
+            # every construction needs a primitive cube root of unity
+            ap.error(f"argument --field-conductor: must be a positive multiple of 3, got {args.conductor}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.time()

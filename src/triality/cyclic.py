@@ -34,6 +34,7 @@ class CubicEtale:
         F = field or default_field()
         self.field = field = F
         self.omega = F.omega
+        self._rho_factors = (F.one, F.omega, F.omega * F.omega)  # omega^k
         self.labels = ["1", "xi", "xi^2"]
         self.zero = (F.zero, F.zero, F.zero)
         self.one = (F.one, F.zero, F.zero)
@@ -63,8 +64,7 @@ class CubicEtale:
         return tuple(c * x for x in a)
 
     def rho(self, a, power=1):
-        w = self.omega
-        fac = [self.field.one, w, w * w]
+        fac = self._rho_factors
         return tuple(fac[(k * power) % 3] * a[k] for k in range(3))
 
     def tau(self, a):
@@ -93,11 +93,8 @@ class CubicEtale:
     def components(self, a):
         """The componentwise view (l1, l2, l3): component i evaluates xi
         at omega^(i-1), matching xi = (1, omega, omega^2)."""
-        w = self.omega
-        res = []
-        for wi in (self.field.one, w, w * w):
-            res.append(a[0] + wi * a[1] + wi * wi * a[2])
-        return tuple(res)
+        fac = self._rho_factors
+        return tuple(a[0] + fac[i] * a[1] + fac[2 * i % 3] * a[2] for i in range(3))
 
     def invert(self, a):
         n = self.norm(a)

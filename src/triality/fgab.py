@@ -358,10 +358,6 @@ def make_group(free_rank: int, torsion_orders=()) -> AbGroup:
     return AbGroup(free_rank, torsion)
 
 
-def element_order(g: GroupElem):
-    return g.order()
-
-
 def presented_group(orders) -> tuple[AbGroup, "callable"]:
     """The group presented as a product of Z_{m_i} in the given (possibly
     non-chain) order.  Returns the canonical group together with a map from

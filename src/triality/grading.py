@@ -173,9 +173,6 @@ class Grading:
     def deg(self, sort, i) -> GroupElem:
         return self.degrees[sort][i]
 
-    def main_degrees(self):
-        return self.degrees[self.structure.main_sort]
-
     def components(self, sort=None) -> dict:
         """{canonical degree coords: sorted basis indices} for one sort."""
         sort = sort or self.structure.main_sort

@@ -3,6 +3,11 @@
 Vectors are dicts {column index: CycloScalar}; a matrix is a list of such
 rows.  Everything is deterministic: pivots are chosen as the smallest column
 index, rows are processed in the order given.
+
+An n x n matrix that is itself a vector (an element of End(S), say) is held
+flat, {i*n + j: c}, the row format that Echelon reduces; `compose` multiplies
+two of them, `to_flat` and `to_dense` convert from and to lists of lists.
+No sparse vector stores a zero entry.
 """
 
 from __future__ import annotations
@@ -91,10 +96,28 @@ def rank(field, ncols, rows) -> int:
     return echelon_from(field, ncols, rows).rank
 
 
-def span_equal(field, ncols, vecs_a, vecs_b) -> bool:
-    ea = echelon_from(field, ncols, vecs_a)
-    eb = echelon_from(field, ncols, vecs_b)
-    return ea.canonical() == eb.canonical()
+class Coordinates:
+    """Coordinates in a fixed basis of a subspace: the basis vectors, each
+    with a marker column of its own, are reduced to echelon form, so a
+    vector of the span reduces to minus its coordinates on the markers."""
+
+    def __init__(self, field, ncols, basis):
+        self.ncols = ncols
+        self._ech = Echelon(field, ncols + len(basis))
+        for k, vec in enumerate(basis):
+            v = dict(vec)
+            v[ncols + k] = field.one
+            self._ech.insert(v)
+
+    def __call__(self, vec):
+        """{basis index: coefficient} of vec, or None if vec is outside the
+        span."""
+        coords = {}
+        for col, c in self._ech.reduce(vec).items():
+            if col < self.ncols:
+                return None
+            coords[col - self.ncols] = -c
+        return coords
 
 
 def null_space(field, ncols, rows) -> list:
@@ -193,6 +216,32 @@ def mat_vec(mat_cols, vec: dict) -> dict:
     return out
 
 
-def compose_cols(f_cols, g_cols) -> dict:
-    """Column map of f o g (apply g first)."""
-    return {j: mat_vec(f_cols, col) for j, col in g_cols.items() if col}
+def compose(A: dict, B: dict, n: int) -> dict:
+    """The product A B of two flat n x n matrices {i*n + j: c}."""
+    rows_b = {}
+    for idx, b in B.items():
+        rows_b.setdefault(idx // n, []).append((idx % n, b))
+    out = {}
+    for idx, a in A.items():
+        row_b = rows_b.get(idx % n)
+        if row_b is None:
+            continue
+        base = idx - idx % n
+        for j, b in row_b:
+            t = out.get(base + j)
+            out[base + j] = a * b if t is None else t + a * b
+    return {idx: c for idx, c in out.items() if not c.is_zero()}
+
+
+def to_flat(M) -> dict:
+    """The flat form {i*n + j: c} of a dense n x n matrix."""
+    n = len(M)
+    return {i * n + j: c for i, row in enumerate(M) for j, c in enumerate(row) if not c.is_zero()}
+
+
+def to_dense(field, vec: dict, n: int) -> list:
+    """The dense n x n matrix (list of rows) of a flat one."""
+    M = [[field.zero] * n for _ in range(n)]
+    for idx, c in vec.items():
+        M[idx // n][idx % n] = c
+    return M

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .grading import SMap, Grading, StructAlgebra, verify_grading
 from .linalg import Echelon, null_space, invert_dense
-from .trilie import delta_decompose, mat_zero
+from .trilie import delta_decompose, so_basis
 
 
 class TrialitarianError(ValueError):
@@ -79,12 +79,6 @@ class EndAlgebraE:
 
     def unit(self):
         return {self.index[(p, p, 0)]: self.field.one for p in range(self.n)}
-
-    def center_basis(self):
-        return [
-            {self.index[(p, p, k)]: self.field.one for p in range(self.n)}
-            for k in range(3)
-        ]
 
     def central_scalar(self, l_elt):
         """The E-element of multiplication by l in L (xi-coordinates)."""
@@ -155,13 +149,6 @@ class EndAlgebraE:
                     if not c.is_zero():
                         out[self.index[(p, r, k)]] = c
         return out
-
-    def to_deltas(self, x):
-        deltas = [mat_zero(self.field, self.n) for _ in range(3)]
-        for i, c in x.items():
-            p, r, k = self.keys[i]
-            deltas[k][p][r] = c
-        return deltas
 
     # grading protocol: associative algebra with involution sigma
     def grading_sorts(self):
@@ -754,18 +741,9 @@ def alpha_involution_compatible(am: AlphaMap) -> bool:
 
 def skew_basis(E: EndAlgebraE):
     """A basis of Skew(E, sigma): n-skew blocks per xi power (84 elements)."""
-    F = E.field
     n = E.n
-    from .trilie import so_basis
-
     so = so_basis(E.V.S)
-    out = []
-    for k in range(3):
-        for B in so:
-            deltas = [mat_zero(F, n) for _ in range(3)]
-            deltas[k] = B
-            out.append(E.from_deltas(deltas))
-    return out
+    return [{E.index[(idx // n, idx % n, k)]: c for idx, c in B.items()} for k in range(3) for B in so]
 
 
 def lie_of_E(V, E, Cl, km: KappaMap, am: AlphaMap):

@@ -5,8 +5,16 @@ system over so(S,n)^3.  Includes the D4 root datum, derivation algebras of
 the triple model, induced gradings on tri, and the center orbit of a
 Type III grading.
 
-Matrices on S are dense 8x8 lists; elements of tri are coefficient vectors
-over the 84-dimensional space so(S,n)^3.
+Elements of End(S)^3 are sparse vectors over the 3*n*n positions
+c*n*n + i*n + j: block c holds the flat form {i*n + j: entry} of the c-th
+map (linalg.compose multiplies two blocks).  A triple (d1, d2, d3) has its
+components as blocks; an L-linear map d = sum_k delta_k (x) xi^k has its
+delta (xi-graded) coordinates delta_k as blocks.  Brackets are taken in
+these sparse forms: componentwise for triples, as a convolution in the xi
+power for deltas.  The basis triples of TriAlgebra.triples, the adapted
+bases returned by induce_tri_grading and the values of delta_decompose are
+dense 8x8 lists of lists; elements of tri are coefficient vectors over that
+basis.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, null_space, invert_dense
+from .linalg import Coordinates, Echelon, compose, echelon_from, invert_dense, mat_vec, null_space, to_dense, to_flat
 from .grading import Grading, StructAlgebra, verify_grading
 
 
@@ -23,81 +31,77 @@ class TrialityError(ValueError):
     pass
 
 
-# ----------------------------------------------------------- matrix helpers
+# ------------------------------------------------------- End(S)^3 vectors
 
 
-def mat_zero(F, n=8):
-    return [[F.zero] * n for _ in range(n)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * a for a in row] for row in A]
-
-
-def mat_mul(F, A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(n):
-            s = F.zero
-            for k in range(n):
-                a = Ai[k]
-                if not a.is_zero():
-                    b = B[k][j]
-                    if not b.is_zero():
-                        s = s + a * b
-            row.append(s)
-        out.append(row)
+def _blocks(vec, nn):
+    """The three flat n x n blocks of a vector of End(S)^3."""
+    out = ({}, {}, {})
+    for idx, c in vec.items():
+        k, rem = divmod(idx, nn)
+        out[k][rem] = c
     return out
 
 
-def mat_commutator(F, A, B):
-    return mat_add(mat_mul(F, A, B), mat_scale(F.scalar(-1), mat_mul(F, B, A)))
-
-
-def mat_apply(F, A, vec: dict) -> dict:
+def _xi_transform(F, vec, nn, to_deltas):
+    """Change the coordinates of a vector of End(S)^3 from a triple
+    (d1, d2, d3) to deltas, delta_k = 1/3 sum_c omega^(-ck) d_c (the
+    discrete Fourier transform over the three components of L), or back,
+    d_c = sum_k omega^(ck) delta_k."""
+    w = F.omega
+    wp = (F.one, w, w * w)
+    if to_deltas:
+        third = F.scalar(1, 3)
+        fac = [[third * wp[(-j * i) % 3] for i in range(3)] for j in range(3)]
+    else:
+        fac = [[wp[(j * i) % 3] for i in range(3)] for j in range(3)]
     out = {}
-    for r, c in vec.items():
-        for p in range(len(A)):
-            a = A[p][r]
-            if not a.is_zero():
-                t = out.get(p)
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(p, None)
-                else:
-                    out[p] = t2
-    return out
+    for idx, c in vec.items():
+        i, rem = divmod(idx, nn)
+        for j in range(3):
+            x = fac[j][i] * c
+            t = out.get(j * nn + rem)
+            out[j * nn + rem] = x if t is None else t + x
+    return {idx: c for idx, c in sorted(out.items()) if not c.is_zero()}
 
 
-def mat_is_zero(A):
-    return all(c.is_zero() for row in A for c in row)
+def _bracket(xs, ys, n, convolve):
+    """[x, y] for x, y in End(S)^3 given by their blocks: componentwise
+    for triples, [x, y]_c = x_c y_c - y_c x_c; in delta coordinates, where
+    End_L(V) multiplies like matrices over L = F[xi], the convolution
+    [x, y]_m = sum_{k+l = m mod 3} (x_k y_l - y_l x_k)."""
+    nn = n * n
+    acc = {}
+    for k, a in enumerate(xs):
+        for l, b in enumerate(ys):
+            if not a or not b or (k != l and not convolve):
+                continue
+            base = (k + l) % 3 * nn if convolve else k * nn
+            for idx, c in compose(a, b, n).items():
+                t = acc.get(base + idx)
+                acc[base + idx] = c if t is None else t + c
+            for idx, c in compose(b, a, n).items():
+                t = acc.get(base + idx)
+                acc[base + idx] = -c if t is None else t - c
+    return {idx: c for idx, c in acc.items() if not c.is_zero()}
 
 
 # ------------------------------------------------------------------ so(S,n)
 
 
 def so_basis(S):
-    """A basis of the n-skew maps: G^-1 (E_pq - E_qp) for p < q, where G is
-    the Gram matrix of the polar form.  Dimension 28 for dim S = 8."""
+    """A basis of the n-skew maps, as flat matrices: G^-1 (E_pq - E_qp)
+    for p < q, where G is the Gram matrix of the polar form.  Dimension 28
+    for dim S = 8."""
     F = S.field
     n = S.dim
     G = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
-    Ginv = invert_dense(F, G)
-    out = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            A = mat_zero(F, n)
-            A[p][q] = F.one
-            A[q][p] = -F.one
-            out.append(mat_mul(F, Ginv, A))
-    return out
+    Ginv = to_flat(invert_dense(F, G))
+    return [
+        dict(sorted(compose(Ginv, {p * n + q: F.one, q * n + p: -F.one}, n).items()))
+        for p in range(n)
+        for q in range(p + 1, n)
+    ]
 
 
 # ------------------------------------------------------------------- tri(S)
@@ -107,93 +111,62 @@ class TriAlgebra:
     """tri(S) with a fixed 28-element basis of triples, bracket structure
     constants, and exact expansion machinery."""
 
-    def __init__(self, S, triples, so):
-        self.S = S
-        self.field = S.field
-        self.triples = triples  # list of (d1, d2, d3) dense matrices
-        self.so = so
-        self.dim = len(triples)
+    def __init__(self, S, vectors):
+        F = S.field
         n = S.dim
-        self._flat_len = 3 * n * n
-        # augmented echelon: flattened triple + coordinate markers
-        self._exp = Echelon(S.field, self._flat_len + self.dim)
-        for k, t in enumerate(self.triples):
-            v = self.flatten(t)
-            v[self._flat_len + k] = S.field.one
-            self._exp.insert(v)
-        self._span = Echelon(S.field, self._flat_len)
-        for t in self.triples:
-            self._span.insert(self.flatten(t))
+        self.S = S
+        self.field = F
+        self.vectors = vectors  # basis triples as vectors of End(S)^3
+        self.triples = [tuple(to_dense(F, b, n) for b in _blocks(v, n * n)) for v in vectors]
+        self.dim = len(vectors)
+        self._coords = Coordinates(F, 3 * n * n, vectors)
+        self._span = echelon_from(F, 3 * n * n, vectors)
         self.lie = self._structure_algebra()
 
-    def flatten(self, triple) -> dict:
-        n = self.S.dim
-        out = {}
-        for c, d in enumerate(triple):
-            base = c * n * n
-            for i in range(n):
-                for j in range(n):
-                    x = d[i][j]
-                    if not x.is_zero():
-                        out[base + i * n + j] = x
-        return out
-
-    def contains(self, triple) -> bool:
-        return self._span.contains(self.flatten(triple))
-
-    def expand(self, triple) -> dict:
-        """Coordinates of a triple in the tri basis; raises if outside."""
-        red = self._exp.reduce(self.flatten(triple))
-        coords = {}
-        for col, c in red.items():
-            if col < self._flat_len:
-                raise TrialityError("triple is not in tri(S)")
-            coords[col - self._flat_len] = -c
-        return coords
-
-    def bracket(self, ta, tb):
-        F = self.field
-        return tuple(mat_commutator(F, a, b) for a, b in zip(ta, tb))
-
-    def from_coords(self, coords: dict):
-        F = self.field
-        n = self.S.dim
-        mats = [mat_zero(F, n) for _ in range(3)]
-        for k, c in coords.items():
-            for comp in range(3):
-                mats[comp] = mat_add(mats[comp], mat_scale(c, self.triples[k][comp]))
-        return tuple(mats)
+    def contains(self, vec) -> bool:
+        """Whether a vector of End(S)^3 lies in tri(S)."""
+        return self._span.contains(vec)
 
     def _structure_algebra(self) -> StructAlgebra:
+        n = self.S.dim
+        blocks = [_blocks(v, n * n) for v in self.vectors]
         mul = {}
         for a in range(self.dim):
             for b in range(self.dim):
                 if a == b:
                     continue
-                coords = self.expand(self.bracket(self.triples[a], self.triples[b]))
+                coords = self._coords(_bracket(blocks[a], blocks[b], n, convolve=False))
+                if coords is None:
+                    raise TrialityError("bracket is not in tri(S)")
                 if coords:
                     mul[(a, b)] = coords
         labels = [f"t{k}" for k in range(self.dim)]
         return StructAlgebra(self.field, labels, mul, "lie")
 
 
-def tri_basis(S) -> TriAlgebra:
-    """Solve the defining identity d1(x.y) = d2(x).y + x.d3(y) over
-    so(S,n)^3 on all basis pairs.  The kernel must be 28-dimensional and
-    each coordinate projection must have full rank 28."""
+def _solve_triples(S, shifts, what) -> TriAlgebra:
+    """The triples of n-skew maps with d_a(u.v) = d_(a+1)(u).v + u.d_(a+2)(v)
+    (indices mod 3) for every shift a, solved on all basis pairs as the
+    kernel of a linear system over so(S,n)^3.  The kernel must be
+    28-dimensional."""
     F = S.field
     n = S.dim
     so = so_basis(S)
     m = len(so)
     bas = [S.basis_vec(i) for i in range(n)]
-    so_cols = [[{p: B[p][r] for p in range(n) if not B[p][r].is_zero()} for r in range(n)] for B in so]
+    so_cols = []
+    for B in so:
+        cols = {r: {} for r in range(n)}
+        for idx, c in B.items():
+            cols[idx % n][idx // n] = c
+        so_cols.append(cols)
 
     rows = {}
 
-    def put(i, j, k, col, c):
+    def put(key, col, c):
         if c.is_zero():
             return
-        row = rows.setdefault((i, j, k), {})
+        row = rows.setdefault(key, {})
         t = row.get(col)
         t = c if t is None else t + c
         if t.is_zero():
@@ -201,36 +174,44 @@ def tri_basis(S) -> TriAlgebra:
         else:
             row[col] = t
 
-    for i in range(n):
-        for j in range(n):
-            pij = S.product(bas[i], bas[j])
-            for mm in range(m):
-                for k, c in mat_apply(F, so[mm], pij).items():
-                    put(i, j, k, mm, c)
-                for k, c in S.product(so_cols[mm][i], bas[j]).items():
-                    put(i, j, k, m + mm, -c)
-                for k, c in S.product(bas[i], so_cols[mm][j]).items():
-                    put(i, j, k, 2 * m + mm, -c)
+    for a in shifts:
+        left, mid, right = a * m, ((a + 1) % 3) * m, ((a + 2) % 3) * m
+        for i in range(n):
+            for j in range(n):
+                pij = S.product(bas[i], bas[j])
+                for mm in range(m):
+                    for k, c in mat_vec(so_cols[mm], pij).items():
+                        put((a, i, j, k), left + mm, c)
+                    for k, c in S.product(so_cols[mm][i], bas[j]).items():
+                        put((a, i, j, k), mid + mm, -c)
+                    for k, c in S.product(bas[i], so_cols[mm][j]).items():
+                        put((a, i, j, k), right + mm, -c)
 
     kernel = null_space(F, 3 * m, list(rows.values()))
     if len(kernel) != 28:
-        raise TrialityError(f"tri(S) has dimension {len(kernel)}, expected 28")
-    triples = []
+        raise TrialityError(f"{what} has dimension {len(kernel)}, expected 28")
+    vectors = []
     for vec in kernel:
-        mats = []
-        for comp in range(3):
-            M = mat_zero(F, n)
-            for col, c in vec.items():
-                if comp * m <= col < (comp + 1) * m:
-                    M = mat_add(M, mat_scale(c, so[col - comp * m]))
-            mats.append(M)
-        triples.append(tuple(mats))
-    tri = TriAlgebra(S, triples, so)
+        acc = {}
+        for col, c in vec.items():
+            comp, mm = divmod(col, m)
+            for idx, x in so[mm].items():
+                key = comp * n * n + idx
+                t = acc.get(key)
+                acc[key] = c * x if t is None else t + c * x
+        vectors.append({idx: c for idx, c in sorted(acc.items()) if not c.is_zero()})
+    return TriAlgebra(S, vectors)
+
+
+def tri_basis(S) -> TriAlgebra:
+    """Solve the defining identity d1(x.y) = d2(x).y + x.d3(y) over
+    so(S,n)^3 on all basis pairs.  The kernel must be 28-dimensional and
+    each coordinate projection must have full rank 28."""
+    tri = _solve_triples(S, (0,), "tri(S)")
+    nn = S.dim * S.dim
     # each projection must be injective on the 28-dimensional kernel
     for comp in range(3):
-        ech = Echelon(F, n * n)
-        for t in triples:
-            ech.insert({i * n + j: t[comp][i][j] for i in range(n) for j in range(n) if not t[comp][i][j].is_zero()})
+        ech = echelon_from(S.field, nn, [_blocks(v, nn)[comp] for v in tri.vectors])
         if ech.rank != 28:
             raise TrialityError(f"projection {comp + 1} has rank {ech.rank}, expected 28")
     return tri
@@ -238,7 +219,10 @@ def tri_basis(S) -> TriAlgebra:
 
 def cyclic_shift_closed(tri: TriAlgebra) -> bool:
     """(d1,d2,d3) -> (d3,d1,d2) maps tri into itself."""
-    return all(tri.contains((t[2], t[0], t[1])) for t in tri.triples)
+    nn = tri.S.dim * tri.S.dim
+    return all(
+        tri.contains({(idx // nn + 1) % 3 * nn + idx % nn: c for idx, c in v.items()}) for v in tri.vectors
+    )
 
 
 def verify_lie(tri: TriAlgebra):
@@ -283,61 +267,11 @@ def der_cyclic(V) -> TriAlgebra:
     per-block n-skewness.  The result must equal tri(S) as a span."""
     if V.twist != 1:
         raise TrialityError("derivations are computed for the standard twist")
-    S = V.S
-    F = S.field
-    n = S.dim
-    so = so_basis(S)
-    m = len(so)
-    bas = [S.basis_vec(i) for i in range(n)]
-    so_cols = [[{p: B[p][r] for p in range(n) if not B[p][r].is_zero()} for r in range(n)] for B in so]
-
-    rows = {}
-
-    def put(key, col, c):
-        if c.is_zero():
-            return
-        row = rows.setdefault(key, {})
-        t = row.get(col)
-        t = c if t is None else t + c
-        if t.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = t
-
-    # identity block a: d_{a}(u.v) = d_{a+1}(u).v + u.d_{a+2}(v)
-    for a in range(3):
-        left, mid, right = a * m, ((a + 1) % 3) * m, ((a + 2) % 3) * m
-        for i in range(n):
-            for j in range(n):
-                pij = S.product(bas[i], bas[j])
-                for mm in range(m):
-                    for k, c in mat_apply(F, so[mm], pij).items():
-                        put((a, i, j, k), left + mm, c)
-                    for k, c in S.product(so_cols[mm][i], bas[j]).items():
-                        put((a, i, j, k), mid + mm, -c)
-                    for k, c in S.product(bas[i], so_cols[mm][j]).items():
-                        put((a, i, j, k), right + mm, -c)
-
-    kernel = null_space(F, 3 * m, list(rows.values()))
-    if len(kernel) != 28:
-        raise TrialityError(f"Der_L(V) has dimension {len(kernel)}, expected 28")
-    triples = []
-    for vec in kernel:
-        mats = []
-        for comp in range(3):
-            M = mat_zero(F, n)
-            for col, c in vec.items():
-                if comp * m <= col < (comp + 1) * m:
-                    M = mat_add(M, mat_scale(c, so[col - comp * m]))
-            mats.append(M)
-        triples.append(tuple(mats))
-    return TriAlgebra(S, triples, so)
+    return _solve_triples(V.S, (0, 1, 2), "Der_L(V)")
 
 
 def spans_equal(tri_a: TriAlgebra, tri_b: TriAlgebra) -> bool:
-    return all(tri_a.contains(t) for t in tri_b.triples) and all(
-        tri_b.contains(t) for t in tri_a.triples
-    )
+    return all(tri_a.contains(v) for v in tri_b.vectors) and all(tri_b.contains(v) for v in tri_a.vectors)
 
 
 # ------------------------------------------------------------- root datum
@@ -422,11 +356,7 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
 
     def restrict(ad_cols, space):
         """Matrix of ad on the span of `space` (list of coordinate dicts)."""
-        ech = Echelon(F, tri.dim + len(space))
-        for k, v in enumerate(space):
-            vv = dict(v)
-            vv[tri.dim + k] = F.one
-            ech.insert(vv)
+        coords = Coordinates(F, tri.dim, space)
         mat = []
         for v in space:
             img = {}
@@ -438,12 +368,9 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
                         img.pop(k, None)
                     else:
                         img[k] = t2
-            red = ech.reduce(img)
-            col = {}
-            for idx, c in red.items():
-                if idx < tri.dim:
-                    raise TrialityError("adjoint action leaves the subspace")
-                col[idx - tri.dim] = -c
+            col = coords(img)
+            if col is None:
+                raise TrialityError("adjoint action leaves the subspace")
             mat.append(col)
         return mat  # column j -> dict i -> scalar
 
@@ -595,41 +522,37 @@ def delta_decompose(V, triple):
     """Write a block triple (d1, d2, d3) as d = sum_k delta_k (x) xi^k via
     the discrete Fourier transform over the three components of L."""
     F = V.field
-    w = F.omega
-    third = F.scalar(1, 3)
-    winv = [F.one, w * w, w]  # omega^(-k)
     n = V.S.dim
-    deltas = []
-    for k in range(3):
-        fac = [third, third * winv[k], third * winv[(2 * k) % 3]]
-        M = [[fac[0] * triple[0][i][j] + fac[1] * triple[1][i][j] + fac[2] * triple[2][i][j] for j in range(n)] for i in range(n)]
-        deltas.append(M)
-    return deltas
-
-
-def delta_recompose(V, deltas):
-    F = V.field
-    w = F.omega
-    wp = [F.one, w, w * w]
-    n = V.S.dim
-    mats = []
-    for comp in range(3):
-        fac = [F.one, wp[comp], wp[(2 * comp) % 3]]
-        M = [[fac[0] * deltas[0][i][j] + fac[1] * deltas[1][i][j] + fac[2] * deltas[2][i][j] for j in range(n)] for i in range(n)]
-        mats.append(M)
-    return tuple(mats)
+    deltas = _xi_transform(F, _flatten_deltas(V, triple), n * n, to_deltas=True)
+    return [to_dense(F, b, n) for b in _blocks(deltas, n * n)]
 
 
 def _flatten_deltas(V, deltas):
+    """Three n x n matrices (deltas, or the components of a triple) as one
+    vector of End(S)^3."""
     n = V.S.dim
-    out = {}
-    for k, M in enumerate(deltas):
-        for p in range(n):
-            for r in range(n):
-                c = M[p][r]
-                if not c.is_zero():
-                    out[k * n * n + p * n + r] = c
-    return out
+    return {k * n * n + idx: c for k, M in enumerate(deltas) for idx, c in to_flat(M).items()}
+
+
+def _homogeneous_pieces(V, tri: TriAlgebra, degree, error):
+    """Split every basis triple of tri, in delta coordinates, into its
+    pieces on the elementary operators (p, r, k) of one degree
+    degree(p, r, k) each.  Every piece must lie in tri(S) again.  Returns
+    {degree: [pieces in delta coordinates]}."""
+    F = V.field
+    n = V.S.dim
+    nn = n * n
+    buckets = {}
+    for vec in tri.vectors:
+        pieces = {}
+        for idx, c in _xi_transform(F, vec, nn, to_deltas=True).items():
+            k, rem = divmod(idx, nn)
+            pieces.setdefault(degree(rem // n, rem % n, k), {})[idx] = c
+        for g, piece in pieces.items():
+            if not tri.contains(_xi_transform(F, piece, nn, to_deltas=False)):
+                raise TrialityError(error)
+            buckets.setdefault(g, []).append(piece)
+    return buckets
 
 
 def induce_tri_grading(grading: Grading, tri: TriAlgebra):
@@ -638,13 +561,15 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     algebra, adapted basis as a list of (degree, triple)).
 
     Every homogeneous piece of every basis derivation is verified to lie in
-    tri(S) again, and the piece dimensions must sum to 28.
+    tri(S) again, and the piece dimensions must sum to 28.  The brackets of
+    the adapted basis are taken in delta coordinates.
     """
     V = grading.structure
     if not grading.verified:
         raise TrialityError("verify the grading before inducing")
     F = V.field
     n = V.S.dim
+    nn = n * n
     G = grading.group
     h = grading.degrees["L"][1]
     pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(n)]
@@ -652,72 +577,33 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     def e_deg(p, r, k):
         return (pdeg[p] - pdeg[r] + k * h).canonical()
 
-    buckets = {}
-    for t in tri.triples:
-        deltas = delta_decompose(V, t)
-        pieces = {}
-        for k, M in enumerate(deltas):
-            for p in range(n):
-                for r in range(n):
-                    c = M[p][r]
-                    if c.is_zero():
-                        continue
-                    g = e_deg(p, r, k)
-                    piece = pieces.setdefault(g, [mat_zero(F, n) for _ in range(3)])
-                    piece[k][p][r] = c
-        for g, deltas_piece in pieces.items():
-            trip = delta_recompose(V, deltas_piece)
-            if not tri.contains(trip):
-                raise TrialityError("homogeneous piece leaves tri(S); invalid input grading")
-            buckets.setdefault(g, []).append(trip)
-
-    adapted = []
-    total = 0
+    buckets = _homogeneous_pieces(V, tri, e_deg, "homogeneous piece leaves tri(S); invalid input grading")
+    # the echelon rows of each component are a canonical homogeneous basis
+    rows, degrees, adapted = [], [], []
     for g in sorted(buckets):
-        ech = Echelon(F, 3 * n * n)
-        reps = []
-        for trip in buckets[g]:
-            flat = _flatten_deltas(V, delta_decompose(V, trip))
-            if ech.insert(dict(flat)):
-                reps.append(trip)
-        total += ech.rank
-        # use echelon rows for a canonical homogeneous basis
-        for row in ech.basis():
-            deltas = [mat_zero(F, n) for _ in range(3)]
-            for idx, c in row.items():
-                k, rem = divmod(idx, n * n)
-                p, r = divmod(rem, n)
-                deltas[k][p][r] = c
-            adapted.append((G.element(g), delta_recompose(V, deltas)))
-    if total != 28:
-        raise TrialityError(f"induced components span {total} dimensions, expected 28")
+        for row in echelon_from(F, 3 * nn, buckets[g]).basis():
+            rows.append(row)
+            degrees.append(G.element(g))
+            trip = _xi_transform(F, row, nn, to_deltas=False)
+            adapted.append((degrees[-1], tuple(to_dense(F, b, n) for b in _blocks(trip, nn))))
+    if len(rows) != 28:
+        raise TrialityError(f"induced components span {len(rows)} dimensions, expected 28")
 
     # bracket structure constants on the adapted basis
-    exp = Echelon(F, 3 * n * n + 28)
-    for k, (_g, trip) in enumerate(adapted):
-        vec = _flatten_deltas(V, delta_decompose(V, trip))
-        vec[3 * n * n + k] = F.one
-        exp.insert(vec)
-
-    def expand(trip):
-        red = exp.reduce(_flatten_deltas(V, delta_decompose(V, trip)))
-        out = {}
-        for col, c in red.items():
-            if col < 3 * n * n:
-                raise TrialityError("bracket leaves the adapted span")
-            out[col - 3 * n * n] = -c
-        return out
-
+    coords = Coordinates(F, 3 * nn, rows)
+    blocks = [_blocks(row, nn) for row in rows]
     mul = {}
-    for a, (_ga, ta) in enumerate(adapted):
-        for b, (_gb, tb) in enumerate(adapted):
+    for a in range(28):
+        for b in range(28):
             if a == b:
                 continue
-            coords = expand(tri.bracket(ta, tb))
-            if coords:
-                mul[(a, b)] = coords
+            row = coords(_bracket(blocks[a], blocks[b], n, convolve=True))
+            if row is None:
+                raise TrialityError("bracket leaves the adapted span")
+            if row:
+                mul[(a, b)] = row
     lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul, "lie")
-    out = Grading(lie, G, {"A": [g for g, _t in adapted]})
+    out = Grading(lie, G, {"A": degrees})
     rep = verify_grading(out)
     if not rep.ok:
         raise TrialityError(f"induced tri grading failed to verify: {rep.violations[:3]}")
@@ -735,7 +621,6 @@ def graded_module_check(grading: Grading, adapted) -> bool:
         for i in idxs:
             ech.insert(V.basis_vec(i))
         spans[g] = ech
-    e_can = grading.group.identity().canonical()
     for g, trip in adapted:
         deltas = delta_decompose(V, trip)
         for i in range(V.dim):
@@ -764,7 +649,6 @@ def center_elements(L):
     """The four elements (e1, e2, e3) with entries +-1 and product 1, in
     xi-coordinates (the center of the spin group inside L)."""
     F = L.field
-    one = F.one
     out = []
     for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
         comps = [F.scalar(s) for s in signs]
@@ -870,30 +754,8 @@ def center_orbit(grading: Grading, tri: TriAlgebra):
                     raise TrialityError("center element is not an automorphism")
         spans = component_spans(grading, l_elt)
         e_deg = e_degree_map(grading, spans)
-        buckets = {}
-        for t in tri.triples:
-            deltas = delta_decompose(V, t)
-            pieces = {}
-            for k, M in enumerate(deltas):
-                for p in range(n):
-                    for r in range(n):
-                        c = M[p][r]
-                        if c.is_zero():
-                            continue
-                        g = e_deg[(p, r, k)]
-                        piece = pieces.setdefault(g, [mat_zero(F, n) for _ in range(3)])
-                        piece[k][p][r] = c
-            for g, dp in pieces.items():
-                trip = delta_recompose(V, dp)
-                if not tri.contains(trip):
-                    raise TrialityError("center-orbit piece leaves tri(S)")
-                buckets.setdefault(g, []).append(trip)
-        tri_comps = {}
-        for g, trips in buckets.items():
-            ech = Echelon(F, 3 * n * n)
-            for trip in trips:
-                ech.insert(_flatten_deltas(V, delta_decompose(V, trip)))
-            tri_comps[g] = ech.canonical()
+        buckets = _homogeneous_pieces(V, tri, lambda p, r, k: e_deg[(p, r, k)], "center-orbit piece leaves tri(S)")
+        tri_comps = {g: echelon_from(F, 3 * n * n, pieces).canonical() for g, pieces in buckets.items()}
         results.append({"l": l_elt, "spans": spans, "e_degrees": e_deg, "tri_components": tri_comps})
     return results
 

@@ -174,6 +174,19 @@ def test_related_triple_trivial_divisions(field, okubo_triple):
         assert dp.trivial
 
 
+def test_related_triple_rejects_corrupted_degree(fines, tri_okubo):
+    # one adapted derivation moved to a wrong degree of G/<h> = Z3^2: the
+    # closure under products no longer splits End(S) into independent pieces
+    built = fines["okubo"]["built"]
+    _gt, adapted = induce_tri_grading(built.grading, tri_okubo)
+    Q, pr = quotient(built.params.group, [built.params.h])
+    coarse = [(pr(g), t) for g, t in adapted]
+    g0, t0 = coarse[0]
+    coarse[0] = (g0 + Q.element((0, 1)), t0)
+    with pytest.raises(BrauerError):
+        related_triple(coarse, built.V.S)
+
+
 def test_related_triple_from_trivial_grading(field, mod, tri_zorn):
     T = make_group(0, [])
     adapted = [(T.identity(), trip) for trip in tri_zorn.triples]

@@ -65,6 +65,12 @@ def test_exit_codes():
         (("similar", "--params", "not json"), 2),
         (("invariants", "--params", bad), 2),  # g in <h>
         (("verify", "--suite", "composition"), 0),
+        (("--field-conductor", "0", "verify", "--suite", "composition"), 2),
+        (("--field-conductor", "4", "verify", "--suite", "composition"), 2),  # no cube root of unity
+        (("invariants", "--params", "[1,2]"), 2),
+        (("invariants", "--params", PARAMS_R8.replace("[3,3,3]", "[0]")), 2),  # torsion: [0]
+        (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", '"ab"')), 2),  # "h": "ab"
+        (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", "[0,1]")), 2),  # h of length 2 in Z3^3
     ]
     for args, code in cases:
         proc = run_cli(*args)

@@ -1,0 +1,56 @@
+from hypothesis import given, settings, strategies as st
+
+from triality.linalg import Coordinates, compose, to_dense, to_flat
+from triality.scalars import make_field
+
+F = make_field(12)
+W = F.omega
+I4 = F.zeta(3)
+# zero, rationals and non-rationals of Q(zeta12), each with its negative,
+# so that sums of products cancel often
+POOL = [F.zero, F.one, -F.one, F.scalar(2), F.scalar(-1, 3), W, -W, W * W, -(W * W), I4, -I4, W + I4, -(W + I4)]
+
+
+def schoolbook(A, B):
+    """Dense product of two square lists of lists, summing every term."""
+    n = len(A)
+    return [[sum((A[i][k] * B[k][j] for k in range(n)), F.zero) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def square_pair(draw):
+    n = draw(st.integers(1, 5))
+    pick = st.lists(st.sampled_from(POOL), min_size=n * n, max_size=n * n)
+    return [[x[i * n:(i + 1) * n] for i in range(n)] for x in (draw(pick), draw(pick))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_pair())
+def test_compose_against_schoolbook(pair):
+    A, B = pair
+    n = len(A)
+    flat_a = {i * n + j: c for i in range(n) for j in range(n) if not (c := A[i][j]).is_zero()}
+    flat_b = {i * n + j: c for i in range(n) for j in range(n) if not (c := B[i][j]).is_zero()}
+    out = compose(flat_a, flat_b, n)
+    ref = schoolbook(A, B)
+    assert all(not c.is_zero() for c in out.values())
+    assert out == {i * n + j: ref[i][j] for i in range(n) for j in range(n) if not ref[i][j].is_zero()}
+    assert to_flat(A) == flat_a
+    assert to_dense(F, out, n) == ref
+
+
+def test_compose_cancels_to_empty():
+    # (1 1; 0 0) (w; -w) = 0: the two products cancel and nothing is stored
+    A = {0: F.one, 1: F.one}
+    B = {0: W, 2: -W}
+    assert compose(A, B, 2) == {}
+    assert compose({}, B, 2) == {}
+
+
+def test_coordinates_in_a_basis():
+    basis = [{0: F.one, 2: W}, {1: F.one, 2: F.one}]
+    coords = Coordinates(F, 3, basis)
+    vec = {0: F.scalar(2), 1: -W, 2: F.scalar(2) * W - W}
+    assert coords(vec) == {0: F.scalar(2), 1: -W}
+    assert coords({}) == {}
+    assert coords({2: F.one}) is None

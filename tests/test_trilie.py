@@ -147,3 +147,39 @@ def test_induced_grading_verifies_and_counts(fines, tri_okubo):
     assert out.verified
     assert len(out.identity_component()) == 0
     assert sum(len(ix) for ix in out.components().values()) == 28
+
+
+def _dense_mul(A, B, zero):
+    n = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(n) if not A[i][k].is_zero() and not B[k][j].is_zero()), zero) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["cartan", "okubo"])
+def test_induced_brackets_match_dense_commutators(kind, fines, tri_zorn, tri_okubo):
+    # the structure constants of the adapted basis, taken in delta
+    # coordinates, against dense componentwise commutators of its triples
+    tri = tri_zorn if kind == "cartan" else tri_okubo
+    out, adapted = induce_tri_grading(fines[kind]["built"].grading, tri)
+    F = tri.field
+    mul = out.structure.mul
+    trips = [t for _g, t in adapted]
+    for a, ta in enumerate(trips):
+        for b, tb in enumerate(trips):
+            if a == b:
+                continue
+            lhs = [
+                [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(_dense_mul(A, B, F.zero), _dense_mul(B, A, F.zero))]
+                for A, B in zip(ta, tb)
+            ]
+            rhs = [[[F.zero] * 8 for _ in range(8)] for _ in range(3)]
+            for k, c in mul.get((a, b), {}).items():
+                for comp in range(3):
+                    for i in range(8):
+                        for j in range(8):
+                            x = trips[k][comp][i][j]
+                            if not x.is_zero():
+                                rhs[comp][i][j] = rhs[comp][i][j] + c * x
+            assert lhs == rhs, (kind, a, b)
