@@ -27,7 +27,7 @@ class AlbertAlgebra(StructAlgebra):
 
     def __init__(self, V):
         self.V = V
-        self.L = L = V.L
+        self.L = V.L
         F = V.field
         labels = ["1", "xi", "xi^2"] + [f"v:{lab}" for lab in V.labels]
         self._F = F
@@ -79,7 +79,6 @@ class AlbertAlgebra(StructAlgebra):
 
     def trace_bilinear(self, x, y):
         V, L = self.V, self.L
-        F = self._F
         lx, vx = self.pair(x)
         ly, vy = self.pair(y)
         tl = L.trace(L.mul(lx, ly))
@@ -136,24 +135,6 @@ class AlbertAlgebra(StructAlgebra):
                     tform[(i, j)] = c
         return mul, tform
 
-    # the sparse-dict helpers of StructAlgebra are used before __init__
-    # completes, so keep local copies that do not depend on instance state
-    def add(self, x, y):
-        out = dict(x)
-        for i, c in y.items():
-            s = out.get(i)
-            t = c if s is None else s + c
-            if t.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = t
-        return out
-
-    def scale(self, c, x):
-        if c.is_zero():
-            return {}
-        return {i: c * v for i, v in x.items()}
-
     def product(self, x, y):
         if getattr(self, "mul", None):
             return StructAlgebra.product(self, x, y)
@@ -196,7 +177,6 @@ def albert(V) -> AlbertAlgebra:
 
 def verify_degree3(J: AlbertAlgebra, x) -> bool:
     """X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0, powers via the product."""
-    F = J.field
     x2 = J.product(x, x)
     x3 = J.product(x2, x)
     out = J.add(x3, J.scale(-J.trace_linear(x), x2))
@@ -208,7 +188,6 @@ def verify_degree3(J: AlbertAlgebra, x) -> bool:
 def verify_jordan(J: AlbertAlgebra):
     """Commutativity, unit, and the Jordan identity
     (X^2 o (Y o X)) = ((X^2 o Y) o X), exact on all basis pairs."""
-    F = J.field
     viol = []
     for i in range(J.dim):
         x = J.basis_vec(i)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Coordinates, Echelon, compose, invert_dense, null_space, to_dense, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, null_space, to_dense, to_flat
 
 
 class BrauerError(ValueError):
@@ -133,7 +133,6 @@ def graded_division_from_pair(T: AbGroup, beta_gens, field) -> TwistedGroupAlgeb
         return N // gcd(N, e)
 
     # symplectic-style ordering: extract hyperbolic planes greedily
-    remaining = [g for g in elems if not g.is_identity()]
     plane_gens = []
     radical_gens = []
     current = elems
@@ -278,7 +277,7 @@ def primitive_idempotent(A: StructAlgebra, e_indices, unit_vec):
                 shrinking = True
                 break
     ideal_basis = current.basis()
-    for y in ideal_basis + [_sub_add(F, ideal_basis)]:
+    for y in ideal_basis + [_sub_add(ideal_basis)]:
         yy = to_sub(A.product(to_full(y), to_full(y)))
         if not yy:
             continue
@@ -304,16 +303,10 @@ def primitive_idempotent(A: StructAlgebra, e_indices, unit_vec):
     raise BrauerError("no split primitive idempotent found (field too small?)")
 
 
-def _sub_add(F, rows):
+def _sub_add(rows):
     acc = {}
     for r in rows:
-        for i, c in r.items():
-            t = acc.get(i)
-            t2 = c if t is None else t + c
-            if t2.is_zero():
-                acc.pop(i, None)
-            else:
-                acc[i] = t2
+        axpy(acc, None, r)
     return acc
 
 
@@ -606,7 +599,6 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     F = alg.field
     T = alg.T
     A = alg.struct
-    N = F.conductor
     rad = []
     for s in alg.elems:
         if all(alg.beta_value(s, t) == F.one for t in alg.elems):
@@ -664,7 +656,7 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     Tchars = characters(T, F)
     comp_iso = True
     e1 = idems[0]
-    for target_i, chi in enumerate(Hchars):
+    for chi in Hchars:
         if chi is None:
             continue
         ext = None

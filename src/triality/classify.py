@@ -21,18 +21,18 @@ Parameter conventions (G a f.g. abelian group, h of order 3, H = <h>):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import make_field
 from .fgab import AbGroup, GroupElem, make_group, subgroup_elements, in_subgroup, subgroup_generated
-from .grading import Grading, verify_grading, universal_group, invariants
+from .grading import Grading, verify_grading, universal_group
+from .linalg import Coordinates, Echelon, mat_vec
 from .composition import (
     zorn_cayley,
     doubled_cayley,
     okubo_sl3,
     para,
-    okubo_grading,
 )
 from .cyclic import (
     CyclicAlgebra,
@@ -276,7 +276,6 @@ def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
     frame (k1, k2), working modulo H = <h>: the chart of p maps its own
     generators to (1,0), (0,1) (swapped for '-'), and the orientation
     against the frame flips with the determinant of the change of basis."""
-    G = p.group
     k1p, k2p = p.K
     hspan = _h_span(p)
     coords = []
@@ -489,24 +488,13 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
     failures = []
 
     def phi1(x):
-        out = {}
-        for i, c in x.items():
-            for j, c2 in phi_cols[i].items():
-                t = out.get(j)
-                t2 = c * c2 if t is None else t + c * c2
-                if t2.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = t2
-        return out
+        return mat_vec(phi_cols, x)
 
     t_src = VA.twist if not opposite else 3 - VA.twist
     for probe in (LA.xi, LA.xi2, LA.elt(F.one, F.scalar(2), F.scalar(-5))):
         if phi0(LA.rho(probe, t_src)) != LB.rho(phi0(probe), VB.twist):
             failures.append(("phi0_rho", None))
             break
-    from .linalg import Echelon
-
     ech = Echelon(F, VB.dim)
     for i in range(VA.dim):
         ech.insert(dict(phi_cols[i]))
@@ -622,10 +610,8 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     V = B_target.grading.structure
     w = F.omega
     eps = {V.idx(0, 0): w * w, V.idx(1, 0): w}
-    S_sub, basis = para_subalgebra_from_idempotent(V, eps)
+    _, basis = para_subalgebra_from_idempotent(V, eps)
     # homogeneous adapted basis of the cut, with its degrees
-    from .linalg import Echelon
-
     comp_spans = {}
     for g, idxs in B_target.grading.components("V").items():
         e = Echelon(F, V.dim)
@@ -697,29 +683,13 @@ def _subalgebra_on_basis(V, hom_basis, eps):
     L = V.L
     # keep the prescribed vectors (they are echelon rows per degree already)
     basis = [dict(b) for b in hom_basis]
+    coords = Coordinates(F, V.dim, basis)
 
     def expand(vec):
-        coords = {}
-        v = dict(vec)
-        order = sorted(range(len(basis)), key=lambda k: min(basis[k]))
-        for k in order:
-            b = basis[k]
-            piv = min(b)
-            c = v.get(piv)
-            if c is None:
-                continue
-            scal = c / b[piv]
-            coords[k] = scal
-            for j, bc in b.items():
-                t = v.get(j)
-                t = -(scal * bc) if t is None else t - scal * bc
-                if t.is_zero():
-                    v.pop(j, None)
-                else:
-                    v[j] = t
-        if v:
+        out = coords(vec)
+        if out is None:
             raise ParamError("vector outside the cut span")
-        return {k: c for k, c in coords.items() if not c.is_zero()}
+        return out
 
     mul = {}
     n_polar = {}

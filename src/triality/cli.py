@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .fgab import make_group
-from .grading import invariants, universal_group, verify_grading
+from .grading import universal_group, verify_grading
 from . import classify
 from .classify import (
     TypeIIIParams,
@@ -337,20 +337,21 @@ def cmd_brauer(args) -> int:
     fine = fine_typeIII(kind, args.conductor)
     built = fine["built"]
     S = built.V.S
+    G = built.params.group
+    Quse, pr = quotient(G, [built.params.h])
+    quotient_note = None
+    if not Quse.is_finite():
+        Quse, pr = quotient(G, [built.params.h] + [G.generator(i) for i in range(G.free_rank)])
+        quotient_note = "free directions quotiented away"
+    if args.conductor % Quse.exponent():
+        # the Brauer relations take the characters of the quotient group
+        raise UsageError(
+            f"brauer --kind {kind} needs characters of order {Quse.exponent()}, "
+            f"which the field conductor {args.conductor} does not provide"
+        )
     tri = tri_basis(S)
     _gt, adapted = induce_tri_grading(built.grading, tri)
-    G = built.params.group
-    Q, pr = quotient(G, [built.params.h])
-    if not Q.is_finite():
-        Qfin, pr2 = quotient(G, [built.params.h] + [G.generator(i) for i in range(G.free_rank)])
-        adapted_coarse = [(pr2(g), trip) for g, trip in adapted]
-        quotient_note = "free directions quotiented away"
-        Quse = Qfin
-    else:
-        adapted_coarse = [(pr(g), trip) for g, trip in adapted]
-        quotient_note = None
-        Quse = Q
-    triple = related_triple(adapted_coarse, S)
+    triple = related_triple([(pr(g), trip) for g, trip in adapted], S)
     field = models(args.conductor)["field"]
     report = verify_brauer_relations(triple, field)
     per_factor = []

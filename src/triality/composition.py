@@ -318,7 +318,6 @@ def is_symmetric_composition(S) -> LawReport:
     nonsingular polar form, multiplicativity of the norm (fully polarized),
     associativity of the polar form, and the polarized two-sided identities
     (x*y)*x = n(x)y = x*(y*x)."""
-    F = S.field
     n = S.dim
     bas = [S.basis_vec(i) for i in range(n)]
     prod = [[S.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
@@ -506,7 +505,6 @@ def nonzero_idempotent(S: SymCompAlgebra):
     input the full list of idempotents (the para-units) is returned.
     The norm of every returned idempotent is verified to be 1."""
     F = S.field
-    found = []
 
     def check(eps):
         if S.product(eps, eps) != eps:

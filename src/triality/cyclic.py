@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
-from .grading import SMap, Grading, verify_grading
-from .linalg import Echelon, null_space
+from .grading import SMap, Grading, StructAlgebra, verify_grading
+from .linalg import Coordinates, axpy, echelon_from, null_space
 
 
 class CyclicAxiomError(ValueError):
@@ -166,23 +166,13 @@ class CyclicAlgebra:
     def basis_vec(self, i):
         return {i: self.field.one}
 
-    # -- sparse vector helpers (same conventions as StructAlgebra)
+    # -- sparse vector arithmetic: the one definition, StructAlgebra's
 
     def add(self, x, y):
-        out = dict(x)
-        for i, c in y.items():
-            s = out.get(i)
-            t = c if s is None else s + c
-            if t.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = t
-        return out
+        return StructAlgebra.add(self, x, y)
 
     def scale(self, c, x):
-        if c.is_zero():
-            return {}
-        return {i: c * v for i, v in x.items()}
+        return StructAlgebra.scale(self, c, x)
 
     def product(self, x, y):
         out = {}
@@ -190,16 +180,8 @@ class CyclicAlgebra:
         for i, a in x.items():
             for j, b in y.items():
                 row = star.get((i, j))
-                if not row:
-                    continue
-                ab = a * b
-                for k, c in row.items():
-                    s = out.get(k)
-                    t = ab * c if s is None else s + ab * c
-                    if t.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = t
+                if row:
+                    axpy(out, a * b, row)
         return out
 
     def bform(self, x, y):
@@ -334,7 +316,6 @@ def verify_cyclic_axioms(V: CyclicAlgebra, fail_fast: bool = False) -> AxiomRepo
     tuples, which is equivalent in characteristic 0.  fail_fast stops after
     the first violating section (used by mutation tests).
     """
-    F = V.field
     L = V.L
     t = V.twist
     n = V.dim
@@ -393,92 +374,45 @@ def _polarized_norm_check(V: CyclicAlgebra, prod):
     """Fully polarized multiplicativity of Q on all basis 4-tuples:
     b_Q(x*y, x'*y') + b_Q(x*y', x'*y) = rho^t(b_Q(x, x')) rho^2t(b_Q(y, y')).
 
-    The triple models have single-term products and single-term polar
-    values, which admits a fast scalar path; anything else falls back to
-    generic L arithmetic.
+    Both sides are summed as L-values into one sparse table over the tuples
+    where either side is nonzero, reached from the nonzero products and
+    b_Q entries; a tuple whose entry does not cancel is a violation.
     """
     F = V.field
-    L = V.L
     t = V.twist
     n = V.dim
-    viol = []
-    single = True
-    pv = [[None] * n for _ in range(n)]
+    wp = (F.one, F.omega, F.omega * F.omega)
+    pairs_on = {}  # basis index b -> [(k, l, coefficient of b in x_k * x_l)]
+    for k in range(n):
+        for l in range(n):
+            for b, c in prod[k][l].items():
+                pairs_on.setdefault(b, []).append((k, l, c))
+    partners = {}  # basis index a -> [(b, b_Q(x_a, x_b))]
+    for (a, b), row in V.bq.items():
+        partners.setdefault(a, []).append((b, row))
+    diff = {}  # (i, k, j, l) -> lhs - rhs as {xi power: scalar}
     for i in range(n):
         for j in range(n):
-            d = prod[i][j]
-            if not d:
-                continue
-            if len(d) != 1:
-                single = False
-                break
-            ((idx, c),) = d.items()
-            pv[i][j] = (idx, c)
-        if not single:
-            break
-    bqv = {}
-    if single:
-        for key, row in V.bq.items():
-            if len(row) != 1:
-                single = False
-                break
-            ((k, c),) = row.items()
-            bqv[key] = (k, c)
-
-    if not single:
-        bas = [V.basis_vec(i) for i in range(n)]
-        for i, k in itertools.product(range(n), repeat=2):
-            bik = V.bform(bas[i], bas[k])
-            for j, l in itertools.product(range(n), repeat=2):
-                lhs = tuple(
-                    a + b
-                    for a, b in zip(V.bform(prod[i][j], prod[k][l]), V.bform(prod[i][l], prod[k][j]))
-                )
-                rhs = L.mul(L.rho(bik, t), L.rho(V.bform(bas[j], bas[l]), 2 * t))
-                if lhs != rhs:
-                    viol.append(("norm_multiplicative", (i, j, k, l)))
-        return viol
-
-    w = F.omega
-    wp = [F.one, w, w * w]
-    for i in range(n):
-        pi = pv[i]
-        for k in range(n):
-            pk = pv[k]
-            bik = bqv.get((i, k))
-            left = None if bik is None else (bik[0], bik[1] * wp[(t * bik[0]) % 3])
-            for j in range(n):
-                pij = pi[j]
-                pkj = pk[j]
-                for l in range(n):
-                    acc = {}
-                    pkl = pk[l]
-                    if pij is not None and pkl is not None:
-                        row = bqv.get((pij[0], pkl[0]))
-                        if row is not None:
-                            acc[row[0]] = row[1] * pij[1] * pkl[1]
-                    pil = pi[l]
-                    if pil is not None and pkj is not None:
-                        row = bqv.get((pil[0], pkj[0]))
-                        if row is not None:
-                            kk = row[0]
-                            c = row[1] * pil[1] * pkj[1]
-                            prev = acc.get(kk)
-                            s = c if prev is None else prev + c
-                            if s.is_zero():
-                                acc.pop(kk, None)
-                            else:
-                                acc[kk] = s
-                    bjl = None if left is None else bqv.get((j, l))
-                    if bjl is None:
-                        if acc:
-                            viol.append(("norm_multiplicative", (i, j, k, l)))
-                        continue
-                    rk = (left[0] + bjl[0]) % 3
-                    rc = left[1] * bjl[1] * wp[(2 * t * bjl[0]) % 3]
-                    if acc != {rk: rc}:
-                        viol.append(("norm_multiplicative", (i, j, k, l)))
-    return viol
+            for a, ca in prod[i][j].items():
+                for b, row in partners.get(a, ()):
+                    for k, l, cb in pairs_on.get(b, ()):
+                        # b_Q(x_i*x_j, x_k*x_l): the first term at (i, j, k, l),
+                        # the second at (i, l, k, j)
+                        c = ca * cb
+                        axpy(diff.setdefault((i, k, j, l), {}), c, row)
+                        axpy(diff.setdefault((i, k, l, j), {}), c, row)
+    # rho^2t(b_Q(x_j, x_l)) multiplied by xi^s, for s = 0, 1, 2
+    shifted = {}
+    for key, row in V.bq.items():
+        r = {m: c * wp[2 * t * m % 3] for m, c in row.items()}
+        shifted[key] = [{(s + m) % 3: c for m, c in r.items()} for s in range(3)]
+    for (i, k), row in V.bq.items():
+        left = [(s, -(c * wp[t * s % 3])) for s, c in row.items()]  # -rho^t(b_Q(x_i, x_k))
+        for (j, l), right in shifted.items():
+            acc = diff.setdefault((i, k, j, l), {})
+            for s, c in left:
+                axpy(acc, c, right[s])
+    return [("norm_multiplicative", (i, j, k, l)) for (i, k, j, l) in sorted(key for key, d in diff.items() if d)]
 
 
 def _l_det(L: CubicEtale, mat):
@@ -563,37 +497,19 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
                 row[i] = c
         if row:
             rows.append(row)
-    basis = null_space(F, V.dim, rows)
+    # the reduced echelon rows of the kernel are the basis of the cut
+    basis = echelon_from(F, V.dim, null_space(F, V.dim, rows)).basis()
     if len(basis) != 8:
         raise CyclicAxiomError(f"idempotent cut has dimension {len(basis)}, expected 8")
-    ech = Echelon(F, V.dim)
-    for b in basis:
-        ech.insert(b)
+    coords = Coordinates(F, V.dim, basis)
 
     def expand(vec):
         """Coordinates of vec in the computed basis (it must lie in the span)."""
-        coords = {}
-        v = dict(vec)
-        for k, b in enumerate(basis):
-            piv = min(b)
-            c = v.get(piv)
-            if c is None:
-                continue
-            scal = c / b[piv]
-            coords[k] = scal
-            for j, bc in b.items():
-                t = v.get(j)
-                t = -(scal * bc) if t is None else t - scal * bc
-                if t.is_zero():
-                    v.pop(j, None)
-                else:
-                    v[j] = t
-        if v:
+        out = coords(vec)
+        if out is None:
             raise CyclicAxiomError("subalgebra is not closed under the product")
-        return coords
+        return out
 
-    # normalize the basis so expansion against pivots is valid
-    basis = ech.basis()
     mul = {}
     n_polar = {}
     for a in range(8):

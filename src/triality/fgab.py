@@ -17,7 +17,6 @@ Z2 x Z2 x Z6
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, GroupHom, _cokernel
+from .linalg import axpy
 
 
 SCALAR_SORT = "F"
@@ -75,18 +76,10 @@ class StructAlgebra:
         return {i: self.field.one}
 
     def add(self, x, y):
-        out = dict(x)
-        for i, c in y.items():
-            s = out.get(i)
-            out[i] = c if s is None else s + c
-            if out[i].is_zero():
-                del out[i]
-        return out
+        return axpy(dict(x), None, y)
 
     def scale(self, c, x):
-        if c.is_zero():
-            return {}
-        return {i: c * v for i, v in x.items()}
+        return axpy({}, c, x)
 
     def product(self, x, y):
         out = {}
@@ -94,16 +87,8 @@ class StructAlgebra:
         for i, a in x.items():
             for j, b in y.items():
                 row = mul.get((i, j))
-                if not row:
-                    continue
-                ab = a * b
-                for k, c in row.items():
-                    s = out.get(k)
-                    t = ab * c if s is None else s + ab * c
-                    if t.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = t
+                if row:
+                    axpy(out, a * b, row)
         return out
 
     def form_value(self, name, x, y):
@@ -119,13 +104,7 @@ class StructAlgebra:
     def conj(self, x):
         out = {}
         for i, a in x.items():
-            for j, c in self.involution[i].items():
-                s = out.get(j)
-                t = a * c if s is None else s + a * c
-                if t.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = t
+            axpy(out, a, self.involution[i])
         return out
 
     # -- grading protocol
@@ -260,7 +239,6 @@ def universal_group(grading: Grading) -> UniversalResult:
     if not grading.verified:
         raise ValueError("verify the grading before computing its universal group")
     G = grading.group
-    e_can = G.identity().canonical()
     support = sorted({d.canonical() for ds in grading.degrees.values() for d in ds})
     index = {s: i for i, s in enumerate(support)}
     m = len(support)

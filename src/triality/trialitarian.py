@@ -13,11 +13,8 @@ splits as Cl(S, n) (x) L, so its even part lives on the 384 monomials
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
-from .grading import SMap, Grading, StructAlgebra, verify_grading
-from .linalg import Echelon, null_space, invert_dense
+from .grading import SMap, Grading, verify_grading
+from .linalg import Echelon, axpy, invert_dense, mat_vec, null_space
 from .trilie import delta_decompose, so_basis
 
 
@@ -47,27 +44,22 @@ class EndAlgebraE:
                     self.labels.append(f"E[{p},{r}]xi^{k}")
         self.index = {key: i for i, key in enumerate(self.keys)}
         # sigma from the n-adjoint per xi-block: sigma(delta (x) xi^k) =
-        # delta^adj (x) xi^k with delta^adj = G^-1 delta^T G
+        # delta^adj (x) xi^k with delta^adj = G^-1 delta^T G, so the adjoint
+        # of E_pr is G^-1 E_rp G, entry (a, b) = Ginv[a][r] G[p][b]; one row
+        # of operator indices per elementary operator
         G = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
         Ginv = invert_dense(F, G)
-        self._gram = G
         self._gram_inv = Ginv
-        self._sigma_cols = {}
-        for p in range(n):
-            for r in range(n):
-                col = {}
-                # adjoint of E_pr is G^-1 E_rp G: entry (a,b) = Ginv[a][r] G[p][b]
-                for a in range(n):
-                    ga = Ginv[a][r]
-                    if ga.is_zero():
-                        continue
-                    for b in range(n):
-                        gb = G[p][b]
-                        if not gb.is_zero():
-                            c = ga * gb
-                            if not c.is_zero():
-                                col[(a, b)] = col.get((a, b), F.zero) + c
-                self._sigma_cols[(p, r)] = {k2: v for k2, v in col.items() if not v.is_zero()}
+        self._sigma_rows = [
+            {
+                self.index[(a, b, k)]: Ginv[a][r] * G[p][b]
+                for a in range(n)
+                if not Ginv[a][r].is_zero()
+                for b in range(n)
+                if not G[p][b].is_zero()
+            }
+            for (p, r, k) in self.keys
+        ]
         self.main_sort = "A"
 
     @property
@@ -110,15 +102,7 @@ class EndAlgebraE:
     def sigma(self, x):
         out = {}
         for i, a in x.items():
-            p, r, k = self.keys[i]
-            for (p2, r2), c in self._sigma_cols[(p, r)].items():
-                idx = self.index[(p2, r2, k)]
-                t = out.get(idx)
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = t2
+            axpy(out, a, self._sigma_rows[i])
         return out
 
     def apply(self, x, vec):
@@ -161,11 +145,7 @@ class EndAlgebraE:
                 for k2 in range(3):
                     j = self.index[(r, r2, k2)]
                     mul[(i, j)] = {self.index[(p, r2, (k + k2) % 3)]: self.field.one}
-        sig = {}
-        for i, (p, r, k) in enumerate(self.keys):
-            sig[(i,)] = {
-                self.index[(p2, r2, k)]: c for (p2, r2), c in self._sigma_cols[(p, r)].items()
-            }
+        sig = {(i,): row for i, row in enumerate(self._sigma_rows)}
         return [SMap("mul", ("A", "A"), "A", mul), SMap("sigma", ("A",), "A", sig)]
 
 
@@ -173,7 +153,6 @@ def end_algebra(V) -> EndAlgebraE:
     """Build End_L(V) and verify sigma exactly: an involution, an
     anti-homomorphism, and adjoint to b_Q."""
     E = EndAlgebraE(V)
-    F = E.field
     for i in range(E.dim):
         x = E.basis_vec(i)
         if E.sigma(E.sigma(x)) != x:
@@ -266,15 +245,8 @@ class CliffordEven:
                 bij = self.b.get((i, j))
                 if bij is not None:
                     out[rest] = bij
-                inner = self._left_gen(i, rest)
-                for m2, c2 in inner.items():
-                    for m3, c3 in self._left_gen(j, m2).items():
-                        t = out.get(m3)
-                        t2 = -(c2 * c3) if t is None else t - c2 * c3
-                        if t2.is_zero():
-                            out.pop(m3, None)
-                        else:
-                            out[m3] = t2
+                for m2, c2 in self._left_gen(i, rest).items():
+                    axpy(out, -c2, self._left_gen(j, m2))
         self._gen_cache[key] = out
         return out
 
@@ -288,13 +260,7 @@ class CliffordEven:
         for i in reversed(gens):
             nxt = {}
             for m, c in acc.items():
-                for m3, c3 in self._left_gen(i, m).items():
-                    t = nxt.get(m3)
-                    t2 = c * c3 if t is None else t + c * c3
-                    if t2.is_zero():
-                        nxt.pop(m3, None)
-                    else:
-                        nxt[m3] = t2
+                axpy(nxt, c, self._left_gen(i, m))
             acc = nxt
         self._pair_cache[key] = acc
         return acc
@@ -344,13 +310,7 @@ class CliffordEven:
             for g in gens:  # multiply e_g from the left in reversed order
                 nxt = {}
                 for mm, c in acc.items():
-                    for m3, c3 in self._left_gen(g, mm).items():
-                        t = nxt.get(m3)
-                        t2 = c * c3 if t is None else t + c * c3
-                        if t2.is_zero():
-                            nxt.pop(m3, None)
-                        else:
-                            nxt[m3] = t2
+                    axpy(nxt, c, self._left_gen(g, mm))
                 acc = nxt
             for mm, c in acc.items():
                 idx = self.key_index(mm, k)
@@ -396,16 +356,7 @@ def clifford_even(V) -> CliffordEven:
         x = Cl.vector(V.basis_vec(i))
         for j in range(V.dim):
             y = Cl.vector(V.basis_vec(j))
-            got = {k: c for k, c in Cl.odd_product(x, y).items()}
-            back = {k: c for k, c in Cl.odd_product(y, x).items()}
-            total = dict(got)
-            for k, c in back.items():
-                t = total.get(k)
-                t2 = c if t is None else t + c
-                if t2.is_zero():
-                    total.pop(k, None)
-                else:
-                    total[k] = t2
+            total = axpy(Cl.odd_product(x, y), None, Cl.odd_product(y, x))
             expected = Cl.scale_l(V.bform(V.basis_vec(i), V.basis_vec(j)), {Cl.key_index(0, 0): V.field.one})
             if total != expected:
                 raise TrialitarianError(f"Clifford relation fails on basis pair ({i},{j})")
@@ -416,6 +367,7 @@ def clifford_center_dimension(V, Cl) -> int:
     """dim_F of the center of Cl_0: solved per xi-power block (the three
     blocks are identical as F-linear systems), then multiplied by 3."""
     F = V.field
+    minus = -F.one
     nm = len(Cl.masks)
     rows = []
     gens = []
@@ -426,16 +378,7 @@ def clifford_center_dimension(V, Cl) -> int:
         # [c, g] = 0: row per output mask
         block = {}
         for mi, m in enumerate(Cl.masks):
-            left = Cl._mask_mul(m, g)
-            right = Cl._mask_mul(g, m)
-            acc = dict(left)
-            for mm, c in right.items():
-                t = acc.get(mm)
-                t2 = -c if t is None else t - c
-                if t2.is_zero():
-                    acc.pop(mm, None)
-                else:
-                    acc[mm] = t2
+            acc = axpy(dict(Cl._mask_mul(m, g)), minus, Cl._mask_mul(g, m))
             for mm, c in acc.items():
                 block.setdefault(mm, {})[mi] = c
         rows.extend(block.values())
@@ -455,7 +398,6 @@ class KappaMap:
         self.V = V
         self.E = E
         self.Cl = Cl
-        F = V.field
         n = V.S.dim
         Ginv = E._gram_inv
         self.duals = []
@@ -473,26 +415,13 @@ class KappaMap:
             img = self.E.apply(a, uq)
             if not img:
                 continue
-            term = Cl.odd_product(Cl.vector(img), Cl.vector(self.duals[q]))
-            for k, c in term.items():
-                t = out.get(k)
-                t2 = c if t is None else t + c
-                if t2.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = t2
+            axpy(out, None, Cl.odd_product(Cl.vector(img), Cl.vector(self.duals[q])))
         return out
 
     def __call__(self, a):
         out = {}
         for i, c in a.items():
-            for k, c2 in self.table[i].items():
-                t = out.get(k)
-                t2 = c * c2 if t is None else t + c * c2
-                if t2.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = t2
+            axpy(out, c, self.table[i])
         return out
 
 
@@ -501,7 +430,6 @@ def kappa(V, E, Cl) -> KappaMap:
     basis x, y in V (well-definedness across the spanning set), L-linearity,
     and kappa sigma = reversal kappa."""
     km = KappaMap(V, E, Cl)
-    F = V.field
     for i in range(V.dim):
         p, a = V.split(i)
         x = V.basis_vec(i)
@@ -538,7 +466,6 @@ class AlphaMap:
         self.V = V
         self.E = E
         self.Cl = Cl
-        F = V.field
         n = V.S.dim
         # l_x, r_x as column maps V -> V for x = s_p (x) 1
         self.l_cols = []
@@ -553,8 +480,6 @@ class AlphaMap:
         self._build()
 
     def _compose(self, outer_cols, inner_cols):
-        from .linalg import mat_vec
-
         return {j: mat_vec(outer_cols, col) for j, col in inner_cols.items()}
 
     def _cols_to_erep(self, cols):
@@ -582,7 +507,6 @@ class AlphaMap:
 
     def _build(self):
         V, Cl = self.V, self.Cl
-        n = V.S.dim
         ident = {j: {j: V.field.one} for j in range(V.dim)}
         # build even masks by peeling the two lowest generators
         self._even[0] = (self._cols_to_erep(ident), self._cols_to_erep(ident))
@@ -617,19 +541,12 @@ class AlphaMap:
         return t1, t2
 
     def __call__(self, x):
-        E = self.E
         out1, out2 = {}, {}
         for i, c in x.items():
             mask, k = self.Cl.key_of(i)
             t1, t2 = self.image_of_monomial(mask, k)
-            for acc, t in ((out1, t1), (out2, t2)):
-                for idx, c2 in t.items():
-                    prev = acc.get(idx)
-                    v = c * c2 if prev is None else prev + c * c2
-                    if v.is_zero():
-                        acc.pop(idx, None)
-                    else:
-                        acc[idx] = v
+            axpy(out1, c, t1)
+            axpy(out2, c, t2)
         return out1, out2
 
 
@@ -670,28 +587,15 @@ def alpha(V, E, Cl) -> AlphaMap:
 
 
 def _pair_products(am: AlphaMap, p, q):
-    E = am.E
-    V = am.V
     c1 = am._compose(am.l_cols[p], am.r_cols[q])
     c2 = am._compose(am.l_cols[q], am.r_cols[p])
     d1 = am._compose(am.r_cols[p], am.l_cols[q])
     d2 = am._compose(am.r_cols[q], am.l_cols[p])
 
     def cols_add(a, b):
-        out = dict(a)
+        out = {j: dict(col) for j, col in a.items()}
         for j, col in b.items():
-            if j in out:
-                merged = dict(out[j])
-                for i, c in col.items():
-                    t = merged.get(i)
-                    t2 = c if t is None else t + c
-                    if t2.is_zero():
-                        merged.pop(i, None)
-                    else:
-                        merged[i] = t2
-                out[j] = merged
-            else:
-                out[j] = dict(col)
+            axpy(out.setdefault(j, {}), None, col)
         return out
 
     first = am._cols_to_erep(cols_add(c1, c2))
@@ -774,13 +678,7 @@ def lie_of_E(V, E, Cl, km: KappaMap, am: AlphaMap):
     for vec in ker:
         acc = {}
         for col, c in vec.items():
-            for idx, c2 in basis[col].items():
-                t = acc.get(idx)
-                t2 = c * c2 if t is None else t + c * c2
-                if t2.is_zero():
-                    acc.pop(idx, None)
-                else:
-                    acc[idx] = t2
+            axpy(acc, c, basis[col])
         out.append(acc)
     return out
 
@@ -825,7 +723,6 @@ def e_grading_kappa_alpha_compatible(grading_V: Grading, grading_E: Grading, E, 
     """kappa and alpha preserve degrees, with Cl graded by
     deg(mask, k) = sum of the V-degrees in the mask + k h."""
     V = grading_V.structure
-    G = grading_V.group
     h = grading_V.degrees["L"][1]
     pdeg = [grading_V.degrees["V"][V.idx(p, 0)] for p in range(V.S.dim)]
 
@@ -856,9 +753,10 @@ def e_grading_kappa_alpha_compatible(grading_V: Grading, grading_E: Grading, E, 
 
 def detect_type(grading_E: Grading):
     """Type of a verified grading on E, read from the induced grading on
-    the center L: trivial -> I; an order-2 degree (components of dims 2
-    and 1) -> II; three one-dimensional components with deg xi of order 3
-    -> III, returning the distinguished element."""
+    the center L: trivial -> I; three one-dimensional components with
+    deg xi of order 3 -> III, returning the distinguished element.  Type II
+    (components of dims 2 and 1) does not occur here: a grading of V forces
+    3 deg(xi) = e, and the xi basis of L cannot express it."""
     E = grading_E.structure
     if not isinstance(E, EndAlgebraE):
         raise TrialitarianError("detect_type expects a grading on End_L(V)")
@@ -875,8 +773,6 @@ def detect_type(grading_E: Grading):
     order = h.order()
     if order == 1:
         return "I", None
-    if order == 2:
-        return "II", h
     if order == 3:
         if degs[2] != 2 * h:
             raise TrialitarianError("malformed center grading")

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Coordinates, Echelon, compose, echelon_from, invert_dense, mat_vec, null_space, to_dense, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, mat_vec, null_space, to_dense, to_flat
 from .grading import Grading, StructAlgebra, verify_grading
 
 
@@ -241,16 +240,8 @@ def verify_lie(tri: TriAlgebra):
     for a, b, c in itertools.combinations(range(d), 3):
         acc = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = A.mul.get((x, y), {})
-            for k, co in inner.items():
-                outer = A.mul.get((k, z), {})
-                for k2, co2 in outer.items():
-                    t = acc.get(k2)
-                    t2 = co * co2 if t is None else t + co * co2
-                    if t2.is_zero():
-                        acc.pop(k2, None)
-                    else:
-                        acc[k2] = t2
+            for k, co in A.mul.get((x, y), {}).items():
+                axpy(acc, co, A.mul.get((k, z), {}))
         if acc:
             viol.append(("jacobi", (a, b, c)))
     return viol
@@ -295,14 +286,7 @@ def _ad_matrix(tri: TriAlgebra, coords: dict):
     for b in range(d):
         acc = {}
         for a, ca in coords.items():
-            row = tri.lie.mul.get((a, b), {})
-            for k, c in row.items():
-                t = acc.get(k)
-                t2 = ca * c if t is None else t + ca * c
-                if t2.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = t2
+            axpy(acc, ca, tri.lie.mul.get((a, b), {}))
         cols.append(acc)
     return cols  # column k -> dict row -> scalar
 
@@ -361,13 +345,7 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
         for v in space:
             img = {}
             for a, ca in v.items():
-                for k, c in ad_cols[a].items():
-                    t = img.get(k)
-                    t2 = ca * c if t is None else t + ca * c
-                    if t2.is_zero():
-                        img.pop(k, None)
-                    else:
-                        img[k] = t2
+                axpy(img, ca, ad_cols[a])
             col = coords(img)
             if col is None:
                 raise TrialityError("adjoint action leaves the subspace")
@@ -404,13 +382,7 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
             for kv in ker:
                 acc = {}
                 for j, c in kv.items():
-                    for idx, s in space[j].items():
-                        t = acc.get(idx)
-                        t2 = c * s if t is None else t + c * s
-                        if t2.is_zero():
-                            acc.pop(idx, None)
-                        else:
-                            acc[idx] = t2
+                    axpy(acc, c, space[j])
                 vecs.append(acc)
             found += len(vecs)
             out.append((vecs, labels + [lam]))
@@ -436,8 +408,8 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
     if cartan_space is None or len(cartan_space) != 4 or len(roots) != 24:
         raise TrialityError(f"expected 4 + 24 decomposition, got {len(roots)} roots")
     # Killing form on the Cartan from the roots; exact rational arithmetic
-    K = [[Fraction(sum(r[a] * r[b] for r in roots)) for b in range(4)] for a in range(4)]
-    Kinv = _frac_inverse(K)
+    K = [[F.scalar(sum(r[a] * r[b] for r in roots)) for b in range(4)] for a in range(4)]
+    Kinv = [[c.rational_value() for c in row] for row in invert_dense(F, K)]
 
     def pair(al, be):
         v = [sum(Kinv[i][j] * be[j] for j in range(4)) for i in range(4)]
@@ -459,21 +431,6 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
             row.append(int(v))
         cmat.append(row)
     return RootDatum(cartan, roots, simple, cmat)
-
-
-def _frac_inverse(M):
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def is_d4_cartan_matrix(cmat) -> bool:

@@ -71,6 +71,7 @@ def test_exit_codes():
         (("invariants", "--params", PARAMS_R8.replace("[3,3,3]", "[0]")), 2),  # torsion: [0]
         (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", '"ab"')), 2),  # "h": "ab"
         (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", "[0,1]")), 2),  # h of length 2 in Z3^3
+        (("--field-conductor", "3", "brauer", "--kind", "z2cubed"), 2),  # characters of order 2 over Q(zeta3)
     ]
     for args, code in cases:
         proc = run_cli(*args)

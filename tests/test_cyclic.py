@@ -1,6 +1,7 @@
 import pytest
 
 from triality.cyclic import (
+    CyclicAlgebra,
     CyclicAxiomError,
     cyclic_from_symmetric,
     distinguished_element,
@@ -112,6 +113,24 @@ def test_scale(field, mod):
     a = scale(scale(V, L.xi), lam2)
     b = scale(V, L.mul(L.xi, lam2))
     assert a.star == b.star and a.bq == b.bq
+
+
+def test_axioms_with_multi_term_constants(field, mod):
+    # scaling by 1 + 2 xi makes star and b_Q rows multi-term, which the
+    # triple models never have
+    V = mod["V_zorn"]
+    L = V.L
+    Vs = scale(V, L.elt(field.one, field.scalar(2), field.zero))
+    assert sum(len(row) > 1 for row in Vs.star.values()) == 288
+    assert sum(len(row) > 1 for row in Vs.bq.values()) == 72
+    assert verify_cyclic_axioms(Vs).ok
+    bq = {key: dict(row) for key, row in Vs.bq.items()}
+    key = next(key for key, row in bq.items() if len(row) > 1)
+    m = next(iter(bq[key]))
+    bq[key][m] = bq[key][m] + field.one
+    rep = verify_cyclic_axioms(CyclicAlgebra(Vs.S, L, Vs.star, bq, twist=Vs.twist, scaled_by=Vs.scaled_by))
+    assert not rep.ok
+    assert sum(name == "norm_multiplicative" for name, _ in rep.violations) == 1291
 
 
 def test_self_similitude_by_xi(field, mod):

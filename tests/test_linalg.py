@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from triality.linalg import Coordinates, compose, to_dense, to_flat
+from triality.linalg import Coordinates, axpy, compose, to_dense, to_flat
 from triality.scalars import make_field
 
 F = make_field(12)
@@ -54,3 +54,41 @@ def test_coordinates_in_a_basis():
     assert coords(vec) == {0: F.scalar(2), 1: -W}
     assert coords({}) == {}
     assert coords({2: F.one}) is None
+
+
+def dense_axpy(acc, a, x, n):
+    """acc + a x entry by entry over all n columns, zeros dropped."""
+    s = F.one if a is None else a
+    dense = [acc.get(i, F.zero) + s * x.get(i, F.zero) for i in range(n)]
+    return {i: c for i, c in enumerate(dense) if not c.is_zero()}
+
+
+@st.composite
+def axpy_case(draw):
+    n = draw(st.integers(1, 6))
+    sparse = st.lists(st.sampled_from(POOL), min_size=n, max_size=n).map(
+        lambda cs: {i: c for i, c in enumerate(cs) if not c.is_zero()}
+    )
+    return n, draw(sparse), draw(st.one_of(st.none(), st.sampled_from(POOL))), draw(sparse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axpy_case())
+def test_axpy_against_dense(case):
+    n, acc, a, x = case
+    expected = dense_axpy(acc, a, x, n)
+    x_before = dict(x)
+    assert axpy(acc, a, x) is acc
+    assert acc == expected
+    assert all(not c.is_zero() for c in acc.values())
+    assert x == x_before
+
+
+def test_axpy_cancels_to_empty():
+    x = {0: W, 3: I4}
+    acc = {0: -W, 3: -I4}
+    assert axpy(acc, None, x) == {}
+    acc = {0: -(W * W), 3: -(W * I4)}
+    assert axpy(acc, W, x) == {}
+    acc = {1: F.one}
+    assert axpy(acc, F.zero, x) == {1: F.one}

@@ -5,6 +5,7 @@ import pytest
 from triality.fgab import GroupHom, make_group, quotient
 from triality.grading import Grading, coarsen, verify_grading
 from triality.trialitarian import (
+    TrialitarianError,
     alpha_involution_compatible,
     alpha_multiplicative_sample,
     clifford_center_dimension,
@@ -140,6 +141,17 @@ def test_trivial_grading_detects_type_I(mod, trial_zorn):
     gE = induce_E_grading(gr, trial_zorn["E"])
     ty, _ = detect_type(gE)
     assert ty == "I"
+
+
+def test_order_two_center_degree_is_rejected(trial_zorn):
+    # a verified grading of V forces 3 deg(xi) = e, so no grading on E has
+    # deg(xi) of order 2; a hand-built, unverified one is an error, not Type II
+    E = trial_zorn["E"]
+    G = make_group(0, [2])
+    g = G.element((1,))
+    gE = Grading(E, G, {"A": [k * g for (_p, _r, k) in E.keys]})
+    with pytest.raises(TrialitarianError, match="unexpected order 2"):
+        detect_type(gE)
 
 
 def test_induce_coarsen_functorial(fines, trial_zorn):
