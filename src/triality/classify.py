@@ -487,9 +487,6 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
     F = VA.field
     failures = []
 
-    def phi1(x):
-        return mat_vec(phi_cols, x)
-
     t_src = VA.twist if not opposite else 3 - VA.twist
     for probe in (LA.xi, LA.xi2, LA.elt(F.one, F.scalar(2), F.scalar(-5))):
         if phi0(LA.rho(probe, t_src)) != LB.rho(phi0(probe), VB.twist):
@@ -502,16 +499,16 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
         failures.append(("bijective", ech.rank))
     for i in range(VA.dim):
         x = VA.basis_vec(i)
-        if phi1(VA.act(LA.xi, x)) != VB.act(phi0(LA.xi), phi1(x)):
+        if mat_vec(phi_cols, VA.act(LA.xi, x)) != VB.act(phi0(LA.xi), mat_vec(phi_cols, x)):
             failures.append(("semilinear", i))
     for i in range(VA.dim):
         x = VA.basis_vec(i)
-        px = phi1(x)
+        px = mat_vec(phi_cols, x)
         for j in range(VA.dim):
             y = VA.basis_vec(j)
-            py = phi1(y)
+            py = mat_vec(phi_cols, y)
             src = VA.product(y, x) if opposite else VA.product(x, y)
-            if phi1(src) != VB.product(px, py):
+            if mat_vec(phi_cols, src) != VB.product(px, py):
                 failures.append(("product", (i, j)))
             if phi0(VA.bform(x, y)) != VB.bform(px, py):
                 failures.append(("b_Q", (i, j)))
@@ -528,7 +525,7 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
             failures.append(("degree_support", g))
             continue
         for ii in idxs:
-            if not tgt.contains(phi1(VA.basis_vec(ii))):
+            if not tgt.contains(mat_vec(phi_cols, VA.basis_vec(ii))):
                 failures.append(("degree", (g, ii)))
     return IsoReport(not failures, failures)
 

@@ -331,7 +331,7 @@ def cmd_similar(args) -> int:
 def cmd_brauer(args) -> int:
     from .trilie import tri_basis, induce_tri_grading
     from .brauer import related_triple, verify_brauer_relations
-    from .fgab import quotient
+    from .fgab import has_characters, quotient
 
     kind = args.kind
     fine = fine_typeIII(kind, args.conductor)
@@ -343,7 +343,7 @@ def cmd_brauer(args) -> int:
     if not Quse.is_finite():
         Quse, pr = quotient(G, [built.params.h] + [G.generator(i) for i in range(G.free_rank)])
         quotient_note = "free directions quotiented away"
-    if args.conductor % Quse.exponent():
+    if not has_characters(Quse, args.conductor):
         # the Brauer relations take the characters of the quotient group
         raise UsageError(
             f"brauer --kind {kind} needs characters of order {Quse.exponent()}, "

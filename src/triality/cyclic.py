@@ -168,11 +168,8 @@ class CyclicAlgebra:
 
     # -- sparse vector arithmetic: the one definition, StructAlgebra's
 
-    def add(self, x, y):
-        return StructAlgebra.add(self, x, y)
-
-    def scale(self, c, x):
-        return StructAlgebra.scale(self, c, x)
+    add = StructAlgebra.add
+    scale = StructAlgebra.scale
 
     def product(self, x, y):
         out = {}

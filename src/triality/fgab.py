@@ -562,12 +562,18 @@ class Character:
         return f"chi{self.exps}"
 
 
+def has_characters(G: AbGroup, conductor: int) -> bool:
+    """Whether Q(zeta_conductor) holds the characters of the finite group
+    G: its exponent divides the conductor."""
+    return conductor % G.exponent() == 0
+
+
 def characters(G: AbGroup, field) -> list[Character]:
     """All |G| characters of a finite group with exponent dividing the
     field conductor."""
     if not G.is_finite():
         raise ValueError("characters are only provided for finite groups")
-    if G.torsion and field.conductor % G.exponent():
+    if not has_characters(G, field.conductor):
         raise ValueError(
             f"exponent {G.exponent()} does not divide the conductor {field.conductor}"
         )
