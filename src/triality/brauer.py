@@ -65,9 +65,7 @@ class TwistedGroupAlgebra:
                 mul[(i, j)] = {self.index[st]: field.zeta(expo % N)}
         self.struct = StructAlgebra(field, [f"X{list(g.canonical())}" for g in self.elems], mul, "associative")
         self.grading = Grading(self.struct, T, {"A": list(self.elems)})
-        rep = verify_grading(self.grading)
-        if not rep.ok:
-            raise BrauerError("twisted group algebra grading failed to verify")
+        verify_grading(self.grading).require(BrauerError, "twisted group algebra grading")
 
     def beta_value(self, s: GroupElem, t: GroupElem):
         sc = self.coords[s.canonical()]
@@ -480,9 +478,7 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
             invol[a] = cs
         alg = StructAlgebra(F, [f"a{k}" for k in range(len(rows))], mul, "associative", involution=invol)
         gr = Grading(alg, G, {"A": degs})
-        rep = verify_grading(gr)
-        if not rep.ok:
-            raise BrauerError(f"propagated grading failed to verify: {rep.violations[:3]}")
+        verify_grading(gr).require(BrauerError, "propagated grading")
         out_algs.append(alg)
         out_grads.append(gr)
         out_bases.append([to_dense(F, row, n) for row in rows])
@@ -521,13 +517,13 @@ def _character_unit(A: StructAlgebra, grading: Grading, chi):
 
 def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     F = A.field
+    mul = A.mul
     rows = {}
     for j in range(A.dim):
-        aj = A.basis_vec(j)
         neg_val = -chi(grading.degrees["A"][j])
         for i in range(A.dim):
-            ui = A.basis_vec(i)
-            resid = A.add(A.product(ui, aj), A.scale(neg_val, A.product(aj, ui)))
+            # e_i e_j - chi(deg e_j) e_j e_i, from the rows of the product table
+            resid = axpy(dict(mul.get((i, j), {})), neg_val, mul.get((j, i), {}))
             for out_idx, c in resid.items():
                 rows.setdefault((j, out_idx), {})[i] = c
     sols = null_space(F, A.dim, list(rows.values()))

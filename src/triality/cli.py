@@ -170,11 +170,11 @@ def _suite_composition(args, mod):
 
     F = mod["field"]
     checks = {}
-    checks["zorn_hurwitz"] = bool(is_hurwitz(zorn_cayley(F)).ok)
-    checks["doubled_hurwitz"] = bool(is_hurwitz(doubled_cayley(F)).ok)
-    checks["para_cayley_symmetric"] = bool(is_symmetric_composition(mod["para_zorn"]).ok)
-    checks["para_doubled_symmetric"] = bool(is_symmetric_composition(mod["para_doubled"]).ok)
-    checks["okubo_symmetric"] = bool(is_symmetric_composition(mod["okubo"]).ok)
+    checks["zorn_hurwitz"] = is_hurwitz(zorn_cayley(F)).ok
+    checks["doubled_hurwitz"] = is_hurwitz(doubled_cayley(F)).ok
+    checks["para_cayley_symmetric"] = is_symmetric_composition(mod["para_zorn"]).ok
+    checks["para_doubled_symmetric"] = is_symmetric_composition(mod["para_doubled"]).ok
+    checks["okubo_symmetric"] = is_symmetric_composition(mod["okubo"]).ok
     return checks
 
 
@@ -182,9 +182,9 @@ def _suite_cyclic(args, mod):
     from .cyclic import verify_cyclic_axioms, opposite
 
     checks = {}
-    checks["cayley_tensor_axioms"] = bool(verify_cyclic_axioms(mod["V_zorn"]).ok)
-    checks["okubo_tensor_axioms"] = bool(verify_cyclic_axioms(mod["V_okubo"]).ok)
-    checks["opposite_axioms"] = bool(verify_cyclic_axioms(opposite(mod["V_zorn"])).ok)
+    checks["cayley_tensor_axioms"] = verify_cyclic_axioms(mod["V_zorn"]).ok
+    checks["okubo_tensor_axioms"] = verify_cyclic_axioms(mod["V_okubo"]).ok
+    checks["opposite_axioms"] = verify_cyclic_axioms(opposite(mod["V_zorn"])).ok
     return checks
 
 
@@ -195,7 +195,7 @@ def _suite_lie(args, mod):
     for name in ("para_zorn", "okubo"):
         tri = tri_basis(mod[name])
         checks[f"{name}_dimension_28"] = tri.dim == 28
-        checks[f"{name}_jacobi"] = not verify_lie(tri)
+        checks[f"{name}_jacobi"] = verify_lie(tri).ok
         checks[f"{name}_cyclic_shift"] = cyclic_shift_closed(tri)
         rd = root_datum(tri)
         checks[f"{name}_root_count"] = len(rd.roots) == 24
@@ -218,13 +218,11 @@ def _suite_trialitarian(args, mod):
 
     V = mod["V_zorn"]
     checks = {}
+    # the constructions certify themselves and raise, exiting 1, on failure
     E = end_algebra(V)
     Cl = clifford_even(V)
     km = kappa(V, E, Cl)
     am = alpha(V, E, Cl)
-    checks["sigma_and_unit"] = True
-    checks["clifford_relations"] = True  # raised in clifford_even otherwise
-    checks["kappa_consistent"] = True
     checks["alpha_bijective_homomorphism"] = alpha_multiplicative_sample(am, seed=args.seed)
     checks["alpha_involutions"] = alpha_involution_compatible(am)
     lie = lie_of_E(V, E, Cl, km, am)
@@ -240,7 +238,7 @@ def _suite_jordan(args, mod):
     rng = random.Random(args.seed)
     checks = {}
     checks["dimension_27"] = J.dim == 27
-    checks["jordan_identity"] = not verify_jordan(J)
+    checks["jordan_identity"] = verify_jordan(J).ok
     checks["degree3_random_100"] = all(verify_degree3(J, random_element(J, rng)) for _ in range(100))
     return checks
 

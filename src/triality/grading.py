@@ -122,13 +122,24 @@ class StructAlgebra:
 
 
 @dataclass
-class GradingReport:
-    ok: bool
+class Report:
+    """The verdict of an exact verifier: the violations it found, empty iff
+    every identity holds, and the number of identities it evaluated."""
+
     violations: list
-    checked: int = 0
+    checked: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def __bool__(self):
         return self.ok
+
+    def require(self, error_cls, what: str):
+        """Raise error_cls naming the first violations unless the report is ok."""
+        if not self.ok:
+            raise error_cls(f"{what} failed to verify: {self.violations[:3]}")
 
 
 class Grading:
@@ -181,7 +192,7 @@ class Grading:
         return Grading(self.structure, self.group, degs)
 
 
-def verify_grading(grading: Grading) -> GradingReport:
+def verify_grading(grading: Grading) -> Report:
     """Exact check that every structure map is degree-compatible.
 
     For a product entry U_a x U_b -> U_c the rule is deg(c) = deg(a)+deg(b);
@@ -204,7 +215,7 @@ def verify_grading(grading: Grading) -> GradingReport:
             expected = e if out_degs is None else out_degs[out_idx]
             if total != expected:
                 violations.append((smap.name, key, out_idx, repr(c)))
-    report = GradingReport(not violations, violations, checked)
+    report = Report(violations, checked)
     grading.verified = report.ok
     return report
 
@@ -280,9 +291,7 @@ def universal_group(grading: Grading) -> UniversalResult:
         cols.append(coords)
     matrix = [[cols[j][a] for j in range(len(cols))] for a in range(G.ndim)]
     to_original = GroupHom(U, G, matrix)
-    verify_grading(relabeled)
-    if not relabeled.verified:
-        raise AssertionError("universal relabeling failed to verify")
+    verify_grading(relabeled).require(AssertionError, "universal relabeling")
     return UniversalResult(U, relabeled, to_original, degree_of)
 
 

@@ -713,9 +713,7 @@ def induce_E_grading(grading: Grading, E: EndAlgebraE) -> Grading:
     pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(V.S.dim)]
     degs = [pdeg[p] - pdeg[r] + k * h for (p, r, k) in E.keys]
     out = Grading(E, G, {"A": degs})
-    rep = verify_grading(out)
-    if not rep.ok:
-        raise TrialitarianError(f"induced E grading failed to verify: {rep.violations[:3]}")
+    verify_grading(out).require(TrialitarianError, "induced E grading")
     return out
 
 

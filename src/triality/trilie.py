@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, mat_vec, null_space, to_dense, to_flat
-from .grading import Grading, StructAlgebra, verify_grading
+from .grading import Grading, Report, StructAlgebra, verify_grading
 
 
 class TrialityError(ValueError):
@@ -224,8 +224,10 @@ def cyclic_shift_closed(tri: TriAlgebra) -> bool:
     )
 
 
-def verify_lie(tri: TriAlgebra):
-    """Exact antisymmetry and Jacobi for the bracket structure constants."""
+def verify_lie(tri: TriAlgebra) -> Report:
+    """Exact antisymmetry and Jacobi for the bracket structure constants.
+    The count covers d alternating, C(d, 2) antisymmetry and C(d, 3) Jacobi
+    identities on basis tuples."""
     A = tri.lie
     viol = []
     d = A.dim
@@ -244,7 +246,7 @@ def verify_lie(tri: TriAlgebra):
                 axpy(acc, co, A.mul.get((k, z), {}))
         if acc:
             viol.append(("jacobi", (a, b, c)))
-    return viol
+    return Report(viol, d + d * (d - 1) // 2 + d * (d - 1) * (d - 2) // 6)
 
 
 # ------------------------------------------------------------ derivations
@@ -561,9 +563,7 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
                 mul[(a, b)] = row
     lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul, "lie")
     out = Grading(lie, G, {"A": degrees})
-    rep = verify_grading(out)
-    if not rep.ok:
-        raise TrialityError(f"induced tri grading failed to verify: {rep.violations[:3]}")
+    verify_grading(out).require(TrialityError, "induced tri grading")
     return out, adapted
 
 

@@ -58,7 +58,7 @@ def test_criterion_02_triality(tri_zorn, tri_okubo):
     from triality.trilie import is_d4_cartan_matrix, root_datum, verify_lie
 
     ok = tri_zorn.dim == 28 and tri_okubo.dim == 28
-    ok = ok and verify_lie(tri_zorn) == [] and verify_lie(tri_okubo) == []
+    ok = ok and verify_lie(tri_zorn).violations == [] and verify_lie(tri_okubo).violations == []
     for tri in (tri_zorn, tri_okubo):
         rd = root_datum(tri)
         ok = ok and len(rd.cartan) == 4 and len(rd.roots) == 24
@@ -325,7 +325,7 @@ def test_criterion_10_albert(mod, fines):
 
     J = albert(mod["V_zorn"])
     ok = J.dim == 27
-    ok = ok and verify_jordan(J) == []
+    ok = ok and verify_jordan(J).violations == []
     rng = random.Random(0)
     ok = ok and all(verify_degree3(J, random_element(J, rng)) for _ in range(100))
     gJ = grade_albert(fines["okubo"]["built"].grading)

@@ -49,9 +49,10 @@ def test_orthogonal_complement(field, J):
 
 
 def test_jordan_identity_both_models(J, mod):
-    assert verify_jordan(J) == []
-    J_ok = albert(mod["V_okubo"])
-    assert verify_jordan(J_ok) == []
+    for alg in (J, albert(mod["V_okubo"])):
+        rep = verify_jordan(alg)
+        assert rep.violations == []
+        assert rep.checked == 27 + 2 * 27 * 27  # unit, commutativity, Jordan
 
 
 def test_degree3_random(J):
@@ -62,8 +63,6 @@ def test_degree3_random(J):
 
 
 def test_corrupted_product_detected(field, J):
-    import copy
-
     bad_mul = {k: dict(v) for k, v in J.mul.items()}
     key = (3, 4)
     row = bad_mul.setdefault(key, {})
@@ -71,12 +70,10 @@ def test_corrupted_product_detected(field, J):
     from triality.grading import StructAlgebra
 
     bad = StructAlgebra(field, J.labels, bad_mul, "jordan", forms=J.forms, unit=J.unit)
-    viol = []
-    x = bad.basis_vec(3)
-    y = bad.basis_vec(4)
-    if bad.product(x, y) != bad.product(y, x):
-        viol.append(("commutative", (3, 4)))
-    assert viol
+    rep = verify_jordan(bad)
+    assert not rep.ok
+    assert rep.violations[:2] == [("commutative", (3, 4)), ("commutative", (4, 3))]
+    assert {name for name, _ in rep.violations} == {"commutative", "jordan"}
 
 
 def test_graded_albert_fine(fines):

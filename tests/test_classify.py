@@ -119,7 +119,9 @@ def test_witnesses_pass():
     gamma = (g1, g2, -(g1 + g2))
     assert witness_map("rank4_h_flip", G333, g=g1, h=h)["report"].ok
     assert witness_map("rank2_h_flip", G333, gamma=gamma, h=h)["report"].ok
-    assert witness_map("rank2_shift", G333, gamma=gamma, h=h)["report"].ok
+    shift = witness_map("rank2_shift", G333, gamma=gamma, h=h)["report"]
+    assert shift.ok
+    assert shift.checked == 2 * 24 * 24 + 2 * 24 + 2 + 1  # and the Cartan pattern of the cut
     assert witness_map("rank0_flip", G333, K=(g1, g2), h=h)["report"].ok
     h2 = G2223.element((0, 0, 2))
     K = [G2223.element((1, 0, 0)), G2223.element((0, 1, 0)), G2223.element((0, 0, 3))]
@@ -139,7 +141,7 @@ def test_sigma_tau_needs_opposite_flag():
     L = models(12)["L"]
     rep = verify_graded_iso(cols, _tau(L), A.grading, B.grading, opposite=False)
     assert not rep.ok
-    assert any(f[0] == "product" for f in rep.failures)
+    assert any(f[0] == "product" for f in rep.violations)
 
 
 def test_identity_map_verifies():
@@ -151,6 +153,7 @@ def test_identity_map_verifies():
     cols = {i: V.basis_vec(i) for i in range(V.dim)}
     rep = verify_graded_iso(cols, lambda l: l, built.grading, built.grading, opposite=False)
     assert rep.ok
+    assert rep.checked == 2 * 24 * 24 + 2 * 24 + 2
 
 
 def test_center_orbit_map_verifies():
@@ -170,7 +173,7 @@ def test_center_orbit_map_verifies():
     # degree map plays the role of l . Gamma on the moved basis
     rep = verify_graded_iso(cols, lambda l: l, built.grading, built.grading, opposite=False)
     # degree check fails (components move) but algebra checks pass
-    kinds = {f[0] for f in rep.failures}
+    kinds = {f[0] for f in rep.violations}
     assert "product" not in kinds and "b_Q" not in kinds and "semilinear" not in kinds
 
 

@@ -78,6 +78,18 @@ def test_exit_codes():
         assert proc.returncode == code, proc.stderr
 
 
+def test_verify_trialitarian_reports_real_checks():
+    proc = run_cli("verify", "--suite", "trialitarian")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks == {
+        "alpha_bijective_homomorphism": True,
+        "alpha_involutions": True,
+        "lie_of_E_dimension_28": True,
+        "lie_of_E_equals_derivations": True,
+    }
+
+
 def test_build_typeIII():
     proc = run_cli("build", "--constructor", "typeIII", "--params", PARAMS_R8)
     assert proc.returncode == 0, proc.stderr

@@ -37,7 +37,24 @@ def test_zorn_unit_and_polar(field):
 
 
 def test_zorn_is_hurwitz(field, mod):
-    assert is_hurwitz(zorn_cayley(field)).ok
+    for A in (zorn_cayley(field), doubled_cayley(field)):
+        rep = is_hurwitz(A)
+        assert rep.violations == []
+        assert rep.checked == 8 ** 4 + 8 * 8 + 3 * 8
+
+
+def test_corrupted_hurwitz_product_located(field):
+    from triality.composition import HurwitzAlgebra
+
+    C = zorn_cayley(field)
+    mul = {k: dict(v) for k, v in C.mul.items()}
+    out = next(iter(mul[(2, 3)]))  # u1 u2
+    mul[(2, 3)][out] = mul[(2, 3)][out] + field.one
+    rep = is_hurwitz(HurwitzAlgebra(field, C.labels, mul, C.forms["n"], C.unit, C.involution))
+    assert not rep.ok
+    assert {v[0] for v in rep.violations} == {"norm_multiplicative"}
+    assert ("norm_multiplicative", (2, 3, 0, 4), "-1") in rep.violations
+    assert len(rep.violations) == 16
 
 
 def test_cayley_dickson_tower(field):
@@ -93,7 +110,9 @@ def test_okubo_matrix_relations(field):
 
 def test_okubo_verifier_and_epsilon(field, mod):
     O = mod["okubo"]
-    assert is_symmetric_composition(O).ok
+    rep = is_symmetric_composition(O)
+    assert rep.violations == []
+    assert rep.checked == 8 ** 4 + 3 * 8 ** 3
     # eps = diag(-1,-1,2) = w X + w^2 X^2 is an idempotent of norm 1
     w = field.omega
     ix = O.monomial_keys.index((1, 0))

@@ -54,6 +54,8 @@ def test_q_on_basis_tensors(field, mod):
 def test_axioms_pass(cyclic_axiom_reports):
     assert cyclic_axiom_reports["zorn"].ok
     assert cyclic_axiom_reports["okubo"].ok
+    # 2 n^2 semilinearity + n^4 norm + 3 n^3 form and identity checks, n = 24
+    assert cyclic_axiom_reports["zorn"].checked == cyclic_axiom_reports["okubo"].checked == 374400
 
 
 def test_corrupted_constant_located(field, mod):
@@ -67,9 +69,11 @@ def test_corrupted_constant_located(field, mod):
     from triality.cyclic import CyclicAlgebra
 
     bad = CyclicAlgebra(V.S, V.L, star, V.bq, twist=1)
-    rep = verify_cyclic_axioms(bad, fail_fast=True)
+    rep = verify_cyclic_axioms(bad)
     assert not rep.ok
-    assert rep.violations  # located witnesses
+    assert rep.checked == 374400
+    assert len(rep.violations) == 250
+    assert rep.violations[:2] == [("semilinear_x", (0, 0)), ("semilinear_y", (0, 0))]
 
 
 def test_opposite(mod, cyclic_axiom_reports):

@@ -4,6 +4,7 @@ from triality.composition import cartan_grading_cayley, okubo_grading, zorn_cayl
 from triality.fgab import GroupHom, make_group
 from triality.grading import (
     Grading,
+    Report,
     coarsen,
     invariants,
     is_refinement,
@@ -82,3 +83,19 @@ def test_invariants_weighted_sum(field):
     assert sum((i + 1) * n for i, n in enumerate(inv.type_vector)) == 8
     assert inv.identity_dim == 2
     assert inv.universal == make_group(2)
+
+
+def test_report_verdict_and_require():
+    good = Report([], 5)
+    assert good.ok and bool(good) and good.checked == 5
+    good.require(ValueError, "nothing")
+    with pytest.raises(AttributeError):
+        good.ok = False  # read-only: the verdict is the violation list
+    with pytest.raises(TypeError):
+        Report([])  # every producer states its count
+    bad = Report([("a", 1), ("b", 2), ("c", 3), ("d", 4)], 9)
+    assert not bad.ok and not bad
+    with pytest.raises(RuntimeError, match=r"thing failed to verify: \[\('a', 1\), \('b', 2\), \('c', 3\)\]"):
+        bad.require(RuntimeError, "thing")
+    bad.violations.clear()
+    assert bad.ok  # ok is read from the violations, never stored

@@ -1,11 +1,15 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every top-level function or class of the package is referenced."""
 
 import ast
+import collections
 import pathlib
+import re
 
 import triality
 
 PACKAGE = pathlib.Path(triality.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def imported_names(tree):
@@ -35,3 +39,32 @@ def test_no_unused_imports():
         used = used_names(tree)
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def referenced_names(tree):
+    """Every identifier a tree mentions: names, attribute names, and the
+    parts of dotted-name strings (the benchmark's tracer and mock.patch
+    name functions as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
+            yield from node.value.split(".")
+
+
+def test_no_unreferenced_definitions():
+    package = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    users = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = list(package.values()) + [ast.parse(path.read_text(encoding="utf-8")) for path in users]
+    counts = collections.Counter(name for tree in trees for name in referenced_names(tree))
+    unreferenced = []
+    for path, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a recursive call inside the definition does not count
+                own = sum(name == node.name for name in referenced_names(node))
+                if counts[node.name] == own:
+                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreferenced, "unreferenced definitions: " + ", ".join(unreferenced)

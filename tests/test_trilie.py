@@ -27,8 +27,27 @@ def test_tri_dimensions_and_shift(tri_zorn, tri_okubo):
 
 
 def test_lie_laws_exact(tri_zorn, tri_okubo):
-    assert verify_lie(tri_zorn) == []
-    assert verify_lie(tri_okubo) == []
+    for tri in (tri_zorn, tri_okubo):
+        rep = verify_lie(tri)
+        assert rep.violations == []
+        # 28 alternating + C(28, 2) antisymmetry + C(28, 3) Jacobi identities
+        assert rep.checked == 28 + 378 + 3276
+
+
+def test_corrupted_bracket_located(field, tri_zorn):
+    import copy
+
+    from triality.grading import StructAlgebra
+
+    mul = {k: dict(v) for k, v in tri_zorn.lie.mul.items()}
+    out = next(iter(mul[(0, 1)]))
+    mul[(0, 1)][out] = mul[(0, 1)][out] + field.one
+    bad = copy.copy(tri_zorn)
+    bad.lie = StructAlgebra(field, tri_zorn.lie.labels, mul, "lie")
+    rep = verify_lie(bad)
+    assert not rep.ok
+    assert rep.violations[0] == ("antisymmetric", (0, 1))
+    assert {name for name, _ in rep.violations} == {"antisymmetric", "jacobi"}
 
 
 def test_root_datum_d4(tri_zorn, tri_okubo):
