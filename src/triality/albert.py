@@ -102,7 +102,7 @@ class AlbertAlgebra(StructAlgebra):
         x2 = self.product(x, x)
         return (tx * tx - self.trace_linear(x2)) / F.scalar(2)
 
-    def _jordan_product_pairs(self, V, x, y):
+    def _jordan_product_pairs(self, x, y):
         F = self._F
         tx, ty = self.trace_linear(x), self.trace_linear(y)
         txy = self.trace_bilinear(x, y)
@@ -123,7 +123,7 @@ class AlbertAlgebra(StructAlgebra):
         basis = [{i: F.one} for i in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
-                prod = self._jordan_product_pairs(V, basis[i], basis[j])
+                prod = self._jordan_product_pairs(basis[i], basis[j])
                 if prod:
                     mul[(i, j)] = prod
                     if i != j:
@@ -139,7 +139,7 @@ class AlbertAlgebra(StructAlgebra):
     def product(self, x, y):
         if getattr(self, "mul", None):
             return StructAlgebra.product(self, x, y)
-        return self._jordan_product_pairs(self.V, x, y)
+        return self._jordan_product_pairs(x, y)
 
 
 def albert(V) -> AlbertAlgebra:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, null_space, to_dense, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, null_space, to_flat
 
 
 class BrauerError(ValueError):
@@ -228,7 +228,7 @@ class DivisionParams:
         return all(v == one or v == -one for v in self.beta.values())
 
 
-def primitive_idempotent(A: StructAlgebra, e_indices, unit_vec):
+def primitive_idempotent(A: StructAlgebra, e_indices):
     """A primitive idempotent of the identity component, found through a
     minimal left ideal: for x in a minimal left ideal I of A_e with
     x^2 != 0, right multiplication by x is A_e-linear on I, hence a scalar
@@ -324,7 +324,7 @@ def _proportionality(F, img, base):
     return lam
 
 
-def graded_simple_check(A: StructAlgebra, grading: Grading):
+def graded_simple_check(A: StructAlgebra):
     """Desk-scale check: the two-sided ideal generated by the first
     homogeneous basis element is everything."""
     F = A.field
@@ -345,20 +345,18 @@ def graded_simple_check(A: StructAlgebra, grading: Grading):
         raise BrauerError("algebra is not graded simple at desk scale")
 
 
-def division_params(A: StructAlgebra, grading: Grading, check_simple=True) -> DivisionParams:
+def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
     """(T, beta) of the graded division algebra D = eps A eps for a
     primitive idempotent eps of the identity component."""
     F = A.field
     G = grading.group
-    if check_simple:
-        graded_simple_check(A, grading)
+    graded_simple_check(A)
     comps = grading.components("A")
     e_can = G.identity().canonical()
     e_indices = comps.get(e_can)
     if not e_indices:
         raise BrauerError("identity component is zero")
-    unit = None
-    eps = primitive_idempotent(A, e_indices, unit)
+    eps = primitive_idempotent(A, e_indices)
     # cut every component
     cut = {}
     for g, idxs in comps.items():
@@ -404,7 +402,6 @@ def division_params(A: StructAlgebra, grading: Grading, check_simple=True) -> Di
 class RelatedTriple:
     algebras: list    # three StructAlgebra on adapted homogeneous bases
     gradings: list    # three verified Gradings
-    bases: list       # per algebra: list of 8x8 matrices (dense)
 
 
 def related_triple(adapted_coarse, S) -> RelatedTriple:
@@ -412,20 +409,21 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     three component projections: seed with the projected homogeneous
     derivations, close under products until the 64-dimensional algebra is
     exhausted, and check that the degree assignment is consistent (the
-    component spans are independent) and sigma_n-stable.  Products are
-    taken on flat matrices (linalg.compose); only the returned bases are
-    dense."""
+    component spans are independent) and sigma_n-stable.  adapted_coarse
+    pairs each degree with a vector of End(S)^3 in triple coordinates
+    (trilie); block comp of it is the comp-th projection, a flat matrix,
+    and products are taken with linalg.compose."""
     F = S.field
     n = S.dim
     G = adapted_coarse[0][0].group
     Gram = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
     Ginv = to_flat(invert_dense(F, Gram))
     Gram = to_flat(Gram)
-    out_algs, out_grads, out_bases = [], [], []
+    out_algs, out_grads = [], []
     for comp in range(3):
         buckets = {}
         for g, trip in adapted_coarse:
-            vec = to_flat(trip[comp])
+            vec = {idx % (n * n): c for idx, c in trip.items() if idx // (n * n) == comp}
             if vec:
                 buckets.setdefault(g.canonical(), []).append(vec)
         spans = {g: Echelon(F, n * n) for g in buckets}
@@ -481,8 +479,7 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
         verify_grading(gr).require(BrauerError, "propagated grading")
         out_algs.append(alg)
         out_grads.append(gr)
-        out_bases.append([to_dense(F, row, n) for row in rows])
-    return RelatedTriple(out_algs, out_grads, out_bases)
+    return RelatedTriple(out_algs, out_grads)
 
 
 # ------------------------------------------------------ commutation factors

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .scalars import make_field
 from .fgab import AbGroup, GroupElem, make_group, subgroup_elements, in_subgroup, subgroup_generated
 from .grading import Grading, Report, verify_grading, universal_group
-from .linalg import Coordinates, Echelon, axpy, mat_vec
+from .linalg import Echelon, axpy, mat_vec
 from .composition import (
     zorn_cayley,
     doubled_cayley,
@@ -37,6 +37,7 @@ from .composition import (
 from .cyclic import (
     CyclicAlgebra,
     cyclic_from_symmetric,
+    cut_on_basis,
     make_L,
     opposite,
     tensor_grading,
@@ -505,20 +506,15 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
                 viol.append(("product", (i, j)))
             if phi0(VA.bform(x, y)) != VB.bform(px, py):
                 viol.append(("b_Q", (i, j)))
-    comps_B = gr_B.components("V")
-    spans_B = {}
-    for g, idxs in comps_B.items():
-        e = Echelon(F, VB.dim)
-        for ii in idxs:
-            e.insert(VB.basis_vec(ii))
-        spans_B[g] = e
+    # the components of V_B are coordinate subspaces: an image lies in
+    # (V_B)_g when every index of its support has degree g
+    degs_B = [d.canonical() for d in gr_B.degrees["V"]]
     for g, idxs in gr_A.components("V").items():
-        tgt = spans_B.get(g)
-        if tgt is None:
+        if g not in degs_B:
             viol.append(("degree_support", g))
             continue
         for ii in idxs:
-            if not tgt.contains(mat_vec(phi_cols, VA.basis_vec(ii))):
+            if any(degs_B[k] != g for k in mat_vec(phi_cols, VA.basis_vec(ii))):
                 viol.append(("degree", (g, ii)))
     n = VA.dim
     return Report(viol, 2 * n * n + 2 * n + 2)
@@ -589,27 +585,15 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     w = F.omega
     eps = {V.idx(0, 0): w * w, V.idx(1, 0): w}
     _, basis = para_subalgebra_from_idempotent(V, eps)
-    # homogeneous adapted basis of the cut, with its degrees
-    comp_spans = {}
-    for g, idxs in B_target.grading.components("V").items():
-        e = Echelon(F, V.dim)
-        for i in idxs:
-            e.insert(V.basis_vec(i))
-        comp_spans[g] = e
+    # homogeneous adapted basis of the cut, with its degrees: the pieces of
+    # the cut basis vectors on one component of V span the cut's component
     per_degree = {}
     for vec in basis:
         pieces = {}
         for i, c in vec.items():
-            g = B_target.grading.degrees["V"][i].canonical()
-            pieces.setdefault(g, {})[i] = c
+            pieces.setdefault(B_target.grading.degrees["V"][i].canonical(), {})[i] = c
         for g, piece in pieces.items():
-            if not comp_spans[g].contains(piece):
-                raise ParamError("cut basis piece leaves its component")
-            per_degree.setdefault(g, Echelon(F, V.dim))
-    for vec in basis:
-        for g in sorted({B_target.grading.degrees["V"][i].canonical() for i in vec}):
-            piece = {i: c for i, c in vec.items() if B_target.grading.degrees["V"][i].canonical() == g}
-            per_degree[g].insert(piece)
+            per_degree.setdefault(g, Echelon(F, V.dim)).insert(piece)
     hom_basis = []
     hom_degs = []
     for g in sorted(per_degree):
@@ -619,7 +603,7 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     if len(hom_basis) != 8:
         raise ParamError(f"homogeneous cut basis has {len(hom_basis)} elements")
     # rebuild the cut algebra on the homogeneous basis
-    S_cut, basis = _subalgebra_on_basis(V, hom_basis, eps)
+    S_cut = cut_on_basis(V, hom_basis, eps)
     gS = Grading(S_cut, G, {"A": hom_degs})
     verify_grading(gS).require(ParamError, "cut grading")
     # the cut must be Cartan-shaped with parameters h * gamma
@@ -636,7 +620,7 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     cols = {}
     for m in range(8):
         for j in range(3):
-            img = V.act((L.one, L.xi, L.xi2)[j], basis[m])
+            img = V.act((L.one, L.xi, L.xi2)[j], hom_basis[m])
             cols[VA.idx(m, j)] = img
     rep = verify_graded_iso(cols, lambda l: l, gr_A, B_target.grading, opposite=False)
     rep.checked += 1
@@ -650,37 +634,6 @@ def _witness_rank2_shift(G, gamma, h, conductor):
         "opposite": False,
         "shifted_gamma": shifted,
     }
-
-
-def _subalgebra_on_basis(V, hom_basis, eps):
-    """The cut algebra rebuilt on a prescribed homogeneous basis."""
-    from .composition import SymCompAlgebra, is_symmetric_composition
-
-    F = V.field
-    L = V.L
-    # keep the prescribed vectors (they are echelon rows per degree already)
-    basis = [dict(b) for b in hom_basis]
-    coords = Coordinates(F, V.dim, basis)
-
-    def expand(vec):
-        out = coords(vec)
-        if out is None:
-            raise ParamError("vector outside the cut span")
-        return out
-
-    mul = {}
-    n_polar = {}
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            row = expand(V.product(basis[a], basis[b]))
-            if row:
-                mul[(a, b)] = row
-            sc = L.scalar_part(V.bform(basis[a], basis[b]))
-            if not sc.is_zero():
-                n_polar[(a, b)] = sc
-    S_cut = SymCompAlgebra(F, [f"c{k}" for k in range(len(basis))], mul, n_polar, para_unit=expand(eps))
-    is_symmetric_composition(S_cut).require(ParamError, "cut on homogeneous basis")
-    return S_cut, basis
 
 
 def okubo_involution(conductor: int = 12):

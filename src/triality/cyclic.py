@@ -473,10 +473,21 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
     basis = echelon_from(F, V.dim, null_space(F, V.dim, rows)).basis()
     if len(basis) != 8:
         raise CyclicAxiomError(f"idempotent cut has dimension {len(basis)}, expected 8")
+    return cut_on_basis(V, basis, eps), basis
+
+
+def cut_on_basis(V: CyclicAlgebra, basis, eps) -> SymCompAlgebra:
+    """The cut C_eps of an idempotent eps as a symmetric composition algebra
+    on a given basis of it (V-vectors): structure constants and polar form
+    read in that basis, verified to be a symmetric composition algebra with
+    eps as its para-unit."""
+    F = V.field
+    L = V.L
+    minus_one = F.scalar(-1)
     coords = Coordinates(F, V.dim, basis)
 
     def expand(vec):
-        """Coordinates of vec in the computed basis (it must lie in the span)."""
+        """Coordinates of vec in the given basis (it must lie in the span)."""
         out = coords(vec)
         if out is None:
             raise CyclicAxiomError("subalgebra is not closed under the product")
@@ -484,8 +495,8 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
 
     mul = {}
     n_polar = {}
-    for a in range(8):
-        for b in range(8):
+    for a in range(len(basis)):
+        for b in range(len(basis)):
             row = expand(V.product(basis[a], basis[b]))
             if row:
                 mul[(a, b)] = row
@@ -493,14 +504,14 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
             sc = L.scalar_part(val)  # raises unless the value sits in F.1
             if not sc.is_zero():
                 n_polar[(a, b)] = sc
-    labels = [f"c{k}" for k in range(8)]
+    labels = [f"c{k}" for k in range(len(basis))]
     S_sub = SymCompAlgebra(F, labels, mul, n_polar, para_unit=expand(eps))
     is_symmetric_composition(S_sub).require(CyclicAxiomError, "idempotent cut")
     # eps must act as the para-unit: eps * x = x~ = n(x, eps)eps - x on C_eps
     pu = S_sub.para_unit
-    for k in range(8):
+    for k in range(len(basis)):
         x = S_sub.basis_vec(k)
         conj = axpy(S_sub.scale(S_sub.polar(x, pu), pu), minus_one, x)
         if S_sub.product(pu, x) != conj or S_sub.product(x, pu) != conj:
             raise CyclicAxiomError("idempotent is not a para-unit of its cut")
-    return S_sub, basis
+    return S_sub

@@ -6,8 +6,8 @@ index, rows are processed in the order given.
 
 An n x n matrix that is itself a vector (an element of End(S), say) is held
 flat, {i*n + j: c}, the row format that Echelon reduces; `compose` multiplies
-two of them, `to_flat` and `to_dense` convert from and to lists of lists.
-No sparse vector stores a zero entry.
+two of them, and `to_flat` converts a small dense matrix (a Gram matrix or
+its inverse) to that form.  No sparse vector stores a zero entry.
 
 `axpy(acc, a, x)` is the one accumulate step: acc += a x in place, with
 cancelled entries dropped.  Every loop that adds multiples of stored sparse
@@ -263,11 +263,3 @@ def to_flat(M) -> dict:
     """The flat form {i*n + j: c} of a dense n x n matrix."""
     n = len(M)
     return {i * n + j: c for i, row in enumerate(M) for j, c in enumerate(row) if not c.is_zero()}
-
-
-def to_dense(field, vec: dict, n: int) -> list:
-    """The dense n x n matrix (list of rows) of a flat one."""
-    M = [[field.zero] * n for _ in range(n)]
-    for idx, c in vec.items():
-        M[idx // n][idx % n] = c
-    return M

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .grading import SMap, Grading, verify_grading
 from .linalg import Echelon, axpy, invert_dense, mat_vec, null_space
-from .trilie import delta_decompose, so_basis
+from .trilie import so_basis, xi_transform
 
 
 class TrialitarianError(ValueError):
@@ -122,16 +122,6 @@ class EndAlgebraE:
                     out.pop(key, None)
                 else:
                     out[key] = t2
-        return out
-
-    def from_deltas(self, deltas):
-        out = {}
-        for k, M in enumerate(deltas):
-            for p in range(self.n):
-                for r in range(self.n):
-                    c = M[p][r]
-                    if not c.is_zero():
-                        out[self.index[(p, r, k)]] = c
         return out
 
     # grading protocol: associative algebra with involution sigma
@@ -650,7 +640,7 @@ def skew_basis(E: EndAlgebraE):
     return [{E.index[(idx // n, idx % n, k)]: c for idx, c in B.items()} for k in range(3) for B in so]
 
 
-def lie_of_E(V, E, Cl, km: KappaMap, am: AlphaMap):
+def lie_of_E(V, E, km: KappaMap, am: AlphaMap):
     """The solution space of alpha(kappa(x)) = 2 (x, x) inside Skew(E,
     sigma).  Must be 28-dimensional; returned as a list of E elements."""
     F = V.field
@@ -684,17 +674,22 @@ def lie_of_E(V, E, Cl, km: KappaMap, am: AlphaMap):
 
 
 def lie_of_E_equals_der(V, E, lie_elems, der_tri) -> bool:
-    """Span equality of L(E) with Der_L(V) (as E elements)."""
+    """Span equality of L(E) with Der_L(V) (as E elements): position
+    k*n*n + p*n + r of a derivation in delta coordinates is the elementary
+    operator (p, r, k)."""
     F = V.field
+    n = E.n
     ech_lie = Echelon(F, E.dim)
     for x in lie_elems:
-        ech_lie.insert(dict(x))
+        ech_lie.insert(x)
     ech_der = Echelon(F, E.dim)
-    der_ereps = []
-    for t in der_tri.triples:
-        erep = E.from_deltas(delta_decompose(V, t))
-        der_ereps.append(erep)
-        ech_der.insert(dict(erep))
+    for vec in der_tri.vectors:
+        erep = {}
+        for idx, c in xi_transform(F, vec, n * n, to_deltas=True).items():
+            k, rem = divmod(idx, n * n)
+            p, r = divmod(rem, n)
+            erep[E.index[(p, r, k)]] = c
+        ech_der.insert(erep)
     return ech_lie.canonical() == ech_der.canonical()
 
 

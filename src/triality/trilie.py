@@ -5,15 +5,16 @@ system over so(S,n)^3.  Includes the D4 root datum, derivation algebras of
 the triple model, induced gradings on tri, and the center orbit of a
 Type III grading.
 
-Elements of End(S)^3 are sparse vectors over the 3*n*n positions
-c*n*n + i*n + j: block c holds the flat form {i*n + j: entry} of the c-th
-map (linalg.compose multiplies two blocks).  A triple (d1, d2, d3) has its
-components as blocks; an L-linear map d = sum_k delta_k (x) xi^k has its
-delta (xi-graded) coordinates delta_k as blocks.  Brackets are taken in
-these sparse forms: componentwise for triples, as a convolution in the xi
-power for deltas.  The basis triples of TriAlgebra.triples, the adapted
-bases returned by induce_tri_grading and the values of delta_decompose are
-dense 8x8 lists of lists; elements of tri are coefficient vectors over that
+An element of tri(S), like every element of End(S)^3 here, is one sparse
+vector over the 3*n*n positions c*n*n + i*n + j: block c holds the flat
+form {i*n + j: entry} of the c-th map (linalg.compose multiplies two
+blocks).  A triple (d1, d2, d3) has its components as blocks; an L-linear
+map d = sum_k delta_k (x) xi^k has its delta (xi-graded) coordinates
+delta_k as blocks, and xi_transform converts between the two.  Brackets
+are taken in these sparse forms: componentwise for triples, as a
+convolution in the xi power for deltas.  The basis TriAlgebra.vectors and
+the adapted bases returned by induce_tri_grading are such vectors in
+triple coordinates; tri.lie expresses brackets in coordinates over the
 basis.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, mat_vec, null_space, to_dense, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, mat_vec, null_space, to_flat
 from .grading import Grading, Report, StructAlgebra, verify_grading
 
 
@@ -42,7 +43,7 @@ def _blocks(vec, nn):
     return out
 
 
-def _xi_transform(F, vec, nn, to_deltas):
+def xi_transform(F, vec, nn, to_deltas):
     """Change the coordinates of a vector of End(S)^3 from a triple
     (d1, d2, d3) to deltas, delta_k = 1/3 sum_c omega^(-ck) d_c (the
     discrete Fourier transform over the three components of L), or back,
@@ -116,7 +117,6 @@ class TriAlgebra:
         self.S = S
         self.field = F
         self.vectors = vectors  # basis triples as vectors of End(S)^3
-        self.triples = [tuple(to_dense(F, b, n) for b in _blocks(v, n * n)) for v in vectors]
         self.dim = len(vectors)
         self._coords = Coordinates(F, 3 * n * n, vectors)
         self._span = echelon_from(F, 3 * n * n, vectors)
@@ -293,26 +293,28 @@ def _ad_matrix(tri: TriAlgebra, coords: dict):
     return cols  # column k -> dict row -> scalar
 
 
-def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
+# root_datum scans the ad-eigenvalues -EIGEN_BOUND..EIGEN_BOUND.  They are
+# the values of the roots on the normalized Cartan basis, which lie in
+# -1..1 on the para-Zorn and Okubo models; an eigenvalue outside the range
+# cannot pass unnoticed, because the eigenspaces found then fall short of
+# the whole space and root_datum raises.
+EIGEN_BOUND = 8
+
+
+def root_datum(tri: TriAlgebra) -> RootDatum:
     """Cartan subalgebra (preimage under the first projection of the
     diagonal skew maps in the distinguished basis), integer root system,
     deterministic simple roots and the Cartan matrix."""
     F = tri.field
     n = tri.S.dim
-    # combinations whose first component is diagonal
-    rows = []
-    for p in range(n):
-        for r in range(n):
-            if p == r:
-                continue
-            row = {}
-            for k, t in enumerate(tri.triples):
-                c = t[0][p][r]
-                if not c.is_zero():
-                    row[k] = c
-            if row:
-                rows.append(row)
-    cartan = null_space(F, tri.dim, rows)
+    # combinations whose first component is diagonal: one row per
+    # off-diagonal position of block 0, in ascending position order
+    rows = {}
+    for k, vec in enumerate(tri.vectors):
+        for idx, c in vec.items():
+            if idx < n * n and idx // n != idx % n:
+                rows.setdefault(idx, {})[k] = c
+    cartan = null_space(F, tri.dim, [rows[idx] for idx in sorted(rows)])
     if len(cartan) != 4:
         raise TrialityError(f"Cartan candidate has dimension {len(cartan)}, expected 4")
     # normalize each basis vector by a root of unity so that ad-eigenvalues
@@ -361,7 +363,7 @@ def root_datum(tri: TriAlgebra, eigen_bound: int = 8) -> RootDatum:
         dim = len(space)
         out = []
         found = 0
-        for lam in range(-eigen_bound, eigen_bound + 1):
+        for lam in range(-EIGEN_BOUND, EIGEN_BOUND + 1):
             lam_s = F.scalar(lam)
             rows2 = []
             for i in range(dim):
@@ -477,22 +479,6 @@ def killing_form_nondegenerate(tri: TriAlgebra) -> bool:
 # ------------------------------------------- induced gradings on tri(S)
 
 
-def delta_decompose(V, triple):
-    """Write a block triple (d1, d2, d3) as d = sum_k delta_k (x) xi^k via
-    the discrete Fourier transform over the three components of L."""
-    F = V.field
-    n = V.S.dim
-    deltas = _xi_transform(F, _flatten_deltas(V, triple), n * n, to_deltas=True)
-    return [to_dense(F, b, n) for b in _blocks(deltas, n * n)]
-
-
-def _flatten_deltas(V, deltas):
-    """Three n x n matrices (deltas, or the components of a triple) as one
-    vector of End(S)^3."""
-    n = V.S.dim
-    return {k * n * n + idx: c for k, M in enumerate(deltas) for idx, c in to_flat(M).items()}
-
-
 def _homogeneous_pieces(V, tri: TriAlgebra, degree, error):
     """Split every basis triple of tri, in delta coordinates, into its
     pieces on the elementary operators (p, r, k) of one degree
@@ -504,11 +490,11 @@ def _homogeneous_pieces(V, tri: TriAlgebra, degree, error):
     buckets = {}
     for vec in tri.vectors:
         pieces = {}
-        for idx, c in _xi_transform(F, vec, nn, to_deltas=True).items():
+        for idx, c in xi_transform(F, vec, nn, to_deltas=True).items():
             k, rem = divmod(idx, nn)
             pieces.setdefault(degree(rem // n, rem % n, k), {})[idx] = c
         for g, piece in pieces.items():
-            if not tri.contains(_xi_transform(F, piece, nn, to_deltas=False)):
+            if not tri.contains(xi_transform(F, piece, nn, to_deltas=False)):
                 raise TrialityError(error)
             buckets.setdefault(g, []).append(piece)
     return buckets
@@ -517,7 +503,8 @@ def _homogeneous_pieces(V, tri: TriAlgebra, degree, error):
 def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     """The grading tri_g = {d : d(V_a) <= V_(g a)} induced by a verified
     basis-aligned grading on V.  Returns (Grading on the adapted Lie
-    algebra, adapted basis as a list of (degree, triple)).
+    algebra, adapted basis as a list of (degree, vector of End(S)^3 in
+    triple coordinates)).
 
     Every homogeneous piece of every basis derivation is verified to lie in
     tri(S) again, and the piece dimensions must sum to 28.  The brackets of
@@ -543,8 +530,7 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
         for row in echelon_from(F, 3 * nn, buckets[g]).basis():
             rows.append(row)
             degrees.append(G.element(g))
-            trip = _xi_transform(F, row, nn, to_deltas=False)
-            adapted.append((degrees[-1], tuple(to_dense(F, b, n) for b in _blocks(trip, nn))))
+            adapted.append((degrees[-1], xi_transform(F, row, nn, to_deltas=False)))
     if len(rows) != 28:
         raise TrialityError(f"induced components span {len(rows)} dimensions, expected 28")
 
@@ -569,32 +555,25 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
 
 def graded_module_check(grading: Grading, adapted) -> bool:
     """tri_g . V_a <= V_(g a), checked exactly for every adapted basis
-    derivation and every basis vector of V."""
+    derivation and every basis vector of V.  The grading is basis-aligned,
+    so V_(g a) is a coordinate subspace: an image lies in it when every
+    index of its support has degree g a."""
     V = grading.structure
-    comps = grading.components("V")
-    spans = {}
-    for g, idxs in comps.items():
-        ech = Echelon(V.field, V.dim)
-        for i in idxs:
-            ech.insert(V.basis_vec(i))
-        spans[g] = ech
+    n = V.S.dim
+    nn = n * n
+    degs = [d.canonical() for d in grading.degrees["V"]]
     for g, trip in adapted:
-        deltas = delta_decompose(V, trip)
+        # entry (q, r) of delta_k sends s_r (x) xi^c to s_q (x) xi^(c+k), so
+        # the image of s_r (x) xi^c has support {(q, c + k)} over the
+        # nonzero entries of column r
+        cols = {}
+        for idx in xi_transform(V.field, trip, nn, to_deltas=True):
+            k, rem = divmod(idx, nn)
+            cols.setdefault(rem % n, []).append((rem // n, k))
         for i in range(V.dim):
-            p, c = V.split(i)
-            img = {}
-            for k in range(3):
-                for q in range(V.S.dim):
-                    co = deltas[k][q][p]
-                    if not co.is_zero():
-                        key = V.idx(q, c + k)
-                        img[key] = img.get(key, V.field.zero) + co
-            img = {kk: vv for kk, vv in img.items() if not vv.is_zero()}
-            if not img:
-                continue
+            r, c = V.split(i)
             target = (g + grading.degrees["V"][i]).canonical()
-            ech = spans.get(target)
-            if ech is None or not ech.contains(img):
+            if any(degs[V.idx(q, c + k)] != target for q, k in cols.get(r, ())):
                 return False
     return True
 

@@ -85,7 +85,7 @@ def test_criterion_04_trialitarian(mod, trial_zorn):
     ok = len(trial_zorn["Cl"].masks) == 128  # 128 over L
     ok = ok and alpha_multiplicative_sample(am, seed=0, count=120)
     ok = ok and alpha_involution_compatible(am)
-    lie = lie_of_E(V, trial_zorn["E"], trial_zorn["Cl"], trial_zorn["kappa"], am)
+    lie = lie_of_E(V, trial_zorn["E"], trial_zorn["kappa"], am)
     ok = ok and len(lie) == 28
     ok = ok and lie_of_E_equals_der(V, trial_zorn["E"], lie, der_cyclic(V))
     report(4, "trialitarian layer", ok)

@@ -189,7 +189,7 @@ def test_related_triple_rejects_corrupted_degree(fines, tri_okubo):
 
 def test_related_triple_from_trivial_grading(field, mod, tri_zorn):
     T = make_group(0, [])
-    adapted = [(T.identity(), trip) for trip in tri_zorn.triples]
+    adapted = [(T.identity(), vec) for vec in tri_zorn.vectors]
     triple = related_triple(adapted, mod["para_zorn"])
     for alg, gr in zip(triple.algebras, triple.gradings):
         assert len(gr.components()) == 1

@@ -172,9 +172,10 @@ def test_center_orbit_map_verifies():
     # the same structure constants (l is an automorphism), so the identity
     # degree map plays the role of l . Gamma on the moved basis
     rep = verify_graded_iso(cols, lambda l: l, built.grading, built.grading, opposite=False)
-    # degree check fails (components move) but algebra checks pass
-    kinds = {f[0] for f in rep.violations}
-    assert "product" not in kinds and "b_Q" not in kinds and "semilinear" not in kinds
+    # degree check fails (components move) but algebra checks pass: every
+    # one of the 24 basis vectors leaves its component
+    assert [f[0] for f in rep.violations] == ["degree"] * 24
+    assert sorted(ii for _kind, (_g, ii) in rep.violations) == list(range(24))
 
 
 def test_fine_gradings_and_non_refinement(fines):

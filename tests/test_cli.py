@@ -90,6 +90,20 @@ def test_verify_trialitarian_reports_real_checks():
     }
 
 
+def test_verify_lie_reports_real_checks():
+    proc = run_cli("verify", "--suite", "lie")
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert checks == {
+        "okubo_cyclic_shift": True,
+        "okubo_d4_cartan_matrix": True,
+        "okubo_jacobi": True,
+        "para_zorn_cyclic_shift": True,
+        "para_zorn_d4_cartan_matrix": True,
+        "para_zorn_jacobi": True,
+    }
+
+
 def test_build_typeIII():
     proc = run_cli("build", "--constructor", "typeIII", "--params", PARAMS_R8)
     assert proc.returncode == 0, proc.stderr

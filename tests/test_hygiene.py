@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every top-level function or class of the package is referenced."""
+every top-level function or class of the package is referenced, and no
+function of the package takes a parameter it never reads."""
 
 import ast
 import collections
@@ -68,3 +69,24 @@ def test_no_unreferenced_definitions():
                 if counts[node.name] == own:
                     unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unreferenced, "unreferenced definitions: " + ", ".join(unreferenced)
+
+
+def test_no_unread_parameters():
+    from triality.cli import SUITES
+
+    # the verify suites share one (args, mod) signature through the dispatch table
+    exempt = {("cli.py", fn.__name__) for fn in SUITES.values()}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if (path.name, name) in exempt:
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read and p not in ("self", "cls")]
+    assert not unread, "unread parameters: " + ", ".join(unread)

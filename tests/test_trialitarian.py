@@ -108,7 +108,7 @@ def test_alpha_on_squares(mod, trial_zorn):
 
 def test_lie_of_E(mod, trial_zorn):
     V = mod["V_zorn"]
-    lie = lie_of_E(V, trial_zorn["E"], trial_zorn["Cl"], trial_zorn["kappa"], trial_zorn["alpha"])
+    lie = lie_of_E(V, trial_zorn["E"], trial_zorn["kappa"], trial_zorn["alpha"])
     assert len(lie) == 28
     assert lie_of_E_equals_der(V, trial_zorn["E"], lie, der_cyclic(V))
 

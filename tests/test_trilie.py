@@ -75,25 +75,25 @@ def test_der_equals_tri(mod, tri_zorn, tri_okubo):
 def test_derivation_property_on_V(mod, tri_zorn):
     # componentwise action of a basis triple is a derivation of *
     V = mod["V_zorn"]
-    from triality.trilie import delta_decompose
+    from triality.trilie import xi_transform
 
-    for trip in tri_zorn.triples[:6]:
-        deltas = delta_decompose(V, trip)
+    for vec in tri_zorn.vectors[:6]:
+        # entry (q, p) of delta_k at position k*64 + q*8 + p
+        deltas = xi_transform(V.field, vec, 64, to_deltas=True)
 
         def apply(v):
             out = {}
             for i, c in v.items():
                 p, col = V.split(i)
-                for k in range(3):
-                    for q in range(8):
-                        co = deltas[k][q][p]
-                        if not co.is_zero():
-                            key = V.idx(q, col + k)
-                            cur = out.get(key, V.field.zero) + co * c
-                            if cur.is_zero():
-                                out.pop(key, None)
-                            else:
-                                out[key] = cur
+                for idx, co in deltas.items():
+                    k, q, r = idx // 64, idx // 8 % 8, idx % 8
+                    if r == p:
+                        key = V.idx(q, col + k)
+                        cur = out.get(key, V.field.zero) + co * c
+                        if cur.is_zero():
+                            out.pop(key, None)
+                        else:
+                            out[key] = cur
             return out
 
         for i in range(0, V.dim, 5):
@@ -119,7 +119,7 @@ def test_trivial_grading_induces_trivial(mod, tri_zorn):
 
 def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
     from triality.linalg import Echelon
-    from triality.trilie import _flatten_deltas, delta_decompose
+    from triality.trilie import xi_transform
 
     built = fines["cartan"]["built"]
     V = built.grading.structure
@@ -133,9 +133,7 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
         buckets = {}
         for g, trip in adapted:
             key = project(g).canonical()
-            buckets.setdefault(key, Echelon(V.field, 192)).insert(
-                _flatten_deltas(V, delta_decompose(V, trip))
-            )
+            buckets.setdefault(key, Echelon(V.field, 192)).insert(xi_transform(V.field, trip, 64, to_deltas=True))
         return {k: e.canonical() for k, e in buckets.items()}
 
     assert spans(adapted_fine, pr) == spans(adapted_coarse, lambda g: g)
@@ -150,6 +148,16 @@ def test_graded_module_instance(fines, tri_zorn, tri_okubo):
         built = fines[kind]["built"]
         _out, adapted = induce_tri_grading(built.grading, tri)
         assert graded_module_check(built.grading, adapted)
+
+
+def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
+    # one adapted derivation moved to a wrong degree no longer maps each
+    # component of V into the component its degree names
+    built = fines["okubo"]["built"]
+    _out, adapted = induce_tri_grading(built.grading, tri_okubo)
+    g0, d0 = adapted[0]
+    moved = [(g0 + built.params.group.element((1, 0, 0)), d0)] + adapted[1:]
+    assert not graded_module_check(built.grading, moved)
 
 
 def test_center_orbit(fines, tri_okubo):
@@ -184,7 +192,13 @@ def test_induced_brackets_match_dense_commutators(kind, fines, tri_zorn, tri_oku
     out, adapted = induce_tri_grading(fines[kind]["built"].grading, tri)
     F = tri.field
     mul = out.structure.mul
-    trips = [t for _g, t in adapted]
+    # dense reference: the three 8x8 components of each sparse triple
+    trips = []
+    for _g, vec in adapted:
+        comps = [[[F.zero] * 8 for _ in range(8)] for _ in range(3)]
+        for idx, c in vec.items():
+            comps[idx // 64][idx // 8 % 8][idx % 8] = c
+        trips.append(comps)
     for a, ta in enumerate(trips):
         for b, tb in enumerate(trips):
             if a == b:
