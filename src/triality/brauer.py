@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, null_space, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, kernel, to_flat
 
 
 class BrauerError(ValueError):
@@ -252,16 +252,13 @@ def primitive_idempotent(A: StructAlgebra, e_indices):
 
     def left_ideal(x_sub):
         ech = Echelon(F, dim)
-        ech.insert(dict(x_sub))
-        changed = True
-        while changed:
-            changed = False
+        work = [x_sub] if ech.insert(x_sub) else []
+        while work:
+            v = to_full(work.pop())
             for b in sub_idx:
-                bb = A.basis_vec(b)
-                for row in list(ech.basis()):
-                    img = to_sub(A.product(bb, to_full(row)))
-                    if img and ech.insert(img):
-                        changed = True
+                img = to_sub(A.product(A.basis_vec(b), v))
+                if img and ech.insert(img):
+                    work.append(img)
         return ech
 
     current = left_ideal({0: F.one})
@@ -327,21 +324,17 @@ def _proportionality(F, img, base):
 def graded_simple_check(A: StructAlgebra):
     """Desk-scale check: the two-sided ideal generated by the first
     homogeneous basis element is everything."""
-    F = A.field
     seed = A.basis_vec(0)
-    right = Echelon(F, A.dim)
-    for i in range(A.dim):
-        right.insert(A.product(seed, A.basis_vec(i)))
-        right.insert(A.product(A.basis_vec(i), seed))
-    changed = True
-    while changed:
-        changed = False
+    ideal = Echelon(A.field, A.dim)
+    work = [seed]
+    while work and ideal.rank < A.dim:
+        v = work.pop()
         for i in range(A.dim):
             bi = A.basis_vec(i)
-            for row in list(right.basis()):
-                if right.insert(A.product(bi, row)) or right.insert(A.product(row, bi)):
-                    changed = True
-    if right.rank != A.dim:
+            for pv in (A.product(bi, v), A.product(v, bi)):
+                if ideal.insert(pv):
+                    work.append(pv)
+    if ideal.rank != A.dim:
         raise BrauerError("algebra is not graded simple at desk scale")
 
 
@@ -421,21 +414,22 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     Gram = to_flat(Gram)
     out_algs, out_grads = [], []
     for comp in range(3):
-        buckets = {}
+        # the words in the seeds span the generated algebra: every element
+        # that grows a span is multiplied on the left by each seed once
+        spans = {}
+        seeds = []
         for g, trip in adapted_coarse:
             vec = {idx % (n * n): c for idx, c in trip.items() if idx // (n * n) == comp}
-            if vec:
-                buckets.setdefault(g.canonical(), []).append(vec)
-        spans = {g: Echelon(F, n * n) for g in buckets}
-        work = [(g, v) for g, vecs in buckets.items() for v in vecs if spans[g].insert(v)]
+            if vec and spans.setdefault(g, Echelon(F, n * n)).insert(vec):
+                seeds.append((g, vec))
+        work = list(seeds)
         while work:
             g1, v1 = work.pop()
-            snapshot = [(g2, r) for g2, e in spans.items() for r in e.basis()]
-            for g2, v2 in snapshot:
-                gg = (G.element(g1) + G.element(g2)).canonical()
-                for pv in (compose(v1, v2, n), compose(v2, v1, n)):
-                    if pv and spans.setdefault(gg, Echelon(F, n * n)).insert(pv):
-                        work.append((gg, pv))
+            for g2, s in seeds:
+                gg = g2 + g1
+                pv = compose(s, v1, n)
+                if pv and spans.setdefault(gg, Echelon(F, n * n)).insert(pv):
+                    work.append((gg, pv))
         total = sum(e.rank for e in spans.values())
         if total != n * n:
             raise BrauerError(f"propagation reached dimension {total}, expected {n * n}")
@@ -448,10 +442,10 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
         # adapted homogeneous basis and structure constants
         rows = []
         degs = []
-        for g in sorted(spans):
+        for g in sorted(spans, key=GroupElem.canonical):
             for row in spans[g].basis():
                 rows.append(row)
-                degs.append(G.element(g))
+                degs.append(g)
         coords = Coordinates(F, n * n, rows)
 
         def expand(vec):
@@ -515,15 +509,17 @@ def _character_unit(A: StructAlgebra, grading: Grading, chi):
 def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     F = A.field
     mul = A.mul
-    rows = {}
-    for j in range(A.dim):
-        neg_val = -chi(grading.degrees["A"][j])
-        for i in range(A.dim):
-            # e_i e_j - chi(deg e_j) e_j e_i, from the rows of the product table
-            resid = axpy(dict(mul.get((i, j), {})), neg_val, mul.get((j, i), {}))
-            for out_idx, c in resid.items():
-                rows.setdefault((j, out_idx), {})[i] = c
-    sols = null_space(F, A.dim, list(rows.values()))
+    negs = [-chi(g) for g in grading.degrees["A"]]
+    # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every j,
+    # from the rows of the product table
+    cols = []
+    for i in range(A.dim):
+        col = {}
+        for j, neg in enumerate(negs):
+            for out, c in axpy(dict(mul.get((i, j), {})), neg, mul.get((j, i), {})).items():
+                col[(j, out)] = c
+        cols.append(col)
+    sols = kernel(F, cols)
     if not sols:
         raise BrauerError("no character unit (input is not a matrix-algebra grading)")
     u = sols[0]

@@ -19,7 +19,7 @@ import itertools
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
-from .linalg import Coordinates, axpy, echelon_from, null_space
+from .linalg import Coordinates, axpy, echelon_from, kernel
 
 
 class CyclicAxiomError(ValueError):
@@ -454,23 +454,14 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
         raise CyclicAxiomError("eps is not a nonzero idempotent")
     if V.quadratic(eps) != L.one:
         raise CyclicAxiomError("idempotent with Q(eps) != 1")
-    # rows of the linear condition X*eps + X - b_Q(X,eps) eps = 0
+    # columns of the linear condition X*eps + X - b_Q(X,eps) eps = 0
     cols = []
     for i in range(V.dim):
         x = V.basis_vec(i)
         vec = axpy(V.product(x, eps), None, x)
         cols.append(axpy(vec, minus_one, V.act(V.bform(x, eps), eps)))
-    rows = []
-    for out_idx in range(V.dim):
-        row = {}
-        for i, col in enumerate(cols):
-            c = col.get(out_idx)
-            if c is not None:
-                row[i] = c
-        if row:
-            rows.append(row)
     # the reduced echelon rows of the kernel are the basis of the cut
-    basis = echelon_from(F, V.dim, null_space(F, V.dim, rows)).basis()
+    basis = echelon_from(F, V.dim, kernel(F, cols)).basis()
     if len(basis) != 8:
         raise CyclicAxiomError(f"idempotent cut has dimension {len(basis)}, expected 8")
     return cut_on_basis(V, basis, eps), basis

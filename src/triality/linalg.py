@@ -25,6 +25,15 @@ term needs a remapped temporary dict, which made `clifford_even` about 12 %
 slower and saved no code.  `Echelon.reduce` and `insert` stay written out as
 well; they are the inner loop of every elimination, and `axpy` in `reduce`
 made the tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians of 3).
+
+`kernel(field, columns)` is the one kernel solver: every linear condition
+of the package (the derivation identities of tri(S) and Der_L(V), the
+eigenspaces of root_datum, L(E), the Clifford center, the idempotent cut,
+the character units) is written as the sparse images of its unknowns, and
+`kernel` transposes them into equations.  A caller that wants the kernel in
+a basis applies `mat_vec` with the basis as a column map.  `null_space` is
+its row form; only root_datum's Cartan candidate calls it directly, since
+its conditions are already rows (one per off-diagonal position).
 """
 
 from __future__ import annotations
@@ -109,10 +118,6 @@ def echelon_from(field, ncols, vectors) -> Echelon:
     return ech
 
 
-def rank(field, ncols, rows) -> int:
-    return echelon_from(field, ncols, rows).rank
-
-
 class Coordinates:
     """Coordinates in a fixed basis of a subspace: the basis vectors, each
     with a marker column of its own, are reduced to echelon form, so a
@@ -138,42 +143,36 @@ class Coordinates:
 
 
 def null_space(field, ncols, rows) -> list:
-    """Basis of {x : row . x = 0 for every row}, deterministic order."""
+    """Basis of {x : row . x = 0 for every row}: one vector per free column,
+    in ascending order, holding 1 there and minus the free column of each
+    pivot row, pivots ascending.  It depends on the row span only, not on
+    the order of the rows."""
     ech = Echelon(field, ncols)
     for r in rows:
         ech.insert(r)
-    pivots = set(ech.rows)
-    free = [j for j in range(ncols) if j not in pivots]
+    pivots = sorted(ech.rows)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in ech.rows:
+            continue
         v = {f: field.one}
-        for p, row in ech.rows.items():
-            c = row.get(f)
+        for p in pivots:
+            c = ech.rows[p].get(f)
             if c is not None:
                 v[p] = -c
         basis.append(v)
     return basis
 
 
-def solve(field, ncols, rows, rhs):
-    """One solution x of the inhomogeneous system rows . x = rhs, or None.
-
-    rows is a list of equation dicts, rhs a list of scalars (same length).
-    """
-    ech = Echelon(field, ncols + 1)
-    for r, b in zip(rows, rhs):
-        v = dict(r)
-        if not b.is_zero():
-            v[ncols] = b
-        ech.insert(v)
-    if ncols in ech.rows:
-        return None  # inconsistent: a pivot in the rhs column
-    x = {}
-    for p, row in ech.rows.items():
-        c = row.get(ncols)
-        if c is not None:
-            x[p] = -c
-    return x
+def kernel(field, columns) -> list:
+    """Basis of {x : sum_j x_j columns[j] = 0}, as null_space returns it.
+    columns[j] is the sparse image of the j-th unknown; its keys name the
+    equations and may be any hashable."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return null_space(field, len(columns), list(rows.values()))
 
 
 def invert_dense(field, mat):

@@ -14,7 +14,7 @@ splits as Cl(S, n) (x) L, so its even part lives on the 384 monomials
 from __future__ import annotations
 
 from .grading import SMap, Grading, verify_grading
-from .linalg import Echelon, axpy, invert_dense, mat_vec, null_space
+from .linalg import Echelon, axpy, invert_dense, kernel, mat_vec
 from .trilie import so_basis, xi_transform
 
 
@@ -356,24 +356,20 @@ def clifford_even(V) -> CliffordEven:
 def clifford_center_dimension(V, Cl) -> int:
     """dim_F of the center of Cl_0: solved per xi-power block (the three
     blocks are identical as F-linear systems), then multiplied by 3."""
-    F = V.field
-    minus = -F.one
-    nm = len(Cl.masks)
-    rows = []
+    minus = -V.field.one
     gens = []
     for p in range(V.S.dim):
         for q in range(p + 1, V.S.dim):
             gens.append((1 << p) | (1 << q))
-    for g in gens:
-        # [c, g] = 0: row per output mask
-        block = {}
-        for mi, m in enumerate(Cl.masks):
-            acc = axpy(dict(Cl._mask_mul(m, g)), minus, Cl._mask_mul(g, m))
-            for mm, c in acc.items():
-                block.setdefault(mm, {})[mi] = c
-        rows.extend(block.values())
-    ker = null_space(F, nm, rows)
-    return 3 * len(ker)
+    # the column of a mask m holds [m, g] for every generator g
+    cols = []
+    for m in Cl.masks:
+        col = {}
+        for g in gens:
+            for out, c in axpy(dict(Cl._mask_mul(m, g)), minus, Cl._mask_mul(g, m)).items():
+                col[(g, out)] = c
+        cols.append(col)
+    return 3 * len(kernel(V.field, cols))
 
 
 # ------------------------------------------------------------------- kappa
@@ -643,34 +639,17 @@ def skew_basis(E: EndAlgebraE):
 def lie_of_E(V, E, km: KappaMap, am: AlphaMap):
     """The solution space of alpha(kappa(x)) = 2 (x, x) inside Skew(E,
     sigma).  Must be 28-dimensional; returned as a list of E elements."""
-    F = V.field
-    two = F.scalar(2)
+    minus_two = V.field.scalar(-2)
     basis = skew_basis(E)
-    rows = {}
-    for col, x in enumerate(basis):
-        a1, a2 = am(km(x))
-        resid = dict(a1)
-        for idx, c in a2.items():
-            resid[E.dim + idx] = c
-        for idx, c in x.items():
-            for off in (0, E.dim):
-                t = resid.get(off + idx, F.zero) - two * c
-                if t.is_zero():
-                    resid.pop(off + idx, None)
-                else:
-                    resid[off + idx] = t
-        for idx, c in resid.items():
-            rows.setdefault(idx, {})[col] = c
-    ker = null_space(F, len(basis), list(rows.values()))
+
+    def pair(y, z):
+        """(y, z) in E x E as one vector, z offset by E.dim."""
+        return {**y, **{E.dim + idx: c for idx, c in z.items()}}
+
+    ker = kernel(V.field, [axpy(pair(*am(km(x))), minus_two, pair(x, x)) for x in basis])
     if len(ker) != 28:
         raise TrialitarianError(f"L(E) has dimension {len(ker)}, expected 28")
-    out = []
-    for vec in ker:
-        acc = {}
-        for col, c in vec.items():
-            axpy(acc, c, basis[col])
-        out.append(acc)
-    return out
+    return [mat_vec(dict(enumerate(basis)), vec) for vec in ker]
 
 
 def lie_of_E_equals_der(V, E, lie_elems, der_tri) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, mat_vec, null_space, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
 from .grading import Grading, Report, StructAlgebra, verify_grading
 
 
@@ -155,50 +155,31 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
     bas = [S.basis_vec(i) for i in range(n)]
     so_cols = []
     for B in so:
-        cols = {r: {} for r in range(n)}
+        by_col = {r: {} for r in range(n)}
         for idx, c in B.items():
-            cols[idx % n][idx // n] = c
-        so_cols.append(cols)
+            by_col[idx % n][idx // n] = c
+        so_cols.append(by_col)
 
-    rows = {}
-
-    def put(key, col, c):
-        if c.is_zero():
-            return
-        row = rows.setdefault(key, {})
-        t = row.get(col)
-        t = c if t is None else t + c
-        if t.is_zero():
-            row.pop(col, None)
-        else:
-            row[col] = t
-
+    # column comp*m + mm: the images of so[mm] in component comp, keyed by
+    # the identity (a, i, j, k) they enter
+    cols = [{} for _ in range(3 * m)]
     for a in shifts:
-        left, mid, right = a * m, ((a + 1) % 3) * m, ((a + 2) % 3) * m
         for i in range(n):
             for j in range(n):
                 pij = S.product(bas[i], bas[j])
                 for mm in range(m):
+                    left, mid, right = (cols[(a + s) % 3 * m + mm] for s in range(3))
                     for k, c in mat_vec(so_cols[mm], pij).items():
-                        put((a, i, j, k), left + mm, c)
+                        left[(a, i, j, k)] = c
                     for k, c in S.product(so_cols[mm][i], bas[j]).items():
-                        put((a, i, j, k), mid + mm, -c)
+                        mid[(a, i, j, k)] = -c
                     for k, c in S.product(bas[i], so_cols[mm][j]).items():
-                        put((a, i, j, k), right + mm, -c)
-
-    kernel = null_space(F, 3 * m, list(rows.values()))
-    if len(kernel) != 28:
-        raise TrialityError(f"{what} has dimension {len(kernel)}, expected 28")
-    vectors = []
-    for vec in kernel:
-        acc = {}
-        for col, c in vec.items():
-            comp, mm = divmod(col, m)
-            for idx, x in so[mm].items():
-                key = comp * n * n + idx
-                t = acc.get(key)
-                acc[key] = c * x if t is None else t + c * x
-        vectors.append({idx: c for idx, c in sorted(acc.items()) if not c.is_zero()})
+                        right[(a, i, j, k)] = -c
+    sols = kernel(F, cols)
+    if len(sols) != 28:
+        raise TrialityError(f"{what} has dimension {len(sols)}, expected 28")
+    triples = dict(enumerate({comp * n * n + idx: c for idx, c in B.items()} for comp in range(3) for B in so))
+    vectors = [dict(sorted(mat_vec(triples, vec).items())) for vec in sols]
     return TriAlgebra(S, vectors)
 
 
@@ -360,37 +341,18 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
 
     def _split(space, labels, ad_cols):
         mat = restrict(ad_cols, space)
-        dim = len(space)
+        space_cols = dict(enumerate(space))
         out = []
         found = 0
         for lam in range(-EIGEN_BOUND, EIGEN_BOUND + 1):
-            lam_s = F.scalar(lam)
-            rows2 = []
-            for i in range(dim):
-                row = {}
-                for j in range(dim):
-                    c = mat[j].get(i)
-                    if c is not None:
-                        row[j] = c
-                t = row.get(i, F.zero) - lam_s
-                if t.is_zero():
-                    row.pop(i, None)
-                else:
-                    row[i] = t
-                if row:
-                    rows2.append(row)
-            ker = null_space(F, dim, rows2)
-            if not ker:
+            neg_lam = F.scalar(-lam)
+            shifted = [axpy(dict(col), None, {j: neg_lam}) for j, col in enumerate(mat)]  # mat - lam I
+            vecs = [mat_vec(space_cols, kv) for kv in kernel(F, shifted)]
+            if not vecs:
                 continue
-            vecs = []
-            for kv in ker:
-                acc = {}
-                for j, c in kv.items():
-                    axpy(acc, c, space[j])
-                vecs.append(acc)
             found += len(vecs)
             out.append((vecs, labels + [lam]))
-        if found != dim:
+        if found != len(space):
             raise TrialityError("non-integral eigenvalues: wrong Cartan choice")
         return out
 

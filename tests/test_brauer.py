@@ -8,6 +8,7 @@ from triality.brauer import (
     commutation_factor,
     division_params,
     graded_division_from_pair,
+    graded_simple_check,
     related_triple,
     verify_brauer_relations,
 )
@@ -42,6 +43,25 @@ def test_pauli_is_m2(field, pauli):
                 rows.setdefault((j, k), {})[i] = c
     center = null_space(field, 4, list(rows.values()))
     assert len(center) == 1
+
+
+def matrix_units(field, units):
+    """The span of the 2x2 matrix units E_ij, (i, j) in units, as a
+    StructAlgebra on that basis (closed under products by assumption)."""
+    index = {u: k for k, u in enumerate(units)}
+    mul = {}
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                mul[(a, b)] = {index[(i, l)]: field.one}
+    return StructAlgebra(field, [f"E{i}{j}" for i, j in units], mul, "associative")
+
+
+def test_graded_simple_check(field):
+    # the ideal generated by E12 in the upper-triangular matrices is its own line
+    with pytest.raises(BrauerError):
+        graded_simple_check(matrix_units(field, [(1, 2), (1, 1), (2, 2)]))
+    graded_simple_check(matrix_units(field, [(1, 1), (1, 2), (2, 1), (2, 2)]))
 
 
 def test_trivial_and_group_algebra(field):

@@ -42,32 +42,44 @@ def test_no_unused_imports():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def referenced_names(tree):
-    """Every identifier a tree mentions: names, attribute names, and the
-    parts of dotted-name strings (the benchmark's tracer and mock.patch
-    name functions as strings)."""
+def references(tree):
+    """(module, name) for every reference a tree makes to a name of another
+    module of the package: `from .M import name` or `from triality.M import
+    name`, an attribute `M.name`, and a dotted string containing `M.name`
+    (the benchmark's tracer and mock.patch name functions as strings)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("triality.") if node.level == 0 else node.module
+            for alias in node.names:
+                yield module, alias.name
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                yield owner.id, node.attr
+            elif isinstance(owner, ast.Attribute):
+                yield owner.attr, node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"[\w.]+", node.value):
-            yield from node.value.split(".")
+            parts = node.value.split(".")
+            yield from zip(parts, parts[1:])
 
 
 def test_no_unreferenced_definitions():
-    package = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    """A top-level definition of module M counts as referenced by a name in
+    M itself outside the definition (a recursive call does not count), or
+    by a reference to M.name from anywhere in the package, tests or
+    benchmark."""
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     users = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = list(package.values()) + [ast.parse(path.read_text(encoding="utf-8")) for path in users]
-    counts = collections.Counter(name for tree in trees for name in referenced_names(tree))
+    referenced = {ref for tree in trees for ref in references(tree)}
     unreferenced = []
-    for path, tree in package.items():
+    for module, tree in package.items():
+        names = collections.Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # a recursive call inside the definition does not count
-                own = sum(name == node.name for name in referenced_names(node))
-                if counts[node.name] == own:
-                    unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+                own = sum(isinstance(n, ast.Name) and n.id == node.name for n in ast.walk(node))
+                if names[node.name] == own and (module, node.name) not in referenced:
+                    unreferenced.append(f"{module}.py:{node.lineno} {node.name}")
     assert not unreferenced, "unreferenced definitions: " + ", ".join(unreferenced)
 
 

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from triality.linalg import Coordinates, axpy, compose, to_flat
+from triality.linalg import Coordinates, Echelon, axpy, compose, echelon_from, kernel, mat_vec, to_flat
 from triality.scalars import make_field
 
 F = make_field(12)
@@ -91,3 +91,36 @@ def test_axpy_cancels_to_empty():
     assert axpy(acc, W, x) == {}
     acc = {1: F.one}
     assert axpy(acc, F.zero, x) == {1: F.one}
+
+
+@st.composite
+def kernel_case(draw):
+    """Sparse columns keyed by tuple equation names (shift, index), and the
+    dense matrix they form."""
+    ncols = draw(st.integers(1, 6))
+    keys = [(k % 2, k // 2) for k in range(draw(st.integers(1, 5)))]
+    dense = [draw(st.lists(st.sampled_from(POOL), min_size=len(keys), max_size=len(keys))) for _ in range(ncols)]
+    return [{key: c for key, c in zip(keys, col) if not c.is_zero()} for col in dense], dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_kernel_of_columns(case):
+    columns, dense = case
+    ncols = len(columns)
+    ech = Echelon(F, ncols)
+    for r in range(len(dense[0])):
+        ech.insert({j: col[r] for j, col in enumerate(dense) if not col[r].is_zero()})
+    sols = kernel(F, columns)
+    assert all(mat_vec(dict(enumerate(columns)), v) == {} for v in sols)
+    assert len(sols) == ncols - ech.rank
+    assert echelon_from(F, ncols, sols).rank == len(sols)
+    assert all(not c.is_zero() for v in sols for c in v.values())
+    # the basis does not depend on the order of the equations, dict order included
+    reordered = kernel(F, [dict(reversed(col.items())) for col in columns])
+    assert [list(v.items()) for v in reordered] == [list(v.items()) for v in sols]
+
+
+def test_kernel_of_empty_columns():
+    assert kernel(F, []) == []
+    assert kernel(F, [{}, {("x", 1): W}, {}]) == [{0: F.one}, {2: F.one}]
