@@ -117,8 +117,6 @@ class AlbertAlgebra(StructAlgebra):
     def _build_tables(self, V):
         F = V.field
         dim = 3 + V.dim
-        # temporarily install enough state for the pair helpers
-        self.labels = [None] * dim
         mul = {}
         basis = [{i: F.one} for i in range(dim)]
         for i in range(dim):
@@ -135,11 +133,6 @@ class AlbertAlgebra(StructAlgebra):
                 if not c.is_zero():
                     tform[(i, j)] = c
         return mul, tform
-
-    def product(self, x, y):
-        if getattr(self, "mul", None):
-            return StructAlgebra.product(self, x, y)
-        return self._jordan_product_pairs(x, y)
 
 
 def albert(V) -> AlbertAlgebra:

@@ -492,9 +492,8 @@ def _pair_idempotents(S, i, j):
 def nonzero_idempotent(S: SymCompAlgebra):
     """A nonzero exact idempotent of S, found by the structured search:
     designated para-unit, then the designated diagonal pair, then single
-    basis elements, then all 2-dim closed basis pairs.  For 2-dimensional
-    input the full list of idempotents (the para-units) is returned.
-    The norm of every returned idempotent is verified to be 1."""
+    basis elements, then all 2-dim closed basis pairs.  The norm of the
+    returned idempotent is verified to be 1."""
     F = S.field
 
     def check(eps):
@@ -503,12 +502,6 @@ def nonzero_idempotent(S: SymCompAlgebra):
         if S.norm(eps) != F.one:
             raise AssertionError("idempotent has norm != 1")
         return eps
-
-    if S.dim == 2:
-        sols = _pair_idempotents(S, 0, 1)
-        if not sols:
-            raise IdempotentSearchError("2-dim algebra is not of para-quadratic shape")
-        return [check(e) for e in sols]
 
     if S.para_unit is not None:
         return check(dict(S.para_unit))

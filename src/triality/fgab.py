@@ -324,11 +324,6 @@ class GroupHom:
         c = g.coords
         return self.codomain.element(tuple(sum(row[j] * c[j] for j in range(len(c))) for row in self.matrix))
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        if inner.codomain != self.domain:
-            raise ValueError("homomorphisms do not compose")
-        return GroupHom(inner.domain, self.codomain, _mat_mul_int([list(r) for r in self.matrix], [list(r) for r in inner.matrix]))
-
     @staticmethod
     def identity(G: AbGroup) -> "GroupHom":
         return GroupHom(G, G, _identity_matrix(G.ndim))

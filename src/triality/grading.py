@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbGroup, GroupElem, GroupHom, _cokernel
+from .fgab import AbGroup, GroupHom, _cokernel
 from .linalg import axpy
 
 
@@ -68,9 +68,6 @@ class StructAlgebra:
         return len(self.labels)
 
     # -- vector arithmetic on sparse {index: scalar} dicts
-
-    def vec(self, pairs):
-        return {i: c for i, c in pairs if not c.is_zero()}
 
     def basis_vec(self, i):
         return {i: self.field.one}
@@ -159,9 +156,6 @@ class Grading:
                 if d.group != group:
                     raise ValueError("degree in the wrong group")
         self.verified = False
-
-    def deg(self, sort, i) -> GroupElem:
-        return self.degrees[sort][i]
 
     def components(self, sort=None) -> dict:
         """{canonical degree coords: sorted basis indices} for one sort."""
@@ -301,14 +295,6 @@ class GradingInvariants:
     type_vector: tuple       # n_i = number of main-sort components of dim i
     identity_dim: int
     universal: AbGroup
-
-    def summary(self):
-        return {
-            "support_size": len(self.support),
-            "type_vector": list(self.type_vector),
-            "identity_dim": self.identity_dim,
-            "universal": repr(self.universal),
-        }
 
 
 def invariants(grading: Grading) -> GradingInvariants:

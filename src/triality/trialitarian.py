@@ -6,16 +6,22 @@ onto rhoE x rho2E, and the Lie algebra L(E) cut out by alpha(kappa(x)) =
 E is stored in L-graded matrix form: the elementary operator (p, r, k)
 sends the tensor basis vector s_r (x) xi^c to s_p (x) xi^(c+k), so an
 L-linear endomorphism is a triple of 8x8 blocks delta_k with
-a = sum_k delta_k (x) xi^k.  The Clifford algebra of the L-valued form Q
-splits as Cl(S, n) (x) L, so its even part lives on the 384 monomials
-(mask, k) with mask an even subset of the S-basis.
+a = sum_k delta_k (x) xi^k.  The operator (p, r, k) sits at the delta
+position k*n*n + p*n + r of trilie, so an element of E is a vector of
+End(S)^3 in delta coordinates: trilie.apply_deltas applies it to V,
+trilie.operator_degrees grades it, trilie.so_blocks spans Skew(E, sigma)
+and a derivation of V is an element of E after xi_transform.
+
+The Clifford algebra of the L-valued form Q splits as Cl(S, n) (x) L, so
+its even part lives on the 384 monomials (mask, k) with mask an even
+subset of the S-basis.
 """
 
 from __future__ import annotations
 
 from .grading import SMap, Grading, verify_grading
-from .linalg import Echelon, axpy, invert_dense, kernel, mat_vec
-from .trilie import so_basis, xi_transform
+from .linalg import Echelon, axpy, echelon_from, invert_dense, kernel, mat_vec
+from .trilie import apply_deltas, operator_degrees, so_blocks, xi_transform
 
 
 class TrialitarianError(ValueError):
@@ -27,7 +33,8 @@ def _popcount(x):
 
 
 class EndAlgebraE:
-    """End_L(V) on the 192 elementary operators (p, r, k)."""
+    """End_L(V) on the 192 elementary operators (p, r, k), listed by delta
+    position k*n*n + p*n + r."""
 
     def __init__(self, V):
         self.V = V
@@ -35,13 +42,7 @@ class EndAlgebraE:
         S = V.S
         n = S.dim
         self.n = n
-        self.labels = []
-        self.keys = []
-        for p in range(n):
-            for r in range(n):
-                for k in range(3):
-                    self.keys.append((p, r, k))
-                    self.labels.append(f"E[{p},{r}]xi^{k}")
+        self.keys = [(p, r, k) for k in range(3) for p in range(n) for r in range(n)]
         self.index = {key: i for i, key in enumerate(self.keys)}
         # sigma from the n-adjoint per xi-block: sigma(delta (x) xi^k) =
         # delta^adj (x) xi^k with delta^adj = G^-1 delta^T G, so the adjoint
@@ -107,22 +108,7 @@ class EndAlgebraE:
 
     def apply(self, x, vec):
         """Action on a sparse V-vector."""
-        V = self.V
-        out = {}
-        for i, a in x.items():
-            p, r, k = self.keys[i]
-            for vidx, c in vec.items():
-                q, col = V.split(vidx)
-                if q != r:
-                    continue
-                key = V.idx(p, col + k)
-                t = out.get(key)
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = t2
-        return out
+        return apply_deltas(self.V, x, vec)
 
     # grading protocol: associative algebra with involution sigma
     def grading_sorts(self):
@@ -629,18 +615,11 @@ def alpha_involution_compatible(am: AlphaMap) -> bool:
 # -------------------------------------------------------------------- L(E)
 
 
-def skew_basis(E: EndAlgebraE):
-    """A basis of Skew(E, sigma): n-skew blocks per xi power (84 elements)."""
-    n = E.n
-    so = so_basis(E.V.S)
-    return [{E.index[(idx // n, idx % n, k)]: c for idx, c in B.items()} for k in range(3) for B in so]
-
-
 def lie_of_E(V, E, km: KappaMap, am: AlphaMap):
     """The solution space of alpha(kappa(x)) = 2 (x, x) inside Skew(E,
     sigma).  Must be 28-dimensional; returned as a list of E elements."""
     minus_two = V.field.scalar(-2)
-    basis = skew_basis(E)
+    basis = so_blocks(V.S)  # Skew(E, sigma): n-skew blocks per xi power
 
     def pair(y, z):
         """(y, z) in E x E as one vector, z offset by E.dim."""
@@ -653,22 +632,11 @@ def lie_of_E(V, E, km: KappaMap, am: AlphaMap):
 
 
 def lie_of_E_equals_der(V, E, lie_elems, der_tri) -> bool:
-    """Span equality of L(E) with Der_L(V) (as E elements): position
-    k*n*n + p*n + r of a derivation in delta coordinates is the elementary
-    operator (p, r, k)."""
-    F = V.field
-    n = E.n
-    ech_lie = Echelon(F, E.dim)
-    for x in lie_elems:
-        ech_lie.insert(x)
-    ech_der = Echelon(F, E.dim)
-    for vec in der_tri.vectors:
-        erep = {}
-        for idx, c in xi_transform(F, vec, n * n, to_deltas=True).items():
-            k, rem = divmod(idx, n * n)
-            p, r = divmod(rem, n)
-            erep[E.index[(p, r, k)]] = c
-        ech_der.insert(erep)
+    """Span equality of L(E) with Der_L(V) (as E elements): a derivation in
+    delta coordinates is an element of E."""
+    nn = E.n * E.n
+    ech_lie = echelon_from(V.field, E.dim, lie_elems)
+    ech_der = echelon_from(V.field, E.dim, (xi_transform(V.field, vec, nn, to_deltas=True) for vec in der_tri.vectors))
     return ech_lie.canonical() == ech_der.canonical()
 
 
@@ -679,14 +647,9 @@ def induce_E_grading(grading: Grading, E: EndAlgebraE) -> Grading:
     """The grading E_g = {a : a V_h <= V_(g h)} induced by a verified
     grading on V: elementary operators are homogeneous of degree
     deg(p, r, k) = deg_V(p) - deg_V(r) + k h."""
-    V = grading.structure
     if not grading.verified:
         raise TrialitarianError("verify the V grading first")
-    G = grading.group
-    h = grading.degrees["L"][1]
-    pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(V.S.dim)]
-    degs = [pdeg[p] - pdeg[r] + k * h for (p, r, k) in E.keys]
-    out = Grading(E, G, {"A": degs})
+    out = Grading(E, grading.group, {"A": operator_degrees(grading)})
     verify_grading(out).require(TrialitarianError, "induced E grading")
     return out
 

@@ -10,12 +10,19 @@ vector over the 3*n*n positions c*n*n + i*n + j: block c holds the flat
 form {i*n + j: entry} of the c-th map (linalg.compose multiplies two
 blocks).  A triple (d1, d2, d3) has its components as blocks; an L-linear
 map d = sum_k delta_k (x) xi^k has its delta (xi-graded) coordinates
-delta_k as blocks, and xi_transform converts between the two.  Brackets
-are taken in these sparse forms: componentwise for triples, as a
-convolution in the xi power for deltas.  The basis TriAlgebra.vectors and
-the adapted bases returned by induce_tri_grading are such vectors in
-triple coordinates; tri.lie expresses brackets in coordinates over the
-basis.
+delta_k as blocks, and xi_transform converts between the two.  In delta
+coordinates, position k*n*n + p*n + r is the elementary operator (p, r, k)
+of E = End_L(V), which sends s_r (x) xi^c to s_p (x) xi^(c+k): an element
+of E is such a vector (trialitarian.EndAlgebraE uses the same index),
+apply_deltas is the one rule applying it to V, and operator_degrees lists
+the degree of each position under a grading of V.
+
+Brackets are taken componentwise on triples only.  The basis
+TriAlgebra.vectors is in triple coordinates, and tri.lie expresses its
+brackets in coordinates over it.  An induced grading is computed in those
+coordinates too: its components are spans over the 28 basis vectors, and
+its structure constants are tri.lie's after the change of basis to the
+adapted basis.
 """
 
 from __future__ import annotations
@@ -65,43 +72,72 @@ def xi_transform(F, vec, nn, to_deltas):
     return {idx: c for idx, c in sorted(out.items()) if not c.is_zero()}
 
 
-def _bracket(xs, ys, n, convolve):
-    """[x, y] for x, y in End(S)^3 given by their blocks: componentwise
-    for triples, [x, y]_c = x_c y_c - y_c x_c; in delta coordinates, where
-    End_L(V) multiplies like matrices over L = F[xi], the convolution
-    [x, y]_m = sum_{k+l = m mod 3} (x_k y_l - y_l x_k)."""
+def _bracket(xs, ys, n):
+    """The componentwise commutator [x, y]_c = x_c y_c - y_c x_c of two
+    vectors of End(S)^3 given by their blocks."""
     nn = n * n
     acc = {}
-    for k, a in enumerate(xs):
-        for l, b in enumerate(ys):
-            if not a or not b or (k != l and not convolve):
-                continue
-            base = (k + l) % 3 * nn if convolve else k * nn
-            for idx, c in compose(a, b, n).items():
-                t = acc.get(base + idx)
-                acc[base + idx] = c if t is None else t + c
-            for idx, c in compose(b, a, n).items():
-                t = acc.get(base + idx)
-                acc[base + idx] = -c if t is None else t - c
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        if not a or not b:
+            continue
+        base = k * nn
+        for idx, c in compose(a, b, n).items():
+            t = acc.get(base + idx)
+            acc[base + idx] = c if t is None else t + c
+        for idx, c in compose(b, a, n).items():
+            t = acc.get(base + idx)
+            acc[base + idx] = -c if t is None else t - c
     return {idx: c for idx, c in acc.items() if not c.is_zero()}
+
+
+def apply_deltas(V, x, vec):
+    """The element x of End_L(V), in delta coordinates, applied to a sparse
+    V-vector: position k*n*n + p*n + r, the elementary operator (p, r, k),
+    sends s_r (x) xi^c to s_p (x) xi^(c+k)."""
+    n = V.S.dim
+    out = {}
+    for pos, a in x.items():
+        k, rem = divmod(pos, n * n)
+        p, r = divmod(rem, n)
+        for vidx, c in vec.items():
+            q, col = V.split(vidx)
+            if q != r:
+                continue
+            key = V.idx(p, col + k)
+            t = out.get(key)
+            t2 = a * c if t is None else t + a * c
+            if t2.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = t2
+    return out
+
+
+def operator_degrees(grading: Grading) -> list:
+    """The degree deg_V(s_p) - deg_V(s_r) + k deg(xi) of each elementary
+    operator (p, r, k) of End_L(V) under a grading of V, listed by delta
+    position k*n*n + p*n + r."""
+    V = grading.structure
+    n = V.S.dim
+    h = grading.degrees["L"][1]
+    pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(n)]
+    return [pdeg[p] - pdeg[r] + k * h for k in range(3) for p in range(n) for r in range(n)]
 
 
 # ------------------------------------------------------------------ so(S,n)
 
 
-def so_basis(S):
-    """A basis of the n-skew maps, as flat matrices: G^-1 (E_pq - E_qp)
-    for p < q, where G is the Gram matrix of the polar form.  Dimension 28
-    for dim S = 8."""
+def so_blocks(S):
+    """The n-skew maps G^-1 (E_pq - E_qp), p < q, where G is the Gram
+    matrix of the polar form, put in each of the three blocks of End(S)^3:
+    for dim S = 8, vector 28c + m is the m-th map in block c.  The first 28
+    are so(S,n) as flat matrices."""
     F = S.field
     n = S.dim
     G = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
     Ginv = to_flat(invert_dense(F, G))
-    return [
-        dict(sorted(compose(Ginv, {p * n + q: F.one, q * n + p: -F.one}, n).items()))
-        for p in range(n)
-        for q in range(p + 1, n)
-    ]
+    so = [compose(Ginv, {p * n + q: F.one, q * n + p: -F.one}, n) for p in range(n) for q in range(p + 1, n)]
+    return [{c * n * n + idx: v for idx, v in sorted(B.items())} for c in range(3) for B in so]
 
 
 # ------------------------------------------------------------------- tri(S)
@@ -119,12 +155,11 @@ class TriAlgebra:
         self.vectors = vectors  # basis triples as vectors of End(S)^3
         self.dim = len(vectors)
         self._coords = Coordinates(F, 3 * n * n, vectors)
-        self._span = echelon_from(F, 3 * n * n, vectors)
         self.lie = self._structure_algebra()
 
     def contains(self, vec) -> bool:
         """Whether a vector of End(S)^3 lies in tri(S)."""
-        return self._span.contains(vec)
+        return self._coords(vec) is not None
 
     def _structure_algebra(self) -> StructAlgebra:
         n = self.S.dim
@@ -134,7 +169,7 @@ class TriAlgebra:
             for b in range(self.dim):
                 if a == b:
                     continue
-                coords = self._coords(_bracket(blocks[a], blocks[b], n, convolve=False))
+                coords = self._coords(_bracket(blocks[a], blocks[b], n))
                 if coords is None:
                     raise TrialityError("bracket is not in tri(S)")
                 if coords:
@@ -150,8 +185,9 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
     28-dimensional."""
     F = S.field
     n = S.dim
-    so = so_basis(S)
-    m = len(so)
+    blocks = so_blocks(S)
+    m = len(blocks) // 3
+    so = blocks[:m]
     bas = [S.basis_vec(i) for i in range(n)]
     so_cols = []
     for B in so:
@@ -178,8 +214,8 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
     sols = kernel(F, cols)
     if len(sols) != 28:
         raise TrialityError(f"{what} has dimension {len(sols)}, expected 28")
-    triples = dict(enumerate({comp * n * n + idx: c for idx, c in B.items()} for comp in range(3) for B in so))
-    vectors = [dict(sorted(mat_vec(triples, vec).items())) for vec in sols]
+    block_cols = dict(enumerate(blocks))
+    vectors = [dict(sorted(mat_vec(block_cols, vec).items())) for vec in sols]
     return TriAlgebra(S, vectors)
 
 
@@ -274,7 +310,8 @@ def _ad_matrix(tri: TriAlgebra, coords: dict):
     return cols  # column k -> dict row -> scalar
 
 
-# root_datum scans the ad-eigenvalues -EIGEN_BOUND..EIGEN_BOUND.  They are
+# root_datum scans the ad-eigenvalues -EIGEN_BOUND..EIGEN_BOUND, nearest to
+# 0 first, and stops once the eigenspaces found fill the space.  They are
 # the values of the roots on the normalized Cartan basis, which lie in
 # -1..1 on the para-Zorn and Okubo models; an eigenvalue outside the range
 # cannot pass unnoticed, because the eigenspaces found then fall short of
@@ -344,7 +381,9 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
         space_cols = dict(enumerate(space))
         out = []
         found = 0
-        for lam in range(-EIGEN_BOUND, EIGEN_BOUND + 1):
+        for lam in sorted(range(-EIGEN_BOUND, EIGEN_BOUND + 1), key=abs):
+            if found == len(space):
+                break
             neg_lam = F.scalar(-lam)
             shifted = [axpy(dict(col), None, {j: neg_lam}) for j, col in enumerate(mat)]  # mat - lam I
             vecs = [mat_vec(space_cols, kv) for kv in kernel(F, shifted)]
@@ -354,7 +393,7 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
             out.append((vecs, labels + [lam]))
         if found != len(space):
             raise TrialityError("non-integral eigenvalues: wrong Cartan choice")
-        return out
+        return sorted(out, key=lambda piece: piece[1][-1])  # by eigenvalue
 
     for ad_cols in ads:
         new_spaces = []
@@ -441,24 +480,23 @@ def killing_form_nondegenerate(tri: TriAlgebra) -> bool:
 # ------------------------------------------- induced gradings on tri(S)
 
 
-def _homogeneous_pieces(V, tri: TriAlgebra, degree, error):
+def _homogeneous_pieces(tri: TriAlgebra, degrees, error):
     """Split every basis triple of tri, in delta coordinates, into its
-    pieces on the elementary operators (p, r, k) of one degree
-    degree(p, r, k) each.  Every piece must lie in tri(S) again.  Returns
-    {degree: [pieces in delta coordinates]}."""
-    F = V.field
-    n = V.S.dim
-    nn = n * n
+    pieces on the elementary operators of one degree each, degrees[pos]
+    being the degree of delta position pos.  Every piece must lie in tri(S)
+    again.  Returns {degree: [pieces in coordinates over tri.vectors]}."""
+    F = tri.field
+    nn = tri.S.dim * tri.S.dim
     buckets = {}
     for vec in tri.vectors:
         pieces = {}
-        for idx, c in xi_transform(F, vec, nn, to_deltas=True).items():
-            k, rem = divmod(idx, nn)
-            pieces.setdefault(degree(rem // n, rem % n, k), {})[idx] = c
+        for pos, c in xi_transform(F, vec, nn, to_deltas=True).items():
+            pieces.setdefault(degrees[pos], {})[pos] = c
         for g, piece in pieces.items():
-            if not tri.contains(xi_transform(F, piece, nn, to_deltas=False)):
+            coords = tri._coords(xi_transform(F, piece, nn, to_deltas=False))
+            if coords is None:
                 raise TrialityError(error)
-            buckets.setdefault(g, []).append(piece)
+            buckets.setdefault(g, []).append(coords)
     return buckets
 
 
@@ -469,42 +507,35 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     triple coordinates)).
 
     Every homogeneous piece of every basis derivation is verified to lie in
-    tri(S) again, and the piece dimensions must sum to 28.  The brackets of
-    the adapted basis are taken in delta coordinates.
+    tri(S) again, and the piece dimensions must sum to 28.  Each component
+    is an echelon over the coordinates of tri.vectors, and the structure
+    constants of the adapted basis are those of tri.lie after the change of
+    basis.
     """
-    V = grading.structure
     if not grading.verified:
         raise TrialityError("verify the grading before inducing")
-    F = V.field
-    n = V.S.dim
-    nn = n * n
+    F = tri.field
     G = grading.group
-    h = grading.degrees["L"][1]
-    pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(n)]
-
-    def e_deg(p, r, k):
-        return (pdeg[p] - pdeg[r] + k * h).canonical()
-
-    buckets = _homogeneous_pieces(V, tri, e_deg, "homogeneous piece leaves tri(S); invalid input grading")
+    op_degrees = [g.canonical() for g in operator_degrees(grading)]
+    buckets = _homogeneous_pieces(tri, op_degrees, "homogeneous piece leaves tri(S); invalid input grading")
     # the echelon rows of each component are a canonical homogeneous basis
+    basis = dict(enumerate(tri.vectors))
     rows, degrees, adapted = [], [], []
     for g in sorted(buckets):
-        for row in echelon_from(F, 3 * nn, buckets[g]).basis():
+        for row in echelon_from(F, tri.dim, buckets[g]).basis():
             rows.append(row)
             degrees.append(G.element(g))
-            adapted.append((degrees[-1], xi_transform(F, row, nn, to_deltas=False)))
+            adapted.append((degrees[-1], dict(sorted(mat_vec(basis, row).items()))))
     if len(rows) != 28:
         raise TrialityError(f"induced components span {len(rows)} dimensions, expected 28")
 
-    # bracket structure constants on the adapted basis
-    coords = Coordinates(F, 3 * nn, rows)
-    blocks = [_blocks(row, nn) for row in rows]
+    coords = Coordinates(F, tri.dim, rows)
     mul = {}
     for a in range(28):
         for b in range(28):
             if a == b:
                 continue
-            row = coords(_bracket(blocks[a], blocks[b], n, convolve=True))
+            row = coords(tri.lie.product(rows[a], rows[b]))
             if row is None:
                 raise TrialityError("bracket leaves the adapted span")
             if row:
@@ -521,21 +552,14 @@ def graded_module_check(grading: Grading, adapted) -> bool:
     so V_(g a) is a coordinate subspace: an image lies in it when every
     index of its support has degree g a."""
     V = grading.structure
-    n = V.S.dim
-    nn = n * n
+    nn = V.S.dim * V.S.dim
+    one = V.field.one
     degs = [d.canonical() for d in grading.degrees["V"]]
     for g, trip in adapted:
-        # entry (q, r) of delta_k sends s_r (x) xi^c to s_q (x) xi^(c+k), so
-        # the image of s_r (x) xi^c has support {(q, c + k)} over the
-        # nonzero entries of column r
-        cols = {}
-        for idx in xi_transform(V.field, trip, nn, to_deltas=True):
-            k, rem = divmod(idx, nn)
-            cols.setdefault(rem % n, []).append((rem // n, k))
+        x = xi_transform(V.field, trip, nn, to_deltas=True)
         for i in range(V.dim):
-            r, c = V.split(i)
             target = (g + grading.degrees["V"][i]).canonical()
-            if any(degs[V.idx(q, c + k)] != target for q, k in cols.get(r, ())):
+            if any(degs[j] != target for j in apply_deltas(V, x, {i: one})):
                 return False
     return True
 
@@ -575,55 +599,37 @@ def component_spans(grading: Grading, l_elt=None):
 
 
 def e_degree_map(grading: Grading, spans):
-    """Degree of every L-linear elementary operator (p, r, k) with respect
-    to a component decomposition of V, computed by exact membership: the
-    operator maps each component into exactly one component, with a shift
-    independent of the component.  Raises if no consistent shift exists."""
+    """Degree of every L-linear elementary operator of End_L(V) with
+    respect to a component decomposition of V, listed by delta position and
+    computed by exact membership: the operator maps each component into
+    exactly one component, with a shift independent of the component.
+    Raises if no consistent shift exists."""
     V = grading.structure
     G = grading.group
-    n = V.S.dim
-    h = grading.degrees["L"][1]
-    pdeg = [grading.degrees["V"][V.idx(p, 0)] for p in range(n)]
-    out = {}
-    span_list = list(spans.items())
-    for p in range(n):
-        for r in range(n):
-            for k in range(3):
-                guess = (pdeg[p] - pdeg[r] + k * h).canonical()
-                shift = None
-                for g, ech in span_list:
-                    img_vecs = []
-                    for row in ech.basis():
-                        img = {}
-                        for i, c in row.items():
-                            q, col = V.split(i)
-                            if q == r:
-                                key = V.idx(p, col + k)
-                                img[key] = img.get(key, V.field.zero) + c
-                        img = {kk: vv for kk, vv in img.items() if not vv.is_zero()}
-                        if img:
-                            img_vecs.append(img)
-                    if not img_vecs:
-                        continue
-                    expected = (G.element(guess) + G.element(g)).canonical()
-                    target = spans.get(expected)
-                    if target is None or not all(target.contains(v) for v in img_vecs):
-                        # fall back to scanning every component
-                        target_g = None
-                        for g2, ech2 in span_list:
-                            if all(ech2.contains(v) for v in img_vecs):
-                                target_g = g2
-                                break
-                        if target_g is None:
-                            raise TrialityError(f"operator ({p},{r},{k}) is not homogeneous")
-                        found = (G.element(target_g) - G.element(g)).canonical()
-                    else:
-                        found = guess
-                    if shift is None:
-                        shift = found
-                    elif shift != found:
-                        raise TrialityError(f"operator ({p},{r},{k}) has inconsistent degree")
-                out[(p, r, k)] = shift if shift is not None else guess
+    one = V.field.one
+    bases = [(g, ech.basis()) for g, ech in spans.items()]
+    out = []
+    for pos, guess_el in enumerate(operator_degrees(grading)):
+        guess = guess_el.canonical()
+        shift = None
+        for g, rows in bases:
+            img_vecs = [img for img in (apply_deltas(V, {pos: one}, row) for row in rows) if img]
+            if not img_vecs:
+                continue
+            target = spans.get((guess_el + G.element(g)).canonical())
+            if target is None or not all(target.contains(v) for v in img_vecs):
+                # fall back to scanning every component
+                target_g = next((g2 for g2, ech2 in spans.items() if all(ech2.contains(v) for v in img_vecs)), None)
+                if target_g is None:
+                    raise TrialityError(f"operator at delta position {pos} is not homogeneous")
+                found = (G.element(target_g) - G.element(g)).canonical()
+            else:
+                found = guess
+            if shift is None:
+                shift = found
+            elif shift != found:
+                raise TrialityError(f"operator at delta position {pos} has inconsistent degree")
+        out.append(shift if shift is not None else guess)
     return out
 
 
@@ -633,15 +639,13 @@ def center_orbit(grading: Grading, tri: TriAlgebra):
     inducing the identical degree assignment on the elementary operators of
     End_L(V) and hence on tri.
 
-    Returns a list of four dicts with keys 'l', 'spans', 'e_degrees',
-    'tri_components'.
+    Returns a list of four dicts with keys 'l', 'spans', 'e_degrees' (by
+    delta position), 'tri_components' (echelons over the coordinates of
+    tri.vectors).
     """
     V = grading.structure
-    F = V.field
-    L = V.L
-    n = V.S.dim
     results = []
-    for l_elt in center_elements(L):
+    for l_elt in center_elements(V.L):
         # multiplication by an element of C is a graded automorphism of the
         # algebra structure: (l x) * (l y) = l (x * y), Q(l x) = Q(x)
         for i in range(V.dim):
@@ -652,8 +656,8 @@ def center_orbit(grading: Grading, tri: TriAlgebra):
                     raise TrialityError("center element is not an automorphism")
         spans = component_spans(grading, l_elt)
         e_deg = e_degree_map(grading, spans)
-        buckets = _homogeneous_pieces(V, tri, lambda p, r, k: e_deg[(p, r, k)], "center-orbit piece leaves tri(S)")
-        tri_comps = {g: echelon_from(F, 3 * n * n, pieces).canonical() for g, pieces in buckets.items()}
+        buckets = _homogeneous_pieces(tri, e_deg, "center-orbit piece leaves tri(S)")
+        tri_comps = {g: echelon_from(tri.field, tri.dim, pieces).canonical() for g, pieces in buckets.items()}
         results.append({"l": l_elt, "spans": spans, "e_degrees": e_deg, "tri_components": tri_comps})
     return results
 

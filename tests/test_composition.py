@@ -3,6 +3,7 @@ import pytest
 from triality.composition import (
     CompositionError,
     _cube_roots,
+    _pair_idempotents,
     IdempotentSearchError,
     SymCompAlgebra,
     cartan_grading_cayley,
@@ -187,7 +188,8 @@ def test_idempotent_search(field, mod):
         {(0, 0): {1: field.one}, (1, 1): {0: field.one}},
         {(0, 1): field.one, (1, 0): field.one},
     )
-    units = nonzero_idempotent(two)
+    units = _pair_idempotents(two, 0, 1)
+    assert nonzero_idempotent(two) == units[0]
     coeffs = {tuple(sorted((i, str(c)) for i, c in u.items())) for u in units}
     w2 = w * w
     expected = {

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every top-level function or class of the package is referenced, and no
-function of the package takes a parameter it never reads."""
+every top-level function or class and every method of the package is
+referenced, and no function of the package takes a parameter it never
+reads."""
 
 import ast
 import collections
@@ -63,14 +64,20 @@ def references(tree):
             yield from zip(parts, parts[1:])
 
 
+def parsed_sources():
+    """({module: tree} of the package, trees of the package, tests and
+    benchmark)."""
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    users = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    return package, list(package.values()) + [ast.parse(path.read_text(encoding="utf-8")) for path in users]
+
+
 def test_no_unreferenced_definitions():
     """A top-level definition of module M counts as referenced by a name in
     M itself outside the definition (a recursive call does not count), or
     by a reference to M.name from anywhere in the package, tests or
     benchmark."""
-    package = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    users = sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    trees = list(package.values()) + [ast.parse(path.read_text(encoding="utf-8")) for path in users]
+    package, trees = parsed_sources()
     referenced = {ref for tree in trees for ref in references(tree)}
     unreferenced = []
     for module, tree in package.items():
@@ -81,6 +88,32 @@ def test_no_unreferenced_definitions():
                 if names[node.name] == own and (module, node.name) not in referenced:
                     unreferenced.append(f"{module}.py:{node.lineno} {node.name}")
     assert not unreferenced, "unreferenced definitions: " + ", ".join(unreferenced)
+
+
+def test_no_unreferenced_methods():
+    """A method of a package class, dunders aside, counts as referenced
+    when an attribute `.name` or a dotted string naming it (as the
+    benchmark's tracer names `linalg.Echelon.insert`) occurs anywhere in the
+    package, tests or benchmark."""
+    package, trees = parsed_sources()
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and re.fullmatch(r"\w+(\.\w+)+", node.value):
+                named.update(node.value.split("."))
+    unreferenced = [
+        f"{module}.py:{node.lineno} {cls.name}.{node.name}"
+        for module, tree in package.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert not unreferenced, "unreferenced methods: " + ", ".join(unreferenced)
 
 
 def test_no_unread_parameters():

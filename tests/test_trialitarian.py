@@ -15,7 +15,8 @@ from triality.trialitarian import (
     lie_of_E,
     lie_of_E_equals_der,
 )
-from triality.trilie import der_cyclic
+from triality.linalg import echelon_from
+from triality.trilie import der_cyclic, so_blocks
 from triality.classify import build, params_r8, fine_typeIII
 
 
@@ -106,11 +107,24 @@ def test_alpha_on_squares(mod, trial_zorn):
         assert a2 == E.central_scalar(L.rho(q, 2))
 
 
-def test_lie_of_E(mod, trial_zorn):
+@pytest.fixture(scope="module")
+def lie_zorn(mod, trial_zorn):
+    return lie_of_E(mod["V_zorn"], trial_zorn["E"], trial_zorn["kappa"], trial_zorn["alpha"])
+
+
+def test_lie_of_E(mod, trial_zorn, lie_zorn):
     V = mod["V_zorn"]
-    lie = lie_of_E(V, trial_zorn["E"], trial_zorn["kappa"], trial_zorn["alpha"])
-    assert len(lie) == 28
-    assert lie_of_E_equals_der(V, trial_zorn["E"], lie, der_cyclic(V))
+    assert len(lie_zorn) == 28
+    assert lie_of_E_equals_der(V, trial_zorn["E"], lie_zorn, der_cyclic(V))
+
+
+def test_lie_of_E_equals_der_rejects_outside_element(mod, trial_zorn, lie_zorn):
+    # an element of Skew(E, sigma) outside L(E) in place of one element of
+    # L(E) changes the span
+    V, E = mod["V_zorn"], trial_zorn["E"]
+    span = echelon_from(V.field, E.dim, lie_zorn)
+    outside = next(b for b in so_blocks(V.S) if not span.contains(b))
+    assert not lie_of_E_equals_der(V, E, [outside] + lie_zorn[1:], der_cyclic(V))
 
 
 def test_induced_E_grading_and_type(fines, trial_zorn):

@@ -104,6 +104,28 @@ def test_derivation_property_on_V(mod, tri_zorn):
                 assert lhs == rhs
 
 
+def test_apply_deltas_matches_xi_transform(mod, tri_zorn):
+    # on e_i V, with e_i the i-th primitive idempotent of L, an L-linear map
+    # in delta coordinates acts as block i of its triple: applying the
+    # deltas of d to e_i s_p gives e_i d_i(s_p), d_i(s_p) being column p of
+    # block i; EndAlgebraE.apply, on the same positions, agrees
+    from triality.trialitarian import EndAlgebraE
+    from triality.trilie import apply_deltas, xi_transform
+
+    V = mod["V_zorn"]
+    E = EndAlgebraE(V)
+    idem = V.L.idempotents()
+    for vec in tri_zorn.vectors:
+        deltas = xi_transform(V.field, vec, 64, to_deltas=True)
+        for i, e in enumerate(idem):
+            for p in range(8):
+                col = {V.idx(idx // 8 % 8, 0): c for idx, c in vec.items() if idx // 64 == i and idx % 8 == p}
+                expected = V.act(e, col)
+                sp = V.act(e, V.basis_vec(V.idx(p, 0)))
+                assert apply_deltas(V, deltas, sp) == expected
+                assert E.apply(deltas, sp) == expected
+
+
 def test_trivial_grading_induces_trivial(mod, tri_zorn):
     V = mod["V_zorn"]
     G = make_group(0, [3])
