@@ -46,7 +46,10 @@ class UsageError(ValueError):
 
 def group_from_json(data) -> "AbGroup":
     try:
-        return make_group(int(data.get("free_rank", 0)), [int(d) for d in data.get("torsion", [])])
+        free_rank, torsion = data.get("free_rank", 0), data.get("torsion", [])
+        if type(free_rank) is not int or not isinstance(torsion, list) or not all(type(d) is int for d in torsion):
+            raise TypeError("free_rank is an integer and torsion a list of integers")
+        return make_group(free_rank, torsion)
     except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"bad group {json.dumps(data)}: {exc}") from exc
 
@@ -74,10 +77,7 @@ def params_from_json(data) -> TypeIIIParams:
         raise UsageError(f"parameters must be a JSON object, got {json.dumps(data)}")
     try:
         G = group_from_json(data["group"])
-        try:
-            r = int(data["rank"])
-        except (TypeError, ValueError):
-            r = None
+        r = data["rank"] if type(data["rank"]) is int else None
         h = element_from_json(G, data["h"])
         if r == 0:
             K = elements_from_json(G, data["K"])

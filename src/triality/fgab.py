@@ -30,27 +30,33 @@ def _identity_matrix(n):
 def smith_normal_form(M):
     """Smith normal form of an integer matrix.
 
-    Returns (D, U, V) with U*M*V = D, U and V unimodular, D diagonal with
-    nonnegative entries d_1 | d_2 | ...
+    Returns (D, U, Uinv): D = U*M*V is diagonal with nonnegative entries
+    d_1 | d_2 | ..., U is unimodular with inverse Uinv, and V is some
+    unimodular column transform that is not kept.  Rows of U past the rank
+    span the integer left kernel of M; Uinv lifts quotient coordinates back
+    to Z^m.
 
-    >>> D, U, V = smith_normal_form([[2, 4], [6, 8]])
+    >>> D, U, Uinv = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
+    >>> _mat_mul_int(U, Uinv)
+    [[1, 0], [0, 1]]
     """
     A = [list(row) for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
     U = _identity_matrix(m)
-    V = _identity_matrix(n)
+    Uinv = _identity_matrix(m)
 
+    # each row operation on (A, U) applies its inverse to the columns of Uinv
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):  # row dst += c * row src
@@ -60,16 +66,18 @@ def smith_normal_form(M):
             Ad[k] += c * Ar[k]
         for k in range(m):
             Ud[k] += c * Ur[k]
+        for row in Uinv:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
         for row in A:
-            row[dst] += c * row[src]
-        for row in V:
             row[dst] += c * row[src]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
         U[i] = [-x for x in U[i]]
+        for row in Uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(m, n):
@@ -118,36 +126,13 @@ def smith_normal_form(M):
         if not recheck:
             t += 1
     D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    return D, U, V
+    return D, U, Uinv
 
 
 def _mat_mul_int(A, B):
     n, k = len(A), len(B[0])
     m = len(B)
     return [[sum(A[i][s] * B[s][j] for s in range(m)) for j in range(k)] for i in range(n)]
-
-
-def _mat_inverse_unimodular(U):
-    """Exact inverse of an integer matrix with det +-1."""
-    n = len(U)
-    from fractions import Fraction
-
-    aug = [[Fraction(U[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ArithmeticError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
 
 
 # ---------------------------------------------------------------- groups
@@ -386,34 +371,24 @@ def _relation_columns(G: AbGroup):
     return cols
 
 
-def _cokernel(n: int, columns, want_lifts=False):
+def _cokernel(n: int, columns):
     """Z^n modulo the lattice spanned by the given columns.
 
-    Returns (AbGroup, rows) where rows is the ndim(quotient) x n projection
-    matrix sending a vector in Z^n to quotient coordinates (free first).
-    With want_lifts=True a third item gives, per quotient generator, a lift
-    in Z^n projecting onto it.
+    Returns (AbGroup, rows, lifts): rows is the ndim(quotient) x n
+    projection matrix sending a vector in Z^n to quotient coordinates (free
+    first), and lifts gives, per quotient generator, a vector in Z^n
+    projecting onto it (a column of Uinv).
     """
-    if not columns:
-        Q = AbGroup(n)
-        eye = _identity_matrix(n)
-        if want_lifts:
-            return Q, eye, [[int(i == j) for i in range(n)] for j in range(n)]
-        return Q, eye
     M = [[col[i] for col in columns] for i in range(n)]
-    D, U, _ = smith_normal_form(M)
-    diag = [D[i][i] if i < len(D[0]) else 0 for i in range(n)]
+    D, U, Uinv = smith_normal_form(M)
+    diag = [D[i][i] if i < len(columns) else 0 for i in range(n)]
     free_rows = [i for i in range(n) if diag[i] == 0]
     torsion_rows = [i for i in range(n) if diag[i] > 1]
-    torsion = [diag[i] for i in torsion_rows]
-    Q = AbGroup(len(free_rows), torsion)
+    Q = AbGroup(len(free_rows), [diag[i] for i in torsion_rows])
     selected = free_rows + torsion_rows
     rows = [U[i] for i in selected]
-    if want_lifts:
-        Uinv = _mat_inverse_unimodular(U)
-        lifts = [[Uinv[i][j] for i in range(n)] for j in selected]
-        return Q, rows, lifts
-    return Q, rows
+    lifts = [[Uinv[i][j] for i in range(n)] for j in selected]
+    return Q, rows, lifts
 
 
 def quotient(G: AbGroup, elems) -> tuple[AbGroup, GroupHom]:
@@ -429,7 +404,7 @@ def quotient(G: AbGroup, elems) -> tuple[AbGroup, GroupHom]:
         if g.group != G:
             raise ValueError("element not in the group")
         cols.append(list(g.coords))
-    Q, rows = _cokernel(G.ndim, cols)
+    Q, rows, _ = _cokernel(G.ndim, cols)
     return Q, GroupHom(G, Q, rows)
 
 
@@ -444,54 +419,21 @@ def subgroup_generated(G: AbGroup, elems) -> tuple[AbGroup, GroupHom]:
     for g in elems:
         if g.group != G:
             raise ValueError("element not in the group")
-    k = len(elems)
-    if k == 0 or G.ndim == 0:
-        return AbGroup(0), GroupHom(AbGroup(0), G, [[] for _ in range(G.ndim)])
-    n = G.ndim
+    k, n = len(elems), G.ndim
     vcols = [list(g.coords) for g in elems]
-    rcols = _relation_columns(G)
-    M = [[col[i] for col in (vcols + rcols)] for i in range(n)]
-    D, _, W = smith_normal_form(M)
-    rank = sum(1 for i in range(min(len(D), len(D[0]))) if D[i][i])
-    # kernel of Z^(k+t) -> Z^n, projected to the coefficient block
-    kern_cols = [[W[i][j] for i in range(k)] for j in range(rank, len(W))]
-    if not kern_cols:
-        H = AbGroup(k)
-        incl_cols = vcols
-    else:
-        K = [[col[i] for col in kern_cols] for i in range(k)]
-        DK, UK, _ = smith_normal_form(K)
-        diag = [DK[i][i] if i < len(DK[0]) else 0 for i in range(k)]
-        UKinv = _mat_inverse_unimodular(UK)
-        free_idx = [i for i in range(k) if diag[i] == 0]
-        tor_idx = [i for i in range(k) if diag[i] > 1]
-        H = AbGroup(len(free_idx), [diag[i] for i in tor_idx])
-        incl_cols = []
-        for idx in free_idx + tor_idx:
-            a = [UKinv[i][idx] for i in range(k)]  # Z^k expression of the generator
-            incl_cols.append([sum(a[s] * vcols[s][i] for s in range(k)) for i in range(n)])
-    matrix = [[incl_cols[j][i] for j in range(len(incl_cols))] for i in range(n)]
+    # rows of U past the rank span the relations among generators and
+    # relation vectors; their generator block presents H on Z^k
+    D, U, _ = smith_normal_form(vcols + _relation_columns(G))
+    rank = sum(1 for i in range(min(len(D), n)) if D[i][i])
+    H, _, lifts = _cokernel(k, [row[:k] for row in U[rank:]])
+    incl_cols = [[sum(a[s] * vcols[s][i] for s in range(k)) for i in range(n)] for a in lifts]
+    matrix = [[col[i] for col in incl_cols] for i in range(n)]
     return H, GroupHom(H, G, matrix)
 
 
 def in_subgroup(g: GroupElem, gens) -> bool:
     """Membership of g in the subgroup generated by gens."""
-    G = g.group
-    cols = [list(x.coords) for x in gens] + _relation_columns(G)
-    if not cols:
-        return g.is_identity()
-    n = G.ndim
-    M = [[col[i] for col in cols] for i in range(n)]
-    D, U, _ = smith_normal_form(M)
-    target = [sum(U[i][j] * g.coords[j] for j in range(n)) for i in range(n)]
-    for i in range(n):
-        d = D[i][i] if i < len(D[0]) else 0
-        if d:
-            if target[i] % d:
-                return False
-        elif target[i]:
-            return False
-    return True
+    return quotient(g.group, gens)[1](g).is_identity()
 
 
 def subgroup_elements(gens) -> frozenset:

@@ -263,7 +263,7 @@ def universal_group(grading: Grading) -> UniversalResult:
             if any(vec):
                 relations.add(tuple(vec))
 
-    U, rows, lifts = _cokernel(m, [list(v) for v in relations], want_lifts=True)
+    U, rows, lifts = _cokernel(m, [list(v) for v in relations])
 
     def u_elem(s_can):
         j = index[s_can]

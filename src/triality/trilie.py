@@ -529,17 +529,17 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     if len(rows) != 28:
         raise TrialityError(f"induced components span {len(rows)} dimensions, expected 28")
 
+    # the brackets of tri.lie are commutators, so [b, a] = -[a, b]
     coords = Coordinates(F, tri.dim, rows)
     mul = {}
     for a in range(28):
-        for b in range(28):
-            if a == b:
-                continue
+        for b in range(a + 1, 28):
             row = coords(tri.lie.product(rows[a], rows[b]))
             if row is None:
                 raise TrialityError("bracket leaves the adapted span")
             if row:
                 mul[(a, b)] = row
+                mul[(b, a)] = {k: -c for k, c in row.items()}
     lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul, "lie")
     out = Grading(lie, G, {"A": degrees})
     verify_grading(out).require(TrialityError, "induced tri grading")

@@ -6,6 +6,7 @@ import pytest
 
 PARAMS_R8 = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "p"}'
 PARAMS_R8_O = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "o"}'
+PARAMS_R1 = '{"rank": 1, "group": {"free_rank": 0, "torsion": [2,2,6]}, "h": [0,0,2], "K": [[1,0,0],[0,1,0],[0,0,3]]}'
 
 
 def run_cli(*args):
@@ -72,6 +73,10 @@ def test_exit_codes():
         (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", '"ab"')), 2),  # "h": "ab"
         (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", "[0,1]")), 2),  # h of length 2 in Z3^3
         (("--field-conductor", "3", "brauer", "--kind", "z2cubed"), 2),  # characters of order 2 over Q(zeta3)
+        (("invariants", "--params", PARAMS_R8.replace('"rank": 8', '"rank": 8.9')), 2),
+        (("invariants", "--params", PARAMS_R1.replace('"rank": 1', '"rank": true')), 2),
+        (("invariants", "--params", '{"rank": 8, "group": {"torsion": [3.7]}, "h": [1], "t": "p"}'), 2),
+        (("invariants", "--params", PARAMS_R8.replace('"free_rank": 0', '"free_rank": "1"').replace("[0,0,1]", "[0,0,0,1]")), 2),
     ]
     for args, code in cases:
         proc = run_cli(*args)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,8 @@ from triality.fgab import (
     subgroup_generated,
     _mat_mul_int,
 )
+from triality.classify import build, params_r0
+from triality.grading import coarsen, universal_group
 
 
 def int_det(M):
@@ -58,30 +61,53 @@ def test_element_order_examples():
 
 
 def test_snf_examples():
-    D, U, V = smith_normal_form([[1, 0], [0, 1]])
+    D, U, Uinv = smith_normal_form([[1, 0], [0, 1]])
     assert D == [[1, 0], [0, 1]]
-    D, U, V = smith_normal_form([[2, 4], [6, 8]])
+    D, U, Uinv = smith_normal_form([[2, 4], [6, 8]])
     # gcd of all entries is 2 and |det| = 8, so the diagonal is (2, 4)
     assert (D[0][0], D[1][1]) == (2, 4)
     Z = [[0, 0], [0, 0]]
-    D, U, V = smith_normal_form(Z)
+    D, U, Uinv = smith_normal_form(Z)
     assert D == Z
 
 
+def minor_gcd(M, k):
+    """gcd of the k x k minors of M (0 when every minor vanishes)."""
+    rows, cols = range(len(M)), range(len(M[0]))
+    g = 0
+    for ri in itertools.combinations(rows, k):
+        for ci in itertools.combinations(cols, k):
+            g = math.gcd(g, int(int_det([[M[i][j] for j in ci] for i in ri])))
+    return g
+
+
 def test_snf_random_properties():
+    """U*Uinv = I, D is a divisibility chain, row i of U*M is d_i times an
+    integer row (zero where d_i = 0 or past the diagonal), and d_1...d_k is
+    the gcd of the k x k minors of M.  Together these say U*M*V = D for a
+    unimodular V."""
     rng = random.Random(7)
     for _ in range(60):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         M = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_normal_form(M)
-        assert _mat_mul_int(_mat_mul_int(U, M), V) == D
-        assert abs(int_det(U)) == 1 and abs(int_det(V)) == 1
+        D, U, Uinv = smith_normal_form(M)
+        assert _mat_mul_int(U, Uinv) == [[int(i == j) for j in range(m)] for i in range(m)]
+        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         diag = [D[i][i] for i in range(min(m, n))]
+        assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if b:
                 assert a and b % a == 0
-        assert all(d >= 0 for d in diag)
+        UM = _mat_mul_int(U, M)
+        for i, row in enumerate(UM):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                assert all(x % d == 0 for x in row)
+            else:
+                assert not any(row)
+        for k in range(1, min(m, n) + 1):
+            assert math.prod(diag[:k]) == minor_gcd(M, k)
 
 
 def test_subgroup_and_quotient_examples():
@@ -119,6 +145,24 @@ def test_in_subgroup():
     assert in_subgroup(G.element((2, 1, 0)), gens)
     assert not in_subgroup(G.element((0, 0, 1)), gens)
     assert in_subgroup(G.identity(), gens)
+
+
+def test_lattice_routines_match_brute_force():
+    """On random finite groups, subgroup_generated, in_subgroup and quotient
+    agree with the subgroup enumerated by subgroup_elements."""
+    rng = random.Random(11)
+    for _ in range(40):
+        G = make_group(0, [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(1, 3))])
+        gens = [G.element(tuple(rng.randrange(12) for _ in range(G.ndim))) for _ in range(rng.randint(1, 3))]
+        S = subgroup_elements(gens)
+        H, incl = subgroup_generated(G, gens)
+        assert H.order() == len(S)
+        assert {incl(h).canonical() for h in H.elements()} == S
+        Q, pr = quotient(G, gens)
+        assert Q.order() * len(S) == G.order()
+        for g in G.elements():
+            assert in_subgroup(g, gens) == (g.canonical() in S)
+            assert pr(g).is_identity() == (g.canonical() in S)
 
 
 def test_hom_well_defined():
@@ -164,3 +208,17 @@ def test_character_orthogonality(field):
     for g in els:
         if not g.is_identity():
             assert any(not c(g).is_rational() or c(g) != field.one for c in chars)
+
+
+@pytest.mark.parametrize("kind", ["cartan", "z2cubed", "okubo", "rank0"])
+def test_universal_round_trip(kind, fines):
+    """Coarsening the universal relabeling along to_original gives back the
+    original grading."""
+    if kind == "rank0":
+        G = make_group(0, [3, 3, 3])
+        p = params_r0(G, G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((1, 1, 1)), "-")
+        g = build(p).grading
+    else:
+        g = fines[kind]["built"].grading
+    u = universal_group(g)
+    assert coarsen(u.grading, u.to_original).degree_map_equal(g)
