@@ -29,16 +29,15 @@ class AlbertAlgebra(StructAlgebra):
     def __init__(self, V):
         self.V = V
         self.L = V.L
-        F = V.field
+        self.field = F = V.field
         labels = ["1", "xi", "xi^2"] + [f"v:{lab}" for lab in V.labels]
-        self._F = F
         mul, trace_form = self._build_tables(V)
-        super().__init__(F, labels, mul, "jordan", forms={"T": trace_form}, unit={0: F.one})
+        super().__init__(F, labels, mul, forms={"T": trace_form}, unit={0: F.one})
 
     # -- (l, v) pair helpers
 
     def pair(self, x):
-        F = self._F
+        F = self.field
         l = [F.zero, F.zero, F.zero]
         v = {}
         for i, c in x.items():
@@ -60,12 +59,12 @@ class AlbertAlgebra(StructAlgebra):
 
     def trace_linear(self, x):
         """T((l, v)) = T_L(l) = 3 * (coefficient of 1 in l)."""
-        c = x.get(0, self._F.zero)
-        return self._F.scalar(3) * c
+        c = x.get(0, self.field.zero)
+        return self.field.scalar(3) * c
 
     def sharp(self, x):
         V, L = self.V, self.L
-        F = self._F
+        F = self.field
         l, v = self.pair(x)
         q = V.quadratic(v)
         l_sharp = L.sharp(l)
@@ -74,7 +73,7 @@ class AlbertAlgebra(StructAlgebra):
         return self.element(new_l, new_v)
 
     def cross(self, x, y):
-        minus_one = self._F.scalar(-1)
+        minus_one = self.field.scalar(-1)
         out = axpy(self.sharp(self.add(x, y)), minus_one, self.sharp(x))
         return axpy(out, minus_one, self.sharp(y))
 
@@ -97,13 +96,13 @@ class AlbertAlgebra(StructAlgebra):
 
     def spur(self, x):
         """S(X) = (T(X)^2 - T(X^2)) / 2 via the product."""
-        F = self._F
+        F = self.field
         tx = self.trace_linear(x)
         x2 = self.product(x, x)
         return (tx * tx - self.trace_linear(x2)) / F.scalar(2)
 
     def _jordan_product_pairs(self, x, y):
-        F = self._F
+        F = self.field
         tx, ty = self.trace_linear(x), self.trace_linear(y)
         txy = self.trace_bilinear(x, y)
         out = self.cross(x, y)

@@ -35,16 +35,15 @@ def _value_to_exponent(field, value):
     raise BrauerError(f"{value!r} is not a root of unity in the field")
 
 
-class TwistedGroupAlgebra:
+class TwistedGroupAlgebra(StructAlgebra):
     """F^tau T on the basis {X_t : t in T}, built from an ordered generator
     decomposition T = prod <g_i> with the cocycle
-    tau(s, t) = prod_{i<j} beta(g_j, g_i)^(s_j t_i)."""
+    tau(s, t) = prod_{i<j} beta(g_j, g_i)^(s_j t_i), and graded by T with
+    X_t in degree t."""
 
-    def __init__(self, field, T: AbGroup, gens, orders, beta_exp_gens, elem_coords):
-        self.field = field
+    def __init__(self, field, T: AbGroup, gens, beta_exp_gens, elem_coords):
         self.T = T
         self.gens = gens                  # list of GroupElem in T
-        self.orders = orders
         self.beta_exp = beta_exp_gens     # matrix of zeta exponents on gens
         self.elems = sorted(T.elements(), key=lambda g: g.canonical())
         self.index = {g.canonical(): i for i, g in enumerate(self.elems)}
@@ -63,8 +62,8 @@ class TwistedGroupAlgebra:
                             expo += e * sc[b] * tc[a]
                 st = (s + t).canonical()
                 mul[(i, j)] = {self.index[st]: field.zeta(expo % N)}
-        self.struct = StructAlgebra(field, [f"X{list(g.canonical())}" for g in self.elems], mul, "associative")
-        self.grading = Grading(self.struct, T, {"A": list(self.elems)})
+        super().__init__(field, [f"X{list(g.canonical())}" for g in self.elems], mul)
+        self.grading = Grading(self, T, {"A": list(self.elems)})
         verify_grading(self.grading).require(BrauerError, "twisted group algebra grading")
 
     def beta_value(self, s: GroupElem, t: GroupElem):
@@ -188,19 +187,18 @@ def graded_division_from_pair(T: AbGroup, beta_gens, field) -> TwistedGroupAlgeb
     if len(coords) != T.order():
         raise BrauerError("generator decomposition misses elements")
     beta_exp_gens = [[beta_e(a, b) for b in gens] for a in gens]
-    alg = TwistedGroupAlgebra(field, T, gens, orders, beta_exp_gens, coords)
+    alg = TwistedGroupAlgebra(field, T, gens, beta_exp_gens, coords)
     # certify: homogeneous invertibility and the commutation relation
-    A = alg.struct
     unit_idx = alg.index[T.identity().canonical()]
     for i, s in enumerate(alg.elems):
         j = alg.index[(-s).canonical()]
-        prod = A.product(A.basis_vec(i), A.basis_vec(j))
+        prod = alg.product(alg.basis_vec(i), alg.basis_vec(j))
         if set(prod) != {unit_idx}:
             raise BrauerError("homogeneous basis element is not invertible")
     for i, s in enumerate(alg.elems):
         for j, t in enumerate(alg.elems):
-            lhs = A.product(A.basis_vec(i), A.basis_vec(j))
-            rhs = A.scale(alg.beta_value(s, t), A.product(A.basis_vec(j), A.basis_vec(i)))
+            lhs = alg.product(alg.basis_vec(i), alg.basis_vec(j))
+            rhs = alg.scale(alg.beta_value(s, t), alg.product(alg.basis_vec(j), alg.basis_vec(i)))
             if lhs != rhs:
                 raise BrauerError("commutation relation fails")
     return alg
@@ -214,7 +212,6 @@ class DivisionParams:
     support_group: AbGroup       # canonical form of T
     support: frozenset           # canonical coordinates of T inside G
     beta: dict                   # (s, t) canonical pairs -> CycloScalar
-    idempotent: dict             # the primitive idempotent used
 
     @property
     def trivial(self) -> bool:
@@ -385,7 +382,7 @@ def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
             if lf is None or lb is None or lf.is_zero() or lb.is_zero():
                 raise BrauerError("division product left its component")
             beta[(s, t)] = lf / lb
-    return DivisionParams(T_group, support, beta, eps)
+    return DivisionParams(T_group, support, beta)
 
 
 # ---------------------------------------------------------- related triples
@@ -468,7 +465,7 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
             if any(degs[k] != degs[a] for k in cs):
                 raise BrauerError("sigma_n does not preserve the propagated components")
             invol[a] = cs
-        alg = StructAlgebra(F, [f"a{k}" for k in range(len(rows))], mul, "associative", involution=invol)
+        alg = StructAlgebra(F, [f"a{k}" for k in range(len(rows))], mul, involution=invol)
         gr = Grading(alg, G, {"A": degs})
         verify_grading(gr).require(BrauerError, "propagated grading")
         out_algs.append(alg)
@@ -587,7 +584,6 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     (T/H, induced beta)."""
     F = alg.field
     T = alg.T
-    A = alg.struct
     rad = []
     for s in alg.elems:
         if all(alg.beta_value(s, t) == F.one for t in alg.elems):
@@ -599,8 +595,8 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     # center = span of X_h, h in rad: verify centrality
     for h in rad:
         i = alg.index[h.canonical()]
-        for j in range(A.dim):
-            if A.product(A.basis_vec(i), A.basis_vec(j)) != A.product(A.basis_vec(j), A.basis_vec(i)):
+        for j in range(alg.dim):
+            if alg.product(alg.basis_vec(i), alg.basis_vec(j)) != alg.product(alg.basis_vec(j), alg.basis_vec(i)):
                 raise BrauerError("radical element is not central")
     # characters of H acting on the center; idempotents e_chi
     Hchars = characters(H_group, F) if not H_group.is_trivial() else [None]
@@ -621,7 +617,7 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
             vec[alg.index[h.canonical()]] = coef
         idems.append(vec)
     for e in idems:
-        if A.product(e, e) != e:
+        if alg.product(e, e) != e:
             raise BrauerError("central idempotent is not idempotent")
     # quotient grading
     Q, pr = quotient(T, [g for g in rad if not g.is_identity()])
@@ -630,9 +626,9 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     for e in idems:
         basis = []
         degs = []
-        ech = Echelon(F, A.dim)
+        ech = Echelon(F, alg.dim)
         for i, s in enumerate(alg.elems):
-            v = A.product(e, A.basis_vec(i))
+            v = alg.product(e, alg.basis_vec(i))
             if v and ech.insert(dict(v)):
                 basis.append(v)
                 degs.append(pr(s))
@@ -681,8 +677,8 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
             tbar_ok = False
         for (d1, v1), (d2, v2) in itertools.product(list(seen.items()), repeat=2):
             x, y = v1[0], v2[0]
-            fwd = A.product(x, y)
-            bwd = A.product(y, x)
+            fwd = alg.product(x, y)
+            bwd = alg.product(y, x)
             lam = _proportionality(F, fwd, bwd)
             if lam is None:
                 betabar_ok = False

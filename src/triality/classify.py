@@ -170,7 +170,6 @@ class BuiltGrading:
     params: TypeIIIParams
     V: CyclicAlgebra
     grading: Grading
-    S_grading: Grading
 
 
 def _grade_S(S, G, degree_list):
@@ -229,7 +228,7 @@ def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
     r = len(grading.identity_component("V"))
     if r != p.rank:
         raise ParamError(f"built grading has rank {r}, expected {p.rank}")
-    return BuiltGrading(p, V, grading, gS)
+    return BuiltGrading(p, V, grading)
 
 
 def rank(built: BuiltGrading) -> int:

@@ -23,6 +23,7 @@ import time
 from . import __version__
 from .fgab import make_group
 from .grading import invariants, universal_group, verify_grading
+from .scalars import MAX_CONDUCTOR
 from . import classify
 from .classify import (
     TypeIIIParams,
@@ -464,6 +465,8 @@ def main(argv=None) -> int:
         if args.conductor < 1 or args.conductor % 3:
             # every construction needs a primitive cube root of unity
             ap.error(f"argument --field-conductor: must be a positive multiple of 3, got {args.conductor}")
+        if args.conductor > MAX_CONDUCTOR:
+            ap.error(f"argument --field-conductor: must be at most {MAX_CONDUCTOR}, got {args.conductor}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.time()

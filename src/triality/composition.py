@@ -31,7 +31,7 @@ class HurwitzAlgebra(StructAlgebra):
     involution x -> n(x,1)1 - x, and the unit vector."""
 
     def __init__(self, field, labels, mul, n_polar, unit, involution, doubling_steps=0):
-        super().__init__(field, labels, mul, "composition", forms={"n": n_polar}, involution=involution, unit=unit)
+        super().__init__(field, labels, mul, forms={"n": n_polar}, involution=involution, unit=unit)
         self.doubling_steps = doubling_steps
 
     def norm(self, x):
@@ -48,7 +48,7 @@ class SymCompAlgebra(StructAlgebra):
     diagonal_pair marks a 2-dim subalgebra used by the idempotent search."""
 
     def __init__(self, field, labels, mul, n_polar, para_unit=None, diagonal_pair=None):
-        super().__init__(field, labels, mul, "composition", forms={"n": n_polar})
+        super().__init__(field, labels, mul, forms={"n": n_polar})
         self.para_unit = para_unit
         self.diagonal_pair = diagonal_pair
 

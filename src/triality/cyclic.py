@@ -130,55 +130,31 @@ def make_L(field=None) -> CubicEtale:
     return L
 
 
-class CyclicAlgebra:
-    """The triple model V = S (x) L on the 24-element tensor basis.
+class CyclicAlgebra(StructAlgebra):
+    """The triple model V = S (x) L on the 24-element tensor basis, its
+    product given by structure constants.
 
     twist = 1 is the standard orientation (rho-semilinear in the first
     argument); twist = 2 is used by opposite algebras.
     """
 
-    def __init__(self, S: SymCompAlgebra, L: CubicEtale, star, bq, twist=1, scaled_by=None):
+    def __init__(self, S: SymCompAlgebra, L: CubicEtale, mul, bq, twist=1):
         self.S = S
         self.L = L
-        self.field = S.field
         self.twist = twist
-        self.star = star      # dict (i, j) -> dict k -> scalar
         self.bq = bq          # dict (i, j) -> dict (L index) -> scalar
-        self.scaled_by = scaled_by
-        self.labels = []
+        labels = []
         for p in range(S.dim):
-            for j in range(3):
-                suffix = ["", "(x)xi", "(x)xi^2"][j]
-                self.labels.append(S.labels[p] + suffix)
+            for suffix in ("", "(x)xi", "(x)xi^2"):
+                labels.append(S.labels[p] + suffix)
+        super().__init__(S.field, labels, mul)
         self.main_sort = "V"
-
-    @property
-    def dim(self):
-        return 3 * self.S.dim
 
     def idx(self, p, j):
         return 3 * p + (j % 3)
 
     def split(self, i):
         return divmod(i, 3)
-
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
-    # -- sparse vector arithmetic: the one definition, StructAlgebra's
-
-    add = StructAlgebra.add
-    scale = StructAlgebra.scale
-
-    def product(self, x, y):
-        out = {}
-        star = self.star
-        for i, a in x.items():
-            for j, b in y.items():
-                row = star.get((i, j))
-                if row:
-                    axpy(out, a * b, row)
-        return out
 
     def bform(self, x, y):
         out = [self.field.zero] * 3
@@ -231,7 +207,7 @@ class CyclicAlgebra:
                 act[(k, i)] = {self.idx(p, j + k): one}
         return [
             SMap("L.mul", ("L", "L"), "L", lmul),
-            SMap("star", ("V", "V"), "V", self.star),
+            SMap("star", ("V", "V"), "V", self.mul),
             SMap("L.act", ("L", "V"), "V", act),
             SMap("b_Q", ("V", "V"), "L", self.bq),
         ]
@@ -245,7 +221,7 @@ def cyclic_from_symmetric(S: SymCompAlgebra, L: CubicEtale | None = None, twist:
     F = S.field
     w = F.omega
     wpow = [F.one, w, w * w]
-    star = {}
+    mul = {}
     bq = {}
     for p in range(S.dim):
         for q in range(S.dim):
@@ -256,18 +232,17 @@ def cyclic_from_symmetric(S: SymCompAlgebra, L: CubicEtale | None = None, twist:
                     i, j = 3 * p + a, 3 * q + b
                     if row:
                         fac = wpow[(twist * (a + 2 * b)) % 3]
-                        star[(i, j)] = {3 * r + ((a + b) % 3): fac * c for r, c in row.items()}
+                        mul[(i, j)] = {3 * r + ((a + b) % 3): fac * c for r, c in row.items()}
                     if npq is not None:
                         bq[(i, j)] = {(a + b) % 3: npq}
-    V = CyclicAlgebra(S, L, star, bq, twist=twist)
-    return V
+    return CyclicAlgebra(S, L, mul, bq, twist=twist)
 
 
 def opposite(V: CyclicAlgebra) -> CyclicAlgebra:
     """The same module and form with x *op y = y * x, a cyclic composition
     algebra over (L, rho^2)."""
-    star = {(j, i): dict(row) for (i, j), row in V.star.items()}
-    return CyclicAlgebra(V.S, V.L, star, dict(V.bq), twist=3 - V.twist, scaled_by=V.scaled_by)
+    mul = {(j, i): dict(row) for (i, j), row in V.mul.items()}
+    return CyclicAlgebra(V.S, V.L, mul, dict(V.bq), twist=3 - V.twist)
 
 
 def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
@@ -275,11 +250,11 @@ def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
     L = V.L
     L.invert(lam)  # raises if lam is not invertible
     lam_sharp = L.sharp(lam)
-    star = {}
-    for (i, j), row in V.star.items():
+    mul = {}
+    for (i, j), row in V.mul.items():
         acted = V.act(lam, row)
         if acted:
-            star[(i, j)] = acted
+            mul[(i, j)] = acted
     bq = {}
     for (i, j), row in V.bq.items():
         out = [V.field.zero] * 3
@@ -290,7 +265,7 @@ def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
         entry = {k: c for k, c in enumerate(out) if not c.is_zero()}
         if entry:
             bq[(i, j)] = entry
-    return CyclicAlgebra(V.S, V.L, star, bq, twist=V.twist, scaled_by=lam)
+    return CyclicAlgebra(V.S, V.L, mul, bq, twist=V.twist)
 
 
 def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:

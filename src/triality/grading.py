@@ -11,6 +11,12 @@ iff every would-be violation is the exact zero scalar.
 Multi-sorted structures (a module over a graded ring, a form with values in
 a graded algebra) fit the same rule by giving each sort its own degree map.
 The scalar sort "F" is implicit and always sits in degree e.
+
+`StructAlgebra` is the one table-defined algebra type: S, tri(S) and its
+adapted forms, the Albert algebra, the triple model V, End_L(V) and the
+twisted group algebras F^tau T all store their product as one sparse table
+and share its arithmetic and grading protocol.  Only the even Clifford
+algebra, whose product is computed lazily per monomial pair, is not one.
 """
 
 from __future__ import annotations
@@ -48,16 +54,14 @@ class StructAlgebra:
     """A finite-dimensional algebra given by structure constants.
 
     Optional data: scalar-valued symmetric bilinear forms, an involution,
-    a unit vector.  The sort tag names which law set applies (associative,
-    lie, jordan, composition); the sort verifiers live with the modules
-    that construct the algebras.
+    a unit vector.  The verifiers of each law set (associative, Lie,
+    Jordan, composition) live with the modules that construct the algebras.
     """
 
-    def __init__(self, field, labels, mul, sort, forms=None, involution=None, unit=None):
+    def __init__(self, field, labels, mul, forms=None, involution=None, unit=None):
         self.field = field
         self.labels = list(labels)
         self.mul = mul  # dict (i, j) -> dict k -> scalar
-        self.sort = sort
         self.forms = forms or {}
         self.involution = involution  # dict i -> dict j -> scalar, or None
         self.unit = unit  # dict i -> scalar, or None
@@ -233,7 +237,6 @@ class UniversalResult:
     group: AbGroup
     grading: Grading          # same structure, relabeled over the universal group
     to_original: GroupHom     # universal -> original, sending [s] to s
-    degree_of: dict           # canonical original degree -> universal GroupElem
 
 
 def universal_group(grading: Grading) -> UniversalResult:
@@ -286,7 +289,7 @@ def universal_group(grading: Grading) -> UniversalResult:
     matrix = [[cols[j][a] for j in range(len(cols))] for a in range(G.ndim)]
     to_original = GroupHom(U, G, matrix)
     verify_grading(relabeled).require(AssertionError, "universal relabeling")
-    return UniversalResult(U, relabeled, to_original, degree_of)
+    return UniversalResult(U, relabeled, to_original)
 
 
 @dataclass

@@ -10,7 +10,9 @@ a = sum_k delta_k (x) xi^k.  The operator (p, r, k) sits at the delta
 position k*n*n + p*n + r of trilie, so an element of E is a vector of
 End(S)^3 in delta coordinates: trilie.apply_deltas applies it to V,
 trilie.operator_degrees grades it, trilie.so_blocks spans Skew(E, sigma)
-and a derivation of V is an element of E after xi_transform.
+and a derivation of V is an element of E after xi_transform.  E is a
+grading.StructAlgebra: its product table, its involution sigma (applied by
+E.conj) and its unit are built once, with the algebra.
 
 The Clifford algebra of the L-valued form Q splits as Cl(S, n) (x) L, so
 its even part lives on the 384 monomials (mask, k) with mask an even
@@ -19,7 +21,7 @@ subset of the S-basis.
 
 from __future__ import annotations
 
-from .grading import SMap, Grading, verify_grading
+from .grading import Grading, StructAlgebra, verify_grading
 from .linalg import Echelon, axpy, echelon_from, invert_dense, kernel, mat_vec
 from .trilie import apply_deltas, operator_degrees, so_blocks, xi_transform
 
@@ -32,18 +34,25 @@ def _popcount(x):
     return bin(x).count("1")
 
 
-class EndAlgebraE:
+class EndAlgebraE(StructAlgebra):
     """End_L(V) on the 192 elementary operators (p, r, k), listed by delta
-    position k*n*n + p*n + r."""
+    position k*n*n + p*n + r, with its involution sigma (the b_Q-adjoint)
+    and unit.  Elements act on V through trilie.apply_deltas."""
 
     def __init__(self, V):
-        self.V = V
-        self.field = F = V.field
+        F = V.field
         S = V.S
         n = S.dim
         self.n = n
         self.keys = [(p, r, k) for k in range(3) for p in range(n) for r in range(n)]
         self.index = {key: i for i, key in enumerate(self.keys)}
+        # E_(p,r,k) E_(r,r2,k2) = E_(p,r2,k+k2); the other products of
+        # elementary operators are zero
+        mul = {}
+        for i, (p, r, k) in enumerate(self.keys):
+            for r2 in range(n):
+                for k2 in range(3):
+                    mul[(i, self.index[(r, r2, k2)])] = {self.index[(p, r2, (k + k2) % 3)]: F.one}
         # sigma from the n-adjoint per xi-block: sigma(delta (x) xi^k) =
         # delta^adj (x) xi^k with delta^adj = G^-1 delta^T G, so the adjoint
         # of E_pr is G^-1 E_rp G, entry (a, b) = Ginv[a][r] G[p][b]; one row
@@ -51,27 +60,19 @@ class EndAlgebraE:
         G = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
         Ginv = invert_dense(F, G)
         self._gram_inv = Ginv
-        self._sigma_rows = [
-            {
+        sigma = {
+            i: {
                 self.index[(a, b, k)]: Ginv[a][r] * G[p][b]
                 for a in range(n)
                 if not Ginv[a][r].is_zero()
                 for b in range(n)
                 if not G[p][b].is_zero()
             }
-            for (p, r, k) in self.keys
-        ]
-        self.main_sort = "A"
-
-    @property
-    def dim(self):
-        return len(self.keys)
-
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
-    def unit(self):
-        return {self.index[(p, p, 0)]: self.field.one for p in range(self.n)}
+            for i, (p, r, k) in enumerate(self.keys)
+        }
+        unit = {self.index[(p, p, 0)]: F.one for p in range(n)}
+        labels = [f"E{p}{r}(x)xi^{k}" for (p, r, k) in self.keys]
+        super().__init__(F, labels, mul, involution=sigma, unit=unit)
 
     def central_scalar(self, l_elt):
         """The E-element of multiplication by l in L (xi-coordinates)."""
@@ -82,48 +83,6 @@ class EndAlgebraE:
                     out[self.index[(p, p, k)]] = c
         return out
 
-    def product(self, x, y):
-        out = {}
-        for i, a in x.items():
-            p, r, k = self.keys[i]
-            for j, b in y.items():
-                p2, r2, k2 = self.keys[j]
-                if r != p2:
-                    continue
-                idx = self.index[(p, r2, (k + k2) % 3)]
-                t = out.get(idx)
-                ab = a * b
-                t2 = ab if t is None else t + ab
-                if t2.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = t2
-        return out
-
-    def sigma(self, x):
-        out = {}
-        for i, a in x.items():
-            axpy(out, a, self._sigma_rows[i])
-        return out
-
-    def apply(self, x, vec):
-        """Action on a sparse V-vector."""
-        return apply_deltas(self.V, x, vec)
-
-    # grading protocol: associative algebra with involution sigma
-    def grading_sorts(self):
-        return {"A": self.dim}
-
-    def grading_maps(self):
-        mul = {}
-        for i, (p, r, k) in enumerate(self.keys):
-            for r2 in range(self.n):
-                for k2 in range(3):
-                    j = self.index[(r, r2, k2)]
-                    mul[(i, j)] = {self.index[(p, r2, (k + k2) % 3)]: self.field.one}
-        sig = {(i,): row for i, row in enumerate(self._sigma_rows)}
-        return [SMap("mul", ("A", "A"), "A", mul), SMap("sigma", ("A",), "A", sig)]
-
 
 def end_algebra(V) -> EndAlgebraE:
     """Build End_L(V) and verify sigma exactly: an involution, an
@@ -131,27 +90,27 @@ def end_algebra(V) -> EndAlgebraE:
     E = EndAlgebraE(V)
     for i in range(E.dim):
         x = E.basis_vec(i)
-        if E.sigma(E.sigma(x)) != x:
+        if E.conj(E.conj(x)) != x:
             raise TrialitarianError("sigma is not an involution")
     for i in range(E.dim):
         x = E.basis_vec(i)
-        sx = E.sigma(x)
+        sx = E.conj(x)
         for j in range(E.dim):
             y = E.basis_vec(j)
-            if E.sigma(E.product(x, y)) != E.product(E.sigma(y), sx):
+            if E.conj(E.product(x, y)) != E.product(E.conj(y), sx):
                 raise TrialitarianError("sigma is not an anti-homomorphism")
     # b_Q(a x, y) = b_Q(x, sigma(a) y) on elementary operators and V basis
     for i in range(0, E.dim, 7):  # deterministic subsample of operators
         a = E.basis_vec(i)
-        sa = E.sigma(a)
+        sa = E.conj(a)
         for vi in range(V.dim):
             x = V.basis_vec(vi)
-            ax = E.apply(a, x)
+            ax = apply_deltas(V, a, x)
             for vj in range(V.dim):
                 y = V.basis_vec(vj)
-                if V.bform(ax, y) != V.bform(x, E.apply(sa, y)):
+                if V.bform(ax, y) != V.bform(x, apply_deltas(V, sa, y)):
                     raise TrialitarianError("sigma is not the b_Q-adjoint")
-    if E.product(E.unit(), E.basis_vec(0)) != E.basis_vec(0):
+    if E.product(E.unit, E.basis_vec(0)) != E.basis_vec(0):
         raise TrialitarianError("unit is wrong")
     return E
 
@@ -162,7 +121,11 @@ def end_algebra(V) -> EndAlgebraE:
 class CliffordEven:
     """Cl_0(V, Q) = Cl_0(S, n) (x) L on monomials (mask, k): mask is an
     even-popcount subset of the S-basis (normal-ordered product of
-    generators, lowest index first), k the xi power."""
+    generators, lowest index first), k the xi power.
+
+    Not a StructAlgebra: the product of two monomials is computed lazily,
+    and cached per mask pair, when first needed, so no table over the
+    384^2 basis pairs is stored."""
 
     def __init__(self, V):
         self.V = V
@@ -242,21 +205,7 @@ class CliffordEven:
         return acc
 
     def product(self, x, y):
-        out = {}
-        for i, a in x.items():
-            m1, k1 = self.key_of(i)
-            for j, b in y.items():
-                m2, k2 = self.key_of(j)
-                ab = a * b
-                for m3, c in self._mask_mul(m1, m2).items():
-                    idx = self.key_index(m3, k1 + k2)
-                    t = out.get(idx)
-                    t2 = ab * c if t is None else t + ab * c
-                    if t2.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = t2
-        return out
+        return self.odd_product({self.key_of(i): a for i, a in x.items()}, {self.key_of(j): b for j, b in y.items()})
 
     def scale_l(self, l_elt, x):
         """Multiplication by an element of L in xi-coordinates."""
@@ -308,7 +257,8 @@ class CliffordEven:
         return out
 
     def odd_product(self, xv, yv):
-        """Product of two V-elements inside Cl (an even element)."""
+        """Product of two elements given on monomials {(mask, k): c}, two
+        V-elements from vector() among them, as an element of Cl_0."""
         out = {}
         for (m1, k1), a in xv.items():
             for (m2, k2), b in yv.items():
@@ -368,33 +318,29 @@ class KappaMap:
 
     def __init__(self, V, E, Cl):
         self.V = V
-        self.E = E
         self.Cl = Cl
         n = V.S.dim
         Ginv = E._gram_inv
         self.duals = []
         for q in range(n):
             self.duals.append({V.idx(p, 0): Ginv[q][p] for p in range(n) if not Ginv[q][p].is_zero()})
-        self.table = []
+        self.table = {}
         for i in range(E.dim):
-            self.table.append(self._compute(E.basis_vec(i)))
+            self.table[i] = self._compute(E.basis_vec(i))
 
     def _compute(self, a):
         V, Cl = self.V, self.Cl
         out = {}
         for q in range(V.S.dim):
             uq = V.basis_vec(V.idx(q, 0))
-            img = self.E.apply(a, uq)
+            img = apply_deltas(V, a, uq)
             if not img:
                 continue
             axpy(out, None, Cl.odd_product(Cl.vector(img), Cl.vector(self.duals[q])))
         return out
 
     def __call__(self, a):
-        out = {}
-        for i, c in a.items():
-            axpy(out, c, self.table[i])
-        return out
+        return mat_vec(self.table, a)
 
 
 def kappa(V, E, Cl) -> KappaMap:
@@ -418,7 +364,7 @@ def kappa(V, E, Cl) -> KappaMap:
                 raise TrialitarianError(f"kappa(phi_x,y) != x.y at ({i},{j})")
     for i in range(E.dim):
         a = E.basis_vec(i)
-        if km(E.sigma(a)) != Cl.reversal(km(a)):
+        if km(E.conj(a)) != Cl.reversal(km(a)):
             raise TrialitarianError("kappa sigma != reversal kappa")
         xi_a = E.product(E.central_scalar(V.L.xi), a)
         if km(xi_a) != Cl.scale_l(V.L.xi, km(a)):
@@ -473,7 +419,7 @@ class AlphaMap:
                     raise TrialitarianError("composite is not L-linear")
         # verify against the columns exactly
         for j, col in cols.items():
-            if E.apply(out, {j: F.one}) != col:
+            if apply_deltas(V, out, {j: F.one}) != col:
                 raise TrialitarianError("E-representation mismatch")
         return out
 
@@ -499,8 +445,8 @@ class AlphaMap:
     def _even_cols(self, mask):
         pair = self._even[mask]
         V = self.V
-        cols1 = {j: self.E.apply(pair[0], {j: V.field.one}) for j in range(V.dim)}
-        cols2 = {j: self.E.apply(pair[1], {j: V.field.one}) for j in range(V.dim)}
+        cols1 = {j: apply_deltas(V, pair[0], {j: V.field.one}) for j in range(V.dim)}
+        cols2 = {j: apply_deltas(V, pair[1], {j: V.field.one}) for j in range(V.dim)}
         return cols1, cols2
 
     def image_of_monomial(self, mask, k):
@@ -607,7 +553,7 @@ def alpha_involution_compatible(am: AlphaMap) -> bool:
             a = Cl.basis_vec(mask, k)
             r1, r2 = am(Cl.reversal(a))
             a1, a2 = am(a)
-            if r1 != E.sigma(a1) or r2 != E.sigma(a2):
+            if r1 != E.conj(a1) or r2 != E.conj(a2):
                 return False
     return True
 

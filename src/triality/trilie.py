@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, det_dense, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
 from .grading import Grading, Report, StructAlgebra, verify_grading
 
 
@@ -164,18 +164,18 @@ class TriAlgebra:
     def _structure_algebra(self) -> StructAlgebra:
         n = self.S.dim
         blocks = [_blocks(v, n * n) for v in self.vectors]
+        # the bracket is a commutator, so [b, a] = -[a, b]
         mul = {}
         for a in range(self.dim):
-            for b in range(self.dim):
-                if a == b:
-                    continue
+            for b in range(a + 1, self.dim):
                 coords = self._coords(_bracket(blocks[a], blocks[b], n))
                 if coords is None:
                     raise TrialityError("bracket is not in tri(S)")
                 if coords:
                     mul[(a, b)] = coords
+                    mul[(b, a)] = {k: -c for k, c in coords.items()}
         labels = [f"t{k}" for k in range(self.dim)]
-        return StructAlgebra(self.field, labels, mul, "lie")
+        return StructAlgebra(self.field, labels, mul)
 
 
 def _solve_triples(S, shifts, what) -> TriAlgebra:
@@ -244,7 +244,9 @@ def cyclic_shift_closed(tri: TriAlgebra) -> bool:
 def verify_lie(tri: TriAlgebra) -> Report:
     """Exact antisymmetry and Jacobi for the bracket structure constants.
     The count covers d alternating, C(d, 2) antisymmetry and C(d, 3) Jacobi
-    identities on basis tuples."""
+    identities on basis tuples.  TriAlgebra stores [b, a] as -[a, b], so
+    antisymmetry holds by construction for tri.lie; it is still checked on
+    the full table, which a caller may replace."""
     A = tri.lie
     viol = []
     d = A.dim
@@ -310,6 +312,18 @@ def _ad_matrix(tri: TriAlgebra, coords: dict):
     return cols  # column k -> dict row -> scalar
 
 
+def _trace_form(F, ad_a, ad_b):
+    """tr(ad_a ad_b) = sum over i, j of ad_a[j][i] ad_b[i][j], for two
+    matrices in the column form of _ad_matrix."""
+    total = F.zero
+    for j, col in enumerate(ad_a):
+        for i, c in col.items():
+            c2 = ad_b[i].get(j)
+            if c2 is not None:
+                total = total + c * c2
+    return total
+
+
 # root_datum scans the ad-eigenvalues -EIGEN_BOUND..EIGEN_BOUND, nearest to
 # 0 first, and stops once the eigenspaces found fill the space.  They are
 # the values of the roots on the normalized Cartan basis, which lie in
@@ -341,12 +355,7 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
     normalized = []
     for h in cartan:
         ad = _ad_matrix(tri, h)
-        t2 = F.zero
-        for j in range(tri.dim):
-            for i, c in ad[j].items():
-                c2 = ad[i].get(j)
-                if c2 is not None:
-                    t2 = t2 + c * c2
+        t2 = _trace_form(F, ad, ad)
         if t2.is_zero():
             raise TrialityError("Cartan candidate contains an ad-nilpotent vector")
         for k in range(F.conductor):
@@ -459,21 +468,7 @@ def killing_form_nondegenerate(tri: TriAlgebra) -> bool:
     ads = []
     for k in range(d):
         ads.append(_ad_matrix(tri, {k: F.one}))
-    gram = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            s = F.zero
-            for j in range(d):
-                col_b = ads[b][j]
-                for i, c in col_b.items():
-                    c2 = ads[a][i].get(j)
-                    if c2 is not None:
-                        s = s + c * c2
-            row.append(s)
-        gram.append(row)
-    from .linalg import det_dense
-
+    gram = [[_trace_form(F, ads[b], ads[a]) for b in range(d)] for a in range(d)]
     return not det_dense(F, gram).is_zero()
 
 
@@ -540,7 +535,7 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
             if row:
                 mul[(a, b)] = row
                 mul[(b, a)] = {k: -c for k, c in row.items()}
-    lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul, "lie")
+    lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul)
     out = Grading(lie, G, {"A": degrees})
     verify_grading(out).require(TrialityError, "induced tri grading")
     return out, adapted

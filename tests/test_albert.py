@@ -69,7 +69,7 @@ def test_corrupted_product_detected(field, J):
     row[0] = row.get(0, field.zero) + field.one
     from triality.grading import StructAlgebra
 
-    bad = StructAlgebra(field, J.labels, bad_mul, "jordan", forms=J.forms, unit=J.unit)
+    bad = StructAlgebra(field, J.labels, bad_mul, forms=J.forms, unit=J.unit)
     rep = verify_jordan(bad)
     assert not rep.ok
     assert rep.violations[:2] == [("commutative", (3, 4)), ("commutative", (4, 3))]

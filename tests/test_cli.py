@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from triality.scalars import MAX_CONDUCTOR
+
 PARAMS_R8 = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "p"}'
 PARAMS_R8_O = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "o"}'
 PARAMS_R1 = '{"rank": 1, "group": {"free_rank": 0, "torsion": [2,2,6]}, "h": [0,0,2], "K": [[1,0,0],[0,1,0],[0,0,3]]}'
@@ -68,6 +70,7 @@ def test_exit_codes():
         (("verify", "--suite", "composition"), 0),
         (("--field-conductor", "0", "verify", "--suite", "composition"), 2),
         (("--field-conductor", "4", "verify", "--suite", "composition"), 2),  # no cube root of unity
+        (("--field-conductor", str(MAX_CONDUCTOR + 3), "verify", "--suite", "composition"), 2),
         (("invariants", "--params", "[1,2]"), 2),
         (("invariants", "--params", PARAMS_R8.replace("[3,3,3]", "[0]")), 2),  # torsion: [0]
         (("invariants", "--params", PARAMS_R8.replace("[0,0,1]", '"ab"')), 2),  # "h": "ab"

@@ -62,7 +62,7 @@ def test_corrupted_constant_located(field, mod):
     V = mod["V_zorn"]
     import copy
 
-    star = {k: dict(v) for k, v in V.star.items()}
+    star = {k: dict(v) for k, v in V.mul.items()}
     key = next(iter(star))
     out = next(iter(star[key]))
     star[key][out] = star[key][out] + field.one
@@ -82,7 +82,7 @@ def test_opposite(mod, cyclic_axiom_reports):
     assert Vop.twist == 2
     assert cyclic_axiom_reports["zorn_op"].ok
     back = opposite(Vop)
-    assert back.twist == 1 and back.star == V.star
+    assert back.twist == 1 and back.mul == V.mul
 
 
 def test_opposite_distinguished_inverse(mod):
@@ -106,7 +106,7 @@ def test_scale(field, mod):
     L = V.L
     # lambda = 1 is the identity transformation
     same = scale(V, L.one)
-    assert same.star == V.star and same.bq == V.bq
+    assert same.mul == V.mul and same.bq == V.bq
     # lambda = xi gives a valid cyclic algebra (multiplier xi# = xi^2)
     Vxi = scale(V, L.xi)
     assert verify_cyclic_axioms(Vxi).ok
@@ -116,7 +116,7 @@ def test_scale(field, mod):
     lam2 = L.elt(field.one, field.scalar(2), field.zero)
     a = scale(scale(V, L.xi), lam2)
     b = scale(V, L.mul(L.xi, lam2))
-    assert a.star == b.star and a.bq == b.bq
+    assert a.mul == b.mul and a.bq == b.bq
 
 
 def test_axioms_with_multi_term_constants(field, mod):
@@ -125,14 +125,14 @@ def test_axioms_with_multi_term_constants(field, mod):
     V = mod["V_zorn"]
     L = V.L
     Vs = scale(V, L.elt(field.one, field.scalar(2), field.zero))
-    assert sum(len(row) > 1 for row in Vs.star.values()) == 288
+    assert sum(len(row) > 1 for row in Vs.mul.values()) == 288
     assert sum(len(row) > 1 for row in Vs.bq.values()) == 72
     assert verify_cyclic_axioms(Vs).ok
     bq = {key: dict(row) for key, row in Vs.bq.items()}
     key = next(key for key, row in bq.items() if len(row) > 1)
     m = next(iter(bq[key]))
     bq[key][m] = bq[key][m] + field.one
-    rep = verify_cyclic_axioms(CyclicAlgebra(Vs.S, L, Vs.star, bq, twist=Vs.twist, scaled_by=Vs.scaled_by))
+    rep = verify_cyclic_axioms(CyclicAlgebra(Vs.S, L, Vs.mul, bq, twist=Vs.twist))
     assert not rep.ok
     assert sum(name == "norm_multiplicative" for name, _ in rep.violations) == 1291
 

@@ -135,3 +135,54 @@ def test_no_unread_parameters():
             read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read and p not in ("self", "cls")]
     assert not unread, "unread parameters: " + ", ".join(unread)
+
+
+def stored_fields(cls):
+    """(name, line) for every attribute a class stores on self in its
+    methods, and every annotated field of a dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if any(getattr(d, "id", None) == "dataclass" for d in decorators):
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield node.target.id, node.lineno
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or not method.args.args:
+            continue
+        me = method.args.args[0].arg
+        for node in ast.walk(method):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == me:
+                    yield node.attr, node.lineno
+
+
+def test_no_unread_fields():
+    """Every field a package class stores is loaded somewhere in the
+    package, tests or benchmark.  A load that is called on a receiver other
+    than self does not count: `keys.sort()` reads no field `sort`, while
+    `self._coords(vec)` reads the field `_coords`."""
+    package, trees = parsed_sources()
+    read = set()
+    for tree in trees:
+        foreign_calls = {
+            id(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in foreign_calls
+        )
+    unread = sorted(
+        {
+            f"{module}.py:{line} {cls.name}.{name}"
+            for module, tree in package.items()
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for name, line in stored_fields(cls)
+            if name not in read
+        }
+    )
+    assert not unread, "unread fields: " + ", ".join(unread)

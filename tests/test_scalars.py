@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from triality.scalars import Rational, arith, galois, make_field
+from triality.scalars import MAX_CONDUCTOR, Rational, arith, galois, make_field
 
 
 def naive_poly_divmod(num, den):
@@ -115,6 +115,12 @@ def test_galois_ring_homomorphism(k, ca, cb):
     a, b = F.element(ca), F.element(cb)
     assert galois(a + b, k) == galois(a, k) + galois(b, k)
     assert galois(a * b, k) == galois(a, k) * galois(b, k)
+
+
+def test_conductor_bound():
+    # rejected before the cyclotomic polynomial or the power table is built
+    with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
+        make_field(MAX_CONDUCTOR + 3)
 
 
 def test_galois_examples(field):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -28,8 +29,8 @@ def test_dimensions(trial_zorn):
 
 def test_sigma_identity(trial_zorn):
     E = trial_zorn["E"]
-    unit = E.unit()
-    assert E.sigma(unit) == unit
+    unit = E.unit
+    assert E.conj(unit) == unit
 
 
 def test_clifford_center(mod, trial_zorn):
@@ -186,3 +187,41 @@ def test_center_orbit_same_E_grading(fines, tri_okubo):
     orbit = center_orbit(built.grading, tri_okubo)
     base = orbit[0]["e_degrees"]
     assert all(r["e_degrees"] == base for r in orbit)
+
+
+def test_verify_grading_catches_corrupted_involution(fines, trial_zorn):
+    # one extra entry in one row of sigma, pointing at an operator of
+    # another degree, is the one violation of the induced Cartan E grading
+    built = fines["cartan"]["built"]
+    E = trial_zorn["E"]
+    gE = induce_E_grading(built.grading, E)
+    degs = gE.degrees["A"]
+    j = next(j for j in range(E.dim) if degs[j] != degs[0])
+    bad = copy.copy(E)
+    bad.involution = dict(E.involution)
+    bad.involution[0] = {**E.involution[0], j: E.field.one}
+    rep = verify_grading(Grading(bad, gE.group, gE.degrees))
+    assert rep.violations == [("involution", (0,), j, repr(E.field.one))]
+    assert rep.checked == verify_grading(gE).checked + 1
+
+
+def test_kappa_alpha_compatibility_catches_moved_degree(fines, trial_zorn):
+    built = fines["cartan"]["built"]
+    E = trial_zorn["E"]
+    gE = induce_E_grading(built.grading, E)
+    moved = gE.copy_with_degree("A", 0, gE.degrees["A"][0] + built.params.h)
+    assert not e_grading_kappa_alpha_compatible(
+        built.grading, moved, E, trial_zorn["Cl"], trial_zorn["kappa"], trial_zorn["alpha"]
+    )
+
+
+def test_alpha_involution_catches_corrupted_image(trial_zorn):
+    # one entry of the first factor of the image of one monomial, plus one
+    am = trial_zorn["alpha"]
+    mask = min(m for m in am.Cl.masks if m)
+    a1, a2 = am._even[mask]
+    idx = min(a1)
+    bad = copy.copy(am)
+    bad._even = dict(am._even)
+    bad._even[mask] = ({**a1, idx: a1[idx] + am.E.field.one}, a2)
+    assert not alpha_involution_compatible(bad)

@@ -43,7 +43,7 @@ def test_corrupted_bracket_located(field, tri_zorn):
     out = next(iter(mul[(0, 1)]))
     mul[(0, 1)][out] = mul[(0, 1)][out] + field.one
     bad = copy.copy(tri_zorn)
-    bad.lie = StructAlgebra(field, tri_zorn.lie.labels, mul, "lie")
+    bad.lie = StructAlgebra(field, tri_zorn.lie.labels, mul)
     rep = verify_lie(bad)
     assert not rep.ok
     assert rep.violations[0] == ("antisymmetric", (0, 1))
@@ -108,12 +108,10 @@ def test_apply_deltas_matches_xi_transform(mod, tri_zorn):
     # on e_i V, with e_i the i-th primitive idempotent of L, an L-linear map
     # in delta coordinates acts as block i of its triple: applying the
     # deltas of d to e_i s_p gives e_i d_i(s_p), d_i(s_p) being column p of
-    # block i; EndAlgebraE.apply, on the same positions, agrees
-    from triality.trialitarian import EndAlgebraE
+    # block i
     from triality.trilie import apply_deltas, xi_transform
 
     V = mod["V_zorn"]
-    E = EndAlgebraE(V)
     idem = V.L.idempotents()
     for vec in tri_zorn.vectors:
         deltas = xi_transform(V.field, vec, 64, to_deltas=True)
@@ -123,7 +121,6 @@ def test_apply_deltas_matches_xi_transform(mod, tri_zorn):
                 expected = V.act(e, col)
                 sp = V.act(e, V.basis_vec(V.idx(p, 0)))
                 assert apply_deltas(V, deltas, sp) == expected
-                assert E.apply(deltas, sp) == expected
 
 
 def test_trivial_grading_induces_trivial(mod, tri_zorn):
