@@ -248,7 +248,7 @@ def primitive_idempotent(A: StructAlgebra, e_indices):
     dim = len(sub_idx)
 
     def left_ideal(x_sub):
-        ech = Echelon(F, dim)
+        ech = Echelon(F)
         work = [x_sub] if ech.insert(x_sub) else []
         while work:
             v = to_full(work.pop())
@@ -322,7 +322,7 @@ def graded_simple_check(A: StructAlgebra):
     """Desk-scale check: the two-sided ideal generated by the first
     homogeneous basis element is everything."""
     seed = A.basis_vec(0)
-    ideal = Echelon(A.field, A.dim)
+    ideal = Echelon(A.field)
     work = [seed]
     while work and ideal.rank < A.dim:
         v = work.pop()
@@ -351,7 +351,7 @@ def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
     cut = {}
     for g, idxs in comps.items():
         vecs = []
-        ech = Echelon(F, A.dim)
+        ech = Echelon(F)
         for i in idxs:
             v = A.product(eps, A.product(A.basis_vec(i), eps))
             if v and ech.insert(v):
@@ -417,7 +417,7 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
         seeds = []
         for g, trip in adapted_coarse:
             vec = {idx % (n * n): c for idx, c in trip.items() if idx // (n * n) == comp}
-            if vec and spans.setdefault(g, Echelon(F, n * n)).insert(vec):
+            if vec and spans.setdefault(g, Echelon(F)).insert(vec):
                 seeds.append((g, vec))
         work = list(seeds)
         while work:
@@ -425,12 +425,12 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
             for g2, s in seeds:
                 gg = g2 + g1
                 pv = compose(s, v1, n)
-                if pv and spans.setdefault(gg, Echelon(F, n * n)).insert(pv):
+                if pv and spans.setdefault(gg, Echelon(F)).insert(pv):
                     work.append((gg, pv))
         total = sum(e.rank for e in spans.values())
         if total != n * n:
             raise BrauerError(f"propagation reached dimension {total}, expected {n * n}")
-        union = Echelon(F, n * n)
+        union = Echelon(F)
         for e in spans.values():
             for row in e.basis():
                 union.insert(row)
@@ -520,7 +520,7 @@ def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     if not sols:
         raise BrauerError("no character unit (input is not a matrix-algebra grading)")
     u = sols[0]
-    ech = Echelon(F, A.dim)
+    ech = Echelon(F)
     for i in range(A.dim):
         ech.insert(A.product(u, A.basis_vec(i)))
     if ech.rank != A.dim:
@@ -626,7 +626,7 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     for e in idems:
         basis = []
         degs = []
-        ech = Echelon(F, alg.dim)
+        ech = Echelon(F)
         for i, s in enumerate(alg.elems):
             v = alg.product(e, alg.basis_vec(i))
             if v and ech.insert(dict(v)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import make_field
 from .fgab import AbGroup, GroupElem, make_group, subgroup_elements, in_subgroup, subgroup_generated
@@ -97,6 +97,29 @@ class TypeIIIParams:
         if self.t:
             out["t"] = self.t
         return out
+
+    # Element codes computed once per tuple, so that similar_params compares
+    # plain values instead of doing group arithmetic for every pair.
+    # cached_property writes the instance __dict__ and leaves the field-based
+    # equality and hash alone; it is one flat tuple because every further
+    # cached attribute grows the instance by about 400 bytes.
+
+    @cached_property
+    def codes(self) -> tuple:
+        """The codes of e, h and 2h (= h^-1, since h has order 3 in every
+        valid tuple), then those of s g_i + j h for the n = len(gamma)
+        elements g_i, s = 1, -1, and j = 0 (every rank) or j = 0, 1, 2, 3
+        (rank 2), at entry 3 + n (2j + (s == -1)) + i."""
+        h = self.h
+        js = (0, 1, 2, 3) if self.rank == 2 else (0,)
+        return (_code(self.group.identity()), _code(h), _code(2 * h)) + tuple(
+            _code(s * g + j * h) for j in js for s in (1, -1) for g in self.gamma
+        )
+
+    @cached_property
+    def kh_key(self) -> frozenset:
+        """The elements of the subgroup generated by K and h."""
+        return _subgroup_key(self.group, _gen_key(list(self.K) + [self.h]))
 
 
 def validate(p: TypeIIIParams):
@@ -250,6 +273,19 @@ class SimilarityVerdict:
         return self.similar
 
 
+def _code(g: GroupElem):
+    """One value per element of g's group: the index of g in G.elements()
+    when G is finite (a small int, which costs no memory), its canonical
+    coordinates otherwise."""
+    c = g.canonical()
+    if g.group.free_rank:
+        return c
+    code = 0
+    for x, d in zip(c, g.group.torsion):
+        code = code * d + x
+    return code
+
+
 @lru_cache(maxsize=65536)
 def _subgroup_key(G: AbGroup, coords: tuple) -> frozenset:
     return subgroup_elements([G.element(c) for c in coords])
@@ -263,19 +299,13 @@ def _same_subgroup(G, gens_a, gens_b) -> bool:
     return _subgroup_key(G, _gen_key(gens_a)) == _subgroup_key(G, _gen_key(gens_b))
 
 
-def _h_span(p: TypeIIIParams) -> frozenset:
-    # h has order 3 for every valid parameter tuple
-    G = p.group
-    return frozenset({G.identity().canonical(), p.h.canonical(), (2 * p.h).canonical()})
-
-
 def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
     """The sign of the grading of p read against the ordered generator
     frame (k1, k2), working modulo H = <h>: the chart of p maps its own
     generators to (1,0), (0,1) (swapped for '-'), and the orientation
     against the frame flips with the determinant of the change of basis."""
     k1p, k2p = p.K
-    hspan = _h_span(p)
+    hspan = p.codes[:3]
     coords = []
     for k in frame:
         # solve k = a k1p + b k2p modulo <h>
@@ -283,7 +313,7 @@ def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
         for a in range(3):
             for b in range(3):
                 cand = a * k1p + b * k2p
-                if (k - cand).canonical() in hspan:
+                if _code(k - cand) in hspan:
                     hit = (a, b)
                     break
             if hit:
@@ -305,55 +335,50 @@ def similar_params(p: TypeIIIParams, q: TypeIIIParams) -> SimilarityVerdict:
     witnessing data."""
     if p.group != q.group:
         raise ParamError("parameters live over different groups")
-    G = p.group
     if p.rank != q.rank:
         return SimilarityVerdict(False, {"bullet": "rank", "ranks": (p.rank, q.rank)})
     # <h'> = <h> for order-3 elements means h' = h or h' = h^2
-    same_h_span = q.h == p.h or q.h == 2 * p.h
+    codes = p.codes
+    h_p, h2_p = codes[1:3]
+    h_q = q.codes[1]
+    same_h_span = h_q == h_p or h_q == h2_p
     if p.rank == 8:
         ok = same_h_span and p.t == q.t
         return SimilarityVerdict(ok, {"bullet": "r8", "same_h_span": same_h_span, "t": (p.t, q.t)})
     if p.rank == 4:
-        ok = same_h_span and (q.gamma[0] == p.gamma[0] or q.gamma[0] == -p.gamma[0])
-        return SimilarityVerdict(
-            ok,
-            {"bullet": "r4", "same_h_span": same_h_span, "inverted": bool(q.gamma[0] == -p.gamma[0])},
-        )
+        g_q = q.codes[3]
+        g_p, neg_p = codes[3:]
+        ok = same_h_span and (g_q == g_p or g_q == neg_p)
+        return SimilarityVerdict(ok, {"bullet": "r4", "same_h_span": same_h_span, "inverted": g_q == neg_p})
     if p.rank == 2:
         if not same_h_span:
             return SimilarityVerdict(False, {"bullet": "r2", "same_h_span": False})
+        # the first match of q.gamma[i] == (-1)^inverted p.gamma[pi[i]] + j h
+        q0, q1, q2 = q.codes[3:6]
         for pi in itertools.permutations(range(3)):
+            a, b, c = pi
             for j in (1, 2, 3):
-                shift = j * p.h
                 for inverted in (False, True):
-                    ok = True
-                    for i in range(3):
-                        base = p.gamma[pi[i]]
-                        if inverted:
-                            base = -base
-                        if q.gamma[i] != base + shift:
-                            ok = False
-                            break
-                    if ok:
+                    row = 3 + 3 * (2 * j + inverted)
+                    if codes[row + a] == q0 and codes[row + b] == q1 and codes[row + c] == q2:
                         return SimilarityVerdict(
                             True,
                             {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted},
                         )
         return SimilarityVerdict(False, {"bullet": "r2", "same_h_span": True, "match": None})
     if p.rank == 1:
-        ok = same_h_span and _same_subgroup(G, list(p.K), list(q.K))
+        ok = same_h_span and _same_subgroup(p.group, list(p.K), list(q.K))
         return SimilarityVerdict(ok, {"bullet": "r1", "same_h_span": same_h_span})
-    # rank 0
-    kh_p = _subgroup_key(G, _gen_key(list(p.K) + [p.h]))
-    kh_q = _subgroup_key(G, _gen_key(list(q.K) + [q.h]))
-    if kh_p != kh_q or not same_h_span:
-        return SimilarityVerdict(False, {"bullet": "r0", "same_KH": kh_p == kh_q, "same_h_span": same_h_span})
+    # rank 0; h^-1 = 2h
+    same_kh = p.kh_key == q.kh_key
+    if not same_kh or not same_h_span:
+        return SimilarityVerdict(False, {"bullet": "r0", "same_KH": same_kh, "same_h_span": same_h_span})
     delta_q_in_p_frame = _orientation_in_frame(q, p.K)
-    if q.h == p.h and delta_q_in_p_frame == p.delta:
+    if h_q == h_p and delta_q_in_p_frame == p.delta:
         return SimilarityVerdict(True, {"bullet": "r0", "case": "same h, same sign", "frame_sign": delta_q_in_p_frame})
-    if q.h == -p.h and delta_q_in_p_frame != p.delta:
+    if h_q == h2_p and delta_q_in_p_frame != p.delta:
         return SimilarityVerdict(True, {"bullet": "r0", "case": "inverse h, flipped sign", "frame_sign": delta_q_in_p_frame})
-    return SimilarityVerdict(False, {"bullet": "r0", "frame_sign": delta_q_in_p_frame, "h_flipped": bool(q.h == -p.h)})
+    return SimilarityVerdict(False, {"bullet": "r0", "frame_sign": delta_q_in_p_frame, "h_flipped": h_q == h2_p})
 
 
 def canonical_key(p: TypeIIIParams):
@@ -485,7 +510,7 @@ def verify_graded_iso(phi_cols, phi0, gr_A: Grading, gr_B: Grading, opposite: bo
         if phi0(LA.rho(probe, t_src)) != LB.rho(phi0(probe), VB.twist):
             viol.append(("phi0_rho", None))
             break
-    ech = Echelon(F, VB.dim)
+    ech = Echelon(F)
     for i in range(VA.dim):
         ech.insert(dict(phi_cols[i]))
     if ech.rank != VA.dim:
@@ -592,7 +617,7 @@ def _witness_rank2_shift(G, gamma, h, conductor):
         for i, c in vec.items():
             pieces.setdefault(B_target.grading.degrees["V"][i].canonical(), {})[i] = c
         for g, piece in pieces.items():
-            per_degree.setdefault(g, Echelon(F, V.dim)).insert(piece)
+            per_degree.setdefault(g, Echelon(F)).insert(piece)
     hom_basis = []
     hom_degs = []
     for g in sorted(per_degree):

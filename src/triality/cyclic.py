@@ -436,7 +436,7 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
         vec = axpy(V.product(x, eps), None, x)
         cols.append(axpy(vec, minus_one, V.act(V.bform(x, eps), eps)))
     # the reduced echelon rows of the kernel are the basis of the cut
-    basis = echelon_from(F, V.dim, kernel(F, cols)).basis()
+    basis = echelon_from(F, kernel(F, cols)).basis()
     if len(basis) != 8:
         raise CyclicAxiomError(f"idempotent cut has dimension {len(basis)}, expected 8")
     return cut_on_basis(V, basis, eps), basis

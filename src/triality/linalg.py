@@ -42,9 +42,8 @@ from __future__ import annotations
 class Echelon:
     """Incremental reduced row echelon form over a field."""
 
-    def __init__(self, field, ncols: int):
+    def __init__(self, field):
         self.field = field
-        self.ncols = ncols
         self.rows = {}  # pivot col -> normalized row dict
 
     def reduce(self, vec: dict) -> dict:
@@ -111,8 +110,8 @@ class Echelon:
         return tuple(out)
 
 
-def echelon_from(field, ncols, vectors) -> Echelon:
-    ech = Echelon(field, ncols)
+def echelon_from(field, vectors) -> Echelon:
+    ech = Echelon(field)
     for v in vectors:
         ech.insert(v)
     return ech
@@ -125,7 +124,7 @@ class Coordinates:
 
     def __init__(self, field, ncols, basis):
         self.ncols = ncols
-        self._ech = Echelon(field, ncols + len(basis))
+        self._ech = Echelon(field)
         for k, vec in enumerate(basis):
             v = dict(vec)
             v[ncols + k] = field.one
@@ -147,7 +146,7 @@ def null_space(field, ncols, rows) -> list:
     in ascending order, holding 1 there and minus the free column of each
     pivot row, pivots ascending.  It depends on the row span only, not on
     the order of the rows."""
-    ech = Echelon(field, ncols)
+    ech = Echelon(field)
     for r in rows:
         ech.insert(r)
     pivots = sorted(ech.rows)

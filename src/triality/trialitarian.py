@@ -100,15 +100,16 @@ def end_algebra(V) -> EndAlgebraE:
             if E.conj(E.product(x, y)) != E.product(E.conj(y), sx):
                 raise TrialitarianError("sigma is not an anti-homomorphism")
     # b_Q(a x, y) = b_Q(x, sigma(a) y) on elementary operators and V basis
+    ys = [V.basis_vec(vj) for vj in range(V.dim)]
     for i in range(0, E.dim, 7):  # deterministic subsample of operators
         a = E.basis_vec(i)
         sa = E.conj(a)
+        say = [apply_deltas(V, sa, y) for y in ys]
         for vi in range(V.dim):
             x = V.basis_vec(vi)
             ax = apply_deltas(V, a, x)
-            for vj in range(V.dim):
-                y = V.basis_vec(vj)
-                if V.bform(ax, y) != V.bform(x, apply_deltas(V, sa, y)):
+            for y, sy in zip(ys, say):
+                if V.bform(ax, y) != V.bform(x, sy):
                     raise TrialitarianError("sigma is not the b_Q-adjoint")
     if E.product(E.unit, E.basis_vec(0)) != E.basis_vec(0):
         raise TrialitarianError("unit is wrong")
@@ -491,7 +492,7 @@ def alpha(V, E, Cl) -> AlphaMap:
             if lr[0] != m1 or lr[1] != m2:
                 raise TrialitarianError(f"alpha generator relation fails at ({p},{q})")
     # bijectivity: rank 384 over F
-    ech = Echelon(F, 2 * E.dim)
+    ech = Echelon(F)
     for mask in Cl.masks:
         for k in range(3):
             a1, a2 = am.image_of_monomial(mask, k)
@@ -581,8 +582,8 @@ def lie_of_E_equals_der(V, E, lie_elems, der_tri) -> bool:
     """Span equality of L(E) with Der_L(V) (as E elements): a derivation in
     delta coordinates is an element of E."""
     nn = E.n * E.n
-    ech_lie = echelon_from(V.field, E.dim, lie_elems)
-    ech_der = echelon_from(V.field, E.dim, (xi_transform(V.field, vec, nn, to_deltas=True) for vec in der_tri.vectors))
+    ech_lie = echelon_from(V.field, lie_elems)
+    ech_der = echelon_from(V.field, (xi_transform(V.field, vec, nn, to_deltas=True) for vec in der_tri.vectors))
     return ech_lie.canonical() == ech_der.canonical()
 
 

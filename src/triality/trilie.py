@@ -227,7 +227,7 @@ def tri_basis(S) -> TriAlgebra:
     nn = S.dim * S.dim
     # each projection must be injective on the 28-dimensional kernel
     for comp in range(3):
-        ech = echelon_from(S.field, nn, [_blocks(v, nn)[comp] for v in tri.vectors])
+        ech = echelon_from(S.field, [_blocks(v, nn)[comp] for v in tri.vectors])
         if ech.rank != 28:
             raise TrialityError(f"projection {comp + 1} has rank {ech.rank}, expected 28")
     return tri
@@ -517,7 +517,7 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     basis = dict(enumerate(tri.vectors))
     rows, degrees, adapted = [], [], []
     for g in sorted(buckets):
-        for row in echelon_from(F, tri.dim, buckets[g]).basis():
+        for row in echelon_from(F, buckets[g]).basis():
             rows.append(row)
             degrees.append(G.element(g))
             adapted.append((degrees[-1], dict(sorted(mat_vec(basis, row).items()))))
@@ -583,7 +583,7 @@ def component_spans(grading: Grading, l_elt=None):
     V = grading.structure
     spans = {}
     for g, idxs in grading.components("V").items():
-        ech = Echelon(V.field, V.dim)
+        ech = Echelon(V.field)
         for i in idxs:
             v = V.basis_vec(i)
             if l_elt is not None:
@@ -652,7 +652,7 @@ def center_orbit(grading: Grading, tri: TriAlgebra):
         spans = component_spans(grading, l_elt)
         e_deg = e_degree_map(grading, spans)
         buckets = _homogeneous_pieces(tri, e_deg, "center-orbit piece leaves tri(S)")
-        tri_comps = {g: echelon_from(tri.field, tri.dim, pieces).canonical() for g, pieces in buckets.items()}
+        tri_comps = {g: echelon_from(tri.field, pieces).canonical() for g, pieces in buckets.items()}
         results.append({"l": l_elt, "spans": spans, "e_degrees": e_deg, "tri_components": tri_comps})
     return results
 

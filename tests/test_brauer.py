@@ -137,7 +137,7 @@ def division_params_with_idempotent(A, gr, eps, field):
     comps = gr.components("A")
     support = set()
     for g, idxs in comps.items():
-        ech = Echelon(field, A.dim)
+        ech = Echelon(field)
         for i in idxs:
             v = A.product(eps, A.product(A.basis_vec(i), eps))
             if v:

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -23,26 +22,11 @@ from triality.classify import (
 )
 from triality.fgab import make_group, subgroup_elements
 
-
-G333 = make_group(0, [3, 3, 3])
-G2223 = make_group(0, [2, 2, 2, 3])
+import sweep_utils
 
 
-def order3_elements(G):
-    return [g for g in G.elements() if g.order() == 3]
-
-
-def z3sq_subgroups(G):
-    """All subgroups isomorphic to Z3^2, as frozensets with a generator pair."""
-    seen = {}
-    els = order3_elements(G)
-    for a, b in itertools.combinations(els, 2):
-        if any((b - m * a).canonical() == G.identity().canonical() for m in range(3)):
-            continue
-        key = subgroup_elements([a, b])
-        if len(key) == 9 and key not in seen:
-            seen[key] = (a, b)
-    return seen
+G333 = sweep_utils.G333
+G2223 = sweep_utils.G2223
 
 
 def test_build_examples_and_support():
@@ -189,3 +173,92 @@ def test_fine_gradings_and_non_refinement(fines):
         assert data["universal"].group == expected[kind]
     for a, b in itertools.permutations(fines, 2):
         assert refinement_impossible(fines[a], fines[b]) is not None
+
+
+@pytest.fixture(scope="module")
+def sweep_tuples():
+    return sweep_utils.enumerate_tuples()
+
+
+def reference_rank2(p, q):
+    """The rank-2 decision by group arithmetic on every pair: the first
+    (pi, j, inverted) with q.gamma[i] == (+-) p.gamma[pi[i]] + j h."""
+    if not (q.h == p.h or q.h == 2 * p.h):
+        return False, {"bullet": "r2", "same_h_span": False}
+    for pi in itertools.permutations(range(3)):
+        for j in (1, 2, 3):
+            shift = j * p.h
+            for inverted in (False, True):
+                ok = True
+                for i in range(3):
+                    base = p.gamma[pi[i]]
+                    if inverted:
+                        base = -base
+                    if q.gamma[i] != base + shift:
+                        ok = False
+                        break
+                if ok:
+                    return True, {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted}
+    return False, {"bullet": "r2", "same_h_span": True, "match": None}
+
+
+@pytest.mark.parametrize("G", [G333, G2223], ids=["Z3^3", "Z2^3xZ3"])
+def test_rank2_decisions_match_reference_loop(G, sweep_tuples):
+    params = sweep_tuples[(G, 2)]
+    similar = 0
+    for p in params:
+        for q in params:
+            verdict = similar_params(p, q)
+            assert (verdict.similar, verdict.trace) == reference_rank2(p, q)
+            if verdict.similar:
+                similar += 1
+                pi, j, inverted = (verdict.trace[k] for k in ("pi", "j", "inverted"))
+                sign = -1 if inverted else 1
+                assert all(q.gamma[i] == sign * p.gamma[pi[i]] + j * p.h for i in range(3))
+    assert len(params) < similar < len(params) ** 2
+
+
+@pytest.mark.parametrize("G", [G333, G2223], ids=["Z3^3", "Z2^3xZ3"])
+def test_rank4_traces_replay(G, sweep_tuples):
+    params = sweep_tuples[(G, 4)]
+    inverted_seen = 0
+    for p in params:
+        for q in params:
+            verdict = similar_params(p, q)
+            inverted = verdict.trace["inverted"]
+            assert inverted == (q.gamma[0] == -p.gamma[0])
+            if verdict.similar:
+                assert q.h in (p.h, 2 * p.h)
+                assert q.gamma[0] == (-p.gamma[0] if inverted else p.gamma[0])
+                inverted_seen += inverted
+    assert inverted_seen
+
+
+def test_rank0_frame_signs_replay(sweep_tuples):
+    """frame_sign is the orientation of q's grading read in p's frame: it
+    is checked against the algebra, where x*y = 0 for the normalized
+    generators of the frame's components exactly when the sign is '+'."""
+    params = sweep_tuples[(G333, 0)]
+    built = {}
+    orientation = {}
+    cases = set()
+    for p in params:
+        for q in params:
+            verdict = similar_params(p, q)
+            if "frame_sign" not in verdict.trace:
+                continue
+            sign = verdict.trace["frame_sign"]
+            key = (q, p.K[0].canonical(), p.K[1].canonical())
+            if key not in orientation:
+                if q not in built:
+                    built[q] = build(q)
+                orientation[key] = okubo_orientation(built[q], frame=p.K)
+            assert sign == orientation[key]
+            if verdict.similar:
+                case = verdict.trace["case"]
+                cases.add(case)
+                if case == "same h, same sign":
+                    assert q.h == p.h and sign == p.delta
+                else:
+                    assert q.h == -p.h and sign != p.delta
+    assert cases == {"same h, same sign", "inverse h, flipped sign"}

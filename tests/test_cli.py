@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +9,16 @@ from triality.scalars import MAX_CONDUCTOR
 
 PARAMS_R8 = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "p"}'
 PARAMS_R8_O = '{"rank": 8, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "t": "o"}'
+Z333 = '"group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1]'
+SIMILAR_R2 = (
+    f'{{"first": {{"rank": 2, {Z333}, "gamma": [[1,0,0],[0,1,0],[2,2,0]]}}, '
+    f'"second": {{"rank": 2, {Z333}, "gamma": [[0,1,1],[1,0,1],[2,2,1]]}}}}'
+)
+SIMILAR_R0 = (
+    f'{{"first": {{"rank": 0, {Z333}, "K": [[1,0,0],[0,1,0]], "delta": "-"}}, '
+    f'"second": {{"rank": 0, {Z333}, "K": [[0,1,0],[1,0,0]], "delta": "+"}}}}'
+)
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PARAMS_R1 = '{"rank": 1, "group": {"free_rank": 0, "torsion": [2,2,6]}, "h": [0,0,2], "K": [[1,0,0],[0,1,0],[0,0,3]]}'
 
 
@@ -39,6 +50,16 @@ def test_reports_embed_conductor_and_version():
     assert data["field_conductor"] == 12
     assert data["version"]
     assert data["similar"] is False
+
+
+@pytest.mark.parametrize("name, params", [("similar_rank2", SIMILAR_R2), ("similar_rank0", SIMILAR_R0)])
+def test_similar_golden_stdout(name, params):
+    # bytes pinned from the version of `similar` that did group arithmetic
+    # for every pair: a rank-2 pair similar through pi = (1, 0, 2), j = 1,
+    # and a rank-0 pair similar through a swapped frame
+    proc = run_cli("--seed", "0", "similar", "--params", params)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 def test_determinism_byte_identical(tmp_path):

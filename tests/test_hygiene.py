@@ -155,13 +155,47 @@ def stored_fields(cls):
                     yield node.attr, node.lineno
 
 
-def test_no_unread_fields():
-    """Every field a package class stores is loaded somewhere in the
-    package, tests or benchmark.  A load that is called on a receiver other
-    than self does not count: `keys.sort()` reads no field `sort`, while
-    `self._coords(vec)` reads the field `_coords`."""
-    package, trees = parsed_sources()
-    read = set()
+def self_loads(cls):
+    """Every attribute a class's methods load from their first parameter."""
+    return {
+        node.attr
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and method.args.args
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == method.args.args[0].arg
+    }
+
+
+def related_classes(package):
+    """{class name: the names of the class, its ancestors and its
+    descendants among the package's classes}."""
+    bases = {
+        cls.name: {b.id if isinstance(b, ast.Name) else b.attr for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))}
+        for tree in package.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+    }
+
+    def ancestors(name):
+        out = set()
+        for b in bases[name] & bases.keys():
+            out |= {b} | ancestors(b)
+        return out
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {name} | up[name] | {other for other in bases if name in up[other]} for name in bases}
+
+
+def unread_fields(package, trees):
+    """Every field a package class stores that is loaded nowhere in the
+    trees.  A load that is called on a receiver other than self does not
+    count: `keys.sort()` reads no field `sort`, while `self._coords(vec)`
+    reads the field `_coords`.  A field that is loaded only through
+    `self.<name>` must be loaded by a method of its own class, of an
+    ancestor or of a descendant: `self.V` in one class does not read the
+    field `V` of another."""
+    foreign = set()
     for tree in trees:
         foreign_calls = {
             id(node.func)
@@ -170,19 +204,56 @@ def test_no_unread_fields():
             and isinstance(node.func, ast.Attribute)
             and not (isinstance(node.func.value, ast.Name) and node.func.value.id == "self")
         }
-        read.update(
+        foreign.update(
             node.attr
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in foreign_calls
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
         )
-    unread = sorted(
+    classes = {cls.name: cls for tree in package.values() for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    loads = {name: self_loads(cls) for name, cls in classes.items()}
+    related = related_classes(package)
+    return sorted(
         {
             f"{module}.py:{line} {cls.name}.{name}"
             for module, tree in package.items()
             for cls in tree.body
             if isinstance(cls, ast.ClassDef)
             for name, line in stored_fields(cls)
-            if name not in read
+            if name not in foreign and not any(name in loads[other] for other in related[cls.name])
         }
     )
+
+
+def test_no_unread_fields():
+    package, trees = parsed_sources()
+    unread = unread_fields(package, trees)
     assert not unread, "unread fields: " + ", ".join(unread)
+
+
+def test_unread_field_rule_is_per_class():
+    source = """
+class Base:
+    def size(self):
+        return self.n
+
+class Sub(Base):
+    def __init__(self):
+        self.n = 1
+
+class Reader:
+    def __init__(self, V):
+        self.V = V
+
+    def dim(self):
+        return self.V
+
+class Leftover(ValueError):
+    def __init__(self, V):
+        self.V = V
+"""
+    package = {"m": ast.parse(source)}
+    assert unread_fields(package, list(package.values())) == ["m.py:19 Leftover.V"]
+    # a load on another receiver may be of either class, so it reads both
+    other = ast.parse("def f(x):\n    return x.V\n")
+    assert unread_fields(package, [*package.values(), other]) == []

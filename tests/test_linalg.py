@@ -108,13 +108,13 @@ def kernel_case(draw):
 def test_kernel_of_columns(case):
     columns, dense = case
     ncols = len(columns)
-    ech = Echelon(F, ncols)
+    ech = Echelon(F)
     for r in range(len(dense[0])):
         ech.insert({j: col[r] for j, col in enumerate(dense) if not col[r].is_zero()})
     sols = kernel(F, columns)
     assert all(mat_vec(dict(enumerate(columns)), v) == {} for v in sols)
     assert len(sols) == ncols - ech.rank
-    assert echelon_from(F, ncols, sols).rank == len(sols)
+    assert echelon_from(F, sols).rank == len(sols)
     assert all(not c.is_zero() for v in sols for c in v.values())
     # the basis does not depend on the order of the equations, dict order included
     reordered = kernel(F, [dict(reversed(col.items())) for col in columns])

@@ -123,7 +123,7 @@ def test_lie_of_E_equals_der_rejects_outside_element(mod, trial_zorn, lie_zorn):
     # an element of Skew(E, sigma) outside L(E) in place of one element of
     # L(E) changes the span
     V, E = mod["V_zorn"], trial_zorn["E"]
-    span = echelon_from(V.field, E.dim, lie_zorn)
+    span = echelon_from(V.field, lie_zorn)
     outside = next(b for b in so_blocks(V.S) if not span.contains(b))
     assert not lie_of_E_equals_der(V, E, [outside] + lie_zorn[1:], der_cyclic(V))
 

@@ -152,7 +152,7 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
         buckets = {}
         for g, trip in adapted:
             key = project(g).canonical()
-            buckets.setdefault(key, Echelon(V.field, 192)).insert(xi_transform(V.field, trip, 64, to_deltas=True))
+            buckets.setdefault(key, Echelon(V.field)).insert(xi_transform(V.field, trip, 64, to_deltas=True))
         return {k: e.canonical() for k, e in buckets.items()}
 
     assert spans(adapted_fine, pr) == spans(adapted_coarse, lambda g: g)
