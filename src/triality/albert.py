@@ -94,13 +94,6 @@ class AlbertAlgebra(StructAlgebra):
         t_term = L.scalar_part(L.trace(L.mul(l, V.quadratic(v))))
         return n_l + middle - t_term
 
-    def spur(self, x):
-        """S(X) = (T(X)^2 - T(X^2)) / 2 via the product."""
-        F = self.field
-        tx = self.trace_linear(x)
-        x2 = self.product(x, x)
-        return (tx * tx - self.trace_linear(x2)) / F.scalar(2)
-
     def _jordan_product_pairs(self, x, y):
         F = self.field
         tx, ty = self.trace_linear(x), self.trace_linear(y)
@@ -169,11 +162,13 @@ def albert(V) -> AlbertAlgebra:
 
 
 def verify_degree3(J: AlbertAlgebra, x) -> bool:
-    """X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0, powers via the product."""
+    """X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0, powers via the product and
+    S(X) = (T(X)^2 - T(X^2)) / 2 from the same X^2."""
     x2 = J.product(x, x)
     x3 = J.product(x2, x)
-    out = axpy(x3, -J.trace_linear(x), x2)
-    axpy(out, J.spur(x), x)
+    tx = J.trace_linear(x)
+    out = axpy(x3, -tx, x2)
+    axpy(out, (tx * tx - J.trace_linear(x2)) / J.field.scalar(2), x)
     axpy(out, -J.norm(x), J.unit)
     return not out
 

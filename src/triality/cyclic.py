@@ -19,7 +19,7 @@ import itertools
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
-from .linalg import Coordinates, axpy, echelon_from, kernel
+from .linalg import Coordinates, Residues, axpy, echelon_from, kernel
 
 
 class CyclicAxiomError(ValueError):
@@ -276,6 +276,13 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     x*(y*x) = rho^t(Q(x)) y are checked in fully polarized form on basis
     tuples, which is equivalent in characteristic 0.  The count covers the
     2 n^2 + n^4 + 3 n^3 identities on basis tuples.
+
+    The polarized identities are decided on `linalg.Residues` tables keyed
+    by basis tuple, not by a loop over the n^4 and n^3 tuples: every term of
+    either side is a product of nonzero structure constants (of the 288
+    nonzero basis products and 72 nonzero b_Q entries of a triple model),
+    so the terms are reached from those constants, and a tuple that no term
+    reaches has both sides exactly 0.  Every basis tuple is decided.
     """
     L = V.L
     t = V.twist
@@ -296,18 +303,7 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
         if lhs != rhs:
             viol.append(("semilinear_y", (i, j)))
     viol.extend(_polarized_norm_check(V, prod))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = L.rho(V.bform(prod[j][k], bas[i]), t)
-        mid = V.bform(prod[i][j], bas[k])
-        rhs = L.rho(V.bform(prod[k][i], bas[j]), 2 * t)
-        if mid != lhs or mid != rhs:
-            viol.append(("bq_cyclic", (i, j, k)))
-        target_l = V.act(L.rho(V.bform(bas[i], bas[k]), 2 * t), bas[j])
-        if V.add(V.product(prod[i][j], bas[k]), V.product(prod[k][j], bas[i])) != target_l:
-            viol.append(("eq1_left", (i, j, k)))
-        target_r = V.act(L.rho(V.bform(bas[i], bas[k]), t), bas[j])
-        if V.add(V.product(bas[i], prod[j][k]), V.product(bas[k], prod[j][i])) != target_r:
-            viol.append(("eq1_right", (i, j, k)))
+    viol.extend(_triple_check(V, prod))
 
     # nonsingularity of b_Q over L on the L-basis s_p (x) 1
     m = V.S.dim
@@ -319,18 +315,22 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     return Report(viol, 2 * n * n + n ** 4 + 3 * n ** 3)
 
 
+def _rho_rows(V: CyclicAlgebra, power):
+    """rho^power of every b_Q entry, as {xi power: scalar} rows."""
+    F = V.field
+    wp = (F.one, F.omega, F.omega * F.omega)
+    return {key: {m: c * wp[power * m % 3] for m, c in row.items()} for key, row in V.bq.items()}
+
+
 def _polarized_norm_check(V: CyclicAlgebra, prod):
     """Fully polarized multiplicativity of Q on all basis 4-tuples:
     b_Q(x*y, x'*y') + b_Q(x*y', x'*y) = rho^t(b_Q(x, x')) rho^2t(b_Q(y, y')).
 
-    Both sides are summed as L-values into one sparse table over the tuples
-    where either side is nonzero, reached from the nonzero products and
-    b_Q entries; a tuple whose entry does not cancel is a violation.
+    Both sides are summed as L-values into one residue table keyed
+    (i, k, j, l), reached from the nonzero products and b_Q entries.
     """
-    F = V.field
     t = V.twist
     n = V.dim
-    wp = (F.one, F.omega, F.omega * F.omega)
     pairs_on = {}  # basis index b -> [(k, l, coefficient of b in x_k * x_l)]
     for k in range(n):
         for l in range(n):
@@ -339,7 +339,7 @@ def _polarized_norm_check(V: CyclicAlgebra, prod):
     partners = {}  # basis index a -> [(b, b_Q(x_a, x_b))]
     for (a, b), row in V.bq.items():
         partners.setdefault(a, []).append((b, row))
-    diff = {}  # (i, k, j, l) -> lhs - rhs as {xi power: scalar}
+    diff = Residues()  # (i, k, j, l) -> lhs - rhs as {xi power: scalar}
     for i in range(n):
         for j in range(n):
             for a, ca in prod[i][j].items():
@@ -348,20 +348,76 @@ def _polarized_norm_check(V: CyclicAlgebra, prod):
                         # b_Q(x_i*x_j, x_k*x_l): the first term at (i, j, k, l),
                         # the second at (i, l, k, j)
                         c = ca * cb
-                        axpy(diff.setdefault((i, k, j, l), {}), c, row)
-                        axpy(diff.setdefault((i, k, l, j), {}), c, row)
+                        diff.add((i, k, j, l), c, row)
+                        diff.add((i, k, l, j), c, row)
     # rho^2t(b_Q(x_j, x_l)) multiplied by xi^s, for s = 0, 1, 2
-    shifted = {}
-    for key, row in V.bq.items():
-        r = {m: c * wp[2 * t * m % 3] for m, c in row.items()}
-        shifted[key] = [{(s + m) % 3: c for m, c in r.items()} for s in range(3)]
-    for (i, k), row in V.bq.items():
-        left = [(s, -(c * wp[t * s % 3])) for s, c in row.items()]  # -rho^t(b_Q(x_i, x_k))
+    shifted = {
+        key: [{(s + m) % 3: c for m, c in r.items()} for s in range(3)] for key, r in _rho_rows(V, 2 * t).items()
+    }
+    for (i, k), row in _rho_rows(V, t).items():
+        left = [(s, -c) for s, c in row.items()]  # -rho^t(b_Q(x_i, x_k))
         for (j, l), right in shifted.items():
-            acc = diff.setdefault((i, k, j, l), {})
             for s, c in left:
-                axpy(acc, c, right[s])
-    return [("norm_multiplicative", (i, j, k, l)) for (i, k, j, l) in sorted(key for key, d in diff.items() if d)]
+                diff.add((i, k, j, l), c, right[s])
+    return [("norm_multiplicative", (i, j, k, l)) for (i, k, j, l) in diff.uncancelled()]
+
+
+_TRIPLE_NAMES = ("bq_cyclic", "bq_cyclic", "eq1_left", "eq1_right")
+
+
+def _triple_check(V: CyclicAlgebra, prod):
+    """The identities on all basis triples (x_i, x_j, x_k):
+
+        f = 0, 1:  b_Q(x_i*x_j, x_k) = rho^t(b_Q(x_j*x_k, x_i))
+                                     = rho^2t(b_Q(x_k*x_i, x_j))   (bq_cyclic)
+        f = 2:     (x_i*x_j)*x_k + (x_k*x_j)*x_i = rho^2t(b_Q(x_i, x_k)) x_j
+        f = 3:     x_i*(x_j*x_k) + x_k*(x_j*x_i) = rho^t(b_Q(x_i, x_k)) x_j
+
+    Both sides are summed into one residue table keyed (i, j, k, f).  Each
+    basis product x_i*x_j is read once and its b_Q values, right and left
+    products are filed under every triple whose identity holds that term.
+    The violations come sorted by (i, j, k), bq_cyclic, eq1_left and
+    eq1_right in that order within a triple.
+    """
+    t = V.twist
+    n = V.dim
+    rho_t, rho_2t = _rho_rows(V, t), _rho_rows(V, 2 * t)
+    partners = {}  # a -> [(k, b_Q(x_a, x_k), its rho^t, its rho^2t)]
+    for key, row in V.bq.items():
+        partners.setdefault(key[0], []).append((key[1], row, rho_t[key], rho_2t[key]))
+    right = {}  # a -> [(k, x_a * x_k)]
+    left = {}  # a -> [(k, x_k * x_a)]
+    for (a, b), row in V.mul.items():
+        right.setdefault(a, []).append((b, row))
+        left.setdefault(b, []).append((a, row))
+    diff = Residues()
+    for i in range(n):
+        for j in range(n):
+            for a, c in prod[i][j].items():
+                for k, row, row_t, row_2t in partners.get(a, ()):
+                    # b_Q(x_i*x_j, x_k) is the middle of bq_cyclic at (i, j, k),
+                    # its rho^t the left side at (k, i, j), its rho^2t the
+                    # right side at (j, k, i)
+                    diff.add((i, j, k, 0), c, row)
+                    diff.add((i, j, k, 1), c, row)
+                    diff.add((k, i, j, 0), -c, row_t)
+                    diff.add((j, k, i, 1), -c, row_2t)
+                for k, row in right.get(a, ()):
+                    # (x_i*x_j)*x_k: eq1_left at (i, j, k) and at (k, j, i)
+                    diff.add((i, j, k, 2), c, row)
+                    diff.add((k, j, i, 2), c, row)
+                for k, row in left.get(a, ()):
+                    # x_k*(x_i*x_j): eq1_right at (k, i, j) and at (j, i, k)
+                    diff.add((k, i, j, 3), c, row)
+                    diff.add((j, i, k, 3), c, row)
+    # the right sides rho^2t(b_Q(x_i, x_k)) x_j and rho^t(b_Q(x_i, x_k)) x_j
+    for (i, k), row_t in rho_t.items():
+        row_2t = rho_2t[(i, k)]
+        for j in range(n):
+            p, e = V.split(j)
+            diff.add((i, j, k, 2), None, {V.idx(p, e + m): -c for m, c in row_2t.items()})
+            diff.add((i, j, k, 3), None, {V.idx(p, e + m): -c for m, c in row_t.items()})
+    return list(dict.fromkeys((_TRIPLE_NAMES[f], (i, j, k)) for i, j, k, f in diff.uncancelled()))
 
 
 def _l_det(L: CubicEtale, mat):

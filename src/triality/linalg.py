@@ -26,6 +26,10 @@ slower and saved no code.  `Echelon.reduce` and `insert` stay written out as
 well; they are the inner loop of every elimination, and `axpy` in `reduce`
 made the tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians of 3).
 
+`Residues` is the one way an identity on basis tuples is decided without
+a dense loop over the tuples: `axpy` into one vector per tuple, from the
+nonzero structure constants, and the tuples that do not cancel.
+
 `kernel(field, columns)` is the one kernel solver: every linear condition
 of the package (the derivation identities of tri(S) and Der_L(V), the
 eigenspaces of root_datum, L(E), the Clifford center, the idempotent cut,
@@ -228,6 +232,21 @@ def axpy(acc: dict, a, x: dict) -> dict:
         else:
             acc[i] = c
     return acc
+
+
+class Residues(dict):
+    """A sparse residue table {basis tuple: vector} for an identity checked
+    on all basis tuples: the terms of both sides are added with opposite
+    signs under the tuple they belong to.  The terms are reached from the
+    nonzero structure constants only, so a tuple without an entry has both
+    sides exactly 0; `uncancelled` lists the tuples where the identity
+    fails."""
+
+    def add(self, key, a, x: dict):
+        axpy(self.setdefault(key, {}), a, x)
+
+    def uncancelled(self) -> list:
+        return sorted(key for key, acc in self.items() if acc)
 
 
 def mat_vec(mat_cols, vec: dict) -> dict:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -60,6 +61,17 @@ def test_degree3_random(J):
     for _ in range(100):
         assert verify_degree3(J, random_element(J, rng))
     assert verify_degree3(J, {})
+
+
+def test_degree3_catches_corrupted_product(field, J):
+    # the Jordan table corrupted at (3, 4) as below; the seeded elements of
+    # test_degree3_random mostly have entries at both 3 and 4
+    bad = copy.copy(J)
+    bad.mul = {k: dict(v) for k, v in J.mul.items()}
+    row = bad.mul.setdefault((3, 4), {})
+    row[0] = row.get(0, field.zero) + field.one
+    rng = random.Random(20240405)
+    assert not all(verify_degree3(bad, random_element(bad, rng)) for _ in range(100))
 
 
 def test_corrupted_product_detected(field, J):

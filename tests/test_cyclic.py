@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from triality.cyclic import (
@@ -51,6 +54,32 @@ def test_q_on_basis_tensors(field, mod):
             assert V.quadratic(x) == tuple(expected)
 
 
+SEMILINEAR = {"semilinear_x": 0, "semilinear_y": 1}
+TRIPLE = {"bq_cyclic": 0, "eq1_left": 1, "eq1_right": 2}
+
+
+def assert_violation_order(violations):
+    """Semilinearity by (i, j), x before y; then the norm identity by
+    (i, k, j, l); then the triple families by (i, j, k), with bq_cyclic,
+    eq1_left and eq1_right in that order within a triple; then the
+    nonsingularity of b_Q."""
+    stage = [
+        0 if name in SEMILINEAR else 1 if name == "norm_multiplicative" else 2 if name in TRIPLE else 3
+        for name, _ in violations
+    ]
+    assert stage == sorted(stage)
+    for keys in (
+        [(key, SEMILINEAR[name]) for name, key in violations if name in SEMILINEAR],
+        [(key[0], key[2], key[1], key[3]) for name, key in violations if name == "norm_multiplicative"],
+        [(key, TRIPLE[name]) for name, key in violations if name in TRIPLE],
+    ):
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def violations_digest(violations):
+    return hashlib.sha256(repr(violations).encode()).hexdigest()
+
+
 def test_axioms_pass(cyclic_axiom_reports):
     assert cyclic_axiom_reports["zorn"].ok
     assert cyclic_axiom_reports["okubo"].ok
@@ -74,6 +103,17 @@ def test_corrupted_constant_located(field, mod):
     assert rep.checked == 374400
     assert len(rep.violations) == 250
     assert rep.violations[:2] == [("semilinear_x", (0, 0)), ("semilinear_y", (0, 0))]
+    assert Counter(name for name, _ in rep.violations) == {
+        "semilinear_x": 2,
+        "semilinear_y": 2,
+        "norm_multiplicative": 144,
+        "bq_cyclic": 6,
+        "eq1_left": 48,
+        "eq1_right": 48,
+    }
+    assert_violation_order(rep.violations)
+    # the list, entry for entry, of a dense loop over every basis tuple
+    assert violations_digest(rep.violations) == "8432918ffd0761ff5f0a214e2603f7cb01fa5f549d3f6404e8b346ad1742209e"
 
 
 def test_opposite(mod, cyclic_axiom_reports):
@@ -134,7 +174,16 @@ def test_axioms_with_multi_term_constants(field, mod):
     bq[key][m] = bq[key][m] + field.one
     rep = verify_cyclic_axioms(CyclicAlgebra(Vs.S, L, Vs.mul, bq, twist=Vs.twist))
     assert not rep.ok
-    assert sum(name == "norm_multiplicative" for name, _ in rep.violations) == 1291
+    assert rep.checked == 374400
+    assert Counter(name for name, _ in rep.violations) == {
+        "norm_multiplicative": 1291,
+        "bq_cyclic": 66,
+        "eq1_left": 24,
+        "eq1_right": 24,
+    }
+    assert_violation_order(rep.violations)
+    # the list, entry for entry, of a dense loop over every basis tuple
+    assert violations_digest(rep.violations) == "7335bbd2bb8d75672e788c27d72cb043791008a0bdd8a83945660ddbbf62a791"
 
 
 def test_self_similitude_by_xi(field, mod):

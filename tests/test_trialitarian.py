@@ -3,15 +3,19 @@ import random
 
 import pytest
 
+from triality import trialitarian
+from triality.cyclic import CyclicAlgebra
 from triality.fgab import GroupHom, make_group, quotient
 from triality.grading import Grading, coarsen, verify_grading
 from triality.trialitarian import (
+    EndAlgebraE,
     TrialitarianError,
     alpha_involution_compatible,
     alpha_multiplicative_sample,
     clifford_center_dimension,
     detect_type,
     e_grading_kappa_alpha_compatible,
+    end_algebra,
     induce_E_grading,
     lie_of_E,
     lie_of_E_equals_der,
@@ -31,6 +35,30 @@ def test_sigma_identity(trial_zorn):
     E = trial_zorn["E"]
     unit = E.unit
     assert E.conj(unit) == unit
+
+
+def test_end_algebra_catches_corrupted_form(mod):
+    # b_Q(s_0, s_0) = 1 where s_0 is isotropic: sigma, built from the
+    # norm of S, is no longer the b_Q-adjoint; involution and
+    # anti-homomorphism do not read b_Q and still pass
+    V = mod["V_zorn"]
+    assert (0, 0) not in V.bq
+    bq = {**V.bq, (0, 0): {0: V.field.one}}
+    with pytest.raises(TrialitarianError, match="sigma is not the b_Q-adjoint"):
+        end_algebra(CyclicAlgebra(V.S, V.L, V.mul, bq, twist=V.twist))
+
+
+def test_end_algebra_catches_corrupted_product(mod, monkeypatch):
+    # E_00 E_01 = 2 E_01 in place of E_01
+    class CorruptedProduct(EndAlgebraE):
+        def __init__(self, V):
+            super().__init__(V)
+            i, j = self.index[(0, 0, 0)], self.index[(0, 1, 0)]
+            self.mul = {**self.mul, (i, j): {j: self.field.scalar(2)}}
+
+    monkeypatch.setattr(trialitarian, "EndAlgebraE", CorruptedProduct)
+    with pytest.raises(TrialitarianError, match="sigma is not an anti-homomorphism"):
+        end_algebra(mod["V_zorn"])
 
 
 def test_clifford_center(mod, trial_zorn):
