@@ -112,7 +112,7 @@ def test_corrupted_constant_located(field, mod):
         "eq1_right": 48,
     }
     assert_violation_order(rep.violations)
-    # the list, entry for entry, of a dense loop over every basis tuple
+    # sha256 of the whole list as a dense loop over every basis tuple gave it
     assert violations_digest(rep.violations) == "8432918ffd0761ff5f0a214e2603f7cb01fa5f549d3f6404e8b346ad1742209e"
 
 
@@ -182,7 +182,7 @@ def test_axioms_with_multi_term_constants(field, mod):
         "eq1_right": 24,
     }
     assert_violation_order(rep.violations)
-    # the list, entry for entry, of a dense loop over every basis tuple
+    # sha256 of the whole list as a dense loop over every basis tuple gave it
     assert violations_digest(rep.violations) == "7335bbd2bb8d75672e788c27d72cb043791008a0bdd8a83945660ddbbf62a791"
 
 
