@@ -121,6 +121,19 @@ class TypeIIIParams:
         """The elements of the subgroup generated by K and h."""
         return _subgroup_key(self.group, _gen_key(list(self.K) + [self.h]))
 
+    @cached_property
+    def chart(self) -> dict:
+        """Rank 0: {code of a k1 + b k2 + j h: (a, b)} for a, b, j in 0..2,
+        keeping the first (a, b) in lexicographic order: the coordinates of
+        each element of K<h> against the generators, modulo <h>."""
+        k1, k2 = self.K
+        out = {}
+        for a in range(3):
+            for b in range(3):
+                for j in range(3):
+                    out.setdefault(_code(a * k1 + b * k2 + j * self.h), (a, b))
+        return out
+
 
 def validate(p: TypeIIIParams):
     G = p.group
@@ -304,20 +317,10 @@ def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
     frame (k1, k2), working modulo H = <h>: the chart of p maps its own
     generators to (1,0), (0,1) (swapped for '-'), and the orientation
     against the frame flips with the determinant of the change of basis."""
-    k1p, k2p = p.K
-    hspan = p.codes[:3]
     coords = []
     for k in frame:
-        # solve k = a k1p + b k2p modulo <h>
-        hit = None
-        for a in range(3):
-            for b in range(3):
-                cand = a * k1p + b * k2p
-                if _code(k - cand) in hspan:
-                    hit = (a, b)
-                    break
-            if hit:
-                break
+        # k = a k1 + b k2 modulo <h>
+        hit = p.chart.get(_code(k))
         if hit is None:
             raise ParamError("frame does not lie in K<h>")
         coords.append(hit)

@@ -15,6 +15,7 @@ n(s_p, s_q) xi^(a+b).  All axioms are verified exactly on basis closures.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
@@ -197,7 +198,9 @@ class CyclicAlgebra(StructAlgebra):
     def grading_sorts(self):
         return {"V": self.dim, "L": 3}
 
-    def grading_maps(self):
+    @cached_property
+    def _l_tables(self):
+        """The L.mul and L.act tables, built once for all grading maps."""
         one = self.field.one
         lmul = {(j, k): {(j + k) % 3: one} for j in range(3) for k in range(3)}
         act = {}
@@ -205,6 +208,10 @@ class CyclicAlgebra(StructAlgebra):
             for i in range(self.dim):
                 p, j = self.split(i)
                 act[(k, i)] = {self.idx(p, j + k): one}
+        return lmul, act
+
+    def grading_maps(self):
+        lmul, act = self._l_tables
         return [
             SMap("L.mul", ("L", "L"), "L", lmul),
             SMap("star", ("V", "V"), "V", self.mul),

@@ -21,7 +21,9 @@ algebra, whose product is computed lazily per monomial pair, is not one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import getitem
 
 from .fgab import AbGroup, GroupHom, _cokernel
 from .linalg import axpy
@@ -197,21 +199,26 @@ def verify_grading(grading: Grading) -> Report:
     scalar-valued forms require deg(a)+deg(b) = e; unary maps (involutions)
     must preserve the degree.  Violations are reported as
     (map name, input indices, output index, scalar repr).
+
+    Degrees are compared as canonical coordinates, and the sum of each
+    distinct tuple of input degrees is formed and reduced once.
     """
     G = grading.group
-    e = G.identity()
+    e = G.identity().canonical()
+    coords = {s: [d.canonical() for d in ds] for s, ds in grading.degrees.items()}
+    sums = {}
     violations = []
     checked = 0
     for smap in grading.structure.grading_maps():
-        in_degs = [grading.degrees[s] for s in smap.inputs]
-        out_degs = None if smap.output == SCALAR_SORT else grading.degrees[smap.output]
+        in_degs = [coords[s] for s in smap.inputs]
+        out_degs = None if smap.output == SCALAR_SORT else coords[smap.output]
         for key, out_idx, c in smap.entries():
             checked += 1
-            total = in_degs[0][key[0]]
-            for pos in range(1, len(key)):
-                total = total + in_degs[pos][key[pos]]
-            expected = e if out_degs is None else out_degs[out_idx]
-            if total != expected:
+            ins = tuple(map(getitem, in_degs, key))
+            total = sums.get(ins)
+            if total is None:
+                total = sums[ins] = G.reduce([sum(x) for x in zip(*ins)])
+            if total != (e if out_degs is None else out_degs[out_idx]):
                 violations.append((smap.name, key, out_idx, repr(c)))
     report = Report(violations, checked)
     grading.verified = report.ok
@@ -239,34 +246,79 @@ class UniversalResult:
     to_original: GroupHom     # universal -> original, sending [s] to s
 
 
+class RelationLattice:
+    """A basis of the integer lattice spanned by the vectors inserted so
+    far: sparse columns {row: int} in echelon form, keyed by pivot row (the
+    first nonzero row), so at most one column per row.  An insertion runs
+    Euclid's algorithm on the pivot entries; its steps (subtract a multiple,
+    swap) are unimodular, so the spanned lattice, and with it the cokernel,
+    is that of all the inserted vectors."""
+
+    def __init__(self):
+        self.columns = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus multiples of the pivot columns, up to the first pivot
+        that has no column or leaves a remainder; empty iff vec lies in the
+        lattice."""
+        while vec:
+            p = min(vec)
+            col = self.columns.get(p)
+            if col is None:
+                return vec
+            q = vec[p] // col[p]
+            vec = dict(vec)
+            for i, c in col.items():
+                vec[i] = vec.get(i, 0) - q * c
+            vec = {i: c for i, c in vec.items() if c}
+            if p in vec:
+                return vec
+        return vec
+
+    def insert(self, vec: dict):
+        vec = self.reduce(vec)
+        while vec:
+            # a new pivot, or a remainder smaller than the old one, whose
+            # column is then reduced in its turn
+            p = min(vec)
+            col = self.columns.get(p)
+            self.columns[p] = vec
+            vec = self.reduce(col) if col else {}
+
+
 def universal_group(grading: Grading) -> UniversalResult:
     """The universal group of the grading: free abelian on the support of
     every graded sort modulo the relations s1*s2 = s3 collected from every
     nonzero structure map entry (products, module actions, algebra-valued
-    forms; scalar forms force s1*s2 = e)."""
+    forms; scalar forms force s1*s2 = e).
+
+    Each entry is read as the support indices of its degrees; the relation
+    of each distinct index pattern goes into a `RelationLattice`, whose
+    basis, at most one column per support element, is the input of the
+    Smith normal form."""
     if not grading.verified:
         raise ValueError("verify the grading before computing its universal group")
     G = grading.group
     support = sorted({d.canonical() for ds in grading.degrees.values() for d in ds})
     index = {s: i for i, s in enumerate(support)}
     m = len(support)
+    numbers = {s: [index[d.canonical()] for d in ds] for s, ds in grading.degrees.items()}
 
-    relations = set()
+    patterns = {}  # insertion-ordered set of (sorted input indices, output index)
     for smap in grading.structure.grading_maps():
-        in_degs = [grading.degrees[s] for s in smap.inputs]
-        out_degs = None if smap.output == SCALAR_SORT else grading.degrees[smap.output]
+        in_nums = [numbers[s] for s in smap.inputs]
+        out_nums = None if smap.output == SCALAR_SORT else numbers[smap.output]
         for key, out_idx, _c in smap.entries():
-            vec = [0] * m
-            for pos, i in enumerate(key):
-                vec[index[in_degs[pos][i].canonical()]] += 1
-            if out_degs is None:
-                pass  # scalar output: relation says the sum of inputs is trivial
-            else:
-                vec[index[out_degs[out_idx].canonical()]] -= 1
-            if any(vec):
-                relations.add(tuple(vec))
+            patterns[tuple(sorted(map(getitem, in_nums, key))), None if out_nums is None else out_nums[out_idx]] = None
+    lattice = RelationLattice()
+    for ins, out in patterns:
+        vec = Counter(ins)
+        if out is not None:  # a scalar output makes the sum of the inputs trivial
+            vec[out] -= 1
+        lattice.insert({j: c for j, c in vec.items() if c})
 
-    U, rows, lifts = _cokernel(m, [list(v) for v in relations])
+    basis = [[col.get(i, 0) for i in range(m)] for _p, col in sorted(lattice.columns.items())]
+    U, rows, lifts = _cokernel(m, basis)
 
     def u_elem(s_can):
         j = index[s_can]

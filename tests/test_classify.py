@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -21,12 +23,14 @@ from triality.classify import (
     witness_map,
 )
 from triality.fgab import make_group, subgroup_elements
+from triality.grading import invariants
 
 import sweep_utils
 
 
 G333 = sweep_utils.G333
 G2223 = sweep_utils.G2223
+CLASS_INVARIANTS = pathlib.Path(__file__).resolve().parent / "golden" / "class_invariants.json"
 
 
 def test_build_examples_and_support():
@@ -178,6 +182,37 @@ def test_fine_gradings_and_non_refinement(fines):
 @pytest.fixture(scope="module")
 def sweep_tuples():
     return sweep_utils.enumerate_tuples()
+
+
+def class_invariants(sweep_tuples):
+    """Rank, support, type vector and universal group of the first member
+    of every similarity class, family by family, as JSON values."""
+    rows = []
+    for params in sweep_tuples.values():
+        first = {}
+        for p in params:
+            first.setdefault(canonical_key(p), p)
+        for p in first.values():
+            inv = invariants(build(p).grading)
+            U = inv.universal
+            rows.append(
+                {
+                    "params": p.describe(),
+                    "rank": inv.identity_dim,
+                    "support": [list(s) for s in inv.support],
+                    "type_vector": list(inv.type_vector),
+                    "universal_group": [U.free_rank, list(U.torsion)],
+                }
+            )
+    return rows
+
+
+def test_class_invariants_golden(sweep_tuples):
+    # recorded when the universal group came from the Smith normal form of
+    # every distinct relation vector, 171 classes over the eight families
+    golden = json.loads(CLASS_INVARIANTS.read_text())
+    assert len(golden) == 171
+    assert class_invariants(sweep_tuples) == golden
 
 
 def reference_rank2(p, q):

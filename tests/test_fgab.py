@@ -17,7 +17,7 @@ from triality.fgab import (
     subgroup_generated,
     _mat_mul_int,
 )
-from triality.classify import build, params_r0
+from triality.classify import build, params_r0, params_r1, params_r2, params_r4, params_r8
 from triality.grading import coarsen, universal_group
 
 
@@ -210,13 +210,24 @@ def test_character_orthogonality(field):
             assert any(not c(g).is_rational() or c(g) != field.one for c in chars)
 
 
-@pytest.mark.parametrize("kind", ["cartan", "z2cubed", "okubo", "rank0"])
+G333 = make_group(0, [3, 3, 3])
+G2223 = make_group(0, [2, 2, 2, 3])
+COARSE = {
+    "rank0": lambda e: params_r0(G333, e((1, 0, 0)), e((0, 1, 0)), e((1, 1, 1)), "-"),
+    "rank1": lambda e: params_r1(G2223, [e((1, 0, 0)), e((1, 1, 0)), e((0, 0, 3))], e((0, 0, 4))),
+    "rank2": lambda e: params_r2(G333, (e((1, 0, 1)), e((0, 1, 1)), e((2, 2, 1))), e((0, 0, 1))),
+    "rank4": lambda e: params_r4(G333, e((1, 2, 0)), e((0, 1, 1))),
+    "rank8": lambda e: params_r8(G333, e((2, 0, 1)), "o"),
+}
+
+
+@pytest.mark.parametrize("kind", ["cartan", "z2cubed", "okubo", *COARSE])
 def test_universal_round_trip(kind, fines):
     """Coarsening the universal relabeling along to_original gives back the
-    original grading."""
-    if kind == "rank0":
-        G = make_group(0, [3, 3, 3])
-        p = params_r0(G, G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((1, 1, 1)), "-")
+    original grading: the three fine gradings, and one more of every
+    rank."""
+    if kind in COARSE:
+        p = COARSE[kind](G2223.element if kind == "rank1" else G333.element)
         g = build(p).grading
     else:
         g = fines[kind]["built"].grading

@@ -1,9 +1,14 @@
+import hashlib
+import random
+
 import pytest
 
+from triality.classify import models
 from triality.composition import cartan_grading_cayley, okubo_grading, zorn_cayley
-from triality.fgab import GroupHom, make_group
+from triality.fgab import GroupHom, _cokernel, make_group
 from triality.grading import (
     Grading,
+    RelationLattice,
     Report,
     coarsen,
     invariants,
@@ -31,6 +36,29 @@ def test_cartan_passes_and_mutation_located(field):
     assert any(2 in v[1] for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "sort, index, coords, count, checked, digest",
+    [
+        # V_5 of the rank-0 tensor grading moved from (0, 2, 2) to (2, 2, 2)
+        ("V", 5, (2, 2, 2), 45, 441, "6ef9fab6765e5a36cce3b79682fa8b0bd4558b9d1f951a330c7ad3c7d91fa4c8"),
+        # deg xi moved from h to h^2
+        ("L", 1, (0, 0, 2), 52, 441, "cd9e3c9cdddb63ec7488f651ca087a2a782501c452d5acc692a70e28f211c469"),
+        # s_3 of the Okubo Z3^2 grading moved from (1, 1) to e
+        ("A", 3, (0, 0), 13, 40, "4217f24c3620e98d32fb9d912e2ec93dab8e39097973966e7235967034b973e7"),
+    ],
+)
+def test_verify_grading_pins_violations(fines, sort, index, coords, count, checked, digest):
+    """The whole violation list, in order, and the count of one corrupted
+    degree; the digests were taken from the loop that added GroupElems."""
+    if sort == "A":
+        g = okubo_grading(models(12)["okubo"], "+")
+    else:
+        g = fines["okubo"]["built"].grading
+    report = verify_grading(g.copy_with_degree(sort, index, g.group.element(coords)))
+    assert (len(report.violations), report.checked) == (count, checked)
+    assert hashlib.sha256(repr(report.violations).encode()).hexdigest() == digest
+
+
 def test_coarsen_identity_and_zero(field):
     g = cartan_grading_cayley(zorn_cayley(field))
     G = g.group
@@ -56,6 +84,31 @@ def test_universal_roundtrip_reproduces(field):
     u = universal_group(g)
     back = coarsen(u.grading, u.to_original)
     assert back.degree_map_equal(g)
+
+
+def test_relation_lattice_spans_the_relations():
+    """On random sparse relation sets the echelon basis spans the same
+    lattice as the relations, so the cokernel is the same group."""
+    rng = random.Random(14)
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        rels = []
+        for _ in range(rng.randint(0, 80)):
+            rows = rng.sample(range(m), rng.randint(1, min(3, m)))
+            rels.append({i: c for i in rows if (c := rng.randint(-2, 2))})
+        lattice = RelationLattice()
+        for vec in rels:
+            lattice.insert(vec)
+        assert all(min(col) == p for p, col in lattice.columns.items())
+        # every relation lies in the basis lattice ...
+        assert not any(lattice.reduce(vec) for vec in rels)
+        # ... and every basis column in the relation lattice
+        dense = [[vec.get(i, 0) for i in range(m)] for vec in rels]
+        Q, proj, _ = _cokernel(m, dense)
+        for col in lattice.columns.values():
+            assert Q.element([sum(r[i] * c for i, c in col.items()) for r in proj]).is_identity()
+        basis = [[col.get(i, 0) for i in range(m)] for col in lattice.columns.values()]
+        assert _cokernel(m, basis)[0] == Q
 
 
 def test_trivial_universal_group(field):
