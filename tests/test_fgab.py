@@ -212,12 +212,13 @@ def test_character_orthogonality(field):
 
 G333 = make_group(0, [3, 3, 3])
 G2223 = make_group(0, [2, 2, 2, 3])
+e3, e2 = G333.element, G2223.element
 COARSE = {
-    "rank0": lambda e: params_r0(G333, e((1, 0, 0)), e((0, 1, 0)), e((1, 1, 1)), "-"),
-    "rank1": lambda e: params_r1(G2223, [e((1, 0, 0)), e((1, 1, 0)), e((0, 0, 3))], e((0, 0, 4))),
-    "rank2": lambda e: params_r2(G333, (e((1, 0, 1)), e((0, 1, 1)), e((2, 2, 1))), e((0, 0, 1))),
-    "rank4": lambda e: params_r4(G333, e((1, 2, 0)), e((0, 1, 1))),
-    "rank8": lambda e: params_r8(G333, e((2, 0, 1)), "o"),
+    "rank0": lambda: params_r0(G333, e3((1, 0, 0)), e3((0, 1, 0)), e3((1, 1, 1)), "-"),
+    "rank1": lambda: params_r1(G2223, [e2((1, 0, 0)), e2((1, 1, 0)), e2((0, 0, 3))], e2((0, 0, 4))),
+    "rank2": lambda: params_r2(G333, (e3((1, 0, 1)), e3((0, 1, 1)), e3((2, 2, 1))), e3((0, 0, 1))),
+    "rank4": lambda: params_r4(G333, e3((1, 2, 0)), e3((0, 1, 1))),
+    "rank8": lambda: params_r8(G333, e3((2, 0, 1)), "o"),
 }
 
 
@@ -227,8 +228,7 @@ def test_universal_round_trip(kind, fines):
     original grading: the three fine gradings, and one more of every
     rank."""
     if kind in COARSE:
-        p = COARSE[kind](G2223.element if kind == "rank1" else G333.element)
-        g = build(p).grading
+        g = build(COARSE[kind]()).grading
     else:
         g = fines[kind]["built"].grading
     u = universal_group(g)
