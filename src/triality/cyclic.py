@@ -20,7 +20,7 @@ from functools import cached_property
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
-from .linalg import Coordinates, Residues, axpy, echelon_from, kernel
+from .linalg import Coordinates, Residues, axpy, bilinear, echelon_from, kernel
 
 
 class CyclicAxiomError(ValueError):
@@ -158,16 +158,9 @@ class CyclicAlgebra(StructAlgebra):
         return divmod(i, 3)
 
     def bform(self, x, y):
-        out = [self.field.zero] * 3
-        for i, a in x.items():
-            for j, b in y.items():
-                row = self.bq.get((i, j))
-                if not row:
-                    continue
-                ab = a * b
-                for k, c in row.items():
-                    out[k] = out[k] + ab * c
-        return tuple(out)
+        b = bilinear(self.bq, x, y)
+        zero = self.field.zero
+        return b.get(0, zero), b.get(1, zero), b.get(2, zero)
 
     def quadratic(self, x):
         half = self.field.scalar(1, 2)

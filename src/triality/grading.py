@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .fgab import AbGroup, GroupHom, _cokernel
-from .linalg import axpy
+from .linalg import axpy, bilinear
 
 
 SCALAR_SORT = "F"
@@ -37,7 +37,9 @@ class SMap:
     """A sparse multilinear structure map between sorts.
 
     table maps input basis-index tuples to {output basis index: scalar};
-    for scalar-valued maps the output index is always 0.
+    for scalar-valued maps the output index is always 0.  No table stores
+    a zero: `entries` walks every stored entry, and verify_grading and
+    universal_group read each one as a relation of the grading.
     """
 
     name: str
@@ -48,13 +50,15 @@ class SMap:
     def entries(self):
         for key, outs in self.table.items():
             for out_idx, c in outs.items():
-                if not c.is_zero():
-                    yield key, out_idx, c
+                yield key, out_idx, c
 
 
 class StructAlgebra:
     """A finite-dimensional algebra given by structure constants.
 
+    `mul` is a sparse bilinear table {(i, j): {k: c}} with no stored zero;
+    `product` evaluates it with `linalg.bilinear`, reading `mul` on each
+    call, so a copy with an edited table multiplies by the edited table.
     Optional data: scalar-valued symmetric bilinear forms, an involution,
     a unit vector.  The verifiers of each law set (associative, Lie,
     Jordan, composition) live with the modules that construct the algebras.
@@ -85,14 +89,7 @@ class StructAlgebra:
         return axpy({}, c, x)
 
     def product(self, x, y):
-        out = {}
-        mul = self.mul
-        for i, a in x.items():
-            for j, b in y.items():
-                row = mul.get((i, j))
-                if row:
-                    axpy(out, a * b, row)
-        return out
+        return bilinear(self.mul, x, y)
 
     def form_value(self, name, x, y):
         tab = self.forms[name]

@@ -10,7 +10,8 @@ zeta^3 while keeping the field degree at 4.
 
 The N-th cyclotomic polynomial Phi_N is monic with integer coefficients, so
 a product is an integer convolution, a reduction by the integer rows of
-x^j mod Phi_N, and one gcd against the product of the denominators.  The
+x^j mod Phi_N, and one gcd against the product of the denominators;
+`CycloField.sum_products` folds and divides once for a whole sum.  The
 inverse of a is the product of its other Galois conjugates divided by the
 rational norm N(a), again in integers.
 
@@ -121,8 +122,10 @@ class CycloField:
                     cur[i] -= lead * phi[i]
         rows.append(tuple(cur))
         self._pow_rows = rows
-        # the nonzero entries of the rows that fold x^d .. x^(2d-2) back
-        self._fold = [(j, [(i, r) for i, r in enumerate(rows[j]) if r]) for j in range(d, 2 * d - 1)]
+        # the nonzero entries of the rows that fold x^d .. x^(3d-3) back
+        # (a product of two numerator vectors needs the first d - 1)
+        fold = [(j, [(i, r) for i, r in enumerate(rows[j % conductor]) if r]) for j in range(d, 3 * d - 2)]
+        self._fold, self._fold3 = fold[: d - 1], fold
         # zeta -> zeta^k for the units k != 1: the conjugates in the norm
         self._conjugators = [k for k in range(2, conductor) if gcd(k, conductor) == 1]
         self.zero = CycloScalar(self, (0,) * d, 1)
@@ -174,6 +177,40 @@ class CycloField:
         # an automorphism of Z[zeta] is unimodular on the power basis, so the
         # numerators keep their content and the denominator stays reduced
         return CycloScalar(self, tuple(self._galois_num(a.num, k)), a.den)
+
+    def sum_products(self, triples) -> CycloScalar:
+        """The sum of a b c over the scalar triples (a, b, c), in lowest
+        terms: int products, not folded, over the lcm of the terms'
+        denominators, then one fold mod Phi_N and one gcd.  Rational
+        factors scale, as in __mul__; the form is canonical, so the value
+        is the one a loop of scalar products and sums gives."""
+        acc = [0] * (3 * self.degree - 2)
+        den = 1
+        for a, b, c in triples:
+            d = a.den * b.den * c.den
+            if den % d:
+                s = d // gcd(den, d)
+                acc = [s * t for t in acc]
+                den *= s
+            k = den // d
+            vec = None
+            for v in (a.num, b.num, c.num):
+                if any(v[1:]):
+                    vec = v if vec is None else _poly_mul(vec, v)
+                else:
+                    k *= v[0]
+            if vec is None:
+                acc[0] += k
+            else:
+                for i, t in enumerate(vec):
+                    acc[i] += k * t
+        for j, row in self._fold3:
+            t = acc[j]
+            if t:
+                for i, r in row:
+                    acc[i] += t * r
+        g = gcd(den, *acc[: self.degree])
+        return CycloScalar(self, tuple([t // g for t in acc[: self.degree]]), den // g)
 
     def from_strings(self, strings) -> CycloScalar:
         return self.element([Rational(s) for s in strings])

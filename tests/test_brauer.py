@@ -1,9 +1,11 @@
+import copy
 import itertools
 
 import pytest
 
 from triality.brauer import (
     BrauerError,
+    RelatedTriple,
     check_beta_bar,
     commutation_factor,
     division_params,
@@ -178,15 +180,6 @@ def test_beta_bar_tensor_case(field):
     assert rep.details["component_dim"] == 4  # Pauli factors
 
 
-@pytest.fixture(scope="module")
-def okubo_triple(fines, tri_okubo):
-    built = fines["okubo"]["built"]
-    _gt, adapted = induce_tri_grading(built.grading, tri_okubo)
-    G = built.params.group
-    _Q, pr = quotient(G, [built.params.h])
-    return related_triple([(pr(g), t) for g, t in adapted], built.V.S)
-
-
 def test_related_triple_trivial_divisions(field, okubo_triple):
     for alg, gr in zip(okubo_triple.algebras, okubo_triple.gradings):
         assert gr.verified
@@ -228,16 +221,8 @@ def test_cartan_type_I_elementary(field, fines, tri_zorn):
         assert dp.trivial  # torsion-free support forces T trivial
 
 
-def test_brauer_relations_z2cubed(field, fines):
-    from triality.trilie import tri_basis
-
-    built = fines["z2cubed"]["built"]
-    tri = tri_basis(built.V.S)
-    _gt, adapted = induce_tri_grading(built.grading, tri)
-    G = built.params.group
-    _Q, pr = quotient(G, [built.params.h])
-    triple = related_triple([(pr(g), t) for g, t in adapted], built.V.S)
-    rep = verify_brauer_relations(triple, field)
+def test_brauer_relations_z2cubed(field, z2cubed_triple):
+    rep = verify_brauer_relations(z2cubed_triple, field)
     assert rep.ok()
 
 
@@ -253,3 +238,21 @@ def test_character_units_solved_once_per_character(field, monkeypatch):
     factors = [commutation_factor(alg, alg.grading, c1, c2) for c1, c2 in itertools.combinations(chars, 2)]
     assert sorted(c.exps for c in solved) == sorted(c.exps for c in chars)
     assert sorted(str(f) for f in factors) == ["-1", "-1", "-1", "1", "1", "1"]
+
+
+def test_brauer_relations_catch_corrupted_constant(field, okubo_triple):
+    # one structure constant of the second related algebra, a product of
+    # basis elements of different degrees, times omega: the character units
+    # of that algebra no longer exist
+    assert verify_brauer_relations(okubo_triple, field).ok()
+    A, gr = okubo_triple.algebras[1], okubo_triple.gradings[1]
+    degs = gr.degrees["A"]
+    key = min(k for k in A.mul if degs[k[0]] != degs[k[1]])
+    row = A.mul[key]
+    out = min(row)
+    bad = copy.copy(A)
+    bad.mul = {**A.mul, key: {**row, out: field.omega * row[out]}}
+    algebras, gradings = list(okubo_triple.algebras), list(okubo_triple.gradings)
+    algebras[1], gradings[1] = bad, Grading(bad, gr.group, gr.degrees)
+    with pytest.raises(BrauerError, match="no character unit"):
+        verify_brauer_relations(RelatedTriple(algebras, gradings), field)

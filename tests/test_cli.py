@@ -62,6 +62,24 @@ def test_similar_golden_stdout(name, params):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("build_okubo", ["build", "--constructor", "okubo"]),
+        ("brauer_okubo", ["brauer", "--kind", "okubo"]),
+        ("brauer_z2cubed", ["brauer", "--kind", "z2cubed"]),
+        ("brauer_cartan", ["brauer", "--kind", "cartan"]),
+        ("verify_jordan", ["verify", "--suite", "jordan"]),
+    ],
+)
+def test_product_fed_golden_stdout(name, args):
+    # bytes pinned from the version whose structure-constant products and
+    # b_Q normalized every term on its own
+    proc = run_cli("--seed", "11", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

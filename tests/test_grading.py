@@ -152,3 +152,32 @@ def test_report_verdict_and_require():
         bad.require(RuntimeError, "thing")
     bad.violations.clear()
     assert bad.ok  # ok is read from the violations, never stored
+
+
+def test_no_grading_map_stores_a_zero(mod, fines, trial_zorn, tri_zorn, tri_okubo, okubo_triple, z2cubed_triple):
+    # SMap.entries walks every stored entry, so a stored zero would be a
+    # spurious relation of universal_group and a spurious check of
+    # verify_grading: walk every map of the models, of the three fine
+    # gradings on V, E, tri(S) and J, and of the related triples
+    from triality.albert import grade_albert
+    from triality.trialitarian import end_algebra, induce_E_grading
+    from triality.trilie import induce_tri_grading, tri_basis
+
+    structures = [mod[k] for k in ("para_zorn", "para_doubled", "okubo", "V_zorn", "V_doubled", "V_okubo")]
+    tris = {"cartan": tri_zorn, "z2cubed": tri_basis(mod["para_doubled"]), "okubo": tri_okubo}
+    for kind, tri in tris.items():
+        built = fines[kind]["built"]
+        E = trial_zorn["E"] if built.V is trial_zorn["V"] else end_algebra(built.V)
+        gt, _adapted = induce_tri_grading(built.grading, tri)
+        structures += [built.V, induce_E_grading(built.grading, E).structure, gt.structure, grade_albert(built.grading).structure]
+    structures += okubo_triple.algebras + z2cubed_triple.algebras
+    zeros = [
+        (type(A).__name__, smap.name, key, k)
+        for A in structures
+        for smap in A.grading_maps()
+        for key, outs in smap.table.items()
+        for k, c in outs.items()
+        if c.is_zero()
+    ]
+    assert zeros == []
+    assert len(structures) == 6 + 3 * 4 + 6

@@ -1,7 +1,9 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from triality.linalg import Coordinates, Echelon, axpy, compose, echelon_from, kernel, mat_vec, to_flat
-from triality.scalars import make_field
+from triality.linalg import Coordinates, Echelon, axpy, bilinear, compose, echelon_from, kernel, mat_vec, to_flat
+from triality.scalars import Rational, make_field
 
 F = make_field(12)
 W = F.omega
@@ -124,3 +126,80 @@ def test_kernel_of_columns(case):
 def test_kernel_of_empty_columns():
     assert kernel(F, []) == []
     assert kernel(F, [{}, {("x", 1): W}, {}]) == [{0: F.one}, {2: F.one}]
+
+
+def scalar_loop(table, x, y):
+    """The structure-constant product as a loop of scalar products and sums,
+    each normalized on its own: the reference for `bilinear`."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            row = table.get((i, j))
+            if row:
+                axpy(out, a * b, row)
+    return out
+
+
+@st.composite
+def scalar_of(draw, G):
+    """A nonzero scalar of G: rational or not, with denominators above 1."""
+    num = st.integers(-3, 3)
+    den = st.integers(1, 4)
+    if draw(st.booleans()):
+        c = G.scalar(draw(num.filter(bool)), draw(den))
+    else:
+        c = G.element([Rational(draw(num), draw(den)) for _ in range(G.degree)])
+    return c if not c.is_zero() else G.one
+
+
+@st.composite
+def bilinear_case(draw):
+    """A sparse table on a few indices, two sparse vectors, and the field;
+    each value is drawn from a short list, and with its negative, so that
+    sums cancel often."""
+    G = make_field(draw(st.sampled_from([3, 12, 24])))
+    pool = draw(st.lists(scalar_of(G), min_size=1, max_size=3))
+    pool += [-c for c in pool]
+    value = st.sampled_from(pool)
+    n = draw(st.integers(1, 4))
+    idx = st.integers(0, n - 1)
+    table = draw(st.dictionaries(st.tuples(idx, idx), st.dictionaries(idx, value, min_size=1, max_size=n), max_size=n * n))
+    vec = st.dictionaries(idx, value, max_size=n)
+    return table, draw(vec), draw(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bilinear_case())
+def test_bilinear_against_scalar_loop(case):
+    table, x, y = case
+    out = bilinear(table, x, y)
+    assert out == scalar_loop(table, x, y)
+    assert all(not c.is_zero() for c in out.values())
+
+
+def test_bilinear_single_entries_and_cancellation():
+    half, third = F.scalar(1, 2), F.scalar(-1, 3)
+    table = {(0, 0): {0: W, 1: half}, (1, 0): {0: -W, 2: third}, (0, 1): {1: I4}}
+    # one entry in each operand: every output is a lone term
+    assert bilinear(table, {0: third}, {0: W}) == {0: third * W * W, 1: third * W * half}
+    assert bilinear(table, {1: W}, {1: W}) == {}
+    # x_0 = x_1 cancels output 0 and keeps output 2
+    x = {0: W + half, 1: W + half}
+    assert bilinear(table, x, {0: I4}) == {1: (W + half) * I4 * half, 2: (W + half) * I4 * third}
+    # the two terms of output 1 cancel as well: the product is empty
+    table[(1, 0)] = {0: -W, 1: -half}
+    assert bilinear(table, x, {0: I4}) == {}
+    assert bilinear(table, {}, {0: I4}) == {}
+
+
+def test_bform_against_scalar_loop(mod):
+    rng = random.Random(5)
+    for name in ("V_zorn", "V_okubo"):
+        V = mod[name]
+        zero = V.field.zero
+        pool = [F.scalar(1, 2), F.scalar(-3), W, F.scalar(2, 3) * I4 + W, -F.one]
+        for _ in range(20):
+            x = {i: rng.choice(pool) for i in rng.sample(range(V.dim), rng.randint(1, V.dim))}
+            y = {i: rng.choice(pool) for i in rng.sample(range(V.dim), rng.randint(1, 3))}
+            ref = scalar_loop(V.bq, x, y)
+            assert V.bform(x, y) == tuple(ref.get(k, zero) for k in range(3))

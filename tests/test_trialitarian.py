@@ -253,3 +253,17 @@ def test_alpha_involution_catches_corrupted_image(trial_zorn):
     bad._even = dict(am._even)
     bad._even[mask] = ({**a1, idx: a1[idx] + am.E.field.one}, a2)
     assert not alpha_involution_compatible(bad)
+
+
+def test_alpha_multiplicative_sample_catches_corrupted_image(trial_zorn):
+    # the first factor of the image of the first monomial the seeded
+    # sample draws, negated: its first product no longer matches
+    am = trial_zorn["alpha"]
+    mask = random.Random(1).choice(am.Cl.masks)
+    a1, a2 = am._even[mask]
+    assert a1
+    bad = copy.copy(am)
+    bad._even = dict(am._even)
+    bad._even[mask] = ({i: -c for i, c in a1.items()}, a2)
+    assert alpha_multiplicative_sample(am, seed=1, count=80)
+    assert not alpha_multiplicative_sample(bad, seed=1, count=80)
