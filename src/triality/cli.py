@@ -259,6 +259,45 @@ def _suite_grading(args, mod):
     return checks
 
 
+def _suite_typeIII(args, mod):
+    from .albert import grade_albert
+    from .trialitarian import (
+        alpha,
+        clifford_even,
+        detect_type,
+        e_grading_kappa_alpha_compatible,
+        end_algebra,
+        induce_E_grading,
+        kappa,
+    )
+    from .trilie import center_orbit, orbit_induces_identical, orbit_pairwise_distinct, tri_basis
+
+    checks = {}
+    for kind in ("cartan", "z2cubed", "okubo"):
+        built = fine_typeIII(kind, args.conductor)["built"]
+        grading, V = built.grading, built.V
+        names = ["center_orbit_distinct", "center_orbit_same_E_and_tri", "E_type_III", "E_kappa_alpha_graded"]
+        names += ["albert_fine"] if kind == "okubo" else []
+        if not verify_grading(grading).ok:
+            # every check below reads the grading's components as a grading
+            checks.update(dict.fromkeys((f"{kind}_{name}" for name in names), False))
+            continue
+        orbit = center_orbit(grading, tri_basis(V.S))
+        checks[f"{kind}_center_orbit_distinct"] = orbit_pairwise_distinct(orbit)
+        checks[f"{kind}_center_orbit_same_E_and_tri"] = orbit_induces_identical(orbit)
+        E, Cl = end_algebra(V), clifford_even(V)
+        gE = induce_E_grading(grading, E)
+        checks[f"{kind}_E_type_III"] = detect_type(gE) == ("III", built.params.h)
+        checks[f"{kind}_E_kappa_alpha_graded"] = e_grading_kappa_alpha_compatible(
+            grading, gE, E, Cl, kappa(V, E, Cl), alpha(V, E, Cl)
+        )
+        if kind == "okubo":
+            # the Okubo grading extends to J = L + V with 27 one-dimensional components
+            comps = grade_albert(grading).components()
+            checks["okubo_albert_fine"] = len(comps) == 27 and all(len(ix) == 1 for ix in comps.values())
+    return checks
+
+
 SUITES = {
     "composition": _suite_composition,
     "cyclic": _suite_cyclic,
@@ -266,6 +305,7 @@ SUITES = {
     "trialitarian": _suite_trialitarian,
     "jordan": _suite_jordan,
     "grading": _suite_grading,
+    "typeIII": _suite_typeIII,
 }
 
 

@@ -44,13 +44,11 @@ class HurwitzAlgebra(StructAlgebra):
 
 class SymCompAlgebra(StructAlgebra):
     """A (not necessarily unital) composition algebra whose polar norm form
-    is associative.  para_unit is set for para-Hurwitz constructions;
-    diagonal_pair marks a 2-dim subalgebra used by the idempotent search."""
+    is associative.  para_unit is set for para-Hurwitz constructions."""
 
-    def __init__(self, field, labels, mul, n_polar, para_unit=None, diagonal_pair=None):
+    def __init__(self, field, labels, mul, n_polar, para_unit=None):
         super().__init__(field, labels, mul, forms={"n": n_polar})
         self.para_unit = para_unit
-        self.diagonal_pair = diagonal_pair
 
     def norm(self, x):
         two = self.field.scalar(2)
@@ -289,7 +287,6 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     labels = [f"X^{a}Y^{b}" if a and b else (f"X^{a}" if a else f"Y^{b}") for a, b in keys]
     S = SymCompAlgebra(F, labels, mul, n_polar)
     S.monomial_keys = keys
-    S.diagonal_pair = (keys.index((1, 0)), keys.index((2, 0)))  # X, X^2
     return S
 
 
@@ -395,23 +392,6 @@ def cartan_grading_cayley(A: HurwitzAlgebra | None = None, field=None):
     return g
 
 
-def z2cubed_grading_cayley(A: HurwitzAlgebra | None = None, field=None):
-    """The Z_2^3 grading of the iterated-doubling model: the i-th doubling
-    generator gets the i-th Z_2 generator, so every component is a line."""
-    A = A or doubled_cayley(field)
-    if A.doubling_steps != 3:
-        raise CompositionError("the Z2^3 grading lives on the thrice-doubled model")
-    G = make_group(0, [2, 2, 2])
-
-    def word_degree(label):
-        return tuple(1 if f"g{k}" in label else 0 for k in (1, 2, 3))
-
-    degs = [G.element(word_degree(lab)) for lab in A.labels]
-    g = Grading(A, G, {"A": degs})
-    verify_grading(g).require(AssertionError, "Z2^3 grading")
-    return g
-
-
 def okubo_grading(S: SymCompAlgebra | None = None, sign: str = "+", field=None):
     """The two Z_3^2 gradings of the Okubo algebra: deg X^a Y^b = (a, b)
     for "+", and with the two generators swapped for "-"."""
@@ -429,11 +409,7 @@ def okubo_grading(S: SymCompAlgebra | None = None, sign: str = "+", field=None):
     return g
 
 
-# ----------------------------------------------------- idempotent search
-
-
-class IdempotentSearchError(RuntimeError):
-    pass
+# ------------------------------------------------------------ cube roots
 
 
 def _icbrt(n: int) -> int:
@@ -452,7 +428,7 @@ def _icbrt(n: int) -> int:
 def _cube_roots(field, c):
     """All cube roots of c in the field, found among r * zeta^j with r a
     rational cube root of a rational; sufficient for the desk-scale scalars
-    this search meets (roots of unity times rational cubes)."""
+    of the rank-0 normalization (roots of unity times rational cubes)."""
     roots = []
     for j in range(field.conductor):
         t = c * field.zeta(-3 * j % field.conductor)
@@ -467,55 +443,3 @@ def _cube_roots(field, c):
         if cand not in roots and cand * cand * cand == c:
             roots.append(cand)
     return roots
-
-
-def _pair_idempotents(S, i, j):
-    """Idempotents a*u + b*v in a 2-dim closed pattern u*u = alpha v,
-    v*v = beta u, u*v = v*u = 0; returns [] if the pattern does not hold."""
-    F = S.field
-    u, v = S.basis_vec(i), S.basis_vec(j)
-    uu, vv = S.product(u, u), S.product(v, v)
-    if set(uu) != {j} or set(vv) != {i}:
-        return []
-    if S.product(u, v) or S.product(v, u):
-        return []
-    alpha, beta = uu[j], vv[i]
-    # a^3 = 1/(alpha^2 beta), b = a^2 alpha
-    out = []
-    for a in _cube_roots(F, (alpha * alpha * beta).inverse()):
-        b = a * a * alpha
-        out.append({i: a, j: b})
-    out.sort(key=lambda e: tuple(tuple(c.coeffs) for c in (e.get(i, F.zero), e.get(j, F.zero))))
-    return out
-
-
-def nonzero_idempotent(S: SymCompAlgebra):
-    """A nonzero exact idempotent of S, found by the structured search:
-    designated para-unit, then the designated diagonal pair, then single
-    basis elements, then all 2-dim closed basis pairs.  The norm of the
-    returned idempotent is verified to be 1."""
-    F = S.field
-
-    def check(eps):
-        if S.product(eps, eps) != eps:
-            raise AssertionError("search produced a non-idempotent")
-        if S.norm(eps) != F.one:
-            raise AssertionError("idempotent has norm != 1")
-        return eps
-
-    if S.para_unit is not None:
-        return check(dict(S.para_unit))
-    if S.diagonal_pair is not None:
-        sols = _pair_idempotents(S, *S.diagonal_pair)
-        if sols:
-            return check(sols[0])
-    for i in range(S.dim):
-        row = S.product(S.basis_vec(i), S.basis_vec(i))
-        if set(row) == {i}:
-            return check({i: row[i].inverse()})
-    for i in range(S.dim):
-        for j in range(i + 1, S.dim):
-            sols = _pair_idempotents(S, i, j)
-            if sols:
-                return check(sols[0])
-    raise IdempotentSearchError("no idempotent found by the structured search")

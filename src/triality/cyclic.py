@@ -245,29 +245,6 @@ def opposite(V: CyclicAlgebra) -> CyclicAlgebra:
     return CyclicAlgebra(V.S, V.L, mul, dict(V.bq), twist=3 - V.twist)
 
 
-def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
-    """The similitude-scaled algebra: product lam (x * y), form lam# Q."""
-    L = V.L
-    L.invert(lam)  # raises if lam is not invertible
-    lam_sharp = L.sharp(lam)
-    mul = {}
-    for (i, j), row in V.mul.items():
-        acted = V.act(lam, row)
-        if acted:
-            mul[(i, j)] = acted
-    bq = {}
-    for (i, j), row in V.bq.items():
-        out = [V.field.zero] * 3
-        for k, c in row.items():
-            for m in range(3):
-                if not lam_sharp[m].is_zero():
-                    out[(k + m) % 3] = out[(k + m) % 3] + c * lam_sharp[m]
-        entry = {k: c for k, c in enumerate(out) if not c.is_zero()}
-        if entry:
-            bq[(i, j)] = entry
-    return CyclicAlgebra(V.S, V.L, mul, bq, twist=V.twist)
-
-
 def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     """Exact verification of the cyclic composition axioms.
 
@@ -458,15 +435,6 @@ def tensor_grading(grading_S: Grading, h, V: CyclicAlgebra) -> Grading:
     g = Grading(V, G, {"V": vdeg, "L": ldeg})
     verify_grading(g).require(AssertionError, "tensor grading")
     return g
-
-
-def distinguished_element(grading: Grading):
-    """The degree of the omega-eigenvector of the twist: xi for twist 1,
-    xi^2 for twist 2 (the distinguished elements of V and V^op are mutually
-    inverse)."""
-    V = grading.structure
-    twist = getattr(V, "twist", 1)
-    return grading.degrees["L"][1] if twist == 1 else grading.degrees["L"][2]
 
 
 # ------------------------------------------------ idempotent-cut subalgebras

@@ -39,7 +39,7 @@ def smith_normal_form(M):
     >>> D, U, Uinv = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
-    >>> _mat_mul_int(U, Uinv)
+    >>> [[sum(a * b for a, b in zip(row, col)) for col in zip(*Uinv)] for row in U]
     [[1, 0], [0, 1]]
     """
     A = [list(row) for row in M]
@@ -127,12 +127,6 @@ def smith_normal_form(M):
             t += 1
     D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
     return D, U, Uinv
-
-
-def _mat_mul_int(A, B):
-    n, k = len(A), len(B[0])
-    m = len(B)
-    return [[sum(A[i][s] * B[s][j] for s in range(m)) for j in range(k)] for i in range(n)]
 
 
 # ---------------------------------------------------------------- groups
@@ -258,8 +252,7 @@ class GroupElem:
 
         >>> make_group(1, [3]).element((1, 0)).order()
         inf
-        >>> G, pr = presented_group([4, 6])   # (2, 3) in Z4 x Z6
-        >>> pr((2, 3)).order()
+        >>> make_group(0, [2, 12]).element((1, 6)).order()
         2
         """
         c = self.canonical()
@@ -335,26 +328,6 @@ def make_group(free_rank: int, torsion_orders=()) -> AbGroup:
         D, _, _ = smith_normal_form([[torsion[i] if i == j else 0 for j in range(len(torsion))] for i in range(len(torsion))])
         torsion = [D[i][i] for i in range(len(torsion)) if D[i][i] > 1]
     return AbGroup(free_rank, torsion)
-
-
-def presented_group(orders) -> tuple[AbGroup, "callable"]:
-    """The group presented as a product of Z_{m_i} in the given (possibly
-    non-chain) order.  Returns the canonical group together with a map from
-    presentation coordinate tuples to canonical elements.
-
-    >>> G, pr = presented_group([4, 6])
-    >>> G
-    Z2 x Z12
-    """
-    t = len(orders)
-    free = AbGroup(t)
-    rels = []
-    for i, m in enumerate(orders):
-        v = [0] * t
-        v[i] = m
-        rels.append(free.element(v))
-    Q, proj = quotient(free, rels)
-    return Q, lambda coords: proj(free.element(coords))
 
 
 # ------------------------------------------------- subgroups and quotients

@@ -359,17 +359,3 @@ def invariants(grading: Grading) -> GradingInvariants:
     ident = len(grading.identity_component())
     uni = universal_group(grading).group
     return GradingInvariants(sorted(comps), tv, ident, uni)
-
-
-def is_refinement(finer: Grading, coarser: Grading) -> bool:
-    """True iff every component of `finer` is contained in a component of
-    `coarser` (basis-aligned containment on the same structure)."""
-    if finer.structure is not coarser.structure:
-        raise ValueError("gradings live on different structures")
-    for sort in finer.degrees:
-        cdeg = coarser.degrees[sort]
-        for _d, idxs in finer.components(sort).items():
-            first = cdeg[idxs[0]].canonical()
-            if any(cdeg[i].canonical() != first for i in idxs[1:]):
-                return False
-    return True

@@ -431,20 +431,3 @@ def make_field(conductor: int) -> CycloField:
 def default_field() -> CycloField:
     """Q(zeta_12): the scalar domain used by every constructor by default."""
     return make_field(12)
-
-
-def arith(a: CycloScalar, b: CycloScalar, op: str) -> CycloScalar:
-    """Named arithmetic entry point: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def galois(a: CycloScalar, k: int) -> CycloScalar:
-    return a.field.galois(a, k)

@@ -323,25 +323,6 @@ def clifford_even(V) -> CliffordEven:
     return Cl
 
 
-def clifford_center_dimension(V, Cl) -> int:
-    """dim_F of the center of Cl_0: solved per xi-power block (the three
-    blocks are identical as F-linear systems), then multiplied by 3."""
-    minus = -V.field.one
-    gens = []
-    for p in range(V.S.dim):
-        for q in range(p + 1, V.S.dim):
-            gens.append((1 << p) | (1 << q))
-    # the column of a mask m holds [m, g] for every generator g
-    cols = []
-    for m in Cl.masks:
-        col = {}
-        for g in gens:
-            for out, c in axpy(dict(Cl._mask_mul(m, g)), minus, Cl._mask_mul(g, m)).items():
-                col[(g, out)] = c
-        cols.append(col)
-    return 3 * len(kernel(V.field, cols))
-
-
 # ------------------------------------------------------------------- kappa
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Coordinates, Echelon, axpy, compose, det_dense, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
 from .grading import Grading, Report, StructAlgebra, verify_grading
 
 
@@ -207,10 +207,13 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
                     left, mid, right = (cols[(a + s) % 3 * m + mm] for s in range(3))
                     for k, c in mat_vec(so_cols[mm], pij).items():
                         left[(a, i, j, k)] = c
-                    for k, c in S.product(so_cols[mm][i], bas[j]).items():
-                        mid[(a, i, j, k)] = -c
-                    for k, c in S.product(bas[i], so_cols[mm][j]).items():
-                        right[(a, i, j, k)] = -c
+                    # a block with an empty column contributes nothing there
+                    if so_cols[mm][i]:
+                        for k, c in S.product(so_cols[mm][i], bas[j]).items():
+                            mid[(a, i, j, k)] = -c
+                    if so_cols[mm][j]:
+                        for k, c in S.product(bas[i], so_cols[mm][j]).items():
+                            right[(a, i, j, k)] = -c
     sols = kernel(F, cols)
     if len(sols) != 28:
         raise TrialityError(f"{what} has dimension {len(sols)}, expected 28")
@@ -280,10 +283,6 @@ def der_cyclic(V) -> TriAlgebra:
     if V.twist != 1:
         raise TrialityError("derivations are computed for the standard twist")
     return _solve_triples(V.S, (0, 1, 2), "Der_L(V)")
-
-
-def spans_equal(tri_a: TriAlgebra, tri_b: TriAlgebra) -> bool:
-    return all(tri_a.contains(v) for v in tri_b.vectors) and all(tri_b.contains(v) for v in tri_a.vectors)
 
 
 # ------------------------------------------------------------- root datum
@@ -460,16 +459,6 @@ def is_d4_cartan_matrix(cmat) -> bool:
                 return False
     valences = sorted(sum(1 for j in range(4) if i != j and cmat[i][j] == -1) for i in range(4))
     return valences == [1, 1, 1, 3]
-
-
-def killing_form_nondegenerate(tri: TriAlgebra) -> bool:
-    F = tri.field
-    d = tri.dim
-    ads = []
-    for k in range(d):
-        ads.append(_ad_matrix(tri, {k: F.one}))
-    gram = [[_trace_form(F, ads[b], ads[a]) for b in range(d)] for a in range(d)]
-    return not det_dense(F, gram).is_zero()
 
 
 # ------------------------------------------- induced gradings on tri(S)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from triality.scalars import default_field
@@ -50,6 +52,17 @@ def trial_zorn(mod):
     km = kappa(V, E, Cl)
     am = alpha(V, E, Cl)
     return {"V": V, "E": E, "Cl": Cl, "kappa": km, "alpha": am}
+
+
+@pytest.fixture(scope="session")
+def typeIII_report(tmp_path_factory):
+    """(exit code, JSON report) of `verify --suite typeIII`, run once in
+    process.  The flags are explicit, so no TRIALITY_* override applies."""
+    from triality.cli import main
+
+    out = tmp_path_factory.mktemp("typeIII") / "report.json"
+    code = main(["--field-conductor", "12", "--seed", "0", "--out", str(out), "verify", "--suite", "typeIII"])
+    return code, json.loads(out.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

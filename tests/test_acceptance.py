@@ -266,18 +266,17 @@ def test_criterion_07c_witnesses(fines):
     report(7, "witness maps verify", ok)
 
 
-def test_criterion_08_center_orbit(fines, tri_zorn, tri_okubo):
-    from triality.trilie import center_orbit, orbit_induces_identical, orbit_pairwise_distinct, tri_basis
-
-    ok = True
-    tris = {"cartan": tri_zorn, "okubo": tri_okubo}
-    for kind, data in fines.items():
-        built = data["built"]
-        tri = tris.get(kind) or tri_basis(built.V.S)
-        orbit = center_orbit(built.grading, tri)
-        ok = ok and len(orbit) == 4
-        ok = ok and orbit_pairwise_distinct(orbit)
-        ok = ok and orbit_induces_identical(orbit)
+def test_criterion_08_center_orbit(typeIII_report):
+    # read from `verify --suite typeIII`: for each fine grading, the four
+    # regradings by the center are pairwise distinct and induce one grading
+    # on E = End_L(V) and on tri; that E grading is of Type III with the
+    # grading's distinguished element, and kappa and alpha preserve degrees
+    code, rep = typeIII_report
+    names = ("center_orbit_distinct", "center_orbit_same_E_and_tri", "E_type_III", "E_kappa_alpha_graded")
+    wanted = {f"{kind}_{name}" for kind in ("cartan", "z2cubed", "okubo") for name in names}
+    checks = rep["checks"]
+    ok = code == 0 and rep["status"] == "pass" and wanted <= set(checks)
+    ok = ok and all(checks[key] is True for key in wanted)
     report(8, "center orbit of Cor-type regradings", ok)
 
 
@@ -320,17 +319,18 @@ def test_criterion_09_brauer(field, fines, tri_zorn, tri_okubo):
     report(9, "graded Brauer relations", ok)
 
 
-def test_criterion_10_albert(mod, fines):
-    from triality.albert import albert, grade_albert, random_element, verify_degree3, verify_jordan
+def test_criterion_10_albert(mod, typeIII_report):
+    from triality.albert import albert, random_element, verify_degree3, verify_jordan
 
     J = albert(mod["V_zorn"])
     ok = J.dim == 27
     ok = ok and verify_jordan(J).violations == []
     rng = random.Random(0)
     ok = ok and all(verify_degree3(J, random_element(J, rng)) for _ in range(100))
-    gJ = grade_albert(fines["okubo"]["built"].grading)
-    comps = gJ.components()
-    ok = ok and len(comps) == 27 and all(len(ix) == 1 for ix in comps.values())
+    # the Okubo grading extends to J with 27 one-dimensional components
+    # (read from `verify --suite typeIII`)
+    code, rep = typeIII_report
+    ok = ok and code == 0 and rep["checks"].get("okubo_albert_fine") is True
     report(10, "Albert algebra", ok)
 
 

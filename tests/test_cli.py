@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -149,6 +151,53 @@ def test_verify_lie_reports_real_checks():
         "para_zorn_d4_cartan_matrix": True,
         "para_zorn_jacobi": True,
     }
+
+
+def run_typeIII_in_process(tmp_path):
+    from triality.cli import main
+
+    out = tmp_path / "typeIII.json"
+    code = main(["--field-conductor", "12", "--out", str(out), "verify", "--suite", "typeIII"])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_verify_typeIII_fails_on_corrupted_degree(tmp_path, monkeypatch, typeIII_report):
+    # one V degree of each fine grading moved by its distinguished element:
+    # no grading verifies, and every check of the suite reads false
+    from triality import cli
+
+    real = cli.fine_typeIII
+
+    def corrupted(kind, conductor):
+        fine = real(kind, conductor)
+        built = fine["built"]
+        g = built.grading
+        bad = g.copy_with_degree("V", 0, g.degrees["V"][0] + built.params.h)
+        return {**fine, "built": dataclasses.replace(built, grading=bad)}
+
+    monkeypatch.setattr(cli, "fine_typeIII", corrupted)
+    code, rep = run_typeIII_in_process(tmp_path)
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["checks"] == dict.fromkeys(typeIII_report[1]["checks"], False)
+
+
+def test_verify_typeIII_fails_on_one_false_check(tmp_path, monkeypatch, typeIII_report):
+    from triality import trilie
+
+    monkeypatch.setattr(trilie, "orbit_induces_identical", lambda _orbit: False)
+    code, rep = run_typeIII_in_process(tmp_path)
+    assert code == 1 and rep["status"] == "fail"
+    passing = typeIII_report[1]["checks"]
+    assert rep["checks"] == {key: not key.endswith("_center_orbit_same_E_and_tri") for key in passing}
+    assert len(passing) == 13 and all(v is True for v in passing.values())
+
+
+def test_readme_names_every_suite():
+    from triality.cli import SUITES
+
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^# verification suites: (.*)$", readme, re.M)
+    assert [line.split(", ") for line in listed] == [sorted(SUITES)]
 
 
 def test_build_typeIII():

@@ -3,8 +3,6 @@ import pytest
 from triality.composition import (
     CompositionError,
     _cube_roots,
-    _pair_idempotents,
-    IdempotentSearchError,
     SymCompAlgebra,
     cartan_grading_cayley,
     cayley_dickson,
@@ -12,11 +10,9 @@ from triality.composition import (
     ground_field_algebra,
     is_hurwitz,
     is_symmetric_composition,
-    nonzero_idempotent,
     okubo_grading,
     okubo_sl3,
     para,
-    z2cubed_grading_cayley,
     zorn_cayley,
 )
 from triality.fgab import make_group
@@ -148,14 +144,6 @@ def test_cartan_grading(field):
     assert universal_group(g).group == make_group(2)
 
 
-def test_z2cubed_grading(field):
-    g = z2cubed_grading_cayley(doubled_cayley(field))
-    comps = g.components()
-    assert len(comps) == 8 and all(len(ix) == 1 for ix in comps.values())
-    assert g.identity_component() == [0]
-    assert universal_group(g).group == make_group(0, [2, 2, 2])
-
-
 def test_okubo_gradings(field, mod):
     O = mod["okubo"]
     gp = okubo_grading(O, "+")
@@ -170,39 +158,6 @@ def test_okubo_gradings(field, mod):
         a, b = gp.degrees["A"][i].canonical()
         assert gm.degrees["A"][i].canonical() == (b, a)
     assert universal_group(gp).group == make_group(0, [3, 3])
-
-
-def test_idempotent_search(field, mod):
-    pC = mod["para_zorn"]
-    assert nonzero_idempotent(pC) == pC.para_unit
-    O = mod["okubo"]
-    w = field.omega
-    eps = nonzero_idempotent(O)
-    ix = O.monomial_keys.index((1, 0))
-    ix2 = O.monomial_keys.index((2, 0))
-    assert eps == {ix: w, ix2: w * w}
-    # 2-dim para-quadratic algebra: three para-units (1,1), (w,w2), (w2,w)
-    two = SymCompAlgebra(
-        field,
-        ["f1", "f2"],
-        {(0, 0): {1: field.one}, (1, 1): {0: field.one}},
-        {(0, 1): field.one, (1, 0): field.one},
-    )
-    units = _pair_idempotents(two, 0, 1)
-    assert nonzero_idempotent(two) == units[0]
-    coeffs = {tuple(sorted((i, str(c)) for i, c in u.items())) for u in units}
-    w2 = w * w
-    expected = {
-        tuple(sorted(((0, "1"), (1, "1")))),
-        tuple(sorted(((0, str(w)), (1, str(w2))))),
-        tuple(sorted(((0, str(w2)), (1, str(w))))),
-    }
-    assert coeffs == expected
-    for u in units:
-        assert two.product(u, u) == u
-    bad = SymCompAlgebra(field, ["x"], {}, {(0, 0): field.one})
-    with pytest.raises(IdempotentSearchError):
-        nonzero_idempotent(bad)
 
 
 def test_cube_roots_exact_for_large_rationals(field):

@@ -6,17 +6,36 @@ import pytest
 from triality.cyclic import (
     CyclicAlgebra,
     CyclicAxiomError,
-    cyclic_from_symmetric,
-    distinguished_element,
     make_L,
     opposite,
     para_subalgebra_from_idempotent,
-    scale,
-    tensor_grading,
     verify_cyclic_axioms,
 )
-from triality.classify import build, params_r2
-from triality.fgab import make_group
+
+
+def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
+    """The similitude-scaled algebra: product lam (x * y), form lam# Q.
+    Its star and b_Q rows are multi-term, which the triple models never
+    have, so the axiom checks below see a second kind of input."""
+    L = V.L
+    L.invert(lam)  # raises if lam is not invertible
+    lam_sharp = L.sharp(lam)
+    mul = {}
+    for (i, j), row in V.mul.items():
+        acted = V.act(lam, row)
+        if acted:
+            mul[(i, j)] = acted
+    bq = {}
+    for (i, j), row in V.bq.items():
+        out = [V.field.zero] * 3
+        for k, c in row.items():
+            for m in range(3):
+                if not lam_sharp[m].is_zero():
+                    out[(k + m) % 3] = out[(k + m) % 3] + c * lam_sharp[m]
+        entry = {k: c for k, c in enumerate(out) if not c.is_zero()}
+        if entry:
+            bq[(i, j)] = entry
+    return CyclicAlgebra(V.S, V.L, mul, bq, twist=V.twist)
 
 
 def test_make_L_invariants(field):
@@ -123,22 +142,6 @@ def test_opposite(mod, cyclic_axiom_reports):
     assert cyclic_axiom_reports["zorn_op"].ok
     back = opposite(Vop)
     assert back.twist == 1 and back.mul == V.mul
-
-
-def test_opposite_distinguished_inverse(mod):
-    G = make_group(0, [3, 3, 3])
-    h = G.element((0, 0, 1))
-    g1, g2 = G.element((1, 0, 0)), G.element((0, 1, 0))
-    built = build(params_r2(G, (g1, g2, -(g1 + g2)), h))
-    grading = built.grading
-    V = grading.structure
-    Vop = opposite(V)
-    from triality.grading import Grading
-
-    gr_op = Grading(Vop, G, grading.degrees)
-    gr_op.verified = True
-    assert distinguished_element(grading) == h
-    assert distinguished_element(gr_op) == 2 * h
 
 
 def test_scale(field, mod):

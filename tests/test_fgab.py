@@ -10,15 +10,18 @@ from triality.fgab import (
     characters,
     in_subgroup,
     make_group,
-    presented_group,
     quotient,
     smith_normal_form,
     subgroup_elements,
     subgroup_generated,
-    _mat_mul_int,
 )
 from triality.classify import build, params_r0, params_r1, params_r2, params_r4, params_r8
 from triality.grading import coarsen, universal_group
+
+
+def mat_mul(A, B):
+    """The integer matrix product A B."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def int_det(M):
@@ -54,10 +57,12 @@ def test_element_order_examples():
     assert G33.element((1, 1)).order() == 3
     G = make_group(1, [3])
     assert G.element((1, 0)).order() == math.inf
-    # (2, 3) in Z4 x Z6: lcm of component orders 2 and 2
-    _Q, pr = presented_group([4, 6])
-    assert pr((2, 3)).order() == 2
-    assert pr((2, 0)).order() == 2 and pr((0, 3)).order() == 2
+    # (2, 3) in Z4 x Z6, presented as Z^2 / <(4, 0), (0, 6)>: lcm of
+    # component orders 2 and 2
+    Z2 = make_group(2)
+    _Q, pr = quotient(Z2, [Z2.element((4, 0)), Z2.element((0, 6))])
+    assert pr(Z2.element((2, 3))).order() == 2
+    assert pr(Z2.element((2, 0))).order() == 2 and pr(Z2.element((0, 3))).order() == 2
 
 
 def test_snf_examples():
@@ -92,14 +97,14 @@ def test_snf_random_properties():
         n = rng.randint(1, 5)
         M = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
         D, U, Uinv = smith_normal_form(M)
-        assert _mat_mul_int(U, Uinv) == [[int(i == j) for j in range(m)] for i in range(m)]
+        assert mat_mul(U, Uinv) == [[int(i == j) for j in range(m)] for i in range(m)]
         assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
         diag = [D[i][i] for i in range(min(m, n))]
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if b:
                 assert a and b % a == 0
-        UM = _mat_mul_int(U, M)
+        UM = mat_mul(U, M)
         for i, row in enumerate(UM):
             d = diag[i] if i < len(diag) else 0
             if d:

@@ -12,7 +12,6 @@ from triality.grading import (
     Report,
     coarsen,
     invariants,
-    is_refinement,
     universal_group,
     verify_grading,
 )
@@ -117,17 +116,6 @@ def test_trivial_universal_group(field):
     g = Grading(A, G, {"A": [G.identity()] * 8})
     verify_grading(g)
     assert universal_group(g).group.is_trivial()
-
-
-def test_is_refinement(field):
-    g = cartan_grading_cayley(zorn_cayley(field))
-    T = make_group(0, [2])
-    co = coarsen(g, GroupHom.zero(g.group, T))
-    assert is_refinement(g, co)
-    assert not is_refinement(co, g) or len(co.components()) == len(g.components())
-    other = cartan_grading_cayley(zorn_cayley(field))
-    with pytest.raises(ValueError):
-        is_refinement(g, other)  # different structure instances
 
 
 def test_invariants_weighted_sum(field):

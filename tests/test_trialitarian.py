@@ -12,7 +12,6 @@ from triality.trialitarian import (
     TrialitarianError,
     alpha_involution_compatible,
     alpha_multiplicative_sample,
-    clifford_center_dimension,
     detect_type,
     e_grading_kappa_alpha_compatible,
     end_algebra,
@@ -59,10 +58,6 @@ def test_end_algebra_catches_corrupted_product(mod, monkeypatch):
     monkeypatch.setattr(trialitarian, "EndAlgebraE", CorruptedProduct)
     with pytest.raises(TrialitarianError, match="sigma is not an anti-homomorphism"):
         end_algebra(mod["V_zorn"])
-
-
-def test_clifford_center(mod, trial_zorn):
-    assert clifford_center_dimension(mod["V_zorn"], trial_zorn["Cl"]) == 6
 
 
 def test_clifford_associativity(trial_zorn):
