@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Coordinates, Echelon, axpy, compose, invert_dense, kernel, to_flat
+from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
 
 
 class BrauerError(ValueError):
@@ -313,26 +313,28 @@ def _proportionality(F, img, base):
     if c is None:
         return None
     lam = c / base[piv]
-    if img != {i: lam * v for i, v in base.items() if not (lam * v).is_zero()}:
+    if img != axpy({}, lam, base):
         return None
     return lam
 
 
 def graded_simple_check(A: StructAlgebra):
     """Desk-scale check: the two-sided ideal generated by the first
-    homogeneous basis element is everything."""
-    seed = A.basis_vec(0)
+    homogeneous basis element is everything.  It returns as soon as the
+    ideal has full rank."""
     ideal = Echelon(A.field)
-    work = [seed]
-    while work and ideal.rank < A.dim:
+    work = [A.basis_vec(0)]
+    while work:
         v = work.pop()
         for i in range(A.dim):
             bi = A.basis_vec(i)
-            for pv in (A.product(bi, v), A.product(v, bi)):
+            for x, y in ((bi, v), (v, bi)):
+                pv = A.product(x, y)
                 if ideal.insert(pv):
+                    if ideal.rank == A.dim:
+                        return
                     work.append(pv)
-    if ideal.rank != A.dim:
-        raise BrauerError("algebra is not graded simple at desk scale")
+    raise BrauerError("algebra is not graded simple at desk scale")
 
 
 def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
@@ -402,7 +404,16 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     component spans are independent) and sigma_n-stable.  adapted_coarse
     pairs each degree with a vector of End(S)^3 in triple coordinates
     (trilie); block comp of it is the comp-th projection, a flat matrix,
-    and products are taken with linalg.compose."""
+    and products are taken with linalg.compose.
+
+    The closure stops once the span ranks add up to n*n.  Each span is an
+    Echelon, whose reduced row echelon form is determined by the span, so
+    the adapted rows, and with them the table, the involution and the
+    degrees, are those of the full closure whenever the full closure would
+    also end at n*n.  If it would grow a span further, the stopped spans
+    are dependent, which the union rank check refuses, or independent with
+    some product s v (s a seed, v in a span) outside the span of its degree,
+    which verify_grading on the table refuses."""
     F = S.field
     n = S.dim
     G = adapted_coarse[0][0].group
@@ -419,15 +430,18 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
             vec = {idx % (n * n): c for idx, c in trip.items() if idx // (n * n) == comp}
             if vec and spans.setdefault(g, Echelon(F)).insert(vec):
                 seeds.append((g, vec))
+        total = len(seeds)
         work = list(seeds)
-        while work:
+        while work and total < n * n:
             g1, v1 = work.pop()
             for g2, s in seeds:
                 gg = g2 + g1
                 pv = compose(s, v1, n)
                 if pv and spans.setdefault(gg, Echelon(F)).insert(pv):
                     work.append((gg, pv))
-        total = sum(e.rank for e in spans.values())
+                    total += 1
+                    if total == n * n:
+                        break
         if total != n * n:
             raise BrauerError(f"propagation reached dimension {total}, expected {n * n}")
         union = Echelon(F)
@@ -504,26 +518,39 @@ def _character_unit(A: StructAlgebra, grading: Grading, chi):
 
 
 def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
+    """The first kernel vector of the system u a = chi(deg a) a u, a over
+    all basis elements, verified invertible.
+
+    The conditions of a spread of basis elements (every 4th, then every
+    2nd) are solved first, and the whole system only if the kernel is still
+    more than one line.  The kernel K_J of the conditions of a subset J
+    contains the full kernel K.  When K_J is the line of u, u is certified
+    against every basis element; then u lies in K, so K = K_J, and
+    null_space, which depends only on the row span, returns the same
+    vector for both.  If K_J is 0 or the certificate fails, K is 0: there
+    is no character unit."""
     F = A.field
     mul = A.mul
     negs = [-chi(g) for g in grading.degrees["A"]]
-    # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every j,
-    # from the rows of the product table
-    cols = []
-    for i in range(A.dim):
-        col = {}
-        for j, neg in enumerate(negs):
-            for out, c in axpy(dict(mul.get((i, j), {})), neg, mul.get((j, i), {})).items():
-                col[(j, out)] = c
-        cols.append(col)
-    sols = kernel(F, cols)
-    if not sols:
+    for step in (4, 2, 1):
+        # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every
+        # j of the spread, from the rows of the product table
+        cols = []
+        for i in range(A.dim):
+            col = {}
+            for j in range(0, A.dim, step):
+                for out, c in axpy(dict(mul.get((i, j), {})), negs[j], mul.get((j, i), {})).items():
+                    col[(j, out)] = c
+            cols.append(col)
+        sols = kernel(F, cols)
+        if len(sols) <= 1:
+            break
+    u = sols[0] if sols else {}
+    basis = [A.basis_vec(i) for i in range(A.dim)]
+    images = [A.product(u, a) for a in basis]
+    if not u or any(axpy(dict(ua), neg, A.product(a, u)) for a, ua, neg in zip(basis, images, negs)):
         raise BrauerError("no character unit (input is not a matrix-algebra grading)")
-    u = sols[0]
-    ech = Echelon(F)
-    for i in range(A.dim):
-        ech.insert(A.product(u, A.basis_vec(i)))
-    if ech.rank != A.dim:
+    if echelon_from(F, images).rank != A.dim:
         raise BrauerError("character unit is not invertible")
     return u
 

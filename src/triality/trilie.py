@@ -225,7 +225,16 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
 def tri_basis(S) -> TriAlgebra:
     """Solve the defining identity d1(x.y) = d2(x).y + x.d3(y) over
     so(S,n)^3 on all basis pairs.  The kernel must be 28-dimensional and
-    each coordinate projection must have full rank 28."""
+    each coordinate projection must have full rank 28.
+
+    The result is computed once per model instance and kept on S, as the
+    character units of brauer are kept on their grading: a model's tables
+    are built by its constructor and never changed afterwards, and models()
+    hands out shared instances.  The entry names the instance it was solved
+    for, so a copy of S (corrupted or not) is solved afresh."""
+    hit = S.__dict__.get("_tri_basis")
+    if hit is not None and hit[0] is S:
+        return hit[1]
     tri = _solve_triples(S, (0,), "tri(S)")
     nn = S.dim * S.dim
     # each projection must be injective on the 28-dimensional kernel
@@ -233,6 +242,7 @@ def tri_basis(S) -> TriAlgebra:
         ech = echelon_from(S.field, [_blocks(v, nn)[comp] for v in tri.vectors])
         if ech.rank != 28:
             raise TrialityError(f"projection {comp + 1} has rank {ech.rank}, expected 28")
+    S.__dict__["_tri_basis"] = (S, tri)
     return tri
 
 

@@ -16,7 +16,6 @@ from triality.grading import coarsen, universal_group
 from triality.classify import (
     build,
     canonical_key,
-    models,
     okubo_orientation,
     orientation_invariant,
     params_r0,
@@ -193,25 +192,16 @@ def test_criterion_07a_similarity_equivalence(tuples):
     report(7, "similarity is an equivalence relation", ok)
 
 
-def test_criterion_07b_similar_invariants(tuples, tri_zorn, tri_okubo):
+def test_criterion_07b_similar_invariants(tuples):
     from triality.trilie import induce_tri_grading, tri_basis
 
     G333 = sweep_utils.G333
     G2223 = sweep_utils.G2223
-    tri_cache = {}
 
     def invariants_of(p):
         built = build(p)
         comps = built.grading.components("V")
-        S = built.V.S
-        mods = models(12)
-        if S is mods["para_zorn"]:
-            tri = tri_zorn
-        elif S is mods["okubo"]:
-            tri = tri_okubo
-        else:
-            tri = tri_cache.setdefault("doubled", tri_basis(S))
-        gt, _ad = induce_tri_grading(built.grading, tri)
+        gt, _ad = induce_tri_grading(built.grading, tri_basis(built.V.S))
         return {
             "rank": rank(built),
             "support": tuple(sorted(comps)),
@@ -280,7 +270,7 @@ def test_criterion_08_center_orbit(typeIII_report):
     report(8, "center orbit of Cor-type regradings", ok)
 
 
-def test_criterion_09_brauer(field, fines, tri_zorn, tri_okubo):
+def test_criterion_09_brauer(field, fines):
     from triality.brauer import (
         check_beta_bar,
         division_params,
@@ -291,11 +281,9 @@ def test_criterion_09_brauer(field, fines, tri_zorn, tri_okubo):
     from triality.trilie import induce_tri_grading, tri_basis
 
     ok = True
-    tris = {"cartan": tri_zorn, "okubo": tri_okubo}
     for kind, data in fines.items():
         built = data["built"]
-        tri = tris.get(kind) or tri_basis(built.V.S)
-        _gt, adapted = induce_tri_grading(built.grading, tri)
+        _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
         G = built.params.group
         if G.free_rank:
             gens = [built.params.h] + [G.generator(i) for i in range(G.free_rank)]
@@ -334,21 +322,16 @@ def test_criterion_10_albert(mod, typeIII_report):
     report(10, "Albert algebra", ok)
 
 
-def test_criterion_11_graded_module(fines, tri_zorn, tri_okubo):
+def test_criterion_11_graded_module(fines):
     from triality.trilie import graded_module_check, induce_tri_grading, tri_basis
 
     G333 = sweep_utils.G333
     ok = True
-    cases = []
-    tris = {"cartan": tri_zorn, "okubo": tri_okubo}
-    for kind, data in fines.items():
-        cases.append((data["built"], tris.get(kind)))
     h = G333.element((0, 0, 1))
-    cases.append((build(params_r4(G333, G333.element((1, 0, 0)), h)), tri_zorn))
-    cases.append((build(params_r8(G333, h, "o")), tri_okubo))
-    for built, tri in cases:
-        tri = tri or tri_basis(built.V.S)
-        _gt, adapted = induce_tri_grading(built.grading, tri)
+    cases = [data["built"] for data in fines.values()]
+    cases += [build(params_r4(G333, G333.element((1, 0, 0)), h)), build(params_r8(G333, h, "o"))]
+    for built in cases:
+        _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
         ok = ok and graded_module_check(built.grading, adapted)
     report(11, "graded module compatibility", ok)
 

@@ -14,10 +14,10 @@ from triality.brauer import (
     related_triple,
     verify_brauer_relations,
 )
-from triality.fgab import characters, make_group, quotient
+from triality.fgab import GroupElem, characters, make_group, quotient
 from triality.grading import Grading, StructAlgebra, verify_grading
-from triality.trilie import induce_tri_grading
-from triality.linalg import Echelon
+from triality.trilie import induce_tri_grading, tri_basis
+from triality.linalg import Echelon, axpy, compose, invert_dense, kernel, to_flat
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +256,130 @@ def test_brauer_relations_catch_corrupted_constant(field, okubo_triple):
     algebras[1], gradings[1] = bad, Grading(bad, gr.group, gr.degrees)
     with pytest.raises(BrauerError, match="no character unit"):
         verify_brauer_relations(RelatedTriple(algebras, gradings), field)
+
+
+def coarse_adapted(built):
+    """The adapted tri(S) basis of a fine grading, with degrees in G/<h>."""
+    _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
+    _Q, pr = quotient(built.params.group, [built.params.h])
+    return [(pr(g), t) for g, t in adapted]
+
+
+def full_closure_rows(adapted, S, comp):
+    """(degree, row) of the adapted basis of the comp-th related algebra,
+    from the closure run until no product grows a span: every element that
+    grows one is multiplied on the left by every seed, with no stop at full
+    rank."""
+    F, nn = S.field, S.dim * S.dim
+    spans, seeds = {}, []
+    for g, trip in adapted:
+        vec = {idx % nn: c for idx, c in trip.items() if idx // nn == comp}
+        if vec and spans.setdefault(g, Echelon(F)).insert(vec):
+            seeds.append((g, vec))
+    work = list(seeds)
+    while work:
+        g1, v1 = work.pop()
+        for g2, s in seeds:
+            pv = compose(s, v1, S.dim)
+            if pv and spans.setdefault(g2 + g1, Echelon(F)).insert(pv):
+                work.append((g2 + g1, pv))
+    return [(g, row) for g in sorted(spans, key=GroupElem.canonical) for row in spans[g].basis()]
+
+
+@pytest.mark.parametrize("kind", ["okubo", "z2cubed"])
+def test_related_tables_equal_full_closure(kind, fines, okubo_triple, z2cubed_triple):
+    # the closure of related_triple stops at full rank; its tables are those
+    # of the rows of the full closure, read off by linear combinations
+    built = fines[kind]["built"]
+    S, F, n = built.V.S, built.V.S.field, built.V.S.dim
+    triple = okubo_triple if kind == "okubo" else z2cubed_triple
+    adapted = coarse_adapted(built)
+    Gram = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
+    Ginv, Gram = to_flat(invert_dense(F, Gram)), to_flat(Gram)
+    for comp, (A, gr) in enumerate(zip(triple.algebras, triple.gradings)):
+        degs, rows = zip(*full_closure_rows(adapted, S, comp))
+        assert degs == tuple(gr.degrees["A"])
+
+        def combination(coords):
+            out = {}
+            for k, c in coords.items():
+                axpy(out, c, rows[k])
+            return out
+
+        for a, x in enumerate(rows):
+            for b, y in enumerate(rows):
+                assert compose(x, y, n) == combination(A.mul.get((a, b), {})), (kind, comp, a, b)
+            xt = {(idx % n) * n + idx // n: c for idx, c in x.items()}
+            assert compose(Ginv, compose(xt, Gram, n), n) == combination(A.involution[a])
+
+
+def full_system_units(A, gr, chi):
+    """The kernel of u a = chi(deg a) a u on every basis element a."""
+    negs = [-chi(g) for g in gr.degrees["A"]]
+    cols = []
+    for i in range(A.dim):
+        col = {}
+        for j, neg in enumerate(negs):
+            for out, c in axpy(dict(A.mul.get((i, j), {})), neg, A.mul.get((j, i), {})).items():
+                col[(j, out)] = c
+        cols.append(col)
+    return kernel(A.field, cols)
+
+
+def test_character_units_equal_full_system(field, okubo_triple):
+    import triality.brauer as brauer
+
+    chars = characters(okubo_triple.gradings[0].group, field)
+    for A, gr in zip(okubo_triple.algebras, okubo_triple.gradings):
+        for chi in chars:
+            full = full_system_units(A, gr, chi)
+            assert len(full) == 1
+            assert brauer._solve_character_unit(A, gr, chi) == full[0]
+
+
+def test_character_unit_certificate_refuses_subset_solution(field, okubo_triple, monkeypatch):
+    # a product of two basis elements outside the solved subset, the left
+    # one in the support of the unit: the subset conditions do not see it,
+    # so the subset kernel is still the line of u, and the certificate on
+    # all basis elements refuses u
+    import triality.brauer as brauer
+
+    A, gr = okubo_triple.algebras[0], okubo_triple.gradings[0]
+    chi = characters(gr.group, field)[1]
+    solves = []
+
+    def spy(F, cols):
+        sols = kernel(F, cols)
+        solves.append(({j for col in cols for j, _out in col}, len(sols)))
+        return sols
+
+    monkeypatch.setattr(brauer, "kernel", spy)
+    u = brauer._solve_character_unit(A, gr, chi)
+    [(used, lines)] = solves
+    assert lines == 1 and len(used) < A.dim
+    key = min(k for k in A.mul if k[0] in u and k[0] != k[1] and not {k[0], k[1]} & used)
+    row = A.mul[key]
+    out = min(row)
+    bad = copy.copy(A)
+    bad.mul = {**A.mul, key: {**row, out: field.omega * row[out]}}
+    with pytest.raises(BrauerError, match="no character unit"):
+        brauer._solve_character_unit(bad, Grading(bad, gr.group, gr.degrees), chi)
+    assert solves[1:] == [(used, 1)]
+
+
+# per component: 1,028 closure products (1,792 without the stop at full
+# rank, 18,048 calls in all), the 64 x 64 table and two products for each
+# of the 64 involution images
+COMPOSE_CALLS = 3 * (1028 + 64 * 64 + 2 * 64)
+
+
+def test_related_triple_compose_count(fines, monkeypatch):
+    # the work of one Okubo related triple over G/<h>, counted through the
+    # module global
+    import triality.brauer as brauer
+
+    adapted = coarse_adapted(fines["okubo"]["built"])
+    calls = []
+    monkeypatch.setattr(brauer, "compose", lambda A, B, n: calls.append(n) or compose(A, B, n))
+    related_triple(adapted, fines["okubo"]["built"].V.S)
+    assert len(calls) == COMPOSE_CALLS

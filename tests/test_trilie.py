@@ -4,6 +4,7 @@ from triality.fgab import GroupHom, make_group, quotient
 from triality.grading import Grading, coarsen, verify_grading
 from triality.linalg import echelon_from
 from triality.trilie import (
+    TrialityError,
     center_orbit,
     cyclic_shift_closed,
     der_cyclic,
@@ -13,6 +14,7 @@ from triality.trilie import (
     orbit_induces_identical,
     orbit_pairwise_distinct,
     root_datum,
+    tri_basis,
     verify_lie,
 )
 from triality.classify import build, params_r0, params_r8
@@ -23,6 +25,24 @@ def test_tri_dimensions_and_shift(tri_zorn, tri_okubo):
     assert tri_okubo.dim == 28
     assert cyclic_shift_closed(tri_zorn)
     assert cyclic_shift_closed(tri_okubo)
+
+
+def test_tri_basis_kept_per_model(mod, tri_okubo):
+    # one solve per model instance; a copy is solved afresh, so a corrupted
+    # copy is refused rather than handed the model's tri(S)
+    import copy
+
+    S = mod["okubo"]
+    assert tri_basis(S) is tri_okubo
+    twin = copy.copy(S)
+    tri_twin = tri_basis(twin)
+    assert tri_twin is not tri_okubo and tri_twin.vectors == tri_okubo.vectors
+    assert tri_basis(twin) is tri_twin and tri_basis(S) is tri_okubo
+    bad = copy.copy(S)
+    key = min(S.mul)
+    bad.mul = {**S.mul, key: {k: c + c for k, c in S.mul[key].items()}}
+    with pytest.raises(TrialityError):
+        tri_basis(bad)
 
 
 def test_lie_laws_exact(tri_zorn, tri_okubo):
@@ -156,14 +176,10 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
     assert spans(adapted_fine, pr) == spans(adapted_coarse, lambda g: g)
 
 
-def test_graded_module_instance(fines, tri_zorn, tri_okubo):
-    for kind, tri in (("cartan", tri_zorn), ("z2cubed", None), ("okubo", tri_okubo)):
-        if tri is None:
-            from triality.trilie import tri_basis
-
-            tri = tri_basis(fines[kind]["built"].V.S)
+def test_graded_module_instance(fines):
+    for kind in ("cartan", "z2cubed", "okubo"):
         built = fines[kind]["built"]
-        _out, adapted = induce_tri_grading(built.grading, tri)
+        _out, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
         assert graded_module_check(built.grading, adapted)
 
 
