@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
-from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
+from .grading import AdaptedRows, Grading, StructAlgebra, verify_grading
+from .linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
 
 
 class BrauerError(ValueError):
@@ -396,6 +396,17 @@ class RelatedTriple:
     gradings: list    # three verified Gradings
 
 
+def _index_masks(n, vec):
+    """The row and column indices of a flat n x n matrix, as bit masks: a
+    product A B can be nonzero only if the columns of A meet the rows of
+    B."""
+    rows = cols = 0
+    for idx in vec:
+        rows |= 1 << idx // n
+        cols |= 1 << idx % n
+    return rows, cols
+
+
 def related_triple(adapted_coarse, S) -> RelatedTriple:
     """Propagate a Type I grading on tri(S) to End_F(S) through each of the
     three component projections: seed with the projected homogeneous
@@ -403,8 +414,10 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     exhausted, and check that the degree assignment is consistent (the
     component spans are independent) and sigma_n-stable.  adapted_coarse
     pairs each degree with a vector of End(S)^3 in triple coordinates
-    (trilie); block comp of it is the comp-th projection, a flat matrix,
-    and products are taken with linalg.compose.
+    (trilie); block comp of it is the comp-th projection, a flat matrix.
+    Products are taken with linalg.compose, and only for pairs of matrices
+    where the columns of the left one meet the rows of the right one; the
+    others are 0.
 
     The closure stops once the span ranks add up to n*n.  Each span is an
     Echelon, whose reduced row echelon form is determined by the span, so
@@ -413,7 +426,10 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     also end at n*n.  If it would grow a span further, the stopped spans
     are dependent, which the union rank check refuses, or independent with
     some product s v (s a seed, v in a span) outside the span of its degree,
-    which verify_grading on the table refuses."""
+    which the table refuses: the product of rows of degrees g1 and g2 is
+    written over the rows of degree g1 + g2 only (grading.AdaptedRows), and
+    raises BrauerError outside their span, as does a sigma_n image outside
+    the span of its row's degree."""
     F = S.field
     n = S.dim
     G = adapted_coarse[0][0].group
@@ -424,21 +440,35 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     for comp in range(3):
         # the words in the seeds span the generated algebra: every element
         # that grows a span is multiplied on the left by each seed once
-        spans = {}
+        # spans and degree sums are keyed by canonical coordinates; degree
+        # keeps the group element of the first nonzero product of each
+        spans, degree, sums = {}, {}, {}
         seeds = []
         for g, trip in adapted_coarse:
             vec = {idx % (n * n): c for idx, c in trip.items() if idx // (n * n) == comp}
-            if vec and spans.setdefault(g, Echelon(F)).insert(vec):
-                seeds.append((g, vec))
+            if vec:
+                key = g.canonical()
+                degree.setdefault(key, g)
+                if spans.setdefault(key, Echelon(F)).insert(vec):
+                    seeds.append((g, key, vec, _index_masks(n, vec)[1]))
         total = len(seeds)
-        work = list(seeds)
+        work = [(g, key, vec) for g, key, vec, _cols in seeds]
         while work and total < n * n:
-            g1, v1 = work.pop()
-            for g2, s in seeds:
-                gg = g2 + g1
+            g1, k1, v1 = work.pop()
+            rows1 = _index_masks(n, v1)[0]
+            for g2, k2, s, cols in seeds:
+                if not cols & rows1:
+                    continue
                 pv = compose(s, v1, n)
-                if pv and spans.setdefault(gg, Echelon(F)).insert(pv):
-                    work.append((gg, pv))
+                if not pv:
+                    continue
+                kk = sums.get((k2, k1))
+                if kk is None:
+                    kk = sums[(k2, k1)] = (g2 + g1).canonical()
+                if kk not in degree:
+                    degree[kk] = g2 + g1
+                if spans.setdefault(kk, Echelon(F)).insert(pv):
+                    work.append((g2 + g1, kk, pv))
                     total += 1
                     if total == n * n:
                         break
@@ -451,36 +481,25 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
         if union.rank != n * n:
             raise BrauerError("propagated components are not independent")
         # adapted homogeneous basis and structure constants
-        rows = []
-        degs = []
-        for g in sorted(spans, key=GroupElem.canonical):
-            for row in spans[g].basis():
-                rows.append(row)
-                degs.append(g)
-        coords = Coordinates(F, n * n, rows)
-
-        def expand(vec):
-            out = coords(vec)
-            if out is None:
-                raise BrauerError("product outside the propagated span")
-            return out
-
+        ad = AdaptedRows(((degree[key], spans[key]) for key in sorted(spans)), BrauerError)
+        rows = ad.rows
+        masks = [_index_masks(n, x) for x in rows]
         mul = {}
         for a, x in enumerate(rows):
+            cols = masks[a][1]
             for b, y in enumerate(rows):
-                row = expand(compose(x, y, n))
-                if row:
-                    mul[(a, b)] = row
+                if cols & masks[b][0]:
+                    row = ad.expand(compose(x, y, n), (a, b), "product outside the propagated span")
+                    if row:
+                        mul[(a, b)] = row
         # sigma_n must preserve each component: sigma_n(M) = G^-1 M^T G
         invol = {}
         for a, x in enumerate(rows):
             xt = {(idx % n) * n + idx // n: c for idx, c in x.items()}
-            cs = expand(compose(Ginv, compose(xt, Gram, n), n))
-            if any(degs[k] != degs[a] for k in cs):
-                raise BrauerError("sigma_n does not preserve the propagated components")
-            invol[a] = cs
+            image = compose(Ginv, compose(xt, Gram, n), n)
+            invol[a] = ad.expand(image, (a,), "sigma_n does not preserve the propagated components")
         alg = StructAlgebra(F, [f"a{k}" for k in range(len(rows))], mul, involution=invol)
-        gr = Grading(alg, G, {"A": degs})
+        gr = Grading(alg, G, {"A": ad.degrees})
         verify_grading(gr).require(BrauerError, "propagated grading")
         out_algs.append(alg)
         out_grads.append(gr)

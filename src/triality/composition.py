@@ -215,6 +215,12 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     """The Okubo algebra on traceless 3x3 matrices:
     x * y = mu xy + (1-mu) yx - (1/3) tr(xy) 1 with mu = (2+omega)/3 and
     n(x) = (1/6) tr(x^2).  The homogeneous basis is X^a Y^b, (a,b) != (0,0).
+
+    X^a Y^b is a generalized permutation matrix, held as its rows, one
+    (column, entry) pair each; products of such matrices are again of that
+    form.  A traceless matrix has the coordinates tr(Z M_-k) / tr(M_k M_-k)
+    on M_k, and tr(1 M_-k) = 0, so x * y of two monomials has the
+    coordinates of mu xy + (1-mu) yx.
     """
     F = field or default_field()
     w = F.omega
@@ -224,24 +230,15 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     one_minus_mu = one - mu
 
     def mat_mul(A, B):
-        return [[sum((A[i][k] * B[k][j] for k in range(3)), zero) for j in range(3)] for i in range(3)]
-
-    def mat_add(A, B):
-        return [[A[i][j] + B[i][j] for j in range(3)] for i in range(3)]
-
-    def mat_scale(c, A):
-        return [[c * A[i][j] for j in range(3)] for i in range(3)]
-
-    def tr(A):
-        return A[0][0] + A[1][1] + A[2][2]
+        return tuple((B[j][0], c * B[j][1]) for j, c in A)
 
     def tr_prod(A, B):
-        """tr(AB) as a sum of 9 entry products."""
-        return sum((A[i][k] * B[k][i] for i in range(3) for k in range(3)), zero)
+        """tr(AB): the rows i where B maps the column of A's entry back to i."""
+        return sum((c * B[j][1] for i, (j, c) in enumerate(A) if B[j][0] == i), zero)
 
-    X = [[one, zero, zero], [zero, w, zero], [zero, zero, w * w]]
-    Y = [[zero, zero, one], [one, zero, zero], [zero, one, zero]]
-    eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    X = ((0, one), (1, w), (2, w * w))
+    Y = ((2, one), (0, one), (1, one))
+    eye = ((0, one), (1, one), (2, one))
 
     keys = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
     keys.sort()
@@ -254,31 +251,24 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
             M = mat_mul(M, Y)
         mono[(a, b)] = M
 
-    def star(A, B):
-        AB = mat_mul(A, B)
-        BA = mat_mul(B, A)
-        out = mat_add(mat_scale(mu, AB), mat_scale(one_minus_mu, BA))
-        return mat_add(out, mat_scale(-(third * tr(AB)), eye))
-
     # the trace pairing tr(M_k M_-k) is nonzero; its reciprocals are computed once
     duals = [mono[((-a) % 3, (-b) % 3)] for a, b in keys]
     inv_pairing = [tr_prod(mono[k], dual).inverse() for k, dual in zip(keys, duals)]
-
-    def expand(Z):
-        """Coordinates of a traceless matrix in the monomial basis via the
-        trace pairing tr(M_k M_{-k})."""
-        out = {}
-        for idx, dual in enumerate(duals):
-            c = tr_prod(Z, dual) * inv_pairing[idx]
-            if not c.is_zero():
-                out[idx] = c
-        return out
 
     mul = {}
     n_polar = {}
     for i, ki in enumerate(keys):
         for j, kj in enumerate(keys):
-            row = expand(star(mono[ki], mono[kj]))
+            AB = mat_mul(mono[ki], mono[kj])
+            BA = mat_mul(mono[kj], mono[ki])
+            row = {}
+            for idx, dual in enumerate(duals):
+                t1, t2 = tr_prod(AB, dual), tr_prod(BA, dual)
+                if t1.is_zero() and t2.is_zero():
+                    continue
+                c = (mu * t1 + one_minus_mu * t2) * inv_pairing[idx]
+                if not c.is_zero():
+                    row[idx] = c
             if row:
                 mul[(i, j)] = row
             c = third * tr_prod(mono[ki], mono[kj])

@@ -189,6 +189,45 @@ class Grading:
         return Grading(self.structure, self.group, degs)
 
 
+class AdaptedRows:
+    """An adapted homogeneous basis: the reduced rows of independent spans,
+    one `linalg.Echelon` per degree, in the order given.  A product of rows
+    of degrees g1 and g2 must lie in the span of degree g1 + g2, and
+    `expand` writes it over that span's rows only: its coordinates are its
+    entries at their pivot columns, and it lies in the span exactly when
+    the span's Echelon reduces it to 0."""
+
+    def __init__(self, spans, error):
+        self.error = error  # the caller's exception class
+        self.rows, self.degrees, self._block, self._spans, self._sums = [], [], [], {}, {}
+        for g, ech in spans:
+            pivots = [(len(self.rows) + k, p) for k, p in enumerate(sorted(ech.rows))]
+            self._block += [len(self._spans)] * len(pivots)
+            self._spans[g] = (ech, pivots)
+            self.rows += [dict(ech.rows[p]) for _k, p in pivots]
+            self.degrees += [g] * len(pivots)
+
+    def expand(self, vec, factors, message):
+        """{row index: coefficient} of vec over the rows of the degree that
+        the degrees of the rows `factors` add up to: (a, b) for a product of
+        rows a and b, (a,) for an image in the degree of row a.  Raises
+        error(message) outside the span of that degree."""
+        key = tuple(self._block[k] for k in factors)
+        if key not in self._sums:
+            g = self.degrees[factors[0]]
+            for k in factors[1:]:
+                g = g + self.degrees[k]
+            self._sums[key] = self._spans.get(g)
+        span = self._sums[key]
+        if span is None:
+            if vec:
+                raise self.error(message)
+            return {}
+        if span[0].reduce(vec):
+            raise self.error(message)
+        return {k: vec[p] for k, p in span[1] if p in vec}
+
+
 def verify_grading(grading: Grading) -> Report:
     """Exact check that every structure map is degree-compatible.
 

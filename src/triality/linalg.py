@@ -58,16 +58,16 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """Fully reduce vec against the current echelon (returns a new dict).
 
-        Pivot columns are processed smallest first; eliminating one can only
-        introduce entries in larger columns, and RREF keeps pivot columns
-        clear of each other, so this terminates with every pivot removed.
+        The rows are in reduced row echelon form: no row has an entry in
+        another row's pivot column.  So eliminating a pivot column changes
+        no other pivot column, and the pivot columns of vec are eliminated
+        in one pass, smallest first, each with its entry in vec.
         """
         v = {j: c for j, c in vec.items() if not c.is_zero()}
-        while True:
-            piv_cols = [c for c in v if c in self.rows]
-            if not piv_cols:
-                return v
-            col = min(piv_cols)
+        piv_cols = [j for j in v if j in self.rows]
+        if not piv_cols:
+            return v
+        for col in sorted(piv_cols):
             c = v.pop(col)
             for j, r in self.rows[col].items():
                 if j == col:
@@ -78,6 +78,7 @@ class Echelon:
                     v.pop(j, None)
                 else:
                     v[j] = t
+        return v
 
     def insert(self, vec: dict) -> bool:
         """Reduce and insert; returns True if the rank grew."""

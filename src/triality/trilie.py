@@ -21,8 +21,8 @@ Brackets are taken componentwise on triples only.  The basis
 TriAlgebra.vectors is in triple coordinates, and tri.lie expresses its
 brackets in coordinates over it.  An induced grading is computed in those
 coordinates too: its components are spans over the 28 basis vectors, and
-its structure constants are tri.lie's after the change of basis to the
-adapted basis.
+the bracket of two adapted rows is written over the rows of its degree
+only (grading.AdaptedRows).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
-from .grading import Grading, Report, StructAlgebra, verify_grading
+from .grading import AdaptedRows, Grading, Report, StructAlgebra, verify_grading
 
 
 class TrialityError(ValueError):
@@ -502,9 +502,10 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
 
     Every homogeneous piece of every basis derivation is verified to lie in
     tri(S) again, and the piece dimensions must sum to 28.  Each component
-    is an echelon over the coordinates of tri.vectors, and the structure
-    constants of the adapted basis are those of tri.lie after the change of
-    basis.
+    is an echelon over the coordinates of tri.vectors.  The bracket of
+    adapted rows of degrees g1 and g2 is computed with tri.lie and written
+    over the rows of degree g1 + g2 only; one outside their span raises
+    TrialityError.
     """
     if not grading.verified:
         raise TrialityError("verify the grading before inducing")
@@ -514,28 +515,22 @@ def induce_tri_grading(grading: Grading, tri: TriAlgebra):
     buckets = _homogeneous_pieces(tri, op_degrees, "homogeneous piece leaves tri(S); invalid input grading")
     # the echelon rows of each component are a canonical homogeneous basis
     basis = dict(enumerate(tri.vectors))
-    rows, degrees, adapted = [], [], []
-    for g in sorted(buckets):
-        for row in echelon_from(F, buckets[g]).basis():
-            rows.append(row)
-            degrees.append(G.element(g))
-            adapted.append((degrees[-1], dict(sorted(mat_vec(basis, row).items()))))
+    ad = AdaptedRows(((G.element(g), echelon_from(F, buckets[g])) for g in sorted(buckets)), TrialityError)
+    rows = ad.rows
     if len(rows) != 28:
         raise TrialityError(f"induced components span {len(rows)} dimensions, expected 28")
+    adapted = [(g, dict(sorted(mat_vec(basis, row).items()))) for g, row in zip(ad.degrees, rows)]
 
     # the brackets of tri.lie are commutators, so [b, a] = -[a, b]
-    coords = Coordinates(F, tri.dim, rows)
     mul = {}
     for a in range(28):
         for b in range(a + 1, 28):
-            row = coords(tri.lie.product(rows[a], rows[b]))
-            if row is None:
-                raise TrialityError("bracket leaves the adapted span")
+            row = ad.expand(tri.lie.product(rows[a], rows[b]), (a, b), "bracket leaves the span of its degree")
             if row:
                 mul[(a, b)] = row
                 mul[(b, a)] = {k: -c for k, c in row.items()}
     lie = StructAlgebra(F, [f"d{k}" for k in range(28)], mul)
-    out = Grading(lie, G, {"A": degrees})
+    out = Grading(lie, G, {"A": ad.degrees})
     verify_grading(out).require(TrialityError, "induced tri grading")
     return out, adapted
 

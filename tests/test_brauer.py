@@ -15,9 +15,9 @@ from triality.brauer import (
     verify_brauer_relations,
 )
 from triality.fgab import GroupElem, characters, make_group, quotient
-from triality.grading import Grading, StructAlgebra, verify_grading
-from triality.trilie import induce_tri_grading, tri_basis
-from triality.linalg import Echelon, axpy, compose, invert_dense, kernel, to_flat
+from triality.grading import AdaptedRows, Grading, StructAlgebra, verify_grading
+from triality.trilie import TrialityError, _homogeneous_pieces, induce_tri_grading, operator_degrees, tri_basis
+from triality.linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
 
 
 @pytest.fixture(scope="module")
@@ -368,9 +368,10 @@ def test_character_unit_certificate_refuses_subset_solution(field, okubo_triple,
 
 
 # per component: 1,028 closure products (1,792 without the stop at full
-# rank, 18,048 calls in all), the 64 x 64 table and two products for each
-# of the 64 involution images
-COMPOSE_CALLS = 3 * (1028 + 64 * 64 + 2 * 64)
+# rank), the 512 pairs of the 64 x 64 table whose inner matrix indices meet
+# (the other 3,584 products are 0 and not formed) and two products for each
+# of the 64 involution images; none of them is 0
+COMPOSE_CALLS = 3 * (1028 + 512 + 2 * 64)
 
 
 def test_related_triple_compose_count(fines, monkeypatch):
@@ -379,7 +380,129 @@ def test_related_triple_compose_count(fines, monkeypatch):
     import triality.brauer as brauer
 
     adapted = coarse_adapted(fines["okubo"]["built"])
-    calls = []
-    monkeypatch.setattr(brauer, "compose", lambda A, B, n: calls.append(n) or compose(A, B, n))
+    products = []
+    monkeypatch.setattr(brauer, "compose", lambda A, B, n: products.append(compose(A, B, n)) or products[-1])
     related_triple(adapted, fines["okubo"]["built"].V.S)
-    assert len(calls) == COMPOSE_CALLS
+    assert len(products) == COMPOSE_CALLS
+    assert all(products)
+
+
+def in_key_order(table):
+    return [(key, list(row.items())) for key, row in table.items()]
+
+
+def all_rows_induced(grading, tri):
+    """The adapted table and degrees of induce_tri_grading with every bracket
+    expanded through one Coordinates over all 28 adapted rows."""
+    F = tri.field
+    buckets = _homogeneous_pieces(tri, [g.canonical() for g in operator_degrees(grading)], "not in tri(S)")
+    rows, degrees = [], []
+    for g in sorted(buckets):
+        for row in echelon_from(F, buckets[g]).basis():
+            rows.append(row)
+            degrees.append(g)
+    coords = Coordinates(F, tri.dim, rows)
+    mul = {}
+    for a in range(28):
+        for b in range(a + 1, 28):
+            row = coords(tri.lie.product(rows[a], rows[b]))
+            if row:
+                mul[(a, b)] = row
+                mul[(b, a)] = {k: -c for k, c in row.items()}
+    return mul, degrees
+
+
+def all_rows_related(rows, S):
+    """The table and involution of a related algebra on the given adapted
+    rows, every product and sigma_n image expanded through one Coordinates
+    over all n*n rows."""
+    F, n = S.field, S.dim
+    Gram = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
+    Ginv, Gram = to_flat(invert_dense(F, Gram)), to_flat(Gram)
+    coords = Coordinates(F, n * n, rows)
+    mul = {}
+    for a, x in enumerate(rows):
+        for b, y in enumerate(rows):
+            row = coords(compose(x, y, n))
+            if row:
+                mul[(a, b)] = row
+    invol = {}
+    for a, x in enumerate(rows):
+        xt = {(idx % n) * n + idx // n: c for idx, c in x.items()}
+        invol[a] = coords(compose(Ginv, compose(xt, Gram, n), n))
+    return mul, invol
+
+
+@pytest.mark.parametrize("kind", ["cartan", "z2cubed", "okubo"])
+def test_adapted_tables_equal_all_rows_coordinates(kind, fines):
+    # induce_tri_grading and related_triple write each product over the rows
+    # of its degree only; one Coordinates over all rows gives the same
+    # tables, involutions and degrees, in the same key order
+    built = fines[kind]["built"]
+    S = built.V.S
+    tri = tri_basis(S)
+    gt, adapted = induce_tri_grading(built.grading, tri)
+    mul, degrees = all_rows_induced(built.grading, tri)
+    assert in_key_order(gt.structure.mul) == in_key_order(mul)
+    assert [g.canonical() for g in gt.degrees["A"]] == degrees
+    _Q, pr = quotient(built.params.group, [built.params.h])
+    coarse = [(pr(g), t) for g, t in adapted]
+    triple = related_triple(coarse, S)
+    for comp, (A, gr) in enumerate(zip(triple.algebras, triple.gradings)):
+        degs, rows = zip(*full_closure_rows(coarse, S, comp))
+        mul, invol = all_rows_related(rows, S)
+        assert in_key_order(A.mul) == in_key_order(mul), (kind, comp)
+        assert in_key_order(A.involution) == in_key_order(invol), (kind, comp)
+        assert [g.canonical() for g in gr.degrees["A"]] == [g.canonical() for g in degs]
+
+
+def test_adapted_rows_refuse_a_product_outside_its_degree(field):
+    # two lines of degrees 0 and 1 in Z3: a product of degree 0 + 0 on the
+    # line of degree 1, or a nonzero product of degree 1 + 1, which has no
+    # span, is refused with the caller's error
+    Z3 = make_group(0, [3])
+    one, w = field.one, field.omega
+    ad = AdaptedRows([(Z3.element((0,)), echelon_from(field, [{0: one, 2: w}])),
+                      (Z3.element((1,)), echelon_from(field, [{1: one}]))], BrauerError)
+    assert ad.rows == [{0: one, 2: w}, {1: one}]
+    assert ad.expand({0: w, 2: w * w}, (0, 0), "outside") == {0: w}
+    assert ad.expand({1: w}, (0, 1), "outside") == {1: w}
+    assert ad.expand({}, (1, 1), "outside") == {}
+    with pytest.raises(BrauerError, match="outside"):
+        ad.expand({1: w}, (0, 0), "outside")
+    with pytest.raises(BrauerError, match="outside"):
+        ad.expand({0: one}, (0, 0), "outside")
+    with pytest.raises(BrauerError, match="outside"):
+        ad.expand({1: w}, (1, 1), "outside")
+    tri_ad = AdaptedRows([(Z3.element((0,)), echelon_from(field, [{0: one}]))], TrialityError)
+    with pytest.raises(TrialityError, match="leaves"):
+        tri_ad.expand({1: one}, (0,), "leaves")
+
+
+def test_related_triple_refuses_sigma_outside_its_degree(field, fines):
+    # a polar form that pairs the first basis element with itself: the table
+    # is unchanged, and the first sigma_n image outside the span of its
+    # row's degree is refused
+    built = fines["okubo"]["built"]
+    S = built.V.S
+    assert (0, 0) not in S.forms["n"]
+    bad = copy.copy(S)
+    bad.forms = {**S.forms, "n": {**S.forms["n"], (0, 0): field.one}}
+    with pytest.raises(BrauerError, match="sigma_n does not preserve the propagated components"):
+        related_triple(coarse_adapted(built), bad)
+
+
+def test_induced_bracket_outside_its_degree_is_refused(fines):
+    # one bracket constant of tri(S) moved to another basis element: the
+    # homogeneous pieces are unchanged, and the first adapted bracket it
+    # enters leaves the span of its degree
+    built = fines["okubo"]["built"]
+    tri = tri_basis(built.V.S)
+    key = min(tri.lie.mul)
+    row = tri.lie.mul[key]
+    k = min(set(range(tri.dim)) - set(row))
+    bad = copy.copy(tri)
+    bad.lie = copy.copy(tri.lie)
+    bad.lie.mul = {**tri.lie.mul, key: {**row, k: row[min(row)]}}
+    with pytest.raises(TrialityError, match="span of its degree"):
+        induce_tri_grading(built.grading, bad)

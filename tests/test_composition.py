@@ -17,6 +17,7 @@ from triality.composition import (
 )
 from triality.fgab import make_group
 from triality.grading import universal_group
+from triality.scalars import make_field
 
 
 def test_zorn_unit_and_polar(field):
@@ -103,6 +104,66 @@ def test_okubo_matrix_relations(field):
     XY = mat_mul(X, Y)
     wYX = [[w * c for c in row] for row in mat_mul(Y, X)]
     assert XY == wYX
+
+
+def dense_okubo_tables(F):
+    """The Okubo tables from dense 3x3 matrices: x * y formed entry by
+    entry, with its trace term, and expanded through the trace pairing
+    tr(Z M_-k) / tr(M_k M_-k): the reference for okubo_sl3."""
+    w, zero, one = F.omega, F.zero, F.one
+    third = F.scalar(1, 3)
+    mu = (F.scalar(2) + w) * third
+
+    def mat_mul(A, B):
+        return [[sum((A[i][k] * B[k][j] for k in range(3)), zero) for j in range(3)] for i in range(3)]
+
+    def tr_prod(A, B):
+        return sum((A[i][k] * B[k][i] for i in range(3) for k in range(3)), zero)
+
+    X = [[one, zero, zero], [zero, w, zero], [zero, zero, w * w]]
+    Y = [[zero, zero, one], [one, zero, zero], [zero, one, zero]]
+    eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    keys = sorted((a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0))
+    mono = {}
+    for a, b in keys:
+        M = eye
+        for _ in range(a):
+            M = mat_mul(M, X)
+        for _ in range(b):
+            M = mat_mul(M, Y)
+        mono[(a, b)] = M
+
+    def star(A, B):
+        AB, BA = mat_mul(A, B), mat_mul(B, A)
+        t = third * tr_prod(A, B)
+        return [[mu * AB[i][j] + (one - mu) * BA[i][j] - (t if i == j else zero) for j in range(3)] for i in range(3)]
+
+    duals = [mono[((-a) % 3, (-b) % 3)] for a, b in keys]
+    mul, n_polar = {}, {}
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            Z = star(mono[ki], mono[kj])
+            row = {}
+            for idx, (k, dual) in enumerate(zip(keys, duals)):
+                c = tr_prod(Z, dual) * tr_prod(mono[k], dual).inverse()
+                if not c.is_zero():
+                    row[idx] = c
+            if row:
+                mul[(i, j)] = row
+            c = third * tr_prod(mono[ki], mono[kj])
+            if not c.is_zero():
+                n_polar[(i, j)] = c
+    return keys, mul, n_polar
+
+
+@pytest.mark.parametrize("conductor", [12, 24])
+def test_okubo_equals_dense_construction(conductor):
+    F = make_field(conductor)
+    S = okubo_sl3(F)
+    keys, mul, n_polar = dense_okubo_tables(F)
+    assert S.monomial_keys == keys
+    assert [(k, list(row.items())) for k, row in S.mul.items()] == [(k, list(row.items())) for k, row in mul.items()]
+    assert list(S.forms["n"].items()) == list(n_polar.items())
 
 
 def test_okubo_verifier_and_epsilon(field, mod):

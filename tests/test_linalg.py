@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triality.linalg import Coordinates, Echelon, axpy, bilinear, compose, echelon_from, kernel, mat_vec, to_flat
 from triality.scalars import Rational, make_field
@@ -55,6 +55,52 @@ def test_coordinates_in_a_basis():
     assert coords(vec) == {0: F.scalar(2), 1: -W}
     assert coords({}) == {}
     assert coords({2: F.one}) is None
+
+
+def rescanning_reduce(ech, vec):
+    """Echelon.reduce as a loop that rescans the vector for its smallest
+    pivot column after every elimination: the reference for the one-pass
+    reduce."""
+    v = {j: c for j, c in vec.items() if not c.is_zero()}
+    while True:
+        piv_cols = [c for c in v if c in ech.rows]
+        if not piv_cols:
+            return v
+        col = min(piv_cols)
+        c = v.pop(col)
+        for j, r in ech.rows[col].items():
+            if j == col:
+                continue
+            t = v.get(j)
+            t = -(c * r) if t is None else t - c * r
+            if t.is_zero():
+                v.pop(j, None)
+            else:
+                v[j] = t
+
+
+@st.composite
+def reduce_case(draw):
+    """Sparse rows inserted into an Echelon, and a sparse vector whose keys
+    come in a drawn order, some of its values zero."""
+    n = draw(st.integers(1, 8))
+    sparse = st.dictionaries(st.integers(0, n - 1), st.sampled_from(POOL), max_size=n)
+    rows = draw(st.lists(sparse, max_size=n))
+    return rows, draw(sparse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduce_case())
+# pivot columns 1 and 0 in that key order, each row bringing a new column:
+# the columns that elimination adds come in pivot order
+@example(([{0: F.one, 2: W}, {1: F.one, 3: I4}], {1: F.one, 0: W}))
+def test_reduce_equals_rescanning_loop(case):
+    rows, vec = case
+    ech = echelon_from(F, rows)
+    out = ech.reduce(vec)
+    assert list(out.items()) == list(rescanning_reduce(ech, vec).items())
+    assert not set(out) & set(ech.rows)
+    assert ech.contains(vec) == (not out)
 
 
 def dense_axpy(acc, a, x, n):
