@@ -245,8 +245,6 @@ def primitive_idempotent(A: StructAlgebra, e_indices):
     def to_full(vec):
         return {sub_idx[i]: c for i, c in vec.items()}
 
-    dim = len(sub_idx)
-
     def left_ideal(x_sub):
         ech = Echelon(F)
         work = [x_sub] if ech.insert(x_sub) else []
@@ -282,9 +280,9 @@ def primitive_idempotent(A: StructAlgebra, e_indices):
             if lam_here is None:
                 ok = False
                 break
-            if lam is None and lam_here is not None and not lam_here.is_zero():
+            if lam is None and not lam_here.is_zero():
                 lam = lam_here
-            elif lam is not None and lam_here is not None and not lam_here.is_zero() and lam_here != lam:
+            elif lam is not None and not lam_here.is_zero() and lam_here != lam:
                 ok = False
                 break
         if not ok or lam is None or lam.is_zero():
@@ -352,12 +350,11 @@ def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
     # cut every component
     cut = {}
     for g, idxs in comps.items():
-        vecs = []
         ech = Echelon(F)
         for i in idxs:
             v = A.product(eps, A.product(A.basis_vec(i), eps))
-            if v and ech.insert(v):
-                vecs.append(v)
+            if v:
+                ech.insert(v)
         if ech.rank > 1:
             raise BrauerError("eps A eps is not graded division (component of dim > 1)")
         if ech.rank == 1:
@@ -721,7 +718,7 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
         supp_group, _ = subgroup_generated(Q, [Q.element(d) for d in seen])
         if supp_group != Tbar_expected:
             tbar_ok = False
-        for (d1, v1), (d2, v2) in itertools.product(list(seen.items()), repeat=2):
+        for v1, v2 in itertools.product(list(seen.values()), repeat=2):
             x, y = v1[0], v2[0]
             fwd = alg.product(x, y)
             bwd = alg.product(y, x)

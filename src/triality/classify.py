@@ -611,26 +611,22 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     V = B_target.grading.structure
     w = F.omega
     eps = {V.idx(0, 0): w * w, V.idx(1, 0): w}
-    _, basis = para_subalgebra_from_idempotent(V, eps)
-    # homogeneous adapted basis of the cut, with its degrees: the pieces of
-    # the cut basis vectors on one component of V span the cut's component
-    per_degree = {}
-    for vec in basis:
+    # the pieces of the cut basis vectors on one component of V span the
+    # cut's component; V's grading is basis-aligned, so the reduced rows of
+    # all pieces are the per-degree reduced rows: a homogeneous basis
+    degrees_V = B_target.grading.degrees["V"]
+    hom_cut = Echelon(F)
+    for vec in para_subalgebra_from_idempotent(V, eps).basis():
         pieces = {}
         for i, c in vec.items():
-            pieces.setdefault(B_target.grading.degrees["V"][i].canonical(), {})[i] = c
-        for g, piece in pieces.items():
-            per_degree.setdefault(g, Echelon(F)).insert(piece)
-    hom_basis = []
-    hom_degs = []
-    for g in sorted(per_degree):
-        for row in per_degree[g].basis():
-            hom_basis.append(row)
-            hom_degs.append(G.element(g))
-    if len(hom_basis) != 8:
-        raise ParamError(f"homogeneous cut basis has {len(hom_basis)} elements")
-    # rebuild the cut algebra on the homogeneous basis
-    S_cut = cut_on_basis(V, hom_basis, eps)
+            pieces.setdefault(degrees_V[i].canonical(), {})[i] = c
+        for piece in pieces.values():
+            hom_cut.insert(piece)
+    if hom_cut.rank != 8:
+        raise ParamError(f"homogeneous cut basis has {hom_cut.rank} elements")
+    hom_basis = hom_cut.basis()
+    hom_degs = [degrees_V[min(row)] for row in hom_basis]
+    S_cut = cut_on_basis(V, hom_cut, eps)
     gS = Grading(S_cut, G, {"A": hom_degs})
     verify_grading(gS).require(ParamError, "cut grading")
     # the cut must be Cartan-shaped with parameters h * gamma

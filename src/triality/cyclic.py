@@ -20,7 +20,7 @@ from functools import cached_property
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
-from .linalg import Coordinates, Residues, axpy, bilinear, echelon_from, kernel
+from .linalg import Echelon, Residues, axpy, bilinear, echelon_from, kernel
 
 
 class CyclicAxiomError(ValueError):
@@ -440,12 +440,11 @@ def tensor_grading(grading_S: Grading, h, V: CyclicAlgebra) -> Grading:
 # ------------------------------------------------ idempotent-cut subalgebras
 
 
-def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
-    """The 8-dimensional F-subalgebra C_eps = {X : X*eps = b_Q(X,eps)eps - X}
+def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps) -> Echelon:
+    """The 8-dimensional F-subspace C_eps = {X : X*eps = b_Q(X,eps)eps - X}
     cut out by an idempotent eps (eps*eps = eps != 0, which forces
-    Q(eps) = 1).  Returns (S_sub, basis) where S_sub is the para-Hurwitz
-    restriction on the computed basis and basis is the list of V-vectors.
-    """
+    Q(eps) = 1), as the Echelon of its span; cut_on_basis makes it a
+    symmetric composition algebra and certifies it."""
     F = V.field
     L = V.L
     minus_one = F.scalar(-1)
@@ -459,35 +458,32 @@ def para_subalgebra_from_idempotent(V: CyclicAlgebra, eps):
         x = V.basis_vec(i)
         vec = axpy(V.product(x, eps), None, x)
         cols.append(axpy(vec, minus_one, V.act(V.bform(x, eps), eps)))
-    # the reduced echelon rows of the kernel are the basis of the cut
-    basis = echelon_from(F, kernel(F, cols)).basis()
-    if len(basis) != 8:
-        raise CyclicAxiomError(f"idempotent cut has dimension {len(basis)}, expected 8")
-    return cut_on_basis(V, basis, eps), basis
+    cut = echelon_from(F, kernel(F, cols))
+    if cut.rank != 8:
+        raise CyclicAxiomError(f"idempotent cut has dimension {cut.rank}, expected 8")
+    return cut
 
 
-def cut_on_basis(V: CyclicAlgebra, basis, eps) -> SymCompAlgebra:
+def cut_on_basis(V: CyclicAlgebra, cut: Echelon, eps) -> SymCompAlgebra:
     """The cut C_eps of an idempotent eps as a symmetric composition algebra
-    on a given basis of it (V-vectors): structure constants and polar form
-    read in that basis, verified to be a symmetric composition algebra with
+    on the reduced rows of cut (an Echelon of V-vectors spanning it):
+    structure constants and polar form read in that basis by
+    cut.coordinates, verified to be a symmetric composition algebra with
     eps as its para-unit."""
     F = V.field
     L = V.L
     minus_one = F.scalar(-1)
-    coords = Coordinates(F, V.dim, basis)
-
-    def expand(vec):
-        """Coordinates of vec in the given basis (it must lie in the span)."""
-        out = coords(vec)
-        if out is None:
-            raise CyclicAxiomError("subalgebra is not closed under the product")
-        return out
-
+    basis = cut.basis()
+    para_unit = cut.coordinates(eps)
+    if para_unit is None:
+        raise CyclicAxiomError("eps does not lie in its cut")
     mul = {}
     n_polar = {}
     for a in range(len(basis)):
         for b in range(len(basis)):
-            row = expand(V.product(basis[a], basis[b]))
+            row = cut.coordinates(V.product(basis[a], basis[b]))
+            if row is None:
+                raise CyclicAxiomError("subalgebra is not closed under the product")
             if row:
                 mul[(a, b)] = row
             val = V.bform(basis[a], basis[b])
@@ -495,7 +491,7 @@ def cut_on_basis(V: CyclicAlgebra, basis, eps) -> SymCompAlgebra:
             if not sc.is_zero():
                 n_polar[(a, b)] = sc
     labels = [f"c{k}" for k in range(len(basis))]
-    S_sub = SymCompAlgebra(F, labels, mul, n_polar, para_unit=expand(eps))
+    S_sub = SymCompAlgebra(F, labels, mul, n_polar, para_unit=para_unit)
     is_symmetric_composition(S_sub).require(CyclicAxiomError, "idempotent cut")
     # eps must act as the para-unit: eps * x = x~ = n(x, eps)eps - x on C_eps
     pu = S_sub.para_unit

@@ -193,19 +193,17 @@ class AdaptedRows:
     """An adapted homogeneous basis: the reduced rows of independent spans,
     one `linalg.Echelon` per degree, in the order given.  A product of rows
     of degrees g1 and g2 must lie in the span of degree g1 + g2, and
-    `expand` writes it over that span's rows only: its coordinates are its
-    entries at their pivot columns, and it lies in the span exactly when
-    the span's Echelon reduces it to 0."""
+    `expand` writes it over that span's rows only, by the span's
+    `Echelon.coordinates` shifted by the row offset of the span."""
 
     def __init__(self, spans, error):
         self.error = error  # the caller's exception class
         self.rows, self.degrees, self._block, self._spans, self._sums = [], [], [], {}, {}
         for g, ech in spans:
-            pivots = [(len(self.rows) + k, p) for k, p in enumerate(sorted(ech.rows))]
-            self._block += [len(self._spans)] * len(pivots)
-            self._spans[g] = (ech, pivots)
-            self.rows += [dict(ech.rows[p]) for _k, p in pivots]
-            self.degrees += [g] * len(pivots)
+            self._block += [len(self._spans)] * ech.rank
+            self._spans[g] = (ech, len(self.rows))
+            self.rows += ech.basis()
+            self.degrees += [g] * ech.rank
 
     def expand(self, vec, factors, message):
         """{row index: coefficient} of vec over the rows of the degree that
@@ -223,9 +221,11 @@ class AdaptedRows:
             if vec:
                 raise self.error(message)
             return {}
-        if span[0].reduce(vec):
+        ech, offset = span
+        coords = ech.coordinates(vec)
+        if coords is None:
             raise self.error(message)
-        return {k: vec[p] for k, p in span[1] if p in vec}
+        return {offset + k: c for k, c in coords.items()}
 
 
 def verify_grading(grading: Grading) -> Report:

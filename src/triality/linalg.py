@@ -43,6 +43,15 @@ the character units) is written as the sparse images of its unknowns, and
 a basis applies `mat_vec` with the basis as a column map.  `null_space` is
 its row form; only root_datum's Cartan candidate calls it directly, since
 its conditions are already rows (one per off-diagonal position).
+
+`Echelon.coordinates` is the one coordinate rule: every adapted basis of
+the package (the basis of tri(S), the eigenspaces of root_datum, the
+components of an induced grading or of a related algebra, an idempotent
+cut) is the reduced rows of its span, and a vector of the span is read off
+at their pivot columns.  Reduced rows have private pivot columns (no other
+row has an entry there), so the entry of a vector at a row's pivot is its
+coefficient on that row; one `reduce` to 0 certifies that the vector lies
+in the span.
 """
 
 from __future__ import annotations
@@ -88,7 +97,7 @@ class Echelon:
         piv = min(v)
         inv = v[piv].inverse()
         v = {j: c * inv for j, c in v.items()}
-        for p, row in self.rows.items():
+        for row in self.rows.values():
             c = row.get(piv)
             if c is not None:
                 for j, r in v.items():
@@ -111,6 +120,14 @@ class Echelon:
     def basis(self):
         return [dict(self.rows[p]) for p in sorted(self.rows)]
 
+    def coordinates(self, vec: dict):
+        """{k: coefficient of basis()[k]} of vec, or None if vec is outside
+        the span.  A reduced row is the only row with an entry in its pivot
+        column, so the coefficients are the entries of vec there."""
+        if self.reduce(vec):
+            return None
+        return {k: vec[p] for k, p in enumerate(sorted(self.rows)) if p in vec}
+
     def canonical(self):
         """Hashable canonical form of the row span."""
         out = []
@@ -125,30 +142,6 @@ def echelon_from(field, vectors) -> Echelon:
     for v in vectors:
         ech.insert(v)
     return ech
-
-
-class Coordinates:
-    """Coordinates in a fixed basis of a subspace: the basis vectors, each
-    with a marker column of its own, are reduced to echelon form, so a
-    vector of the span reduces to minus its coordinates on the markers."""
-
-    def __init__(self, field, ncols, basis):
-        self.ncols = ncols
-        self._ech = Echelon(field)
-        for k, vec in enumerate(basis):
-            v = dict(vec)
-            v[ncols + k] = field.one
-            self._ech.insert(v)
-
-    def __call__(self, vec):
-        """{basis index: coefficient} of vec, or None if vec is outside the
-        span."""
-        coords = {}
-        for col, c in self._ech.reduce(vec).items():
-            if col < self.ncols:
-                return None
-            coords[col - self.ncols] = -c
-        return coords
 
 
 def null_space(field, ncols, rows) -> list:

@@ -18,11 +18,14 @@ apply_deltas is the one rule applying it to V, and operator_degrees lists
 the degree of each position under a grading of V.
 
 Brackets are taken componentwise on triples only.  The basis
-TriAlgebra.vectors is in triple coordinates, and tri.lie expresses its
-brackets in coordinates over it.  An induced grading is computed in those
-coordinates too: its components are spans over the 28 basis vectors, and
-the bracket of two adapted rows is written over the rows of its degree
-only (grading.AdaptedRows).
+TriAlgebra.vectors is the reduced rows of tri(S) in triple coordinates, so
+a vector of tri(S) is written over it by linalg.Echelon.coordinates, and
+tri.lie expresses the brackets in coordinates over it.  An induced grading
+is computed in those coordinates too: its components are spans over the 28
+basis vectors, and the bracket of two adapted rows is written over the
+reduced rows of its degree only (grading.AdaptedRows).  root_datum splits
+tri(S) into eigenspaces the same way, each held as the reduced rows of its
+span.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
+from .linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
 from .grading import AdaptedRows, Grading, Report, StructAlgebra, verify_grading
 
 
@@ -144,22 +147,21 @@ def so_blocks(S):
 
 
 class TriAlgebra:
-    """tri(S) with a fixed 28-element basis of triples, bracket structure
-    constants, and exact expansion machinery."""
+    """tri(S) with its 28-element basis: the reduced rows of the span of the
+    given triples, with the bracket structure constants over them.  A
+    vector of End(S)^3 is written in the basis by `span.coordinates`."""
 
     def __init__(self, S, vectors):
-        F = S.field
-        n = S.dim
         self.S = S
-        self.field = F
-        self.vectors = vectors  # basis triples as vectors of End(S)^3
-        self.dim = len(vectors)
-        self._coords = Coordinates(F, 3 * n * n, vectors)
+        self.field = S.field
+        self.span = echelon_from(S.field, vectors)
+        self.vectors = self.span.basis()  # basis triples as vectors of End(S)^3
+        self.dim = len(self.vectors)
         self.lie = self._structure_algebra()
 
     def contains(self, vec) -> bool:
         """Whether a vector of End(S)^3 lies in tri(S)."""
-        return self._coords(vec) is not None
+        return self.span.contains(vec)
 
     def _structure_algebra(self) -> StructAlgebra:
         n = self.S.dim
@@ -168,7 +170,7 @@ class TriAlgebra:
         mul = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
-                coords = self._coords(_bracket(blocks[a], blocks[b], n))
+                coords = self.span.coordinates(_bracket(blocks[a], blocks[b], n))
                 if coords is None:
                     raise TrialityError("bracket is not in tri(S)")
                 if coords:
@@ -218,8 +220,7 @@ def _solve_triples(S, shifts, what) -> TriAlgebra:
     if len(sols) != 28:
         raise TrialityError(f"{what} has dimension {len(sols)}, expected 28")
     block_cols = dict(enumerate(blocks))
-    vectors = [dict(sorted(mat_vec(block_cols, vec).items())) for vec in sols]
-    return TriAlgebra(S, vectors)
+    return TriAlgebra(S, [mat_vec(block_cols, vec) for vec in sols])
 
 
 def tri_basis(S) -> TriAlgebra:
@@ -378,41 +379,38 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
     cartan = normalized
     ads = [_ad_matrix(tri, h) for h in cartan]
 
-    def restrict(ad_cols, space):
-        """Matrix of ad on the span of `space` (list of coordinate dicts)."""
-        coords = Coordinates(F, tri.dim, space)
-        mat = []
-        for v in space:
+    def _split(space, labels, ad_cols):
+        """The eigenspaces of ad on a space (an Echelon over the tri basis),
+        each the Echelon of its span, with its eigenvalue appended to the
+        labels."""
+        rows = space.basis()
+        mat = []  # ad on the span of rows: column j -> dict i -> scalar
+        for v in rows:
             img = {}
             for a, ca in v.items():
                 axpy(img, ca, ad_cols[a])
-            col = coords(img)
+            col = space.coordinates(img)
             if col is None:
                 raise TrialityError("adjoint action leaves the subspace")
             mat.append(col)
-        return mat  # column j -> dict i -> scalar
-
-    spaces = [([{k: F.one} for k in range(tri.dim)], [])]
-
-    def _split(space, labels, ad_cols):
-        mat = restrict(ad_cols, space)
-        space_cols = dict(enumerate(space))
+        space_cols = dict(enumerate(rows))
         out = []
         found = 0
         for lam in sorted(range(-EIGEN_BOUND, EIGEN_BOUND + 1), key=abs):
-            if found == len(space):
+            if found == space.rank:
                 break
             neg_lam = F.scalar(-lam)
             shifted = [axpy(dict(col), None, {j: neg_lam}) for j, col in enumerate(mat)]  # mat - lam I
-            vecs = [mat_vec(space_cols, kv) for kv in kernel(F, shifted)]
-            if not vecs:
+            eigen = echelon_from(F, (mat_vec(space_cols, kv) for kv in kernel(F, shifted)))
+            if not eigen.rank:
                 continue
-            found += len(vecs)
-            out.append((vecs, labels + [lam]))
-        if found != len(space):
+            found += eigen.rank
+            out.append((eigen, labels + [lam]))
+        if found != space.rank:
             raise TrialityError("non-integral eigenvalues: wrong Cartan choice")
         return sorted(out, key=lambda piece: piece[1][-1])  # by eigenvalue
 
+    spaces = [(echelon_from(F, ({k: F.one} for k in range(tri.dim))), [])]
     for ad_cols in ads:
         new_spaces = []
         for space, labels in spaces:
@@ -425,10 +423,10 @@ def root_datum(tri: TriAlgebra) -> RootDatum:
         if all(x == 0 for x in labels):
             cartan_space = space
             continue
-        if len(space) != 1:
+        if space.rank != 1:
             raise TrialityError("root space of dimension > 1")
         roots.append(tuple(labels))
-    if cartan_space is None or len(cartan_space) != 4 or len(roots) != 24:
+    if cartan_space is None or cartan_space.rank != 4 or len(roots) != 24:
         raise TrialityError(f"expected 4 + 24 decomposition, got {len(roots)} roots")
     # Killing form on the Cartan from the roots; exact rational arithmetic
     K = [[F.scalar(sum(r[a] * r[b] for r in roots)) for b in range(4)] for a in range(4)]
@@ -487,7 +485,7 @@ def _homogeneous_pieces(tri: TriAlgebra, degrees, error):
         for pos, c in xi_transform(F, vec, nn, to_deltas=True).items():
             pieces.setdefault(degrees[pos], {})[pos] = c
         for g, piece in pieces.items():
-            coords = tri._coords(xi_transform(F, piece, nn, to_deltas=False))
+            coords = tri.span.coordinates(xi_transform(F, piece, nn, to_deltas=False))
             if coords is None:
                 raise TrialityError(error)
             buckets.setdefault(g, []).append(coords)

@@ -17,7 +17,7 @@ from triality.brauer import (
 from triality.fgab import GroupElem, characters, make_group, quotient
 from triality.grading import AdaptedRows, Grading, StructAlgebra, verify_grading
 from triality.trilie import TrialityError, _homogeneous_pieces, induce_tri_grading, operator_degrees, tri_basis
-from triality.linalg import Coordinates, Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
+from triality.linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +389,30 @@ def test_related_triple_compose_count(fines, monkeypatch):
 
 def in_key_order(table):
     return [(key, list(row.items())) for key, row in table.items()]
+
+
+class Coordinates:
+    """Coordinates in a fixed basis of a subspace: the basis vectors, each
+    with a marker column of its own, are reduced to echelon form, so a
+    vector of the span reduces to minus its coordinates on the markers."""
+
+    def __init__(self, field, ncols, basis):
+        self.ncols = ncols
+        self._ech = Echelon(field)
+        for k, vec in enumerate(basis):
+            v = dict(vec)
+            v[ncols + k] = field.one
+            self._ech.insert(v)
+
+    def __call__(self, vec):
+        """{basis index: coefficient} of vec, or None if vec is outside the
+        span."""
+        coords = {}
+        for col, c in self._ech.reduce(vec).items():
+            if col < self.ncols:
+                return None
+            coords[col - self.ncols] = -c
+        return coords
 
 
 def all_rows_induced(grading, tri):

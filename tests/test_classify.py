@@ -116,6 +116,23 @@ def test_witnesses_pass():
     assert witness_map("rank1_h_flip", G2223, K=K, h=h2)["report"].ok
 
 
+def test_rank2_shift_cuts_once(monkeypatch):
+    # the idempotent cut is built and certified once, on its homogeneous
+    # basis, and that basis is graded with the shifted Cartan pattern
+    import triality.classify as classify
+    import triality.cyclic as cyclic
+
+    cuts = []
+    real = cyclic.cut_on_basis
+    for module in (classify, cyclic):
+        monkeypatch.setattr(module, "cut_on_basis", lambda *args: cuts.append(real(*args)) or cuts[-1])
+    h = G333.element((0, 0, 1))
+    g1, g2 = G333.element((1, 0, 0)), G333.element((0, 1, 0))
+    out = witness_map("rank2_shift", G333, gamma=(g1, g2, -(g1 + g2)), h=h)
+    assert out["report"].ok
+    assert len(cuts) == 1 and out["A"][1] is cuts[0]
+
+
 def test_sigma_tau_needs_opposite_flag():
     # sigma (x) tau reverses the product: without the opposite flag the
     # same map must fail the product check

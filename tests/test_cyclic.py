@@ -6,6 +6,7 @@ import pytest
 from triality.cyclic import (
     CyclicAlgebra,
     CyclicAxiomError,
+    cut_on_basis,
     make_L,
     opposite,
     para_subalgebra_from_idempotent,
@@ -210,21 +211,25 @@ def test_self_similitude_by_xi(field, mod):
 def test_para_cut_at_one(field, mod):
     V = mod["V_zorn"]
     unit = {V.idx(0, 0): field.one, V.idx(1, 0): field.one}
-    S_sub, basis = para_subalgebra_from_idempotent(V, unit)
+    cut = para_subalgebra_from_idempotent(V, unit)
     # the cut is C (x) 1: every basis vector is supported on xi-power 0
-    for vec in basis:
+    for vec in cut.basis():
         assert all(V.split(i)[1] == 0 for i in vec)
-    assert len(basis) == 8
+    assert cut.rank == 8
+    # on its reduced rows, the cut is a symmetric composition algebra with
+    # the idempotent as para-unit
+    S_sub = cut_on_basis(V, cut, unit)
+    assert S_sub.dim == 8 and S_sub.para_unit == cut.coordinates(unit)
 
 
 def test_para_cut_at_second_para_unit(field, mod):
     V = mod["V_zorn"]
     w = field.omega
     eps = {V.idx(0, 0): w * w, V.idx(1, 0): w}
-    S_sub, basis = para_subalgebra_from_idempotent(V, eps)
-    assert len(basis) == 8
+    cut = para_subalgebra_from_idempotent(V, eps)
+    assert cut.rank == 8
     # mixed Peirce pieces: u-lines at xi, v-lines at xi^2
-    powers = sorted({V.split(i)[1] for vec in basis for i in vec})
+    powers = sorted({V.split(i)[1] for vec in cut.basis() for i in vec})
     assert powers == [0, 1, 2]
 
 

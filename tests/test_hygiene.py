@@ -4,8 +4,9 @@ transitively, from the package's module-level code (the CLI's dispatch
 table and entry point) or from a benchmark reference, and a test reference
 does not count (a short list, by ROADMAP item, names the definitions still
 waiting to be wired in); every method is referenced somewhere in the
-package, tests or benchmark; no function takes a parameter it never reads;
-and no class stores a field that nothing reads."""
+package, tests or benchmark; no function takes a parameter it never reads
+or binds a local it never reads; and no class stores a field that nothing
+reads."""
 
 import ast
 import collections
@@ -255,6 +256,68 @@ def test_no_unread_parameters():
             read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read and p not in ("self", "cls")]
     assert not unread, "unread parameters: " + ", ".join(unread)
+
+
+# Calls that only add to a container: a local whose only loads are such
+# calls, made as statements, is written and never read.
+GROWERS = ("append", "extend", "add", "update")
+
+
+def unread_locals(tree):
+    """(first line, function, name) for every name a function binds
+    (assignment, loop or comprehension target, `with ... as`) and never loads, nested
+    functions included; a load that is the receiver of a statement
+    `name.append(...)` (or another grower) does not count as a read.  Names
+    that start with `_` are exempt."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        grown = {
+            id(stmt.value.func.value)
+            for stmt in ast.walk(fn)
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute) and stmt.value.func.attr in GROWERS
+        }
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        loaded = {n.id for n in names if isinstance(n.ctx, ast.Load) and id(n) not in grown}
+        first = {}
+        for n in names:
+            if isinstance(n.ctx, ast.Store) and not n.id.startswith("_") and n.id not in loaded:
+                first[n.id] = min(n.lineno, first.get(n.id, n.lineno))
+        out |= {(line, fn.name, name) for name, line in first.items()}
+    return sorted(out)
+
+
+def test_no_unread_locals():
+    unread = [
+        f"{path.name}:{line} {fn}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, fn, name in unread_locals(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unread, "unread locals: " + ", ".join(unread)
+
+
+def test_unread_local_rule_on_a_synthetic_function():
+    source = """
+def f(rows, parser):
+    seen = []
+    kept = []
+    total = 0
+    for k, row in enumerate(rows):
+        seen.append(row)
+        kept.append(row)
+        total += k
+    parser.add_argument("x")
+    sub = parser
+    sub.set_defaults(x=1)
+    _, last = rows
+    return kept, [y for x, y in rows]
+"""
+    # seen is only appended to and total only updated; row is read as an
+    # argument, and sub as the receiver of a call that is not a grower;
+    # `_` is exempt
+    assert unread_locals(ast.parse(source)) == [(3, "f", "seen"), (5, "f", "total"), (13, "f", "last"), (14, "f", "x")]
 
 
 def stored_fields(cls):

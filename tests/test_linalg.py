@@ -2,7 +2,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from triality.linalg import Coordinates, Echelon, axpy, bilinear, compose, echelon_from, kernel, mat_vec, to_flat
+from triality.linalg import Echelon, axpy, bilinear, compose, echelon_from, kernel, mat_vec, to_flat
 from triality.scalars import Rational, make_field
 
 F = make_field(12)
@@ -48,13 +48,32 @@ def test_compose_cancels_to_empty():
     assert compose({}, B, 2) == {}
 
 
-def test_coordinates_in_a_basis():
-    basis = [{0: F.one, 2: W}, {1: F.one, 2: F.one}]
-    coords = Coordinates(F, 3, basis)
-    vec = {0: F.scalar(2), 1: -W, 2: F.scalar(2) * W - W}
-    assert coords(vec) == {0: F.scalar(2), 1: -W}
-    assert coords({}) == {}
-    assert coords({2: F.one}) is None
+@st.composite
+def coordinates_case(draw):
+    """Sparse rows on columns 0..n-1 and one drawn coefficient per row."""
+    n = draw(st.integers(1, 8))
+    sparse = st.dictionaries(st.integers(0, n - 1), st.sampled_from(POOL), max_size=n)
+    rows = draw(st.lists(sparse, max_size=n))
+    return n, rows, draw(st.lists(st.sampled_from(POOL), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates_case())
+@example((3, [{0: F.one, 2: W}, {1: F.one, 2: F.one}], [F.scalar(2), -W, F.zero]))
+def test_coordinates_round_trip(case):
+    # a combination of the reduced rows reads back its coefficients; a
+    # vector with an entry on a column that no row touches is outside
+    n, rows, coeffs = case
+    ech = echelon_from(F, rows)
+    combo = {}
+    for a, row in zip(coeffs, ech.basis()):
+        axpy(combo, a, row)
+    assert ech.coordinates(combo) == {k: a for k, a in enumerate(coeffs[:ech.rank]) if not a.is_zero()}
+    assert ech.coordinates({}) == {}
+    assert ech.coordinates(axpy(dict(combo), W, {n: F.one})) is None
+    if ech.rank < n:
+        free = min(set(range(n)) - set(ech.rows))
+        assert ech.coordinates({free: F.one}) is None
 
 
 def rescanning_reduce(ech, vec):

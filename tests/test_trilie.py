@@ -27,6 +27,25 @@ def test_tri_dimensions_and_shift(tri_zorn, tri_okubo):
     assert cyclic_shift_closed(tri_okubo)
 
 
+def test_tri_basis_is_its_own_reduced_rows(field, tri_zorn, tri_okubo):
+    # the basis is the reduced rows of its span, so each basis vector reads
+    # back as itself; vectors of End(S)^3 outside tri(S) are refused: the
+    # identity in every block (not n-skew) and a basis vector with one
+    # entry moved
+    for tri in (tri_zorn, tri_okubo):
+        assert tri.vectors == echelon_from(field, tri.vectors).basis()
+        assert all(tri.span.coordinates(v) == {k: field.one} for k, v in enumerate(tri.vectors))
+        nn = tri.S.dim * tri.S.dim
+        identity = {c * nn + i * tri.S.dim + i: field.one for c in range(3) for i in range(tri.S.dim)}
+        bent = dict(tri.vectors[0])
+        idx = max(bent)
+        bent[idx] = bent[idx] + field.one
+        for vec in (identity, bent):
+            assert not tri.contains(vec)
+            assert tri.span.coordinates(vec) is None
+        assert tri.contains(tri.vectors[0])
+
+
 def test_tri_basis_kept_per_model(mod, tri_okubo):
     # one solve per model instance; a copy is solved afresh, so a corrupted
     # copy is refused rather than handed the model's tri(S)
