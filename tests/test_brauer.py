@@ -180,6 +180,32 @@ def test_beta_bar_tensor_case(field):
     assert rep.details["component_dim"] == 4  # Pauli factors
 
 
+def test_beta_bar_catches_corrupted_constants(field):
+    # every structure constant X_s X_t of F^tau T, T = Z3 x Z2 x Z2, negated
+    # in turn: the report is not ok, or the decomposition raises.  Exempt
+    # are the products whose factors s, t lie in one coset of the radical H
+    # of beta other than H itself, which the check does not see (CHANGES.md)
+    m1 = -field.one
+    alg = graded_division_from_pair(make_group(0, [3, 2, 2]), [[field.one, m1], [m1, field.one]], field)
+    assert check_beta_bar(alg).ok()
+    radical = [s for s in alg.elems if all(alg.beta_value(s, t) == field.one for t in alg.elems)]
+    caught = 0
+    exempt = 0
+    for (i, j), row in alg.mul.items():
+        s, t = alg.elems[i], alg.elems[j]
+        if s not in radical and s - t in radical:
+            exempt += 1
+            continue
+        ((out, c),) = row.items()
+        bad = copy.copy(alg)
+        bad.mul = {**alg.mul, (i, j): {out: -c}}
+        try:
+            caught += not check_beta_bar(bad).ok()
+        except BrauerError:
+            caught += 1
+    assert (caught, exempt) == (117, 27)
+
+
 def test_related_triple_trivial_divisions(field, okubo_triple):
     for alg, gr in zip(okubo_triple.algebras, okubo_triple.gradings):
         assert gr.verified

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
@@ -6,12 +7,18 @@ import pytest
 from triality.cyclic import (
     CyclicAlgebra,
     CyclicAxiomError,
+    _l_det,
+    _rho_rows,
     cut_on_basis,
+    cyclic_from_symmetric,
     make_L,
     opposite,
     para_subalgebra_from_idempotent,
     verify_cyclic_axioms,
 )
+from triality.composition import SymCompAlgebra
+from triality.grading import Report
+from triality.linalg import Residues
 
 
 def scale(V: CyclicAlgebra, lam) -> CyclicAlgebra:
@@ -74,15 +81,16 @@ def test_q_on_basis_tensors(field, mod):
             assert V.quadratic(x) == tuple(expected)
 
 
-SEMILINEAR = {"semilinear_x": 0, "semilinear_y": 1}
+SEMILINEAR = {"semilinear_x": 0, "semilinear_y": 1, "bq_L_bilinear": 2}
 TRIPLE = {"bq_cyclic": 0, "eq1_left": 1, "eq1_right": 2}
 
 
 def assert_violation_order(violations):
-    """Semilinearity by (i, j), x before y; then the norm identity by
-    (i, k, j, l); then the triple families by (i, j, k), with bq_cyclic,
-    eq1_left and eq1_right in that order within a triple; then the
-    nonsingularity of b_Q."""
+    """Semilinearity and the L-bilinearity of b_Q by (i, j), semilinear_x,
+    semilinear_y and bq_L_bilinear in that order within a pair; then the
+    norm identity by (i, k, j, l); then the triple families by (i, j, k),
+    with bq_cyclic, eq1_left and eq1_right in that order within a triple;
+    then the nonsingularity of b_Q."""
     stage = [
         0 if name in SEMILINEAR else 1 if name == "norm_multiplicative" else 2 if name in TRIPLE else 3
         for name, _ in violations
@@ -100,30 +108,141 @@ def violations_digest(violations):
     return hashlib.sha256(repr(violations).encode()).hexdigest()
 
 
+# -- the dense check, on every tensor basis tuple and without the
+# L-bilinearity of b_Q: the oracle for the L-basis verdicts of
+# verify_cyclic_axioms, whose proof rests on the scaling argument.
+
+
+def dense_report(V: CyclicAlgebra) -> Report:
+    """Semilinearity on all n^2 pairs, the polarized identities on all
+    n^4 + 3 n^3 tensor basis tuples and the nonsingularity of b_Q."""
+    L = V.L
+    t = V.twist
+    n = V.dim
+    viol = []
+    bas = [V.basis_vec(i) for i in range(n)]
+    prod = [[V.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
+    rho_t_xi = L.rho(L.xi, t)
+    rho_2t_xi = L.rho(L.xi, 2 * t)
+    for i, j in itertools.product(range(n), repeat=2):
+        if V.product(V.act(L.xi, bas[i]), bas[j]) != V.act(rho_t_xi, prod[i][j]):
+            viol.append(("semilinear_x", (i, j)))
+        if V.product(bas[i], V.act(L.xi, bas[j])) != V.act(rho_2t_xi, prod[i][j]):
+            viol.append(("semilinear_y", (i, j)))
+    viol.extend(dense_norm_violations(V, prod))
+    viol.extend(dense_triple_violations(V, prod))
+    m = V.S.dim
+    gram = [[V.bform(V.embed(p), V.embed(q)) for q in range(m)] for p in range(m)]
+    if L.scalar_part(L.norm(_l_det(L, gram))).is_zero():
+        viol.append(("b_Q_nonsingular", ()))
+    return Report(viol, 2 * n * n + n**4 + 3 * n**3)
+
+
+def dense_norm_violations(V, prod):
+    t = V.twist
+    n = V.dim
+    pairs_on = {}
+    for k in range(n):
+        for l in range(n):
+            for b, c in prod[k][l].items():
+                pairs_on.setdefault(b, []).append((k, l, c))
+    partners = {}
+    for (a, b), row in V.bq.items():
+        partners.setdefault(a, []).append((b, row))
+    diff = Residues()
+    for i in range(n):
+        for j in range(n):
+            for a, ca in prod[i][j].items():
+                for b, row in partners.get(a, ()):
+                    for k, l, cb in pairs_on.get(b, ()):
+                        c = ca * cb
+                        diff.add((i, k, j, l), c, row)
+                        diff.add((i, k, l, j), c, row)
+    shifted = {
+        key: [{(s + m) % 3: c for m, c in r.items()} for s in range(3)] for key, r in _rho_rows(V, 2 * t).items()
+    }
+    for (i, k), row in _rho_rows(V, t).items():
+        left = [(s, -c) for s, c in row.items()]
+        for (j, l), right in shifted.items():
+            for s, c in left:
+                diff.add((i, k, j, l), c, right[s])
+    return [("norm_multiplicative", (i, j, k, l)) for (i, k, j, l) in diff.uncancelled()]
+
+
+def dense_triple_violations(V, prod):
+    names = ("bq_cyclic", "bq_cyclic", "eq1_left", "eq1_right")
+    t = V.twist
+    n = V.dim
+    rho_t, rho_2t = _rho_rows(V, t), _rho_rows(V, 2 * t)
+    partners = {}
+    for key, row in V.bq.items():
+        partners.setdefault(key[0], []).append((key[1], row, rho_t[key], rho_2t[key]))
+    right = {}
+    left = {}
+    for (a, b), row in V.mul.items():
+        right.setdefault(a, []).append((b, row))
+        left.setdefault(b, []).append((a, row))
+    diff = Residues()
+    for i in range(n):
+        for j in range(n):
+            for a, c in prod[i][j].items():
+                for k, row, row_t, row_2t in partners.get(a, ()):
+                    diff.add((i, j, k, 0), c, row)
+                    diff.add((i, j, k, 1), c, row)
+                    diff.add((k, i, j, 0), -c, row_t)
+                    diff.add((j, k, i, 1), -c, row_2t)
+                for k, row in right.get(a, ()):
+                    diff.add((i, j, k, 2), c, row)
+                    diff.add((k, j, i, 2), c, row)
+                for k, row in left.get(a, ()):
+                    diff.add((k, i, j, 3), c, row)
+                    diff.add((j, i, k, 3), c, row)
+    for (i, k), row_t in rho_t.items():
+        row_2t = rho_2t[(i, k)]
+        for j in range(n):
+            p, e = V.split(j)
+            diff.add((i, j, k, 2), None, {V.idx(p, e + m): -c for m, c in row_2t.items()})
+            diff.add((i, j, k, 3), None, {V.idx(p, e + m): -c for m, c in row_t.items()})
+    return list(dict.fromkeys((names[f], (i, j, k)) for i, j, k, f in diff.uncancelled()))
+
+
+IDENTITIES = ("norm_multiplicative", "bq_cyclic", "eq1_left", "eq1_right")
+
+
+def assert_agrees_with_dense(rep, dense, V):
+    """The L-basis verdicts are the dense ones restricted to L-basis tuples,
+    the other violations are the dense ones plus bq_L_bilinear, and the
+    report fails exactly when the dense check or L-bilinearity does."""
+    on = {V.idx(p, 0) for p in range(V.S.dim)}
+    assert [v for v in rep.violations if v[0] in IDENTITIES] == [
+        v for v in dense.violations if v[0] in IDENTITIES and set(v[1]) <= on
+    ]
+    assert [v for v in rep.violations if v[0] not in IDENTITIES + ("bq_L_bilinear",)] == [
+        v for v in dense.violations if v[0] not in IDENTITIES
+    ]
+    assert rep.ok == (dense.ok and not any(name == "bq_L_bilinear" for name, _ in rep.violations))
+
+
 def test_axioms_pass(cyclic_axiom_reports):
     assert cyclic_axiom_reports["zorn"].ok
     assert cyclic_axiom_reports["okubo"].ok
-    # 2 n^2 semilinearity + n^4 norm + 3 n^3 form and identity checks, n = 24
-    assert cyclic_axiom_reports["zorn"].checked == cyclic_axiom_reports["okubo"].checked == 374400
+    # 2 n^2 semilinearity + 2 n^2 L-bilinearity of b_Q on the n = 24 tensor
+    # basis elements, m^4 norm + 3 m^3 form and identity checks on the
+    # m = 8 L-basis vectors
+    n, m = 24, 8
+    assert cyclic_axiom_reports["zorn"].checked == cyclic_axiom_reports["okubo"].checked == 2 * n * n + 2 * n * n + m**4 + 3 * m**3 == 7936
 
 
 def test_corrupted_constant_located(field, mod):
     V = mod["V_zorn"]
-    import copy
-
     star = {k: dict(v) for k, v in V.mul.items()}
     key = next(iter(star))
     out = next(iter(star[key]))
     star[key][out] = star[key][out] + field.one
-    from triality.cyclic import CyclicAlgebra
-
     bad = CyclicAlgebra(V.S, V.L, star, V.bq, twist=1)
-    rep = verify_cyclic_axioms(bad)
-    assert not rep.ok
-    assert rep.checked == 374400
-    assert len(rep.violations) == 250
-    assert rep.violations[:2] == [("semilinear_x", (0, 0)), ("semilinear_y", (0, 0))]
-    assert Counter(name for name, _ in rep.violations) == {
+    dense = dense_report(bad)
+    assert dense.checked == 374400
+    assert Counter(name for name, _ in dense.violations) == {
         "semilinear_x": 2,
         "semilinear_y": 2,
         "norm_multiplicative": 144,
@@ -131,9 +250,80 @@ def test_corrupted_constant_located(field, mod):
         "eq1_left": 48,
         "eq1_right": 48,
     }
-    assert_violation_order(rep.violations)
     # sha256 of the whole list as a dense loop over every basis tuple gave it
-    assert violations_digest(rep.violations) == "8432918ffd0761ff5f0a214e2603f7cb01fa5f549d3f6404e8b346ad1742209e"
+    assert violations_digest(dense.violations) == "8432918ffd0761ff5f0a214e2603f7cb01fa5f549d3f6404e8b346ad1742209e"
+    rep = verify_cyclic_axioms(bad)
+    assert not rep.ok
+    assert rep.checked == 7936
+    assert_agrees_with_dense(rep, dense, bad)
+    assert_violation_order(rep.violations)
+    # the dense list restricted to L-basis tuples: none of its 6 bq_cyclic
+    # violations is at one
+    assert rep.violations[:2] == [("semilinear_x", (0, 0)), ("semilinear_y", (0, 0))]
+    assert Counter(name for name, _ in rep.violations) == {
+        "semilinear_x": 2,
+        "semilinear_y": 2,
+        "norm_multiplicative": 16,
+        "eq1_left": 16,
+        "eq1_right": 16,
+    }
+    assert violations_digest(rep.violations) == "30455438d0ea7435b3d4d62eb9ea92bfdcb557348bbf0843dedeb14307209d8b"
+
+
+def test_corrupted_form_constant_located(field, mod):
+    # one b_Q constant at (i, j), off the L-basis in both arguments: b_Q is
+    # no longer L-bilinear at (i, j) and at the two pairs whose xi-multiple
+    # lands on it, (xi^-1 x_i, x_j) and (x_i, xi^-1 x_j)
+    V = mod["V_zorn"]
+    bq = {k: dict(row) for k, row in V.bq.items()}
+    i, j = key = next(k for k in bq if k[0] % 3 and k[1] % 3)
+    m = next(iter(bq[key]))
+    bq[key][m] = bq[key][m] + field.one
+    bad = CyclicAlgebra(V.S, V.L, V.mul, bq, twist=1)
+    rep = verify_cyclic_axioms(bad)
+    assert not rep.ok
+    assert_agrees_with_dense(rep, dense_report(bad), bad)
+    assert_violation_order(rep.violations)
+    (p, e), (q, f) = V.split(i), V.split(j)
+    located = [key for name, key in rep.violations if name == "bq_L_bilinear"]
+    assert sorted(located) == sorted([(i, j), (V.idx(p, e - 1), j), (i, V.idx(q, f - 1))])
+
+
+def corrupted_constants(V, bump):
+    """Every V with one star or b_Q constant c replaced by bump(c)."""
+    for table in ("mul", "bq"):
+        rows = getattr(V, table)
+        for key, row in rows.items():
+            for out, c in row.items():
+                changed = dict(rows)
+                changed[key] = {**row, out: bump(c)}
+                star, bq = (changed, V.bq) if table == "mul" else (V.mul, changed)
+                yield table, CyclicAlgebra(V.S, V.L, star, bq, twist=V.twist)
+
+
+def test_every_corrupted_constant_fails(field, mod):
+    # exhaustive over V_zorn's 288 star and 72 b_Q constants, each plus 1
+    V = mod["V_zorn"]
+    verdicts = Counter((table, verify_cyclic_axioms(bad).ok) for table, bad in corrupted_constants(V, lambda c: c + field.one))
+    assert verdicts == {("mul", False): 288, ("bq", False): 72}
+
+
+@pytest.mark.parametrize("name", ["para_zorn", "okubo"])
+def test_every_corrupted_S_constant_fails_on_the_L_basis(field, mod, name):
+    # one structure constant or polar-form entry of S doubled, and V rebuilt
+    # as S (x) L: the product stays rho-semilinear and b_Q L-bilinear, so
+    # only the identities on L-basis tuples can see the corruption
+    S = mod[name]
+    n = S.forms["n"]
+    mutants = [
+        SymCompAlgebra(field, S.labels, {**S.mul, key: {**row, out: c + c}}, n)
+        for key, row in S.mul.items()
+        for out, c in row.items()
+    ] + [SymCompAlgebra(field, S.labels, S.mul, {**n, key: c + c}) for key, c in n.items()]
+    assert len(mutants) == 40
+    for bad in mutants:
+        rep = verify_cyclic_axioms(cyclic_from_symmetric(bad))
+        assert rep.violations and {v for v, _ in rep.violations} <= set(IDENTITIES)
 
 
 def test_opposite(mod, cyclic_axiom_reports):
@@ -176,18 +366,30 @@ def test_axioms_with_multi_term_constants(field, mod):
     key = next(key for key, row in bq.items() if len(row) > 1)
     m = next(iter(bq[key]))
     bq[key][m] = bq[key][m] + field.one
-    rep = verify_cyclic_axioms(CyclicAlgebra(Vs.S, L, Vs.mul, bq, twist=Vs.twist))
-    assert not rep.ok
-    assert rep.checked == 374400
-    assert Counter(name for name, _ in rep.violations) == {
+    bad = CyclicAlgebra(Vs.S, L, Vs.mul, bq, twist=Vs.twist)
+    dense = dense_report(bad)
+    assert dense.checked == 374400
+    assert Counter(name for name, _ in dense.violations) == {
         "norm_multiplicative": 1291,
         "bq_cyclic": 66,
         "eq1_left": 24,
         "eq1_right": 24,
     }
-    assert_violation_order(rep.violations)
     # sha256 of the whole list as a dense loop over every basis tuple gave it
-    assert violations_digest(rep.violations) == "7335bbd2bb8d75672e788c27d72cb043791008a0bdd8a83945660ddbbf62a791"
+    assert violations_digest(dense.violations) == "7335bbd2bb8d75672e788c27d72cb043791008a0bdd8a83945660ddbbf62a791"
+    rep = verify_cyclic_axioms(bad)
+    assert not rep.ok
+    assert rep.checked == 7936
+    assert_agrees_with_dense(rep, dense, bad)
+    assert_violation_order(rep.violations)
+    assert Counter(name for name, _ in rep.violations) == {
+        "bq_L_bilinear": 3,
+        "norm_multiplicative": 46,
+        "bq_cyclic": 9,
+        "eq1_left": 8,
+        "eq1_right": 8,
+    }
+    assert violations_digest(rep.violations) == "c586d8ed43df731680023b8aa165979fd8925a6bc7c66ae49f9fd06de72d7e51"
 
 
 def test_self_similitude_by_xi(field, mod):
