@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import AdaptedRows, Grading, StructAlgebra, verify_grading
-from .linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
+from .linalg import Echelon, Residues, axpy, compose, echelon_from, grouped, invert_dense, kernel, to_flat
 
 
 class BrauerError(ValueError):
@@ -624,7 +624,23 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     central idempotents of its center (the graded field on the radical H of
     beta), verify the character-permutation isomorphisms between the simple
     components, and match each component's division parameters against
-    (T/H, induced beta)."""
+    (T/H, induced beta).
+
+    First the table must be associative, (X_i X_j) X_k = X_i (X_j X_k) at
+    every (i, j, k), decided on a `Residues` table reached from its nonzero
+    constants: the later checks compare products pairwise and multiply by
+    the radical only, so they do not see every corrupted constant."""
+    right = grouped((a, (k, row)) for (a, k), row in alg.mul.items())  # a -> [(k, X_a X_k)]
+    left = grouped((a, (i, row)) for (i, a), row in alg.mul.items())  # a -> [(i, X_i X_a)]
+    assoc = Residues()
+    for (i, j), row in alg.mul.items():
+        for a, c in row.items():
+            for k, r in right.get(a, ()):
+                assoc.add((i, j, k), c, r)
+            for h, r in left.get(a, ()):
+                assoc.add((h, i, j), -c, r)
+    if assoc.uncancelled():
+        raise BrauerError("twisted group algebra is not associative")
     F = alg.field
     T = alg.T
     rad = []
@@ -709,9 +725,7 @@ def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
     tbar_ok = True
     betabar_ok = True
     for e, basis, degs in comps:
-        seen = {}
-        for v, d in zip(basis, degs):
-            seen.setdefault(d.canonical(), []).append(v)
+        seen = grouped((d.canonical(), v) for v, d in zip(basis, degs))
         for d, vs in seen.items():
             if len(vs) != 1:
                 tbar_ok = False

@@ -24,7 +24,7 @@ from functools import cached_property
 from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
-from .linalg import Echelon, Residues, axpy, bilinear, echelon_from, kernel
+from .linalg import Echelon, Residues, axpy, bilinear, echelon_from, grouped, kernel
 
 
 class CyclicAxiomError(ValueError):
@@ -333,14 +333,9 @@ def _polarized_norm_check(V: CyclicAlgebra, prod, lbasis):
     """
     t = V.twist
     on = set(lbasis)
-    pairs_on = {}  # basis index b -> [(k, l, coefficient of b in x_k * x_l)]
-    for k in lbasis:
-        for l in lbasis:
-            for b, c in prod[k][l].items():
-                pairs_on.setdefault(b, []).append((k, l, c))
-    partners = {}  # basis index a -> [(b, b_Q(x_a, x_b))]
-    for (a, b), row in V.bq.items():
-        partners.setdefault(a, []).append((b, row))
+    # basis index b -> [(k, l, coefficient of b in x_k * x_l)]
+    pairs_on = grouped((b, (k, l, c)) for k in lbasis for l in lbasis for b, c in prod[k][l].items())
+    partners = grouped((a, (b, row)) for (a, b), row in V.bq.items())  # a -> [(b, b_Q(x_a, x_b))]
     diff = Residues()  # (i, k, j, l) -> lhs - rhs as {xi power: scalar}
     for i in lbasis:
         for j in lbasis:
@@ -389,17 +384,10 @@ def _triple_check(V: CyclicAlgebra, prod, lbasis):
     t = V.twist
     on = set(lbasis)
     rho_t, rho_2t = _rho_rows(V, t), _rho_rows(V, 2 * t)
-    partners = {}  # a -> [(k, b_Q(x_a, x_k), its rho^t, its rho^2t)]
-    for (a, k), row in V.bq.items():
-        if k in on:
-            partners.setdefault(a, []).append((k, row, rho_t[(a, k)], rho_2t[(a, k)]))
-    right = {}  # a -> [(k, x_a * x_k)]
-    left = {}  # a -> [(k, x_k * x_a)]
-    for (a, b), row in V.mul.items():
-        if b in on:
-            right.setdefault(a, []).append((b, row))
-        if a in on:
-            left.setdefault(b, []).append((a, row))
+    # a -> [(k, b_Q(x_a, x_k), its rho^t, its rho^2t)]
+    partners = grouped((a, (k, row, rho_t[(a, k)], rho_2t[(a, k)])) for (a, k), row in V.bq.items() if k in on)
+    right = grouped((a, (k, row)) for (a, k), row in V.mul.items() if k in on)  # a -> [(k, x_a * x_k)]
+    left = grouped((a, (k, row)) for (k, a), row in V.mul.items() if k in on)  # a -> [(k, x_k * x_a)]
     diff = Residues()
     for i in lbasis:
         for j in lbasis:

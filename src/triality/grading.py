@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .fgab import AbGroup, GroupHom, _cokernel
-from .linalg import axpy, bilinear
+from .linalg import axpy, bilinear, grouped
 
 
 SCALAR_SORT = "F"
@@ -163,10 +163,7 @@ class Grading:
     def components(self, sort=None) -> dict:
         """{canonical degree coords: sorted basis indices} for one sort."""
         sort = sort or self.structure.main_sort
-        out = {}
-        for i, d in enumerate(self.degrees[sort]):
-            out.setdefault(d.canonical(), []).append(i)
-        return out
+        return grouped((d.canonical(), i) for i, d in enumerate(self.degrees[sort]))
 
     def support(self, sort=None):
         return sorted(self.components(sort))

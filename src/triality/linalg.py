@@ -33,7 +33,13 @@ normalizes a scalar per term, it sums each output's terms with one
 
 `Residues` is the one way an identity on basis tuples is decided without
 a dense loop over the tuples: `axpy` into one vector per tuple, from the
-nonzero structure constants, and the tuples that do not cancel.
+nonzero structure constants, and the tuples that do not cancel.  Its users
+are the composition laws of `is_hurwitz` and `is_symmetric_composition`
+(F-valued sides as one-entry vectors {0: c}), the polarized identities of
+`verify_cyclic_axioms` (L-valued sides), the involution of `end_algebra`
+and the associativity of `check_beta_bar`.  `grouped` builds the indexes
+they are filled through: the products landing at an index, the form
+entries at an index, the products with a given left or right factor.
 
 `kernel(field, columns)` is the one kernel solver: every linear condition
 of the package (the derivation identities of tri(S) and Der_L(V), the
@@ -275,6 +281,15 @@ class Residues(dict):
 
     def uncancelled(self) -> list:
         return sorted(key for key, acc in self.items() if acc)
+
+
+def grouped(pairs) -> dict:
+    """{key: [item, ...]} from (key, item) pairs, each list in the order of
+    the pairs."""
+    out = {}
+    for key, item in pairs:
+        out.setdefault(key, []).append(item)
+    return out
 
 
 def mat_vec(mat_cols, vec: dict) -> dict:

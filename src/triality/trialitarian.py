@@ -22,7 +22,7 @@ subset of the S-basis.
 from __future__ import annotations
 
 from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Echelon, Residues, axpy, echelon_from, invert_dense, kernel, mat_vec
+from .linalg import Echelon, Residues, axpy, echelon_from, grouped, invert_dense, kernel, mat_vec
 from .trilie import apply_deltas, operator_degrees, so_blocks, xi_transform
 
 
@@ -106,13 +106,9 @@ def end_algebra(V) -> EndAlgebraE:
     sigma = E.involution
     # sigma(x_i x_j) at (i, j), minus sigma(x_j) sigma(x_i) = sum of
     # c_b c_a x_b x_a over b in sigma(x_j) and a in sigma(x_i)
-    by_left = {}  # b -> [(a, x_b x_a)]
-    for (b, a), row in E.mul.items():
-        by_left.setdefault(b, []).append((a, row))
-    preimages = {}  # a -> [(i, coefficient of x_a in sigma(x_i))]
-    for i, row in sigma.items():
-        for a, c in row.items():
-            preimages.setdefault(a, []).append((i, c))
+    by_left = grouped((b, (a, row)) for (b, a), row in E.mul.items())  # b -> [(a, x_b x_a)]
+    # a -> [(i, coefficient of x_a in sigma(x_i))]
+    preimages = grouped((a, (i, c)) for i, row in sigma.items() for a, c in row.items())
     diff = Residues()
     for key, row in E.mul.items():
         for a, c in row.items():
@@ -125,11 +121,8 @@ def end_algebra(V) -> EndAlgebraE:
     if diff.uncancelled():
         raise TrialitarianError("sigma is not an anti-homomorphism")
     # b_Q(a x, y) - b_Q(x, sigma(a) y) at (a, x, y)
-    by_first = {}  # w -> [(y, b_Q(x_w, x_y))]
-    by_second = {}  # w -> [(x, b_Q(x_x, x_w))]
-    for (u, w), row in V.bq.items():
-        by_first.setdefault(u, []).append((w, row))
-        by_second.setdefault(w, []).append((u, row))
+    by_first = grouped((u, (w, row)) for (u, w), row in V.bq.items())  # w -> [(y, b_Q(x_w, x_y))]
+    by_second = grouped((w, (u, row)) for (u, w), row in V.bq.items())  # w -> [(x, b_Q(x_x, x_w))]
     ys = [V.basis_vec(vj) for vj in range(V.dim)]
     diff = Residues()
     for i in range(E.dim):

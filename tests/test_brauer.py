@@ -180,30 +180,47 @@ def test_beta_bar_tensor_case(field):
     assert rep.details["component_dim"] == 4  # Pauli factors
 
 
-def test_beta_bar_catches_corrupted_constants(field):
-    # every structure constant X_s X_t of F^tau T, T = Z3 x Z2 x Z2, negated
-    # in turn: the report is not ok, or the decomposition raises.  Exempt
-    # are the products whose factors s, t lie in one coset of the radical H
-    # of beta other than H itself, which the check does not see (CHANGES.md)
+def beta_bar_mutants_caught(field, orders):
+    """F^tau T with beta = -1 on the two Z2 generators of T, and for each
+    way to corrupt one structure constant X_s X_t (negated, multiplied by
+    omega, zeroed): the number of such mutants that check_beta_bar rejects
+    (report not ok, or BrauerError), and the number of products whose
+    factors lie in one coset of the radical H of beta other than H itself."""
     m1 = -field.one
-    alg = graded_division_from_pair(make_group(0, [3, 2, 2]), [[field.one, m1], [m1, field.one]], field)
+    alg = graded_division_from_pair(make_group(0, orders), [[field.one, m1], [m1, field.one]], field)
     assert check_beta_bar(alg).ok()
     radical = [s for s in alg.elems if all(alg.beta_value(s, t) == field.one for t in alg.elems)]
-    caught = 0
-    exempt = 0
+    in_coset = sum(s not in radical and s - t in radical for s in alg.elems for t in alg.elems)
+    bumps = {"negate": lambda c: -c, "times_omega": lambda c: c * field.omega, "zero": lambda c: field.zero}
+    caught = dict.fromkeys(bumps, 0)
     for (i, j), row in alg.mul.items():
-        s, t = alg.elems[i], alg.elems[j]
-        if s not in radical and s - t in radical:
-            exempt += 1
-            continue
         ((out, c),) = row.items()
-        bad = copy.copy(alg)
-        bad.mul = {**alg.mul, (i, j): {out: -c}}
-        try:
-            caught += not check_beta_bar(bad).ok()
-        except BrauerError:
-            caught += 1
-    assert (caught, exempt) == (117, 27)
+        for name, bump in bumps.items():
+            new = bump(c)
+            bad = copy.copy(alg)
+            bad.mul = {key: r for key, r in alg.mul.items() if key != (i, j)}
+            if not new.is_zero():
+                bad.mul[(i, j)] = {out: new}
+            try:
+                caught[name] += not check_beta_bar(bad).ok()
+            except BrauerError:
+                caught[name] += 1
+    return caught, in_coset
+
+
+def test_beta_bar_catches_corrupted_constants(field):
+    # every structure constant of F^tau(Z3 x Z2 x Z2), in each family, is
+    # caught; no mutant is exempt, the 27 products within one coset of the
+    # radical other than the radical itself included, which only the
+    # associativity check sees
+    caught, in_coset = beta_bar_mutants_caught(field, [3, 2, 2])
+    assert (caught, in_coset) == (dict.fromkeys(("negate", "times_omega", "zero"), 144), 27)
+
+
+def test_beta_bar_catches_corrupted_pauli_constants(field):
+    # the same for the Pauli algebra F^tau(Z2^2), whose radical is trivial
+    caught, in_coset = beta_bar_mutants_caught(field, [2, 2])
+    assert (caught, in_coset) == (dict.fromkeys(("negate", "times_omega", "zero"), 16), 3)
 
 
 def test_related_triple_trivial_divisions(field, okubo_triple):

@@ -1,8 +1,12 @@
+import copy
+import itertools
+
 import pytest
 
 from triality.composition import (
     CompositionError,
     _cube_roots,
+    _nonsingular,
     SymCompAlgebra,
     cartan_grading_cayley,
     cayley_dickson,
@@ -16,7 +20,8 @@ from triality.composition import (
     zorn_cayley,
 )
 from triality.fgab import make_group
-from triality.grading import universal_group
+from triality.grading import Report, StructAlgebra, universal_group
+from triality.linalg import axpy
 from triality.scalars import make_field
 
 
@@ -53,6 +58,132 @@ def test_corrupted_hurwitz_product_located(field):
     assert {v[0] for v in rep.violations} == {"norm_multiplicative"}
     assert ("norm_multiplicative", (2, 3, 0, 4), "-1") in rep.violations
     assert len(rep.violations) == 16
+
+
+# -- the dense checks, a loop over every basis tuple: the oracle for the
+# residue tables of is_hurwitz and is_symmetric_composition.
+
+
+def dense_norm_multiplicative(pol, bas, prod) -> list:
+    n = len(bas)
+    viol = []
+    for i, k in itertools.product(range(n), repeat=2):
+        nik = pol(bas[i], bas[k])
+        for j, l in itertools.product(range(n), repeat=2):
+            lhs = pol(prod[i][j], prod[k][l]) + pol(prod[k][j], prod[i][l])
+            if lhs != nik * pol(bas[j], bas[l]):
+                viol.append(("norm_multiplicative", (i, j, k, l), repr(lhs)))
+    return viol
+
+
+def dense_symmetric_report(S) -> Report:
+    n = S.dim
+    bas = [S.basis_vec(i) for i in range(n)]
+    prod = [[S.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
+    pol = lambda x, y: S.form_value("n", x, y)
+    viol = []
+    if not _nonsingular(S):
+        viol.append(("nonsingular", (), "polar form is singular"))
+    viol += dense_norm_multiplicative(pol, bas, prod)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if pol(prod[i][j], bas[k]) != pol(bas[i], prod[j][k]):
+            viol.append(("polar_associative", (i, j, k), ""))
+    for i, k, j in itertools.product(range(n), repeat=3):
+        target = S.scale(pol(bas[i], bas[k]), bas[j])
+        left = S.add(S.product(prod[i][j], bas[k]), S.product(prod[k][j], bas[i]))
+        if left != target:
+            viol.append(("left_identity", (i, j, k), ""))
+        right = S.add(S.product(bas[i], prod[j][k]), S.product(bas[k], prod[j][i]))
+        if right != target:
+            viol.append(("right_identity", (i, j, k), ""))
+    return Report(viol, n ** 4 + 3 * n ** 3)
+
+
+def dense_hurwitz_report(A) -> Report:
+    minus_one = A.field.scalar(-1)
+    n = A.dim
+    bas = [A.basis_vec(i) for i in range(n)]
+    prod = [[A.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
+    pol = lambda x, y: A.form_value("n", x, y)
+    viol = []
+    if not _nonsingular(A):
+        viol.append(("nonsingular", (), ""))
+    for i in range(n):
+        if A.product(A.unit, bas[i]) != bas[i] or A.product(bas[i], A.unit) != bas[i]:
+            viol.append(("unital", (i,), ""))
+        xb = A.conj(bas[i])
+        if A.conj(xb) != bas[i]:
+            viol.append(("involutive", (i,), ""))
+        for j in range(n):
+            if pol(xb, A.conj(bas[j])) != pol(bas[i], bas[j]):
+                viol.append(("norm_of_conjugate", (i, j), ""))
+        expected = axpy(A.scale(pol(bas[i], A.unit), A.unit), minus_one, bas[i])
+        if xb != expected:
+            viol.append(("standard_involution", (i,), ""))
+    viol += dense_norm_multiplicative(pol, bas, prod)
+    return Report(viol, n ** 4 + n * n + 3 * n)
+
+
+def corrupted_constants(A, bump):
+    """Copies of A with one nonzero product or polar-form constant c
+    replaced by bump(c), an entry that becomes 0 dropped."""
+    for key, row in A.mul.items():
+        for out, c in row.items():
+            new = {k: v for k, v in {**row, out: bump(c)}.items() if not v.is_zero()}
+            bad = copy.copy(A)
+            bad.mul = {**A.mul, key: new} if new else {k: v for k, v in A.mul.items() if k != key}
+            yield bad
+    form = A.forms["n"]
+    for key, c in form.items():
+        new = bump(c)
+        bad = copy.copy(A)
+        bad.forms = {"n": {**form, key: new} if not new.is_zero() else {k: v for k, v in form.items() if k != key}}
+        yield bad
+
+
+def test_models_agree_with_dense(field, mod):
+    # the Zorn table read as a symmetric algebra fails with 292 violations
+    C = zorn_cayley(field)
+    for A, verify, dense in (
+        (C, is_hurwitz, dense_hurwitz_report),
+        (doubled_cayley(field), is_hurwitz, dense_hurwitz_report),
+        (mod["para_zorn"], is_symmetric_composition, dense_symmetric_report),
+        (mod["okubo"], is_symmetric_composition, dense_symmetric_report),
+        (SymCompAlgebra(field, C.labels, C.mul, C.forms["n"]), is_symmetric_composition, dense_symmetric_report),
+    ):
+        rep, oracle = verify(A), dense(A)
+        assert (rep.violations, rep.checked) == (oracle.violations, oracle.checked)
+    assert len(rep.violations) == 292
+
+
+@pytest.mark.parametrize("name", ["zorn", "para_zorn", "okubo"])
+def test_every_corrupted_constant_agrees_with_dense(field, mod, name):
+    # exhaustive: every nonzero product and polar-form constant, plus 1 and
+    # times omega in turn; each mutant fails with the oracle's violations,
+    # in its order
+    A = zorn_cayley(field) if name == "zorn" else mod[name]
+    verify, dense = (is_hurwitz, dense_hurwitz_report) if name == "zorn" else (is_symmetric_composition, dense_symmetric_report)
+    tried = 0
+    for bump in (lambda c: c + field.one, lambda c: c * field.omega):
+        for bad in corrupted_constants(A, bump):
+            rep, oracle = verify(bad), dense(bad)
+            assert not rep.ok
+            assert (rep.violations, rep.checked) == (oracle.violations, oracle.checked)
+            tried += 1
+    assert tried == 2 * (32 + 8)
+
+
+def test_composition_laws_skip_the_dense_form_loop(field, mod, monkeypatch):
+    # the work of the two verifiers, counted through StructAlgebra.form_value:
+    # the polarized laws read the form table directly, so only is_hurwitz's
+    # 2 n^2 + n norm_of_conjugate and standard_involution checks call it
+    calls = []
+    form_value = StructAlgebra.form_value
+    monkeypatch.setattr(StructAlgebra, "form_value", lambda self, *args: calls.append(args) or form_value(self, *args))
+    assert is_symmetric_composition(mod["okubo"]).ok
+    assert len(calls) == 0
+    assert is_hurwitz(zorn_cayley(field)).ok
+    assert len(calls) == 2 * 8 ** 2 + 8
 
 
 def test_cayley_dickson_tower(field):
