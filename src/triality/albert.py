@@ -8,13 +8,19 @@ with X x Y = (X+Y)# - X# - Y# and (l, v)# = (l# - Q(v), v*v - l v).
 
 The product formula is not taken on faith: the constructor certifies it
 against two independent oracles, agreement with the product of L on the
-subalgebra (l, 0) and the exact generic degree-3 identity.
+subalgebra (l, 0) and the generic degree-3 identity
+X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0.  The identity is cubic in X, so it
+is decided for every X at once: each coefficient of its left side, one per
+sorted basis triple, must vanish (`degree3_table`).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .grading import Grading, Report, StructAlgebra, verify_grading
-from .linalg import axpy
+from .linalg import axpy, grouped, summed
 
 
 class AlbertError(ValueError):
@@ -130,7 +136,7 @@ class AlbertAlgebra(StructAlgebra):
 def albert(V) -> AlbertAlgebra:
     """Build J(L, V) and certify the product formula by its two oracles:
     the restriction to L is the product of L, and the generic degree-3
-    identity holds exactly on every basis element."""
+    identity holds exactly for every X (`verify_degree3`)."""
     J = AlbertAlgebra(V)
     F = J.field
     L = J.L
@@ -145,10 +151,8 @@ def albert(V) -> AlbertAlgebra:
             expected = J.element(L.mul(tuple(la), tuple(lb)), {})
             if got != expected:
                 raise AlbertError(f"restriction to L fails at ({a},{b})")
-    # oracle 2: the generic degree-3 identity on the basis
-    for i in range(J.dim):
-        if not verify_degree3(J, J.basis_vec(i)):
-            raise AlbertError(f"degree-3 identity fails on basis element {i}")
+    # oracle 2: the generic degree-3 identity
+    verify_degree3(J).require(AlbertError, "degree-3 identity")
     # V is the orthogonal complement of L for the trace form
     for a in range(3):
         for i in range(V.dim):
@@ -161,16 +165,107 @@ def albert(V) -> AlbertAlgebra:
     return J
 
 
-def verify_degree3(J: AlbertAlgebra, x) -> bool:
-    """X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0, powers via the product and
-    S(X) = (T(X)^2 - T(X^2)) / 2 from the same X^2."""
-    x2 = J.product(x, x)
-    x3 = J.product(x2, x)
-    tx = J.trace_linear(x)
-    out = axpy(x3, -tx, x2)
-    axpy(out, (tx * tx - J.trace_linear(x2)) / J.field.scalar(2), x)
-    axpy(out, -J.norm(x), J.unit)
-    return not out
+def degree3_table(J: AlbertAlgebra) -> dict:
+    """The coefficients of the generic degree-3 identity
+
+        P(X) = X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0,
+        S(X) = (T(X)^2 - T(X^2)) / 2,
+
+    as {(i, j, k): coefficient vector of x_i x_j x_k in P(X)} over the
+    sorted basis triples i <= j <= k where that vector is not 0.
+
+    P is homogeneous cubic in X = sum x_i e_i, so P(X) is the sum of the
+    table's vectors times their monomials, and the identity holds for
+    every X exactly when the table is empty.  Every term is a product of
+    nonzero constants and is reached from them:
+    - X^3 = (X X) X from the rows of J.mul, X X summed on sorted pairs;
+    - T(X) X^2 and S(X) X from the same X X, with T(e_i) as trace_linear
+      reads it;
+    - N(X) = N_L(l) + b_Q(v, v*v) - T_L(l Q(v)) from the inputs of
+      `AlbertAlgebra.norm`: the product and rho of L, V.mul and V.bq (J
+      index a is the xi^a coordinate of l, 3 + i the i-th of v).
+    N(X) is summed as an element of L.  `norm` reads its F-part and
+    requires the rest to vanish, so the xi and xi^2 parts are kept under
+    the keys ("N", 1) and ("N", 2): a table on which N leaves F is not
+    empty either.  The terms of each (triple, coordinate) are added at
+    once by `linalg.summed`.
+    """
+    F, L, V = J.field, J.L, J.V
+    one, half, minus_one = F.one, F.scalar(1, 2), F.scalar(-1)
+    terms = {}
+
+    def put(i, j, k, out, a, b, c=one):
+        terms.setdefault((tuple(sorted((i, j, k))), out), []).append((a, b, c))
+
+    # X^2 = sum over p <= q of x_p x_q square[(p, q)]
+    square = {}
+    for (p, q), row in J.mul.items():
+        axpy(square.setdefault((min(p, q), max(p, q)), {}), None, row)
+    by_left = grouped((p, (q, row)) for (p, q), row in J.mul.items())
+    traces = {i: J.trace_linear({i: one}) for i in range(J.dim)}
+    trace = {i: t for i, t in traces.items() if not t.is_zero()}
+    s_terms = grouped(((min(p, q), max(p, q)), (half, t, u)) for p, t in trace.items() for q, u in trace.items())
+    for (p, q), vec in square.items():
+        for m, c in vec.items():
+            for r, row in by_left.get(m, ()):
+                for k, d in row.items():
+                    put(p, q, r, k, c, d)
+        for r, t in trace.items():
+            for k, c in vec.items():
+                put(p, q, r, k, minus_one, t, c)
+        t_sq = J.trace_linear(vec)
+        if not t_sq.is_zero():
+            s_terms.setdefault((p, q), []).append((minus_one, half, t_sq))
+    for (p, q), s in summed(s_terms).items():
+        for r in range(J.dim):
+            put(p, q, r, r, s, one)
+
+    # - N(X) 1, the F-part at the unit e_0
+    n_out = (0, ("N", 1), ("N", 2))
+    lbasis = (L.one, L.xi, L.xi2)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        n_abc = L.mul(L.mul(lbasis[a], L.rho(lbasis[b])), L.rho(lbasis[c], 2))
+        for n, d in enumerate(n_abc):
+            if not d.is_zero():
+                put(a, b, c, n_out[n], minus_one, d)
+    bq_by_right = grouped((m, (i, row)) for (i, m), row in V.bq.items())
+    for (j, k), row in V.mul.items():
+        for m, c in row.items():
+            for i, brow in bq_by_right.get(m, ()):
+                for n, d in brow.items():
+                    put(3 + i, 3 + j, 3 + k, n_out[n], minus_one, c, d)
+    trace_of_mul = {}
+    for a, b in itertools.product(range(3), repeat=2):
+        t_ab = L.trace(L.mul(lbasis[a], lbasis[b]))
+        trace_of_mul[(a, b)] = [(n, d) for n, d in enumerate(t_ab) if not d.is_zero()]
+    for (i, j), brow in V.bq.items():
+        for b, c in brow.items():
+            for a in range(3):
+                for n, d in trace_of_mul[(a, b)]:
+                    put(a, 3 + i, 3 + j, n_out[n], half, c, d)
+
+    table = {}
+    for (key, out), c in summed(terms).items():
+        table.setdefault(key, {})[out] = c
+    return table
+
+
+def verify_degree3(J: AlbertAlgebra) -> Report:
+    """The generic degree-3 identity for every X, decided on
+    `degree3_table`: the violations are the sorted basis triples whose
+    coefficient does not cancel, and the count is the C(n + 2, 3) sorted
+    triples (3,654 for n = 27)."""
+    return Report(sorted(degree3_table(J)), math.comb(J.dim + 2, 3))
+
+
+def degree3_residual(table: dict, x) -> dict:
+    """P(x), read off a `degree3_table`: its vectors times the monomials
+    x_i x_j x_k of x.  0 at every x when the table is empty."""
+    out = {}
+    for (i, j, k), vec in table.items():
+        if i in x and j in x and k in x:
+            axpy(out, x[i] * x[j] * x[k], vec)
+    return out
 
 
 def verify_jordan(J: AlbertAlgebra) -> Report:

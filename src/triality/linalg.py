@@ -30,6 +30,9 @@ made the tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians of 3).
 every `StructAlgebra.product` and b_Q of `CyclicAlgebra`.  Where `axpy`
 normalizes a scalar per term, it sums each output's terms with one
 `CycloField.sum_products` (a dense Jordan product: ~1,800 terms, 27 sums).
+`summed` is that step on its own; `albert.degree3_table` adds the terms
+of the degree-3 identity through it as well, one sum per (basis triple,
+coordinate): 9,423 terms in 2,880 sums on the Albert algebra.
 
 `Residues` is the one way an identity on basis tuples is decided without
 a dense loop over the tuples: `axpy` into one vector per tuple, from the
@@ -241,9 +244,8 @@ def axpy(acc: dict, a, x: dict) -> dict:
 
 def bilinear(table: dict, x: dict, y: dict) -> dict:
     """The sum of x_i y_j table[(i, j)][k] e_k: the terms are grouped by k
-    in first-appearance order, a lone term is a * b * c, a longer sum one
-    `CycloField.sum_products`, and sums that cancel are dropped.  One entry
-    in x and in y (basis products) takes a * b once for the whole row."""
+    in first-appearance order and added by `summed`.  One entry in x and
+    in y (basis products) takes a * b once for the whole row."""
     terms = {}
     for i, a in x.items():
         for j, b in y.items():
@@ -256,15 +258,22 @@ def bilinear(table: dict, x: dict, y: dict) -> dict:
                     return terms
                 for k, c in row.items():
                     terms.setdefault(k, []).append((a, b, c))
+    return summed(terms)
+
+
+def summed(terms: dict) -> dict:
+    """{key: the sum of a * b * c over the scalar triples of terms[key]}: a
+    lone term is one product, a longer sum one `CycloField.sum_products`,
+    and sums that cancel are dropped."""
     out = {}
-    for k, t in terms.items():
+    for key, t in terms.items():
         if len(t) == 1:
             a, b, c = t[0]
             s = a * b * c
         else:
             s = t[0][0].field.sum_products(t)
         if any(s.num):
-            out[k] = s
+            out[key] = s
     return out
 
 

@@ -3,22 +3,40 @@ import random
 
 import pytest
 
+import triality.albert as albert_module
 from triality.albert import (
+    AlbertAlgebra,
     AlbertError,
     albert,
+    degree3_residual,
+    degree3_table,
     grade_albert,
     random_element,
     verify_degree3,
     verify_jordan,
 )
+from triality.cli import main
 from triality.fgab import GroupHom, make_group
-from triality.grading import coarsen
+from triality.grading import StructAlgebra, coarsen
 from triality.classify import build, params_r8
+from triality.linalg import axpy
 
 
 @pytest.fixture(scope="module")
 def J(mod):
     return albert(mod["V_zorn"])
+
+
+def dense_degree3(J, x):
+    """The oracle: X^3 - T(X) X^2 + S(X) X - N(X) 1 at one element, powers
+    via the product and S(X) = (T(X)^2 - T(X^2)) / 2 from the same X^2."""
+    x2 = J.product(x, x)
+    x3 = J.product(x2, x)
+    tx = J.trace_linear(x)
+    out = axpy(x3, -tx, x2)
+    axpy(out, (tx * tx - J.trace_linear(x2)) / J.field.scalar(2), x)
+    axpy(out, -J.norm(x), J.unit)
+    return out
 
 
 def test_dimension_and_unit(field, J):
@@ -28,7 +46,8 @@ def test_dimension_and_unit(field, J):
     assert J.sharp(one) == one
     assert J.norm(one) == field.one
     # 1 - 3 + 3 - 1 = 0
-    assert verify_degree3(J, one)
+    assert dense_degree3(J, one) == {}
+    assert not degree3_residual(degree3_table(J), one)
 
 
 def test_restriction_to_L(field, J, mod):
@@ -57,10 +76,11 @@ def test_jordan_identity_both_models(J, mod):
 
 
 def test_degree3_random(J):
+    table = degree3_table(J)
     rng = random.Random(20240405)
     for _ in range(100):
-        assert verify_degree3(J, random_element(J, rng))
-    assert verify_degree3(J, {})
+        assert not degree3_residual(table, random_element(J, rng))
+    assert not degree3_residual(table, {})
 
 
 def test_degree3_catches_corrupted_product(field, J):
@@ -70,8 +90,86 @@ def test_degree3_catches_corrupted_product(field, J):
     bad.mul = {k: dict(v) for k, v in J.mul.items()}
     row = bad.mul.setdefault((3, 4), {})
     row[0] = row.get(0, field.zero) + field.one
+    table = degree3_table(bad)
+    rep = verify_degree3(bad)
+    assert not rep.ok
+    assert rep.violations == sorted(table)
     rng = random.Random(20240405)
-    assert not all(verify_degree3(bad, random_element(bad, rng)) for _ in range(100))
+    assert not all(not degree3_residual(table, random_element(bad, rng)) for _ in range(100))
+
+
+@pytest.mark.parametrize("model", ["V_zorn", "V_okubo", "V_doubled"])
+def test_degree3_holds_for_every_X(mod, model):
+    Jm = albert(mod[model])
+    rep = verify_degree3(Jm)
+    assert rep.violations == []
+    assert rep.checked == 3654  # the sorted basis triples i <= j <= k of 27
+    rng = random.Random(3)
+    for _ in range(3):
+        assert dense_degree3(Jm, random_element(Jm, rng)) == {}
+
+
+def _agrees_with_dense(bad):
+    """The table of bad is not empty, so verify_degree3 fails, and it gives
+    the oracle's P(X) on three seeded elements.  Where the oracle raises
+    because N(X) leaves F, the table keeps the xi parts of N(X) under
+    ("N", 1) and ("N", 2)."""
+    table = degree3_table(bad)
+    assert table
+    rng = random.Random(22)
+    for _ in range(3):
+        x = random_element(bad, rng)
+        got = degree3_residual(table, x)
+        try:
+            expected = dense_degree3(bad, x)
+        except ValueError:
+            assert {("N", 1), ("N", 2)} & set(got)
+        else:
+            assert got == expected
+
+
+def test_degree3_corrupted_products_agree_with_dense(field, J):
+    # a seeded 48 of the Jordan table's constants, each +1 and times omega
+    constants = sorted((key, k) for key, row in J.mul.items() for k in row)
+    for key, k in random.Random(48).sample(constants, 48):
+        for change in (lambda c: c + field.one, lambda c: c * field.omega):
+            bad = copy.copy(J)
+            bad.mul = {kk: dict(v) for kk, v in J.mul.items()}
+            bad.mul[key][k] = change(bad.mul[key][k])
+            _agrees_with_dense(bad)
+
+
+def test_degree3_corrupted_norm_agrees_with_dense(field, J):
+    # each of b_Q's 72 constants +1, after J is built: J.mul is unchanged,
+    # and only N reads the corrupted b_Q
+    V = J.V
+    constants = sorted((key, k) for key, row in V.bq.items() for k in row)
+    assert len(constants) == 72
+    for key, k in constants:
+        bad_V = copy.copy(V)
+        bad_V.bq = {kk: dict(v) for kk, v in V.bq.items()}
+        bad_V.bq[key][k] = bad_V.bq[key][k] + field.one
+        bad = copy.copy(J)
+        bad.V = bad_V
+        _agrees_with_dense(bad)
+
+
+def test_degree3_skips_the_dense_products(J, monkeypatch, tmp_path):
+    # verify_degree3 reads the constants, not the product or the norm
+    calls = []
+    product, norm = StructAlgebra.product, AlbertAlgebra.norm
+    monkeypatch.setattr(StructAlgebra, "product", lambda self, *args: calls.append("product") or product(self, *args))
+    monkeypatch.setattr(AlbertAlgebra, "norm", lambda self, *args: calls.append("norm") or norm(self, *args))
+    assert verify_degree3(J).ok
+    assert calls == []
+    # the jordan suite builds the table at most twice: in albert() and for
+    # its samples
+    builds = []
+    table = albert_module.degree3_table
+    monkeypatch.setattr(albert_module, "degree3_table", lambda J: builds.append(J) or table(J))
+    out = tmp_path / "jordan.json"
+    assert main(["--field-conductor", "12", "--seed", "0", "--out", str(out), "verify", "--suite", "jordan"]) == 0
+    assert 1 <= len(builds) <= 2
 
 
 def test_corrupted_product_detected(field, J):
