@@ -311,10 +311,9 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    mod = models(args.conductor)
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    checks = SUITES[args.suite](args, mod)
+    checks = SUITES[args.suite](args, models(args.conductor))
     ok = all(checks.values())
     rep = base_report(args, "pass" if ok else "fail", suite=args.suite, checks=dict(sorted(checks.items())))
     return emit(rep, args.out, 0 if ok else 1)

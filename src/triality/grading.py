@@ -21,7 +21,6 @@ algebra, whose product is computed lazily per monomial pair, is not one.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import getitem
 
@@ -285,7 +284,9 @@ class RelationLattice:
     first nonzero row), so at most one column per row.  An insertion runs
     Euclid's algorithm on the pivot entries; its steps (subtract a multiple,
     swap) are unimodular, so the spanned lattice, and with it the cokernel,
-    is that of all the inserted vectors."""
+    is that of all the inserted vectors.  A vector of the lattice reduces
+    to 0 (at the least pivot of its expansion the column's entry divides
+    its own), so inserting it again changes nothing."""
 
     def __init__(self):
         self.columns = {}
@@ -293,17 +294,21 @@ class RelationLattice:
     def reduce(self, vec: dict) -> dict:
         """vec minus multiples of the pivot columns, up to the first pivot
         that has no column or leaves a remainder; empty iff vec lies in the
-        lattice."""
+        lattice.  The subtractions work in place on one copy of vec, so
+        neither vec nor a stored column changes."""
+        vec = dict(vec)
         while vec:
             p = min(vec)
             col = self.columns.get(p)
             if col is None:
                 return vec
             q = vec[p] // col[p]
-            vec = dict(vec)
             for i, c in col.items():
-                vec[i] = vec.get(i, 0) - q * c
-            vec = {i: c for i, c in vec.items() if c}
+                r = vec.get(i, 0) - q * c
+                if r:
+                    vec[i] = r
+                else:
+                    vec.pop(i, None)
             if p in vec:
                 return vec
         return vec
@@ -325,10 +330,19 @@ def universal_group(grading: Grading) -> UniversalResult:
     nonzero structure map entry (products, module actions, algebra-valued
     forms; scalar forms force s1*s2 = e).
 
-    Each entry is read as the support indices of its degrees; the relation
-    of each distinct index pattern goes into a `RelationLattice`, whose
-    basis, at most one column per support element, is the input of the
-    Smith normal form."""
+    One walk of the structure maps reads each entry as the support numbers
+    of its degrees and collects the distinct relation vectors (inputs minus
+    output) in order of first occurrence; each goes once into a
+    `RelationLattice`, whose basis, at most one column per support element,
+    is the input of the Smith normal form.  A repeated vector would reduce
+    to 0 and leave the lattice unchanged, so the basis is that of every
+    entry's relation.
+
+    The relabeled grading gives a basis element of support number j the
+    degree pi(e_j), where pi: Z^m -> U is the cokernel projection.  An
+    entry's degree rule there reads pi(v) = 0 for its relation vector v,
+    and every entry's vector is among those collected, so mapping each of
+    them through pi decides the rule for every entry of every map."""
     if not grading.verified:
         raise ValueError("verify the grading before computing its universal group")
     G = grading.group
@@ -337,18 +351,27 @@ def universal_group(grading: Grading) -> UniversalResult:
     m = len(support)
     numbers = {s: [index[d.canonical()] for d in ds] for s, ds in grading.degrees.items()}
 
-    patterns = {}  # insertion-ordered set of (sorted input indices, output index)
+    patterns = {}  # insertion-ordered set of (input numbers, output number or None)
     for smap in grading.structure.grading_maps():
         in_nums = [numbers[s] for s in smap.inputs]
         out_nums = None if smap.output == SCALAR_SORT else numbers[smap.output]
-        for key, out_idx, _c in smap.entries():
-            patterns[tuple(sorted(map(getitem, in_nums, key))), None if out_nums is None else out_nums[out_idx]] = None
-    lattice = RelationLattice()
+        for key, outs in smap.table.items():
+            ins = tuple(map(getitem, in_nums, key))
+            for out_idx in outs:
+                patterns[ins, None if out_nums is None else out_nums[out_idx]] = None
+    relations = {}  # distinct relation vectors, in order of first occurrence
     for ins, out in patterns:
-        vec = Counter(ins)
+        vec = {}
+        for j in ins:
+            vec[j] = vec.get(j, 0) + 1
         if out is not None:  # a scalar output makes the sum of the inputs trivial
-            vec[out] -= 1
-        lattice.insert({j: c for j, c in vec.items() if c})
+            c = vec.pop(out, 0) - 1  # only the output can cancel
+            if c:
+                vec[out] = c
+        relations.setdefault(frozenset(vec.items()), vec)
+    lattice = RelationLattice()
+    for vec in relations.values():
+        lattice.insert(vec)
 
     basis = [[col.get(i, 0) for i in range(m)] for _p, col in sorted(lattice.columns.items())]
     U, rows, lifts = _cokernel(m, basis)
@@ -373,7 +396,9 @@ def universal_group(grading: Grading) -> UniversalResult:
         cols.append(coords)
     matrix = [[cols[j][a] for j in range(len(cols))] for a in range(G.ndim)]
     to_original = GroupHom(U, G, matrix)
-    verify_grading(relabeled).require(AssertionError, "universal relabeling")
+    wrong = [v for v in relations.values() if any(U.reduce([sum(row[j] * c for j, c in v.items()) for row in rows]))]
+    Report(wrong, len(relations)).require(AssertionError, "universal relabeling")
+    relabeled.verified = True
     return UniversalResult(U, relabeled, to_original)
 
 

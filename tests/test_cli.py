@@ -192,6 +192,16 @@ def test_verify_typeIII_fails_on_one_false_check(tmp_path, monkeypatch, typeIII_
     assert len(passing) == 13 and all(v is True for v in passing.values())
 
 
+def test_unknown_suite_is_refused_before_the_models_are_built(monkeypatch, capsys):
+    from triality import cli
+
+    built = []
+    monkeypatch.setattr(cli, "models", built.append)
+    assert cli.main(["verify", "--suite", "nope"]) == 2
+    assert built == []
+    assert "usage error: unknown suite 'nope'" in capsys.readouterr().err
+
+
 def test_readme_names_every_suite():
     from triality.cli import SUITES
 

@@ -1,15 +1,21 @@
 import hashlib
 import random
+from collections import Counter
+from operator import getitem
 
 import pytest
 
-from triality.classify import models
+import sweep_utils
+from triality import grading as grading_module
+from triality.classify import build, models
 from triality.composition import cartan_grading_cayley, okubo_grading, zorn_cayley
 from triality.fgab import GroupHom, _cokernel, make_group
 from triality.grading import (
+    SCALAR_SORT,
     Grading,
     RelationLattice,
     Report,
+    UniversalResult,
     coarsen,
     invariants,
     universal_group,
@@ -87,20 +93,35 @@ def test_universal_roundtrip_reproduces(field):
 
 def test_relation_lattice_spans_the_relations():
     """On random sparse relation sets the echelon basis spans the same
-    lattice as the relations, so the cokernel is the same group."""
+    lattice as the relations, so the cokernel is the same group; neither
+    insert nor reduce changes its argument or, for reduce, a stored column."""
     rng = random.Random(14)
+
+    def random_vectors(m, count):
+        out = []
+        for _ in range(count):
+            rows = rng.sample(range(m), rng.randint(1, min(3, m)))
+            out.append({i: c for i in rows if (c := rng.randint(-2, 2))})
+        return out
+
     for _ in range(400):
         m = rng.randint(1, 6)
-        rels = []
-        for _ in range(rng.randint(0, 80)):
-            rows = rng.sample(range(m), rng.randint(1, min(3, m)))
-            rels.append({i: c for i in rows if (c := rng.randint(-2, 2))})
+        rels = random_vectors(m, rng.randint(0, 80))
+        snapshot = [dict(vec) for vec in rels]
         lattice = RelationLattice()
         for vec in rels:
             lattice.insert(vec)
+        assert rels == snapshot
         assert all(min(col) == p for p, col in lattice.columns.items())
+        columns = {p: dict(col) for p, col in lattice.columns.items()}
         # every relation lies in the basis lattice ...
         assert not any(lattice.reduce(vec) for vec in rels)
+        # ... and reduce works on its own copy, inside the lattice or not
+        probes = random_vectors(m, 5)
+        probe_snapshot = [dict(vec) for vec in probes]
+        for vec in probes:
+            lattice.reduce(vec)
+        assert rels == snapshot and probes == probe_snapshot and lattice.columns == columns
         # ... and every basis column in the relation lattice
         dense = [[vec.get(i, 0) for i in range(m)] for vec in rels]
         Q, proj, _ = _cokernel(m, dense)
@@ -108,6 +129,152 @@ def test_relation_lattice_spans_the_relations():
             assert Q.element([sum(r[i] * c for i, c in col.items()) for r in proj]).is_identity()
         basis = [[col.get(i, 0) for i in range(m)] for col in lattice.columns.values()]
         assert _cokernel(m, basis)[0] == Q
+
+
+class CopyingLattice(RelationLattice):
+    """The lattice with the reduce of the oracle below: a fresh dict at
+    every pivot step."""
+
+    def reduce(self, vec):
+        while vec:
+            p = min(vec)
+            col = self.columns.get(p)
+            if col is None:
+                return vec
+            q = vec[p] // col[p]
+            vec = dict(vec)
+            for i, c in col.items():
+                vec[i] = vec.get(i, 0) - q * c
+            vec = {i: c for i, c in vec.items() if c}
+            if p in vec:
+                return vec
+        return vec
+
+
+def entry_relations(grading):
+    """The relation vector of every distinct (sorted inputs, output)
+    pattern of the structure maps, in order of first occurrence."""
+    support = sorted({d.canonical() for ds in grading.degrees.values() for d in ds})
+    index = {s: i for i, s in enumerate(support)}
+    numbers = {s: [index[d.canonical()] for d in ds] for s, ds in grading.degrees.items()}
+    patterns = {}
+    for smap in grading.structure.grading_maps():
+        in_nums = [numbers[s] for s in smap.inputs]
+        out_nums = None if smap.output == SCALAR_SORT else numbers[smap.output]
+        for key, out_idx, _c in smap.entries():
+            patterns[tuple(sorted(map(getitem, in_nums, key))), None if out_nums is None else out_nums[out_idx]] = None
+    vectors = []
+    for ins, out in patterns:
+        vec = Counter(ins)
+        if out is not None:
+            vec[out] -= 1
+        vectors.append({j: c for j, c in vec.items() if c})
+    return support, vectors
+
+
+def oracle_universal_group(grading):
+    """universal_group as it was before it read the relations once: every
+    pattern's relation inserted, and the relabeled grading checked entry by
+    entry with verify_grading."""
+    G = grading.group
+    support, vectors = entry_relations(grading)
+    index = {s: i for i, s in enumerate(support)}
+    m = len(support)
+    lattice = CopyingLattice()
+    for vec in vectors:
+        lattice.insert(vec)
+    basis = [[col.get(i, 0) for i in range(m)] for _p, col in sorted(lattice.columns.items())]
+    U, rows, lifts = _cokernel(m, basis)
+    degree_of = {s: U.element(tuple(row[index[s]] for row in rows)) for s in support}
+    relabeled = Grading(grading.structure, U, {s: [degree_of[d.canonical()] for d in ds] for s, ds in grading.degrees.items()})
+    cols = []
+    for lift in lifts:
+        coords = [0] * G.ndim
+        for s_pos, mult in enumerate(lift):
+            for a in range(G.ndim):
+                coords[a] += mult * support[s_pos][a]
+        cols.append(coords)
+    matrix = [[cols[j][a] for j in range(len(cols))] for a in range(G.ndim)]
+    verify_grading(relabeled).require(AssertionError, "universal relabeling")
+    return UniversalResult(U, relabeled, GroupHom(U, G, matrix))
+
+
+@pytest.fixture(scope="module")
+def oracle_gradings(field, fines):
+    cartan = cartan_grading_cayley(zorn_cayley(field))
+    out = {
+        "cartan": cartan,
+        "okubo": okubo_grading(None, "+", field),
+        "cartan_relabeled": universal_group(cartan).grading,
+    }
+    out.update({f"fine_{kind}": fine["built"].grading for kind, fine in fines.items()})
+    for (G, r), params in sweep_utils.enumerate_tuples().items():
+        out[f"{G}_r{r}"] = build(params[0]).grading
+    return out
+
+
+def universal_summary(u):
+    degrees = {s: [d.canonical() for d in ds] for s, ds in u.grading.degrees.items()}
+    return u.group, degrees, u.to_original.matrix, u.grading.verified
+
+
+def test_universal_group_matches_oracle(oracle_gradings):
+    assert len(oracle_gradings) == 3 + 3 + 8
+    for name, g in oracle_gradings.items():
+        assert universal_summary(universal_group(g)) == universal_summary(oracle_universal_group(g)), name
+
+
+def test_universal_group_reads_the_relations_once(oracle_gradings, monkeypatch):
+    """One walk of the structure maps and one insert per distinct relation
+    vector; the oracle walks twice and inserts every pattern's vector."""
+    calls = Counter()
+    real_insert = RelationLattice.insert
+
+    def insert(self, vec):
+        calls["insert"] += 1
+        real_insert(self, vec)
+
+    monkeypatch.setattr(RelationLattice, "insert", insert)
+    for cls in {type(g.structure) for g in oracle_gradings.values()}:
+
+        def grading_maps(self, real=cls.grading_maps):
+            calls["walk"] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "grading_maps", grading_maps)
+    repeated = 0
+    for name, g in oracle_gradings.items():
+        vectors = entry_relations(g)[1]
+        distinct = len({frozenset(vec.items()) for vec in vectors})
+        repeated += len(vectors) - distinct
+        calls.clear()
+        universal_group(g)
+        assert calls == {"walk": 1, "insert": distinct}, name
+        calls.clear()
+        oracle_universal_group(g)
+        assert calls == {"walk": 2, "insert": len(vectors)}, name
+    assert repeated > 0
+
+
+def test_universal_relabeling_check_catches_a_wrong_projection(field, monkeypatch):
+    """Every entry of the cokernel projection, off by 1, sends some relation
+    to a nonzero element of U, and universal_group refuses the relabeling."""
+    g = cartan_grading_cayley(zorn_cayley(field))
+    ndim = universal_group(g).group.ndim
+    m = len(g.support())
+    real_cokernel = grading_module._cokernel
+    for r in range(ndim):
+        for j in range(m):
+
+            def off_by_one(n, columns, r=r, j=j):
+                Q, rows, lifts = real_cokernel(n, columns)
+                rows = [list(row) for row in rows]
+                rows[r][j] += 1
+                return Q, rows, lifts
+
+            monkeypatch.setattr(grading_module, "_cokernel", off_by_one)
+            with pytest.raises(AssertionError, match="universal relabeling failed to verify"):
+                universal_group(g)
 
 
 def test_trivial_universal_group(field):
