@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .scalars import make_field
-from .fgab import AbGroup, GroupElem, make_group, subgroup_elements, in_subgroup, subgroup_generated
+from .fgab import AbGroup, GroupElem, make_group, quotient, subgroup_elements, in_subgroup, subgroup_generated
 from .grading import Grading, Report, verify_grading, universal_group
 from .linalg import Echelon, axpy, mat_vec
 from .composition import (
@@ -203,9 +203,41 @@ def params_r8(G, h, t):
 
 @dataclass
 class BuiltGrading:
+    """One Type III grading with the data the classification reads off it.
+    The derived members are computed on first use and kept on the record;
+    `dataclasses.replace(record, grading=...)` starts a record with none of
+    them."""
+
     params: TypeIIIParams
     V: CyclicAlgebra
     grading: Grading
+
+    @property
+    def rank(self) -> int:
+        """The dimension of the identity component of V."""
+        return len(self.grading.identity_component("V"))
+
+    @cached_property
+    def universal(self):
+        return universal_group(self.grading)
+
+    @cached_property
+    def brauer_quotient(self):
+        """(Q, pr) with Q = G/<h>, the free generators of G quotiented away
+        as well when G has free rank: the Brauer relations take the
+        characters of a finite group."""
+        G = self.params.group
+        return quotient(G, [self.params.h] + [G.generator(i) for i in range(G.free_rank)])
+
+    @cached_property
+    def related(self):
+        """The related triple of the grading over the Brauer quotient."""
+        from .brauer import related_triple
+        from .trilie import induce_tri_grading, tri_basis
+
+        _gt, adapted = induce_tri_grading(self.grading, tri_basis(self.V.S))
+        _Q, pr = self.brauer_quotient
+        return related_triple([(pr(g), trip) for g, trip in adapted], self.V.S)
 
 
 def _grade_S(S, G, degree_list):
@@ -260,18 +292,10 @@ def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
         S = mod["para_zorn"] if p.t == "p" else mod["okubo"]
         V = mod["V_zorn"] if p.t == "p" else mod["V_okubo"]
         gS = _grade_S(S, G, [e] * S.dim)
-    grading = tensor_grading(gS, p.h, V)
-    r = len(grading.identity_component("V"))
-    if r != p.rank:
-        raise ParamError(f"built grading has rank {r}, expected {p.rank}")
-    return BuiltGrading(p, V, grading)
-
-
-def rank(built: BuiltGrading) -> int:
-    r = len(built.grading.identity_component("V"))
-    if r not in (0, 1, 2, 4, 8):
-        raise ParamError(f"rank {r} outside the composition dimensions")
-    return r
+    built = BuiltGrading(p, V, tensor_grading(gS, p.h, V))
+    if built.rank != p.rank:
+        raise ParamError(f"built grading has rank {built.rank}, expected {p.rank}")
+    return built
 
 
 # ------------------------------------------------------------- similarity
@@ -440,7 +464,7 @@ def okubo_orientation(built: BuiltGrading, frame=None) -> str:
     generators x in V_{k1} and y in V_{k2} (n(x, x*x) = 1 = n(y, y*y)),
     return '+' if x*y = 0 and '-' if y*x = 0.  Exactly one of the two
     products vanishes; anything else is an error."""
-    if rank(built) != 0:
+    if built.rank != 0:
         raise ParamError("orientation is defined for rank-0 gradings")
     V = built.grading.structure
     L = V.L
@@ -742,39 +766,34 @@ def _witness_rank0_flip(G, K, h, conductor):
 # --------------------------------------------------------- fine gradings
 
 
-def fine_typeIII(kind: str, conductor: int = 12):
-    """The three fine Type III gradings with their universal groups:
-    cartan -> Z^2 x Z3, z2cubed -> Z2^3 x Z3, okubo -> Z3^3."""
+def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:
+    """The three fine Type III gradings, each with its parameter group as
+    universal group: cartan over Z^2 x Z3, z2cubed over Z2^3 x Z3, okubo
+    over Z3^3."""
     if kind == "cartan":
         G = make_group(2, [3])
         p = params_r2(G, (G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((-1, -1, 0))), G.element((0, 0, 1)))
-        expected = make_group(2, [3])
     elif kind == "z2cubed":
         G = make_group(0, [2, 2, 2, 3])
         gens = [G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 3))]
         p = params_r1(G, gens, G.element((0, 0, 2)))
-        expected = make_group(0, [2, 2, 2, 3])
     elif kind == "okubo":
         G = make_group(0, [3, 3, 3])
         p = params_r0(G, G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 1)), "+")
-        expected = make_group(0, [3, 3, 3])
     else:
         raise ParamError("kind must be cartan, z2cubed or okubo")
-    built = build(p, conductor)
-    uni = universal_group(built.grading)
-    return {"built": built, "universal": uni, "expected": expected, "matches": uni.group == expected}
+    return build(p, conductor)
 
 
-def refinement_impossible(fine_a: dict, fine_b: dict):
+def refinement_impossible(fine_a: BuiltGrading, fine_b: BuiltGrading):
     """Necessary-condition refutation that the grading of fine_b could be a
     proper refinement of the grading of fine_a (equivalently, a-grading a
     coarsening of b's): a coarsening can only lower the universal group
     (quotient) and can only grow component dimensions.  Returns a reason
     string when refuted, None when not refuted."""
-    Ua = fine_a["universal"].group
-    Ub = fine_b["universal"].group
-    ra = len(fine_a["built"].grading.identity_component("V"))
-    rb = len(fine_b["built"].grading.identity_component("V"))
+    Ua = fine_a.universal.group
+    Ub = fine_b.universal.group
+    ra, rb = fine_a.rank, fine_b.rank
     if ra < rb:
         return f"identity component would shrink ({ra} < {rb})"
     if Ua.free_rank > Ub.free_rank:

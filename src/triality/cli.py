@@ -125,26 +125,6 @@ def base_report(args, status, **fields):
 def cmd_build(args) -> int:
     spec = json.loads(args.params) if args.params else {}
     name = args.constructor
-    mod = models(args.conductor)
-    if name in ("zorn", "doubled", "okubo", "para-zorn", "para-doubled"):
-        key = {
-            "zorn": "para_zorn",
-            "para-zorn": "para_zorn",
-            "doubled": "para_doubled",
-            "para-doubled": "para_doubled",
-            "okubo": "okubo",
-        }[name]
-        if name in ("zorn", "doubled"):
-            from .composition import zorn_cayley, doubled_cayley
-
-            A = zorn_cayley(mod["field"]) if name == "zorn" else doubled_cayley(mod["field"])
-        else:
-            A = mod[key]
-        table = {}
-        for (i, j), row in sorted(A.mul.items()):
-            table[f"{i},{j}"] = {str(k): c.to_strings() for k, c in sorted(row.items())}
-        rep = base_report(args, "pass", constructor=name, dimension=A.dim, labels=A.labels, product=table)
-        return emit(rep, args.out, 0)
     if name == "typeIII":
         p = params_from_json(spec)
         built = build(p, args.conductor)
@@ -157,13 +137,27 @@ def cmd_build(args) -> int:
             "pass",
             constructor="typeIII",
             params=p.describe(),
-            rank=classify.rank(built),
+            rank=built.rank,
             group={"free_rank": p.group.free_rank, "torsion": list(p.group.torsion)},
             degrees=degrees,
             support_size=len(built.grading.support("V")),
         )
         return emit(rep, args.out, 0)
-    raise UsageError(f"unknown constructor {name!r}")
+    key = {"para-zorn": "para_zorn", "para-doubled": "para_doubled", "okubo": "okubo"}.get(name)
+    if key is None and name not in ("zorn", "doubled"):
+        raise UsageError(f"unknown constructor {name!r}")
+    mod = models(args.conductor)
+    if key is None:
+        from .composition import zorn_cayley, doubled_cayley
+
+        A = zorn_cayley(mod["field"]) if name == "zorn" else doubled_cayley(mod["field"])
+    else:
+        A = mod[key]
+    table = {}
+    for (i, j), row in sorted(A.mul.items()):
+        table[f"{i},{j}"] = {str(k): c.to_strings() for k, c in sorted(row.items())}
+    rep = base_report(args, "pass", constructor=name, dimension=A.dim, labels=A.labels, product=table)
+    return emit(rep, args.out, 0)
 
 
 def _suite_composition(args, mod):
@@ -275,7 +269,7 @@ def _suite_typeIII(args, mod):
 
     checks = {}
     for kind in ("cartan", "z2cubed", "okubo"):
-        built = fine_typeIII(kind, args.conductor)["built"]
+        built = fine_typeIII(kind, args.conductor)
         grading, V = built.grading, built.V
         names = ["center_orbit_distinct", "center_orbit_same_E_and_tri", "E_type_III", "E_kappa_alpha_graded"]
         names += ["albert_fine"] if kind == "okubo" else []
@@ -363,31 +357,19 @@ def cmd_similar(args) -> int:
 
 
 def cmd_brauer(args) -> int:
-    from .trilie import tri_basis, induce_tri_grading
-    from .brauer import related_triple, verify_brauer_relations
-    from .fgab import has_characters, quotient
+    from .brauer import verify_brauer_relations
+    from .fgab import has_characters
 
     kind = args.kind
-    fine = fine_typeIII(kind, args.conductor)
-    built = fine["built"]
-    S = built.V.S
-    G = built.params.group
-    Quse, pr = quotient(G, [built.params.h])
-    quotient_note = None
-    if not Quse.is_finite():
-        Quse, pr = quotient(G, [built.params.h] + [G.generator(i) for i in range(G.free_rank)])
-        quotient_note = "free directions quotiented away"
-    if not has_characters(Quse, args.conductor):
+    built = fine_typeIII(kind, args.conductor)
+    Q, _pr = built.brauer_quotient
+    if not has_characters(Q, args.conductor):
         # the Brauer relations take the characters of the quotient group
         raise UsageError(
-            f"brauer --kind {kind} needs characters of order {Quse.exponent()}, "
+            f"brauer --kind {kind} needs characters of order {Q.exponent()}, "
             f"which the field conductor {args.conductor} does not provide"
         )
-    tri = tri_basis(S)
-    _gt, adapted = induce_tri_grading(built.grading, tri)
-    triple = related_triple([(pr(g), trip) for g, trip in adapted], S)
-    field = models(args.conductor)["field"]
-    report = verify_brauer_relations(triple, field)
+    report = verify_brauer_relations(built.related, built.V.field)
     per_factor = []
     for pparam in report.params:
         per_factor.append(
@@ -402,8 +384,8 @@ def cmd_brauer(args) -> int:
         args,
         "pass" if ok else "fail",
         kind=kind,
-        grading_group={"free_rank": Quse.free_rank, "torsion": list(Quse.torsion)},
-        note=quotient_note,
+        grading_group={"free_rank": Q.free_rank, "torsion": list(Q.torsion)},
+        note="free directions quotiented away" if built.params.group.free_rank else None,
         factors=per_factor,
         relations={
             "squares_trivial": report.elementary2 and report.beta_pm1,
@@ -416,24 +398,20 @@ def cmd_brauer(args) -> int:
 def cmd_catalog(args) -> int:
     if args.what != "fine-typeIII":
         raise UsageError("catalog knows only fine-typeIII")
-    rows = []
-    fines = {}
-    for kind in ("cartan", "z2cubed", "okubo"):
-        r = fine_typeIII(kind, args.conductor)
-        fines[kind] = r
-        built = r["built"]
-        rows.append(
-            {
-                "kind": kind,
-                "rank": len(built.grading.identity_component("V")),
-                "support_size": len(built.grading.support("V")),
-                "universal_group": {
-                    "free_rank": r["universal"].group.free_rank,
-                    "torsion": list(r["universal"].group.torsion),
-                },
-                "universal_matches_expected": bool(r["matches"]),
-            }
-        )
+    fines = {kind: fine_typeIII(kind, args.conductor) for kind in ("cartan", "z2cubed", "okubo")}
+    rows = [
+        {
+            "kind": kind,
+            "rank": built.rank,
+            "support_size": len(built.grading.support("V")),
+            "universal_group": {
+                "free_rank": built.universal.group.free_rank,
+                "torsion": list(built.universal.group.torsion),
+            },
+            "universal_matches_expected": built.universal.group == built.params.group,
+        }
+        for kind, built in fines.items()
+    ]
     refinements = {}
     ok = all(row["universal_matches_expected"] for row in rows)
     for a in fines:

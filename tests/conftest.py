@@ -67,31 +67,18 @@ def typeIII_report(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def fines():
+    """The three fine Type III gradings, as records of classify.build."""
     return {kind: fine_typeIII(kind) for kind in ("cartan", "z2cubed", "okubo")}
 
 
-def _related_triple(built, tri):
-    """The related triple of a fine grading over G/<h>."""
-    from triality.brauer import related_triple
-    from triality.fgab import quotient
-    from triality.trilie import induce_tri_grading
-
-    _gt, adapted = induce_tri_grading(built.grading, tri)
-    _Q, pr = quotient(built.params.group, [built.params.h])
-    return related_triple([(pr(g), t) for g, t in adapted], built.V.S)
-
-
 @pytest.fixture(scope="session")
-def okubo_triple(fines, tri_okubo):
-    return _related_triple(fines["okubo"]["built"], tri_okubo)
+def okubo_triple(fines):
+    return fines["okubo"].related
 
 
 @pytest.fixture(scope="session")
 def z2cubed_triple(fines):
-    from triality.trilie import tri_basis
-
-    built = fines["z2cubed"]["built"]
-    return _related_triple(built, tri_basis(built.V.S))
+    return fines["z2cubed"].related
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,7 @@ import sys
 
 import pytest
 
-from triality.fgab import GroupHom, make_group, quotient, subgroup_elements
-from triality.grading import coarsen, universal_group
+from triality.fgab import make_group, subgroup_elements
 from triality.classify import (
     build,
     canonical_key,
@@ -22,7 +21,6 @@ from triality.classify import (
     params_r2,
     params_r4,
     params_r8,
-    rank,
     refinement_impossible,
     similar_params,
     witness_map,
@@ -96,8 +94,8 @@ def test_criterion_05_fine_typeIII(fines):
         "z2cubed": make_group(0, [2, 2, 2, 3]),
         "okubo": make_group(0, [3, 3, 3]),
     }
-    ok = all(fines[k]["universal"].group == expected[k] for k in expected)
-    ok = ok and all(fines[k]["built"].grading.verified for k in expected)
+    ok = all(fines[k].universal.group == expected[k] for k in expected)
+    ok = ok and all(fines[k].grading.verified for k in expected)
     for a, b in itertools.permutations(fines, 2):
         ok = ok and refinement_impossible(fines[a], fines[b]) is not None
     report(5, "fine Type III universal groups", ok)
@@ -126,14 +124,14 @@ def test_criterion_06_rank_sweep():
             k1, k2 = G.element((1, 0, 0)), G.element((0, 1, 0))
             h0 = G.element((0, 0, 1))
             built_count += 1
-            ok = ok and rank(build(params_r0(G, k1, k2, h0, "+"))) == 0
-            ok = ok and rank(build(params_r0(G, k1, k2, h0, "-"))) == 0
+            ok = ok and build(params_r0(G, k1, k2, h0, "+")).rank == 0
+            ok = ok and build(params_r0(G, k1, k2, h0, "-")).rank == 0
         if name == "Z2^3xZ3":
             from triality.classify import params_r1
 
             K = [G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 3))]
             built_count += 1
-            ok = ok and rank(build(params_r1(G, K, h))) == 1
+            ok = ok and build(params_r1(G, K, h)).rank == 1
         # r = 2 and r = 4: pick g's outside <h>
         if G.is_finite():
             cands = [g for g in G.elements() if g.canonical() not in hspan]
@@ -142,10 +140,10 @@ def test_criterion_06_rank_sweep():
         g1 = cands[0]
         g2 = next(g for g in cands[1:] if (-(g1 + g)).canonical() not in hspan)
         built_count += 4
-        ok = ok and rank(build(params_r2(G, (g1, g2, -(g1 + g2)), h))) == 2
-        ok = ok and rank(build(params_r4(G, g1, h))) == 4
-        ok = ok and rank(build(params_r8(G, h, "p"))) == 8
-        ok = ok and rank(build(params_r8(G, h, "o"))) == 8
+        ok = ok and build(params_r2(G, (g1, g2, -(g1 + g2)), h)).rank == 2
+        ok = ok and build(params_r4(G, g1, h)).rank == 4
+        ok = ok and build(params_r8(G, h, "p")).rank == 8
+        ok = ok and build(params_r8(G, h, "o")).rank == 8
     print(f"  rank sweep built {built_count} parameter families over 5 groups")
     report(6, "identity-component ranks", ok)
 
@@ -203,10 +201,10 @@ def test_criterion_07b_similar_invariants(tuples):
         comps = built.grading.components("V")
         gt, _ad = induce_tri_grading(built.grading, tri_basis(built.V.S))
         return {
-            "rank": rank(built),
+            "rank": built.rank,
             "support": tuple(sorted(comps)),
             "type_vector": tuple(sorted(len(ix) for ix in comps.values())),
-            "universal": universal_group(built.grading).group,
+            "universal": built.universal.group,
             "tri_type_vector": tuple(sorted(len(ix) for ix in gt.components().values())),
             "built": built,
         }
@@ -275,22 +273,14 @@ def test_criterion_09_brauer(field, fines):
         check_beta_bar,
         division_params,
         graded_division_from_pair,
-        related_triple,
         verify_brauer_relations,
     )
-    from triality.trilie import induce_tri_grading, tri_basis
 
     ok = True
-    for kind, data in fines.items():
-        built = data["built"]
-        _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
-        G = built.params.group
-        if G.free_rank:
-            gens = [built.params.h] + [G.generator(i) for i in range(G.free_rank)]
-        else:
-            gens = [built.params.h]
-        _Q, pr = quotient(G, gens)
-        triple = related_triple([(pr(g), t) for g, t in adapted], built.V.S)
+    # each related triple over the record's Brauer quotient: G/<h>, with the
+    # free directions of the Cartan grading's Z^2 x Z3 quotiented away too
+    for kind, built in fines.items():
+        triple = built.related
         for alg, gr in zip(triple.algebras, triple.gradings):
             ok = ok and division_params(alg, gr).trivial
         if kind == "z2cubed":
@@ -329,7 +319,7 @@ def test_criterion_11_graded_module(fines):
     G333 = sweep_utils.G333
     ok = True
     h = G333.element((0, 0, 1))
-    cases = [data["built"] for data in fines.values()]
+    cases = list(fines.values())
     cases += [build(params_r4(G333, G333.element((1, 0, 0)), h)), build(params_r8(G333, h, "o"))]
     for built in cases:
         _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))

@@ -187,7 +187,7 @@ def test_corrupted_product_detected(field, J):
 
 
 def test_graded_albert_fine(fines):
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     gJ = grade_albert(built.grading)
     comps = gJ.components()
     assert len(comps) == 27

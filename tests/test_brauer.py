@@ -230,13 +230,12 @@ def test_related_triple_trivial_divisions(field, okubo_triple):
         assert dp.trivial
 
 
-def test_related_triple_rejects_corrupted_degree(fines, tri_okubo):
+def test_related_triple_rejects_corrupted_degree(fines):
     # one adapted derivation moved to a wrong degree of G/<h> = Z3^2: the
     # closure under products no longer splits End(S) into independent pieces
-    built = fines["okubo"]["built"]
-    _gt, adapted = induce_tri_grading(built.grading, tri_okubo)
-    Q, pr = quotient(built.params.group, [built.params.h])
-    coarse = [(pr(g), t) for g, t in adapted]
+    built = fines["okubo"]
+    Q, _pr = built.brauer_quotient
+    coarse = coarse_adapted(built)
     g0, t0 = coarse[0]
     coarse[0] = (g0 + Q.element((0, 1)), t0)
     with pytest.raises(BrauerError):
@@ -254,7 +253,10 @@ def test_related_triple_from_trivial_grading(field, mod, tri_zorn):
 
 
 def test_cartan_type_I_elementary(field, fines, tri_zorn):
-    built = fines["cartan"]["built"]
+    # over G/<h> = Z^2, not the record's Brauer quotient, which quotients the
+    # free directions away as well and leaves the trivial group: a
+    # torsion-free grading group must by itself force T trivial
+    built = fines["cartan"]
     _gt, adapted = induce_tri_grading(built.grading, tri_zorn)
     G = built.params.group
     _Q, pr = quotient(G, [built.params.h])
@@ -302,9 +304,10 @@ def test_brauer_relations_catch_corrupted_constant(field, okubo_triple):
 
 
 def coarse_adapted(built):
-    """The adapted tri(S) basis of a fine grading, with degrees in G/<h>."""
+    """The adapted tri(S) basis of a fine grading, with degrees in the
+    record's Brauer quotient (G/<h> for the finite groups used here)."""
     _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
-    _Q, pr = quotient(built.params.group, [built.params.h])
+    _Q, pr = built.brauer_quotient
     return [(pr(g), t) for g, t in adapted]
 
 
@@ -333,7 +336,7 @@ def full_closure_rows(adapted, S, comp):
 def test_related_tables_equal_full_closure(kind, fines, okubo_triple, z2cubed_triple):
     # the closure of related_triple stops at full rank; its tables are those
     # of the rows of the full closure, read off by linear combinations
-    built = fines[kind]["built"]
+    built = fines[kind]
     S, F, n = built.V.S, built.V.S.field, built.V.S.dim
     triple = okubo_triple if kind == "okubo" else z2cubed_triple
     adapted = coarse_adapted(built)
@@ -422,10 +425,10 @@ def test_related_triple_compose_count(fines, monkeypatch):
     # module global
     import triality.brauer as brauer
 
-    adapted = coarse_adapted(fines["okubo"]["built"])
+    adapted = coarse_adapted(fines["okubo"])
     products = []
     monkeypatch.setattr(brauer, "compose", lambda A, B, n: products.append(compose(A, B, n)) or products[-1])
-    related_triple(adapted, fines["okubo"]["built"].V.S)
+    related_triple(adapted, fines["okubo"].V.S)
     assert len(products) == COMPOSE_CALLS
     assert all(products)
 
@@ -505,7 +508,7 @@ def test_adapted_tables_equal_all_rows_coordinates(kind, fines):
     # induce_tri_grading and related_triple write each product over the rows
     # of its degree only; one Coordinates over all rows gives the same
     # tables, involutions and degrees, in the same key order
-    built = fines[kind]["built"]
+    built = fines[kind]
     S = built.V.S
     tri = tri_basis(S)
     gt, adapted = induce_tri_grading(built.grading, tri)
@@ -550,7 +553,7 @@ def test_related_triple_refuses_sigma_outside_its_degree(field, fines):
     # a polar form that pairs the first basis element with itself: the table
     # is unchanged, and the first sigma_n image outside the span of its
     # row's degree is refused
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     S = built.V.S
     assert (0, 0) not in S.forms["n"]
     bad = copy.copy(S)
@@ -563,7 +566,7 @@ def test_induced_bracket_outside_its_degree_is_refused(fines):
     # one bracket constant of tri(S) moved to another basis element: the
     # homogeneous pieces are unchanged, and the first adapted bracket it
     # enters leaves the span of its degree
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     tri = tri_basis(built.V.S)
     key = min(tri.lie.mul)
     row = tri.lie.mul[key]

@@ -17,7 +17,6 @@ from triality.classify import (
     params_r2,
     params_r4,
     params_r8,
-    rank,
     refinement_impossible,
     similar_params,
     witness_map,
@@ -37,14 +36,14 @@ def test_build_examples_and_support():
     h = G333.element((0, 0, 1))
     k1, k2 = G333.element((1, 0, 0)), G333.element((0, 1, 0))
     b0 = build(params_r0(G333, k1, k2, h, "+"))
-    assert rank(b0) == 0
+    assert b0.rank == 0
     kh = subgroup_elements([k1, k2, h])
     hspan = subgroup_elements([h])
     assert set(b0.grading.support("V")) == kh - hspan
     # r=4 on Z x Z3 (infinite group)
     Gz = make_group(1, [3])
     b4 = build(params_r4(Gz, Gz.element((1, 0)), Gz.element((0, 1))))
-    assert rank(b4) == 4
+    assert b4.rank == 4
     # r=2 with some g_i in <h> is refused, naming the condition
     with pytest.raises(ParamError, match="outside"):
         params_r2(G333, (h, G333.element((1, 0, 0)), -(h + G333.element((1, 0, 0)))), h)
@@ -53,13 +52,13 @@ def test_build_examples_and_support():
 def test_rank_values():
     h = G333.element((0, 0, 1))
     g = G333.element((1, 0, 0))
-    assert rank(build(params_r8(G333, h, "p"))) == 8
-    assert rank(build(params_r8(G333, h, "o"))) == 8
-    assert rank(build(params_r4(G333, g, h))) == 4
-    assert rank(build(params_r2(G333, (g, G333.element((0, 1, 0)), -(g + G333.element((0, 1, 0)))), h))) == 2
+    assert build(params_r8(G333, h, "p")).rank == 8
+    assert build(params_r8(G333, h, "o")).rank == 8
+    assert build(params_r4(G333, g, h)).rank == 4
+    assert build(params_r2(G333, (g, G333.element((0, 1, 0)), -(g + G333.element((0, 1, 0)))), h)).rank == 2
     h2 = G2223.element((0, 0, 2))
     K = [G2223.element((1, 0, 0)), G2223.element((0, 1, 0)), G2223.element((0, 0, 3))]
-    assert rank(build(params_r1(G2223, K, h2))) == 1
+    assert build(params_r1(G2223, K, h2)).rank == 1
 
 
 def test_similarity_bullet_examples():
@@ -189,9 +188,9 @@ def test_fine_gradings_and_non_refinement(fines):
         "z2cubed": make_group(0, [2, 2, 2, 3]),
         "okubo": make_group(0, [3, 3, 3]),
     }
-    for kind, data in fines.items():
-        assert data["matches"]
-        assert data["universal"].group == expected[kind]
+    for kind, built in fines.items():
+        assert built.universal.group == built.params.group
+        assert built.universal.group == expected[kind]
     for a, b in itertools.permutations(fines, 2):
         assert refinement_impossible(fines[a], fines[b]) is not None
 

@@ -82,6 +82,30 @@ def test_product_fed_golden_stdout(name, args):
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("catalog_fine_typeIII", ["catalog", "fine-typeIII"]),
+        ("build_typeIII_r1", ["build", "--constructor", "typeIII", "--params", PARAMS_R1]),
+    ],
+)
+def test_record_golden_stdout(name, args):
+    # bytes pinned from the version that re-derived rank, universal group
+    # and related triple in each command instead of reading them off the
+    # record that build returns
+    proc = run_cli("--seed", "11", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_verify_typeIII_golden(typeIII_report):
+    # the same pin for `--seed 0 verify --suite typeIII`, read from the
+    # session's in-process run, which `emit` wrote in this format
+    code, rep = typeIII_report
+    assert code == 0
+    assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == (GOLDEN / "verify_typeIII.json").read_text(encoding="utf-8")
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -169,11 +193,11 @@ def test_verify_typeIII_fails_on_corrupted_degree(tmp_path, monkeypatch, typeIII
     real = cli.fine_typeIII
 
     def corrupted(kind, conductor):
-        fine = real(kind, conductor)
-        built = fine["built"]
+        built = real(kind, conductor)
         g = built.grading
         bad = g.copy_with_degree("V", 0, g.degrees["V"][0] + built.params.h)
-        return {**fine, "built": dataclasses.replace(built, grading=bad)}
+        # a new record: nothing derived from the sound grading carries over
+        return dataclasses.replace(built, grading=bad)
 
     monkeypatch.setattr(cli, "fine_typeIII", corrupted)
     code, rep = run_typeIII_in_process(tmp_path)
@@ -200,6 +224,44 @@ def test_unknown_suite_is_refused_before_the_models_are_built(monkeypatch, capsy
     assert cli.main(["verify", "--suite", "nope"]) == 2
     assert built == []
     assert "usage error: unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_unknown_constructor_is_refused_before_the_models_are_built(monkeypatch, capsys):
+    from triality import cli
+
+    built = []
+    monkeypatch.setattr(cli, "models", built.append)
+    assert cli.main(["build", "--constructor", "nope"]) == 2
+    assert built == []
+    assert "usage error: unknown constructor 'nope'" in capsys.readouterr().err
+
+
+def test_brauer_and_typeIII_suite_compute_no_universal_group(tmp_path, monkeypatch):
+    # neither command prints a universal group, so the record never forms one
+    from triality import classify
+    from triality.cli import main
+
+    calls = []
+    real = classify.universal_group
+    monkeypatch.setattr(classify, "universal_group", lambda g: calls.append(g) or real(g))
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "brauer", "--kind", "okubo"]) == 0
+    assert main(["--field-conductor", "12", "--out", str(out), "verify", "--suite", "typeIII"]) == 0
+    assert calls == []
+
+
+def test_cli_import_loads_no_structure_layer():
+    # every cli-proofs command is a fresh process that compiles what it
+    # imports, so importing the CLI loads only the modules that every
+    # command needs; tri(S), the Brauer layer, the trialitarian algebra and
+    # the Albert algebra are imported inside the commands that use them
+    probe = "import json, sys, triality.cli; print(json.dumps(sorted(m for m in sys.modules if m.startswith('triality'))))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "triality",
+        *(f"triality.{m}" for m in ("classify", "cli", "composition", "cyclic", "fgab", "grading", "linalg", "scalars")),
+    ]
 
 
 def test_readme_names_every_suite():

@@ -235,6 +235,6 @@ def test_universal_round_trip(kind, fines):
     if kind in COARSE:
         g = build(COARSE[kind]()).grading
     else:
-        g = fines[kind]["built"].grading
+        g = fines[kind].grading
     u = universal_group(g)
     assert coarsen(u.grading, u.to_original).degree_map_equal(g)

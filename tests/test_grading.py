@@ -58,7 +58,7 @@ def test_verify_grading_pins_violations(fines, sort, index, coords, count, check
     if sort == "A":
         g = okubo_grading(models(12)["okubo"], "+")
     else:
-        g = fines["okubo"]["built"].grading
+        g = fines["okubo"].grading
     report = verify_grading(g.copy_with_degree(sort, index, g.group.element(coords)))
     assert (len(report.violations), report.checked) == (count, checked)
     assert hashlib.sha256(repr(report.violations).encode()).hexdigest() == digest
@@ -207,7 +207,7 @@ def oracle_gradings(field, fines):
         "okubo": okubo_grading(None, "+", field),
         "cartan_relabeled": universal_group(cartan).grading,
     }
-    out.update({f"fine_{kind}": fine["built"].grading for kind, fine in fines.items()})
+    out.update({f"fine_{kind}": built.grading for kind, built in fines.items()})
     for (G, r), params in sweep_utils.enumerate_tuples().items():
         out[f"{G}_r{r}"] = build(params[0]).grading
     return out
@@ -321,7 +321,7 @@ def test_no_grading_map_stores_a_zero(mod, fines, trial_zorn, tri_zorn, tri_okub
     structures = [mod[k] for k in ("para_zorn", "para_doubled", "okubo", "V_zorn", "V_doubled", "V_okubo")]
     tris = {"cartan": tri_zorn, "z2cubed": tri_basis(mod["para_doubled"]), "okubo": tri_okubo}
     for kind, tri in tris.items():
-        built = fines[kind]["built"]
+        built = fines[kind]
         E = trial_zorn["E"] if built.V is trial_zorn["V"] else end_algebra(built.V)
         gt, _adapted = induce_tri_grading(built.grading, tri)
         structures += [built.V, induce_E_grading(built.grading, E).structure, gt.structure, grade_albert(built.grading).structure]

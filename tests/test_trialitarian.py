@@ -152,7 +152,7 @@ def test_lie_of_E_equals_der_rejects_outside_element(mod, trial_zorn, lie_zorn):
 
 
 def test_induced_E_grading_and_type(fines, trial_zorn):
-    built = fines["cartan"]["built"]
+    built = fines["cartan"]
     E = trial_zorn["E"]
     gE = induce_E_grading(built.grading, E)
     assert gE.verified
@@ -193,7 +193,7 @@ def test_order_two_center_degree_is_rejected(trial_zorn):
 
 
 def test_induce_coarsen_functorial(fines, trial_zorn):
-    built = fines["cartan"]["built"]
+    built = fines["cartan"]
     E = trial_zorn["E"]
     G = built.params.group
     Q, pr = quotient(G, [built.params.h])
@@ -206,7 +206,7 @@ def test_center_orbit_same_E_grading(fines, tri_okubo):
     # the four orbit gradings share the degree map on elementary operators
     from triality.trilie import center_orbit
 
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     orbit = center_orbit(built.grading, tri_okubo)
     base = orbit[0]["e_degrees"]
     assert all(r["e_degrees"] == base for r in orbit)
@@ -215,7 +215,7 @@ def test_center_orbit_same_E_grading(fines, tri_okubo):
 def test_verify_grading_catches_corrupted_involution(fines, trial_zorn):
     # one extra entry in one row of sigma, pointing at an operator of
     # another degree, is the one violation of the induced Cartan E grading
-    built = fines["cartan"]["built"]
+    built = fines["cartan"]
     E = trial_zorn["E"]
     gE = induce_E_grading(built.grading, E)
     degs = gE.degrees["A"]
@@ -229,7 +229,7 @@ def test_verify_grading_catches_corrupted_involution(fines, trial_zorn):
 
 
 def test_kappa_alpha_compatibility_catches_moved_degree(fines, trial_zorn):
-    built = fines["cartan"]["built"]
+    built = fines["cartan"]
     E = trial_zorn["E"]
     gE = induce_E_grading(built.grading, E)
     moved = gE.copy_with_degree("A", 0, gE.degrees["A"][0] + built.params.h)

@@ -177,7 +177,7 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
     from triality.linalg import Echelon
     from triality.trilie import xi_transform
 
-    built = fines["cartan"]["built"]
+    built = fines["cartan"]
     V = built.grading.structure
     G = built.params.group
     Q, pr = quotient(G, [built.params.h])
@@ -197,7 +197,7 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
 
 def test_graded_module_instance(fines):
     for kind in ("cartan", "z2cubed", "okubo"):
-        built = fines[kind]["built"]
+        built = fines[kind]
         _out, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
         assert graded_module_check(built.grading, adapted)
 
@@ -205,7 +205,7 @@ def test_graded_module_instance(fines):
 def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
     # one adapted derivation moved to a wrong degree no longer maps each
     # component of V into the component its degree names
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     _out, adapted = induce_tri_grading(built.grading, tri_okubo)
     g0, d0 = adapted[0]
     moved = [(g0 + built.params.group.element((1, 0, 0)), d0)] + adapted[1:]
@@ -213,7 +213,7 @@ def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
 
 
 def test_center_orbit(fines, tri_okubo):
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     orbit = center_orbit(built.grading, tri_okubo)
     assert len(orbit) == 4
     assert orbit_pairwise_distinct(orbit)
@@ -221,7 +221,7 @@ def test_center_orbit(fines, tri_okubo):
 
 
 def test_induced_grading_verifies_and_counts(fines, tri_okubo):
-    built = fines["okubo"]["built"]
+    built = fines["okubo"]
     out, adapted = induce_tri_grading(built.grading, tri_okubo)
     assert out.verified
     assert len(out.identity_component()) == 0
@@ -241,7 +241,7 @@ def test_induced_brackets_match_dense_commutators(kind, fines, tri_zorn, tri_oku
     # the structure constants of the adapted basis, taken in delta
     # coordinates, against dense componentwise commutators of its triples
     tri = tri_zorn if kind == "cartan" else tri_okubo
-    out, adapted = induce_tri_grading(fines[kind]["built"].grading, tri)
+    out, adapted = induce_tri_grading(fines[kind].grading, tri)
     F = tri.field
     mul = out.structure.mul
     # dense reference: the three 8x8 components of each sparse triple
