@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fgab import AbGroup, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
+from .fgab import AbGroup, Character, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
 from .grading import AdaptedRows, Grading, StructAlgebra, verify_grading
 from .linalg import Echelon, Residues, axpy, compose, echelon_from, grouped, invert_dense, kernel, to_flat
 
@@ -506,67 +506,39 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
 # ------------------------------------------------------ commutation factors
 
 
-def commutation_factor(A: StructAlgebra, grading: Grading, chi1, chi2):
-    """The scalar with u_chi1 u_chi2 = c u_chi2 u_chi1, where u_chi
-    implements the character action a -> chi(deg a) a by conjugation."""
-    u1 = _character_unit(A, grading, chi1)
-    u2 = _character_unit(A, grading, chi2)
-    fwd = A.product(u1, u2)
-    bwd = A.product(u2, u1)
-    lam = _proportionality(A.field, fwd, bwd)
+def commutation_factor(A: StructAlgebra, u1, u2):
+    """The scalar c with u1 u2 = c u2 u1."""
+    lam = _proportionality(A.field, A.product(u1, u2), A.product(u2, u1))
     if lam is None or lam.is_zero():
         raise BrauerError("character units do not commute projectively")
     return lam
 
 
-def _character_unit(A: StructAlgebra, grading: Grading, chi):
-    """A nonzero solution of u a = chi(deg a) a u over all homogeneous basis
-    elements a, verified invertible.  The unit is solved once per (algebra,
-    character) and kept on the grading, whose degrees are fixed, so the
-    character pairs of verify_brauer_relations share it."""
-    units = grading.__dict__.setdefault("_character_units", {})
-    hit = units.get(chi)
-    if hit is not None and hit[0] is A:
-        return hit[1]
-    u = _solve_character_unit(A, grading, chi)
-    units[chi] = (A, u)
-    return u
-
-
 def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
-    """The first kernel vector of the system u a = chi(deg a) a u, a over
-    all basis elements, verified invertible.
-
-    The conditions of a spread of basis elements (every 4th, then every
-    2nd) are solved first, and the whole system only if the kernel is still
-    more than one line.  The kernel K_J of the conditions of a subset J
-    contains the full kernel K.  When K_J is the line of u, u is certified
-    against every basis element; then u lies in K, so K = K_J, and
-    null_space, which depends only on the row span, returns the same
-    vector for both.  If K_J is 0 or the certificate fails, K is 0: there
-    is no character unit."""
+    """The unit u of chi: u a = chi(deg a) a u for every basis element a.
+    The kernel of this system must be one line, spanned by an invertible u.
+    An invertible solution u makes the kernel u Z(A), Z(A) the centre of A,
+    so the one line is the statement Z(A) = F that verify_brauer_relations
+    rests on."""
     F = A.field
     mul = A.mul
     negs = [-chi(g) for g in grading.degrees["A"]]
-    for step in (4, 2, 1):
-        # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every
-        # j of the spread, from the rows of the product table
-        cols = []
-        for i in range(A.dim):
-            col = {}
-            for j in range(0, A.dim, step):
-                for out, c in axpy(dict(mul.get((i, j), {})), negs[j], mul.get((j, i), {})).items():
-                    col[(j, out)] = c
-            cols.append(col)
-        sols = kernel(F, cols)
-        if len(sols) <= 1:
-            break
-    u = sols[0] if sols else {}
-    basis = [A.basis_vec(i) for i in range(A.dim)]
-    images = [A.product(u, a) for a in basis]
-    if not u or any(axpy(dict(ua), neg, A.product(a, u)) for a, ua, neg in zip(basis, images, negs)):
+    # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every j,
+    # from the rows of the product table
+    cols = []
+    for i in range(A.dim):
+        col = {}
+        for j, neg in enumerate(negs):
+            for out, c in axpy(dict(mul.get((i, j), {})), neg, mul.get((j, i), {})).items():
+                col[(j, out)] = c
+        cols.append(col)
+    sols = kernel(F, cols)
+    if not sols:
         raise BrauerError("no character unit (input is not a matrix-algebra grading)")
-    if echelon_from(F, images).rank != A.dim:
+    if len(sols) > 1:
+        raise BrauerError(f"character unit is not unique up to a scalar ({len(sols)} kernel lines: the centre is larger than F)")
+    u = sols[0]
+    if echelon_from(F, [A.product(u, A.basis_vec(i)) for i in range(A.dim)]).rank != A.dim:
         raise BrauerError("character unit is not invertible")
     return u
 
@@ -585,8 +557,23 @@ class BrauerReport:
 
 def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     """[E_i]^2 = 1 (elementary 2-torsion supports, +-1-valued betas) and
-    [E_1] = [E_2][E_3] via commutation factors over every character pair of
-    the (finite) grading group."""
+    [E_1] = [E_2][E_3] via commutation factors, decided on the generating
+    characters chi_i of the finite grading group (exps e_i, one per
+    invariant factor).
+
+    Only the units u_i of the chi_i are solved in each algebra A, each the
+    one kernel line of its system and invertible, so the centre of A is F
+    and the units of a character form at most a line.  For A associative
+    (products of matrices), u_chi u_psi is invertible and solves the system
+    of chi psi, so it is the unit of chi psi up to a scalar; and
+    u_chi u_psi u_chi^-1 solves that of psi, so u_chi u_psi =
+    c(chi, psi) u_psi u_chi, with c an alternating bicharacter
+    (c(chi chi', psi) = c(chi, psi) c(chi', psi) from u_chi u_chi' u_psi).
+    With c_ij = c(chi_i, chi_j), a root of unity read as a zeta exponent,
+    c(prod chi_i^x_i, prod chi_j^y_j) = prod_{i<j} c_ij^(x_i y_j - x_j y_i),
+    so c_1 = c_2 c_3 holds on every character pair exactly when it holds on
+    the generator pairs.  details["factors"] holds c on every pair, in the
+    order of fgab.characters, one value per algebra."""
     G = triple.gradings[0].group
     if not G.is_finite():
         raise BrauerError("quotient away free directions before checking relations")
@@ -594,13 +581,20 @@ def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     elem2 = all(p.elementary_2() for p in params)
     pm1 = all(p.beta_pm1(field) for p in params)
     chars = characters(G, field)
-    product_ok = True
+    r = len(G.torsion)
+    gens = [Character(G, field, tuple(int(k == i) for k in range(r))) for i in range(r)]
+    pairs = list(itertools.combinations(range(r), 2))
+    expo = []  # per algebra: (i, j) -> the zeta exponent of c_ij
+    for A, gr in zip(triple.algebras, triple.gradings):
+        u = [_solve_character_unit(A, gr, chi) for chi in gens]
+        expo.append({(i, j): _value_to_exponent(field, commutation_factor(A, u[i], u[j])) for i, j in pairs})
+    e1, e2, e3 = expo
+    product_ok = all((e1[p] - e2[p] - e3[p]) % field.conductor == 0 for p in pairs)
     factors = {}
     for c1, c2 in itertools.combinations(chars, 2):
-        vals = [commutation_factor(a, g, c1, c2) for a, g in zip(triple.algebras, triple.gradings)]
-        factors[(c1.exps, c2.exps)] = [v.to_strings() for v in vals]
-        if vals[0] != vals[1] * vals[2]:
-            product_ok = False
+        x, y = c1.exps, c2.exps
+        minor = {(i, j): x[i] * y[j] - x[j] * y[i] for i, j in pairs}
+        factors[(x, y)] = [field.zeta(sum(ex[p] * minor[p] for p in pairs)).to_strings() for ex in expo]
     return BrauerReport(params, elem2, pm1, product_ok, {"factors": factors})
 
 

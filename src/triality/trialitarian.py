@@ -481,10 +481,16 @@ def _xi_power(L, k):
 
 
 def alpha(V, E, Cl) -> AlphaMap:
-    """Build alpha and certify it: the generator images satisfy the
-    Clifford relations through the twisted L-structures (which pins the
-    factor ordering), multiplicativity holds on every generator-monomial
-    pair, and the map is bijective (rank 384 over F)."""
+    """Build alpha and certify it.  Checked: the generator images satisfy the
+    Clifford relations l_x r_y + l_y r_x = rho(b(x,y)), r_x l_y + r_y l_x =
+    rho2(b(x,y)) through the twisted L-structures (which pins the factor
+    ordering) on every pair (p, q) of the L-basis s_p (x) 1, and the map is
+    bijective (rank 384 over F).  Multiplicativity follows, unchecked: by
+    bilinearity and the universal property of the Clifford algebra the
+    generator images extend to a homomorphism on Cl(V,Q), and AlphaMap._build
+    defines each even monomial's image as the ordered product of its
+    generator images, odd(e_i) odd(e_j) even(rest), read back into E exactly
+    by _cols_to_erep: the homomorphism's value on a basis of Cl_0."""
     am = AlphaMap(V, E, Cl)
     F = V.field
     L = V.L

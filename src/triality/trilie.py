@@ -228,10 +228,9 @@ def tri_basis(S) -> TriAlgebra:
     so(S,n)^3 on all basis pairs.  The kernel must be 28-dimensional and
     each coordinate projection must have full rank 28.
 
-    The result is computed once per model instance and kept on S, as the
-    character units of brauer are kept on their grading: a model's tables
-    are built by its constructor and never changed afterwards, and models()
-    hands out shared instances.  The entry names the instance it was solved
+    The result is computed once per model instance and kept on S: a
+    model's tables are built by its constructor and never changed
+    afterwards, and models() hands out shared instances.  The entry names the instance it was solved
     for, so a copy of S (corrupted or not) is solved afresh."""
     hit = S.__dict__.get("_tri_basis")
     if hit is not None and hit[0] is S:

@@ -6,6 +6,7 @@ import pytest
 from triality.brauer import (
     BrauerError,
     RelatedTriple,
+    _solve_character_unit,
     check_beta_bar,
     commutation_factor,
     division_params,
@@ -14,6 +15,7 @@ from triality.brauer import (
     related_triple,
     verify_brauer_relations,
 )
+from triality.classify import build, params_r0
 from triality.fgab import GroupElem, characters, make_group, quotient
 from triality.grading import AdaptedRows, Grading, StructAlgebra, verify_grading
 from triality.trilie import TrialityError, _homogeneous_pieces, induce_tri_grading, operator_degrees, tri_basis
@@ -159,15 +161,14 @@ def test_commutation_factor_examples(field, pauli):
     chi_a = next(c for c in chars if c.exps == (1, 0))
     chi_b = next(c for c in chars if c.exps == (0, 1))
     triv = next(c for c in chars if c.exps == (0, 0))
-    m1 = -field.one
-    assert commutation_factor(pauli, pauli.grading, chi_a, chi_b) == m1
-    assert commutation_factor(pauli, pauli.grading, triv, chi_b) == field.one
-    # bimultiplicativity in the first argument
     chi_ab = chi_a * chi_b
-    v1 = commutation_factor(pauli, pauli.grading, chi_ab, chi_b)
-    v2 = commutation_factor(pauli, pauli.grading, chi_a, chi_b) * commutation_factor(
-        pauli, pauli.grading, chi_b, chi_b
-    )
+    u = {chi: _solve_character_unit(pauli, pauli.grading, chi) for chi in (chi_a, chi_b, triv, chi_ab)}
+    m1 = -field.one
+    assert commutation_factor(pauli, u[chi_a], u[chi_b]) == m1
+    assert commutation_factor(pauli, u[triv], u[chi_b]) == field.one
+    # bimultiplicativity in the first argument
+    v1 = commutation_factor(pauli, u[chi_ab], u[chi_b])
+    v2 = commutation_factor(pauli, u[chi_a], u[chi_b]) * commutation_factor(pauli, u[chi_b], u[chi_b])
     assert v1 == v2
 
 
@@ -271,20 +272,6 @@ def test_brauer_relations_z2cubed(field, z2cubed_triple):
     assert rep.ok()
 
 
-def test_character_units_solved_once_per_character(field, monkeypatch):
-    import triality.brauer as brauer
-
-    m1 = -field.one
-    alg = graded_division_from_pair(make_group(0, [2, 2]), [[field.one, m1], [m1, field.one]], field)
-    solved = []
-    solve = brauer._solve_character_unit
-    monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append(chi) or solve(A, g, chi))
-    chars = characters(alg.grading.group, field)
-    factors = [commutation_factor(alg, alg.grading, c1, c2) for c1, c2 in itertools.combinations(chars, 2)]
-    assert sorted(c.exps for c in solved) == sorted(c.exps for c in chars)
-    assert sorted(str(f) for f in factors) == ["-1", "-1", "-1", "1", "1", "1"]
-
-
 def test_brauer_relations_catch_corrupted_constant(field, okubo_triple):
     # one structure constant of the second related algebra, a product of
     # basis elements of different degrees, times omega: the character units
@@ -383,35 +370,114 @@ def test_character_units_equal_full_system(field, okubo_triple):
             assert brauer._solve_character_unit(A, gr, chi) == full[0]
 
 
-def test_character_unit_certificate_refuses_subset_solution(field, okubo_triple, monkeypatch):
-    # a product of two basis elements outside the solved subset, the left
-    # one in the support of the unit: the subset conditions do not see it,
-    # so the subset kernel is still the line of u, and the certificate on
-    # all basis elements refuses u
+def all_characters_relations(triple, field):
+    """The decision on every character, kept as the oracle: (factors,
+    squares, product) with a unit for every character of the grading group
+    (the first line of its full system, verified invertible), a commutation
+    factor for every character pair, and [E_1] = [E_2][E_3] on every pair."""
+    chars = characters(triple.gradings[0].group, field)
+    units = []
+    for A, gr in zip(triple.algebras, triple.gradings):
+        per = {}
+        for chi in chars:
+            sols = full_system_units(A, gr, chi)
+            if not sols:
+                raise BrauerError("no character unit")
+            if echelon_from(field, [A.product(sols[0], A.basis_vec(i)) for i in range(A.dim)]).rank != A.dim:
+                raise BrauerError("character unit is not invertible")
+            per[chi] = sols[0]
+        units.append(per)
+    factors, product = {}, True
+    for c1, c2 in itertools.combinations(chars, 2):
+        vals = [commutation_factor(A, per[c1], per[c2]) for A, per in zip(triple.algebras, units)]
+        factors[(c1.exps, c2.exps)] = [v.to_strings() for v in vals]
+        product = product and vals[0] == vals[1] * vals[2]
+    params = [division_params(A, gr) for A, gr in zip(triple.algebras, triple.gradings)]
+    squares = all(p.elementary_2() and p.beta_pm1(field) for p in params)
+    return factors, squares, product
+
+
+# the four lines k of K = <k1, k2> of a rank-0 grading over Z3^3, as in the
+# tri-brauer benchmark round, which takes the Brauer data on G/<h, k> = Z3
+QUOTIENT_LINES = [(1, 0), (0, 1), (1, 1), (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def brauer_inputs(fines, okubo_triple, z2cubed_triple):
+    """{name: related triple}: the fine triples, and the quotients G/<h, k>
+    of a rank-0 grading with k1 = (1, 1, 0), k2 = (0, 1, 2), h = (0, 0, 1)."""
+    G = make_group(0, [3, 3, 3])
+    k1, k2, h = G.element((1, 1, 0)), G.element((0, 1, 2)), G.element((0, 0, 1))
+    built = build(params_r0(G, k1, k2, h, "-"))
+    _gt, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
+    inputs = {"okubo": okubo_triple, "z2cubed": z2cubed_triple, "cartan": fines["cartan"].related}
+    for a, b in QUOTIENT_LINES:
+        _Q, pr = quotient(G, [h, a * k1 + b * k2])
+        inputs[f"rank0/<h,{a}k1+{b}k2>"] = related_triple([(pr(g), t) for g, t in adapted], built.V.S)
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "name, solves",
+    [("okubo", 6), ("z2cubed", 9), ("cartan", 0)] + [(f"rank0/<h,{a}k1+{b}k2>", 3) for a, b in QUOTIENT_LINES],
+)
+def test_relations_on_generators_equal_all_characters(name, solves, field, brauer_inputs, monkeypatch):
+    # the factors of every character pair (keys, order, values) and both
+    # relation booleans equal the oracle's, from one unit solve per
+    # (algebra, generating character): 3 algebras x the number of
+    # invariant factors of the grading group, Z3^2, Z2^3, trivial and Z3
     import triality.brauer as brauer
 
-    A, gr = okubo_triple.algebras[0], okubo_triple.gradings[0]
-    chi = characters(gr.group, field)[1]
-    solves = []
+    triple = brauer_inputs[name]
+    solved = []
+    solve = brauer._solve_character_unit
+    monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append((id(A), chi.exps)) or solve(A, g, chi))
+    rep = verify_brauer_relations(triple, field)
+    factors, squares, product = all_characters_relations(triple, field)
+    assert list(rep.details["factors"].items()) == list(factors.items())
+    assert (rep.elementary2 and rep.beta_pm1, rep.product_relation) == (squares, product)
+    assert len(set(solved)) == len(solved) == solves
+    assert all(sum(exps) == 1 for _a, exps in solved)  # exps a unit vector
 
-    def spy(F, cols):
-        sols = kernel(F, cols)
-        solves.append(({j for col in cols for j, _out in col}, len(sols)))
-        return sols
 
-    monkeypatch.setattr(brauer, "kernel", spy)
-    u = brauer._solve_character_unit(A, gr, chi)
-    [(used, lines)] = solves
-    assert lines == 1 and len(used) < A.dim
-    key = min(k for k in A.mul if k[0] in u and k[0] != k[1] and not {k[0], k[1]} & used)
-    row = A.mul[key]
-    out = min(row)
-    bad = copy.copy(A)
-    bad.mul = {**A.mul, key: {**row, out: field.omega * row[out]}}
-    with pytest.raises(BrauerError, match="no character unit"):
-        brauer._solve_character_unit(bad, Grading(bad, gr.group, gr.degrees), chi)
-    assert solves[1:] == [(used, 1)]
+def test_character_unit_refuses_a_centre_larger_than_F(field):
+    # F^tau(Z2 x Z6) with beta = -1 on its generators has centre F[Z3]: the
+    # unit system of the character with exps (1, 0) has a 3-line kernel,
+    # X_s Z(A), and no unit is unique up to a scalar
+    m1 = -field.one
+    alg = graded_division_from_pair(make_group(0, [3, 2, 2]), [[field.one, m1], [m1, field.one]], field)
+    chi = next(c for c in characters(alg.grading.group, field) if c.exps == (1, 0))
+    assert len(full_system_units(alg, alg.grading, chi)) == 3
+    with pytest.raises(BrauerError, match="not unique up to a scalar"):
+        _solve_character_unit(alg, alg.grading, chi)
 
+
+def rejects(decide):
+    """Whether a decision refuses its input: False, or BrauerError."""
+    try:
+        return not decide()
+    except BrauerError:
+        return True
+
+
+def test_generator_path_loses_no_mutant(field, okubo_triple):
+    # the first constant of every 16th product of the second related
+    # algebra, times omega: every mutant the all-characters oracle rejects
+    # (28 of these 32) is rejected on the generating characters too
+    A, gr = okubo_triple.algebras[1], okubo_triple.gradings[1]
+    caught = 0
+    for key in list(A.mul)[::16]:
+        row = A.mul[key]
+        out = next(iter(row))
+        bad = copy.copy(A)
+        bad.mul = {**A.mul, key: {**row, out: field.omega * row[out]}}
+        algebras, gradings = list(okubo_triple.algebras), list(okubo_triple.gradings)
+        algebras[1], gradings[1] = bad, Grading(bad, gr.group, gr.degrees)
+        mutant = RelatedTriple(algebras, gradings)
+        oracle = rejects(lambda: all(all_characters_relations(mutant, field)[1:]))
+        assert rejects(lambda: verify_brauer_relations(mutant, field).ok()) >= oracle, key
+        caught += oracle
+    assert caught == 28
 
 # per component: 1,028 closure products (1,792 without the stop at full
 # rank), the 512 pairs of the 64 x 64 table whose inner matrix indices meet

@@ -5,8 +5,9 @@ table and entry point) or from a benchmark reference, and a test reference
 does not count (a short list, by ROADMAP item, names the definitions still
 waiting to be wired in); every method is referenced somewhere in the
 package, tests or benchmark; no function takes a parameter it never reads
-or binds a local it never reads; and no class stores a field that nothing
-reads."""
+or binds a local it never reads; no class stores a field that nothing
+reads; and every function the benchmark's tracer wraps by name is
+defined."""
 
 import ast
 import collections
@@ -149,7 +150,6 @@ UNREACHED = {
         "brauer.graded_division_from_pair",
         "brauer.TwistedGroupAlgebra",
         "brauer._beta_exponent_matrix",
-        "brauer._value_to_exponent",
         "brauer.check_beta_bar",
         "brauer.BetaBarReport",
     },
@@ -162,6 +162,31 @@ def test_no_unreferenced_definitions():
     listed = set().union(*UNREACHED.values())
     assert not found - listed, "unreached definitions: " + ", ".join(sorted(found - listed))
     assert not listed - found, "listed as unreached, but reached or gone: " + ", ".join(sorted(listed - found))
+
+
+def test_traced_spans_are_defined():
+    """Every name the benchmark's tracer wraps is a module-level function or
+    a class method defined in its module: `Tracer.install` reads
+    `owner.__dict__[attr]`, so a deleted or renamed one makes every traced
+    run raise KeyError.  And `trilie` binds `null_space` by name, which the
+    benchmark's selftest asserts the tracer rebinds."""
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (spans,) = [
+        node.value for node in tracing.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets)
+    ]
+    package = package_sources()
+    missing = []
+    for spec in (elt.value for elt in spans.elts):
+        module, *owner, attr = spec.split(".")
+        body = package[module].body if module in package else []
+        for cls in owner:
+            body = next((node.body for node in body if isinstance(node, ast.ClassDef) and node.name == cls), [])
+        if not any(isinstance(node, ast.FunctionDef) and node.name == attr for node in body):
+            missing.append(spec)
+    assert not missing, "traced but not defined: " + ", ".join(missing)
+    bound = {name: module for node in ast.walk(package["trilie"]) for module, _name, name in package_import(node)}
+    assert bound.get("null_space") == "linalg"
 
 
 def test_reachability_rule_on_a_synthetic_package():
