@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
+from .linalg import axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
 from .grading import AdaptedRows, Grading, Report, StructAlgebra, verify_grading
 
 
@@ -568,101 +568,68 @@ def center_elements(L):
     return out
 
 
-def component_spans(grading: Grading, l_elt=None):
-    """The component subspaces of the grading, moved by multiplication with
-    l_elt when given: {canonical degree: Echelon of l . V_g}."""
+def component_spans(grading: Grading, l_elt):
+    """The component subspaces of the grading moved by multiplication with
+    l_elt: {canonical degree: Echelon of l . V_g}."""
     V = grading.structure
-    spans = {}
-    for g, idxs in grading.components("V").items():
-        ech = Echelon(V.field)
-        for i in idxs:
-            v = V.basis_vec(i)
-            if l_elt is not None:
-                v = V.act(l_elt, v)
-            ech.insert(v)
-        spans[g] = ech
-    return spans
+    return {
+        g: echelon_from(V.field, (V.act(l_elt, V.basis_vec(i)) for i in idxs))
+        for g, idxs in grading.components("V").items()
+    }
 
 
-def e_degree_map(grading: Grading, spans):
-    """Degree of every L-linear elementary operator of End_L(V) with
-    respect to a component decomposition of V, listed by delta position and
-    computed by exact membership: the operator maps each component into
-    exactly one component, with a shift independent of the component.
-    Raises if no consistent shift exists."""
-    V = grading.structure
-    G = grading.group
-    one = V.field.one
-    bases = [(g, ech.basis()) for g, ech in spans.items()]
-    out = []
-    for pos, guess_el in enumerate(operator_degrees(grading)):
-        guess = guess_el.canonical()
-        shift = None
-        for g, rows in bases:
-            img_vecs = [img for img in (apply_deltas(V, {pos: one}, row) for row in rows) if img]
-            if not img_vecs:
-                continue
-            target = spans.get((guess_el + G.element(g)).canonical())
-            if target is None or not all(target.contains(v) for v in img_vecs):
-                # fall back to scanning every component
-                target_g = next((g2 for g2, ech2 in spans.items() if all(ech2.contains(v) for v in img_vecs)), None)
-                if target_g is None:
-                    raise TrialityError(f"operator at delta position {pos} is not homogeneous")
-                found = (G.element(target_g) - G.element(g)).canonical()
-            else:
-                found = guess
-            if shift is None:
-                shift = found
-            elif shift != found:
-                raise TrialityError(f"operator at delta position {pos} has inconsistent degree")
-        out.append(shift if shift is not None else guess)
-    return out
+def center_orbit(grading: Grading):
+    """The orbit of a Type III grading Gamma under the center C of L: the
+    four regradings l . Gamma, with components l V_g.  Returns (same,
+    orbit): orbit lists component_spans(grading, l) for each l, and same
+    decides that every l . Gamma induces the grading of Gamma on
+    E = End_L(V) and on tri(S).
 
-
-def center_orbit(grading: Grading, tri: TriAlgebra):
-    """The orbit of a Type III grading under the center C: the four
-    regradings l . Gamma (components l V_g), pairwise distinct on V, all
-    inducing the identical degree assignment on the elementary operators of
-    End_L(V) and hence on tri.
-
-    Returns a list of four dicts with keys 'l', 'spans', 'e_degrees' (by
-    delta position), 'tri_components' (echelons over the coordinates of
-    tri.vectors).
+    Each l must be an automorphism, (l x) * (l y) = l (x * y) on all basis
+    pairs, or TrialityError is raised.  `same` is decided once, not per l,
+    on the elementary operators f of End_L(V) (delta positions) and the
+    basis vectors x of V:
+    - f x lies in V_(deg f + deg x), deg f read from operator_degrees; the
+      grading is basis-aligned, so this is the coordinate test of
+      graded_module_check, and it makes f homogeneous of degree deg f;
+    - f(xi x) = xi f(x).
+    Given both: L = F[xi], so f is L-linear and commutes with every l in
+    C.  Hence f(l V_g) = l f(V_g) <= l V_(g + deg f), and f has the same
+    degree for l . Gamma as for Gamma; the elementary operators span E.
+    The tri(S) components are read off the operator degrees alone
+    (_homogeneous_pieces), so they coincide as well.
     """
     V = grading.structure
-    results = []
+    one = V.field.one
+    xi = V.L.xi
+    degs = grading.degrees["V"]
+    canon = [d.canonical() for d in degs]
+    basis = [V.basis_vec(i) for i in range(V.dim)]
+    moved = [V.act(xi, x) for x in basis]
+
+    def homogeneous_and_linear(pos, d):
+        f = {pos: one}
+        for i, x in enumerate(basis):
+            fx = apply_deltas(V, f, x)
+            target = (d + degs[i]).canonical()
+            if any(canon[j] != target for j in fx) or apply_deltas(V, f, moved[i]) != V.act(xi, fx):
+                return False
+        return True
+
+    same = all(homogeneous_and_linear(pos, d) for pos, d in enumerate(operator_degrees(grading)))
+    orbit = []
     for l_elt in center_elements(V.L):
         # multiplication by an element of C is a graded automorphism of the
         # algebra structure: (l x) * (l y) = l (x * y), Q(l x) = Q(x)
-        for i in range(V.dim):
-            for j in range(V.dim):
-                lhs = V.product(V.act(l_elt, V.basis_vec(i)), V.act(l_elt, V.basis_vec(j)))
-                rhs = V.act(l_elt, V.product(V.basis_vec(i), V.basis_vec(j)))
-                if lhs != rhs:
+        for x in basis:
+            for y in basis:
+                if V.product(V.act(l_elt, x), V.act(l_elt, y)) != V.act(l_elt, V.product(x, y)):
                     raise TrialityError("center element is not an automorphism")
-        spans = component_spans(grading, l_elt)
-        e_deg = e_degree_map(grading, spans)
-        buckets = _homogeneous_pieces(tri, e_deg, "center-orbit piece leaves tri(S)")
-        tri_comps = {g: echelon_from(tri.field, pieces).canonical() for g, pieces in buckets.items()}
-        results.append({"l": l_elt, "spans": spans, "e_degrees": e_deg, "tri_components": tri_comps})
-    return results
+        orbit.append(component_spans(grading, l_elt))
+    return same, orbit
 
 
-def orbit_pairwise_distinct(results) -> bool:
+def orbit_pairwise_distinct(orbit) -> bool:
     """Every pair of orbit gradings differs as a decomposition of V."""
-    canon = []
-    for r in results:
-        canon.append({g: ech.canonical() for g, ech in r["spans"].items()})
-    for a in range(len(canon)):
-        for b in range(a + 1, len(canon)):
-            if canon[a] == canon[b]:
-                return False
-    return True
-
-
-def orbit_induces_identical(results) -> bool:
-    """All orbit members induce the same degrees on elementary operators of
-    End_L(V) and the same component decomposition of tri."""
-    base_e = results[0]["e_degrees"]
-    base_t = results[0]["tri_components"]
-    return all(r["e_degrees"] == base_e and r["tri_components"] == base_t for r in results[1:])
+    canon = [{g: ech.canonical() for g, ech in spans.items()} for spans in orbit]
+    return all(a != b for a, b in itertools.combinations(canon, 2))

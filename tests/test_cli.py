@@ -206,14 +206,32 @@ def test_verify_typeIII_fails_on_corrupted_degree(tmp_path, monkeypatch, typeIII
 
 
 def test_verify_typeIII_fails_on_one_false_check(tmp_path, monkeypatch, typeIII_report):
-    from triality import trilie
+    # one operator degree shifted by deg(xi) fails the center-orbit decision
+    # of each fine grading; the trialitarian layer binds its own
+    # operator_degrees at import, so the E checks keep reading the real one
+    from triality import trialitarian, trilie
 
-    monkeypatch.setattr(trilie, "orbit_induces_identical", lambda _orbit: False)
+    real = trilie.operator_degrees
+    assert trialitarian.operator_degrees is real
+    monkeypatch.setattr(trilie, "operator_degrees", lambda g: [real(g)[0] + g.degrees["L"][1]] + real(g)[1:])
     code, rep = run_typeIII_in_process(tmp_path)
     assert code == 1 and rep["status"] == "fail"
     passing = typeIII_report[1]["checks"]
     assert rep["checks"] == {key: not key.endswith("_center_orbit_same_E_and_tri") for key in passing}
     assert len(passing) == 13 and all(v is True for v in passing.values())
+
+
+def test_typeIII_suite_solves_no_tri(tmp_path, monkeypatch):
+    # the center-orbit decision reads the operator degrees; it neither
+    # solves tri(S) nor splits it
+    from triality import trilie
+
+    calls = []
+    for name in ("tri_basis", "_homogeneous_pieces"):
+        real = getattr(trilie, name)
+        monkeypatch.setattr(trilie, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    code, _rep = run_typeIII_in_process(tmp_path)
+    assert code == 0 and calls == []
 
 
 def test_unknown_suite_is_refused_before_the_models_are_built(monkeypatch, capsys):

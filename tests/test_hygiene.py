@@ -465,3 +465,48 @@ class Leftover(ValueError):
     # a load on another receiver may be of either class, so it reads both
     other = ast.parse("def f(x):\n    return x.V\n")
     assert unread_fields(package, [*package.values(), other]) == []
+
+
+def literal_true_checks(tree):
+    """(line, function) for every literal True that a module-level
+    `_suite_*` function stores as a check value: assigned to a subscript,
+    held in a dict display, passed as the value of `dict.fromkeys` or as a
+    keyword of `update`."""
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")):
+            continue
+        for node in ast.walk(fn):
+            values = []
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Subscript) for t in node.targets):
+                values = [node.value]
+            elif isinstance(node, ast.Dict):
+                values = node.values
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "fromkeys":
+                    values = node.args[1:]
+                elif node.func.attr == "update":
+                    values = [k.value for k in node.keywords]
+            if any(isinstance(v, ast.Constant) and v.value is True for v in values):
+                found.append((node.lineno, fn.name))
+    return sorted(found)
+
+
+def test_suite_checks_are_computed():
+    """A check of `verify` reports a decision: no suite writes the literal
+    True for one."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert literal_true_checks(cli) == []
+    source = """
+def _suite_x(args, mod):
+    checks = {"a": True}
+    checks["b"] = True
+    checks["c"] = len(mod) == 2
+    checks.update(dict.fromkeys(["d"], True), e=True)
+    return checks
+
+
+def helper():
+    return {"f": True}
+"""
+    assert literal_true_checks(ast.parse(source)) == [(3, "_suite_x"), (4, "_suite_x"), (6, "_suite_x"), (6, "_suite_x")]

@@ -202,16 +202,6 @@ def test_induce_coarsen_functorial(fines, trial_zorn):
     assert a.degree_map_equal(b)
 
 
-def test_center_orbit_same_E_grading(fines, tri_okubo):
-    # the four orbit gradings share the degree map on elementary operators
-    from triality.trilie import center_orbit
-
-    built = fines["okubo"]
-    orbit = center_orbit(built.grading, tri_okubo)
-    base = orbit[0]["e_degrees"]
-    assert all(r["e_degrees"] == base for r in orbit)
-
-
 def test_verify_grading_catches_corrupted_involution(fines, trial_zorn):
     # one extra entry in one row of sigma, pointing at an operator of
     # another degree, is the one violation of the induced Cartan E grading

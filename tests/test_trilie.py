@@ -1,17 +1,23 @@
+import copy
+
 import pytest
 
+from triality import trilie
 from triality.fgab import GroupHom, make_group, quotient
 from triality.grading import Grading, coarsen, verify_grading
-from triality.linalg import echelon_from
+from triality.linalg import axpy, echelon_from
 from triality.trilie import (
     TrialityError,
+    _homogeneous_pieces,
+    center_elements,
     center_orbit,
+    component_spans,
     cyclic_shift_closed,
     der_cyclic,
     graded_module_check,
     induce_tri_grading,
     is_d4_cartan_matrix,
-    orbit_induces_identical,
+    operator_degrees,
     orbit_pairwise_distinct,
     root_datum,
     tri_basis,
@@ -212,12 +218,109 @@ def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
     assert not graded_module_check(built.grading, moved)
 
 
-def test_center_orbit(fines, tri_okubo):
+def oracle_e_degree_map(grading, spans):
+    """Degree of every elementary operator of End_L(V) with respect to a
+    component decomposition of V, by exact membership: the operator maps
+    each component into exactly one component, with a shift independent of
+    the component.  Raises if no consistent shift exists."""
+    V = grading.structure
+    G = grading.group
+    one = V.field.one
+    bases = [(g, ech.basis()) for g, ech in spans.items()]
+    out = []
+    for pos, guess_el in enumerate(operator_degrees(grading)):
+        guess = guess_el.canonical()
+        shift = None
+        for g, rows in bases:
+            img_vecs = [img for img in (trilie.apply_deltas(V, {pos: one}, row) for row in rows) if img]
+            if not img_vecs:
+                continue
+            target = spans.get((guess_el + G.element(g)).canonical())
+            if target is None or not all(target.contains(v) for v in img_vecs):
+                # fall back to scanning every component
+                target_g = next((g2 for g2, ech2 in spans.items() if all(ech2.contains(v) for v in img_vecs)), None)
+                if target_g is None:
+                    raise TrialityError(f"operator at delta position {pos} is not homogeneous")
+                found = (G.element(target_g) - G.element(g)).canonical()
+            else:
+                found = guess
+            if shift is None:
+                shift = found
+            elif shift != found:
+                raise TrialityError(f"operator at delta position {pos} has inconsistent degree")
+        out.append(shift if shift is not None else guess)
+    return out
+
+
+def oracle_center_orbit(grading, tri):
+    """The four-fold computation: for each l of the center, the operator
+    degrees and the tri(S) components induced by l . Gamma, each computed
+    afresh."""
+    results = []
+    for l_elt in center_elements(grading.structure.L):
+        spans = component_spans(grading, l_elt)
+        e_deg = oracle_e_degree_map(grading, spans)
+        buckets = _homogeneous_pieces(tri, e_deg, "center-orbit piece leaves tri(S)")
+        tri_comps = {g: echelon_from(tri.field, pieces).canonical() for g, pieces in buckets.items()}
+        results.append({"spans": spans, "e_degrees": e_deg, "tri_components": tri_comps})
+    return results
+
+
+def oracle_induces_identical(results):
+    base = results[0]
+    return all(r["e_degrees"] == base["e_degrees"] and r["tri_components"] == base["tri_components"] for r in results[1:])
+
+
+def test_center_orbit(fines):
+    # the decision made once agrees with the four recomputations, and each
+    # regrading induces the operator degrees of the grading itself
+    for built in fines.values():
+        oracle = oracle_center_orbit(built.grading, tri_basis(built.V.S))
+        same, orbit = center_orbit(built.grading)
+        assert len(orbit) == 4
+        assert (same, orbit_pairwise_distinct(orbit)) == (
+            oracle_induces_identical(oracle),
+            orbit_pairwise_distinct([r["spans"] for r in oracle]),
+        ) == (True, True)
+        degrees = [d.canonical() for d in operator_degrees(built.grading)]
+        assert all(r["e_degrees"] == degrees for r in oracle)
+
+
+def test_center_orbit_mutants(fines, monkeypatch):
     built = fines["okubo"]
-    orbit = center_orbit(built.grading, tri_okubo)
-    assert len(orbit) == 4
-    assert orbit_pairwise_distinct(orbit)
-    assert orbit_induces_identical(orbit)
+    grading, V = built.grading, built.V
+    real_apply, real_degrees = trilie.apply_deltas, trilie.operator_degrees
+
+    def on_xi2(col, scale):
+        # the rule on s_r (x) xi^2 moved to the column col and scaled:
+        # neither mutant is L-linear, and the second keeps every degree
+        def rule(W, x, vec):
+            out = {}
+            for i, c in vec.items():
+                q, j = W.split(i)
+                image = real_apply(W, x, {W.idx(q, col if j == 2 else j): W.field.one})
+                axpy(out, c * W.field.scalar(scale) if j == 2 else c, image)
+            return out
+
+        return rule
+
+    for rule in (on_xi2(0, 1), on_xi2(2, -1)):
+        with monkeypatch.context() as m:
+            m.setattr(trilie, "apply_deltas", rule)
+            assert center_orbit(grading)[0] is False
+    with monkeypatch.context() as m:
+        m.setattr(trilie, "operator_degrees", lambda g: [real_degrees(g)[0] + built.params.h] + real_degrees(g)[1:])
+        assert center_orbit(grading)[0] is False
+    assert center_orbit(grading)[0] is True
+    # one doubled product constant keeps every degree, so the grading still
+    # verifies, but multiplication by the center no longer is an automorphism
+    bad = copy.copy(V)
+    key = min(V.mul)
+    bad.mul = {**V.mul, key: {k: c + c for k, c in V.mul[key].items()}}
+    bad_grading = Grading(bad, grading.group, grading.degrees)
+    assert verify_grading(bad_grading).ok
+    with pytest.raises(TrialityError, match="center element is not an automorphism"):
+        center_orbit(bad_grading)
 
 
 def test_induced_grading_verifies_and_counts(fines, tri_okubo):
