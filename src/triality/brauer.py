@@ -406,27 +406,33 @@ def _index_masks(n, vec):
 
 def related_triple(adapted_coarse, S) -> RelatedTriple:
     """Propagate a Type I grading on tri(S) to End_F(S) through each of the
-    three component projections: seed with the projected homogeneous
-    derivations, close under products until the 64-dimensional algebra is
-    exhausted, and check that the degree assignment is consistent (the
-    component spans are independent) and sigma_n-stable.  adapted_coarse
-    pairs each degree with a vector of End(S)^3 in triple coordinates
-    (trilie); block comp of it is the comp-th projection, a flat matrix.
-    Products are taken with linalg.compose, and only for pairs of matrices
-    where the columns of the left one meet the rows of the right one; the
-    others are 0.
+    three component projections, and check that the degree assignment is
+    consistent (the component spans are independent) and sigma_n-stable.
+    adapted_coarse pairs each degree with a vector of End(S)^3 in triple
+    coordinates (trilie); block comp of it is the comp-th projection, a
+    flat matrix.  Products are taken with linalg.compose, and only for
+    pairs of matrices where the columns of the left one meet the rows of
+    the right one; the others are 0.
 
-    The closure stops once the span ranks add up to n*n.  Each span is an
-    Echelon, whose reduced row echelon form is determined by the span, so
-    the adapted rows, and with them the table, the involution and the
-    degrees, are those of the full closure whenever the full closure would
-    also end at n*n.  If it would grow a span further, the stopped spans
-    are dependent, which the union rank check refuses, or independent with
-    some product s v (s a seed, v in a span) outside the span of its degree,
-    which the table refuses: the product of rows of degrees g1 and g2 is
-    written over the rows of degree g1 + g2 only (grading.AdaptedRows), and
-    raises BrauerError outside their span, as does a sigma_n image outside
-    the span of its row's degree."""
+    The seeds, the projected derivations that grow the span of their
+    degree, are a homogeneous basis s_1, ..., s_m of the projection of
+    tri(S), which is so(S, n) by local triality.  As s_j s_i = s_i s_j -
+    [s_i, s_j], with the bracket in the seed span of degree g_i + g_j, the
+    seeds and the products s_i s_j, i <= j, span so + so.so = End(S)
+    (n >= 3).  They are inserted until the span ranks add up to n*n; if
+    they fall short (the input is not all of tri(S)), the propagation is
+    refused.
+
+    Each span is an Echelon, whose reduced row echelon form is determined
+    by the span, so the adapted rows, the table, the involution and the
+    degrees (as group elements) do not depend on the order of insertion.
+    Independent spans (the union rank check) adding up to n*n and closed
+    under products (the table: the product of rows of degrees g1 and g2 is
+    written over the rows of degree g1 + g2 only, grading.AdaptedRows, and
+    raises BrauerError outside their span) grade End(S), the algebra the
+    seeds generate, with every seed homogeneous; so they are the
+    components of the closure of the seeds under all products.  A sigma_n
+    image outside the span of its row's degree is refused as well."""
     F = S.field
     n = S.dim
     G = adapted_coarse[0][0].group
@@ -435,10 +441,8 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
     Gram = to_flat(Gram)
     out_algs, out_grads = [], []
     for comp in range(3):
-        # the words in the seeds span the generated algebra: every element
-        # that grows a span is multiplied on the left by each seed once
         # spans and degree sums are keyed by canonical coordinates; degree
-        # keeps the group element of the first nonzero product of each
+        # keeps the group element of the first seed or nonzero product of each
         spans, degree, sums = {}, {}, {}
         seeds = []
         for g, trip in adapted_coarse:
@@ -447,28 +451,25 @@ def related_triple(adapted_coarse, S) -> RelatedTriple:
                 key = g.canonical()
                 degree.setdefault(key, g)
                 if spans.setdefault(key, Echelon(F)).insert(vec):
-                    seeds.append((g, key, vec, _index_masks(n, vec)[1]))
+                    seeds.append((g, key, vec, *_index_masks(n, vec)))
         total = len(seeds)
-        work = [(g, key, vec) for g, key, vec, _cols in seeds]
-        while work and total < n * n:
-            g1, k1, v1 = work.pop()
-            rows1 = _index_masks(n, v1)[0]
-            for g2, k2, s, cols in seeds:
-                if not cols & rows1:
-                    continue
-                pv = compose(s, v1, n)
-                if not pv:
-                    continue
-                kk = sums.get((k2, k1))
-                if kk is None:
-                    kk = sums[(k2, k1)] = (g2 + g1).canonical()
-                if kk not in degree:
-                    degree[kk] = g2 + g1
-                if spans.setdefault(kk, Echelon(F)).insert(pv):
-                    work.append((g2 + g1, kk, pv))
-                    total += 1
-                    if total == n * n:
-                        break
+        # s_i s_j, i <= j, row j of the triangle after row j - 1
+        pairs = ((a, b) for j, b in enumerate(seeds) for a in seeds[: j + 1])
+        for (g1, k1, s1, _rows1, cols1), (g2, k2, s2, rows2, _cols2) in pairs:
+            if total == n * n:
+                break
+            if not cols1 & rows2:
+                continue
+            pv = compose(s1, s2, n)
+            if not pv:
+                continue
+            kk = sums.get((k1, k2))
+            if kk is None:
+                kk = sums[(k1, k2)] = (g1 + g2).canonical()
+            if kk not in degree:
+                degree[kk] = g1 + g2
+            if spans.setdefault(kk, Echelon(F)).insert(pv):
+                total += 1
         if total != n * n:
             raise BrauerError(f"propagation reached dimension {total}, expected {n * n}")
         union = Echelon(F)

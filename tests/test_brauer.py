@@ -243,25 +243,19 @@ def test_related_triple_rejects_corrupted_degree(fines):
         related_triple(coarse, built.V.S)
 
 
-def test_related_triple_from_trivial_grading(field, mod, tri_zorn):
-    T = make_group(0, [])
-    adapted = [(T.identity(), vec) for vec in tri_zorn.vectors]
-    triple = related_triple(adapted, mod["para_zorn"])
+def test_related_triple_from_trivial_grading(field, fines, mod, tri_zorn):
+    triple = related_triple(*related_input("trivial", fines, mod, tri_zorn))
     for alg, gr in zip(triple.algebras, triple.gradings):
         assert len(gr.components()) == 1
         dp = division_params(alg, gr)
         assert dp.trivial
 
 
-def test_cartan_type_I_elementary(field, fines, tri_zorn):
+def test_cartan_type_I_elementary(field, fines, mod, tri_zorn):
     # over G/<h> = Z^2, not the record's Brauer quotient, which quotients the
     # free directions away as well and leaves the trivial group: a
     # torsion-free grading group must by itself force T trivial
-    built = fines["cartan"]
-    _gt, adapted = induce_tri_grading(built.grading, tri_zorn)
-    G = built.params.group
-    _Q, pr = quotient(G, [built.params.h])
-    triple = related_triple([(pr(g), t) for g, t in adapted], built.V.S)
+    triple = related_triple(*related_input("cartan", fines, mod, tri_zorn))
     for alg, gr in zip(triple.algebras, triple.gradings):
         dp = division_params(alg, gr)
         assert dp.trivial  # torsion-free support forces T trivial
@@ -298,6 +292,21 @@ def coarse_adapted(built):
     return [(pr(g), t) for g, t in adapted]
 
 
+def related_input(kind, fines, mod, tri_zorn):
+    """(adapted, S) for related_triple: the okubo and z2cubed fine gradings
+    over their Brauer quotients, the cartan fine grading over G/<h> = Z^2,
+    and the trivial grading on para-Zorn."""
+    if kind == "trivial":
+        T = make_group(0, [])
+        return [(T.identity(), vec) for vec in tri_zorn.vectors], mod["para_zorn"]
+    built = fines[kind]
+    if kind != "cartan":
+        return coarse_adapted(built), built.V.S
+    _gt, adapted = induce_tri_grading(built.grading, tri_zorn)
+    _Q, pr = quotient(built.params.group, [built.params.h])
+    return [(pr(g), t) for g, t in adapted], built.V.S
+
+
 def full_closure_rows(adapted, S, comp):
     """(degree, row) of the adapted basis of the comp-th related algebra,
     from the closure run until no product grows a span: every element that
@@ -319,19 +328,19 @@ def full_closure_rows(adapted, S, comp):
     return [(g, row) for g in sorted(spans, key=GroupElem.canonical) for row in spans[g].basis()]
 
 
-@pytest.mark.parametrize("kind", ["okubo", "z2cubed"])
-def test_related_tables_equal_full_closure(kind, fines, okubo_triple, z2cubed_triple):
-    # the closure of related_triple stops at full rank; its tables are those
-    # of the rows of the full closure, read off by linear combinations
-    built = fines[kind]
-    S, F, n = built.V.S, built.V.S.field, built.V.S.dim
-    triple = okubo_triple if kind == "okubo" else z2cubed_triple
-    adapted = coarse_adapted(built)
+@pytest.mark.parametrize("kind", ["okubo", "z2cubed", "cartan", "trivial"])
+def test_related_tables_equal_full_closure(kind, fines, mod, tri_zorn):
+    # related_triple inserts seed pair products until full rank; its tables
+    # are those of the rows of the full closure, read off by linear
+    # combinations, and its degrees are the full closure's
+    adapted, S = related_input(kind, fines, mod, tri_zorn)
+    F, n = S.field, S.dim
+    triple = related_triple(adapted, S)
     Gram = [[S.forms["n"].get((i, j), F.zero) for j in range(n)] for i in range(n)]
     Ginv, Gram = to_flat(invert_dense(F, Gram)), to_flat(Gram)
     for comp, (A, gr) in enumerate(zip(triple.algebras, triple.gradings)):
         degs, rows = zip(*full_closure_rows(adapted, S, comp))
-        assert degs == tuple(gr.degrees["A"])
+        assert degs == tuple(gr.degrees["A"]), (kind, comp)
 
         def combination(coords):
             out = {}
@@ -479,24 +488,49 @@ def test_generator_path_loses_no_mutant(field, okubo_triple):
         caught += oracle
     assert caught == 28
 
-# per component: 1,028 closure products (1,792 without the stop at full
-# rank), the 512 pairs of the 64 x 64 table whose inner matrix indices meet
-# (the other 3,584 products are 0 and not formed) and two products for each
-# of the 64 involution images; none of them is 0
-COMPOSE_CALLS = 3 * (1028 + 512 + 2 * 64)
+# per component: 207 seed pair products s_i s_j, i <= j, up to full rank
+# (the work-stack closure formed 1,028, and 1,792 without the stop), the 512
+# pairs of the 64 x 64 table whose inner matrix indices meet (the other
+# 3,584 products are 0 and not formed) and two products for each of the 64
+# involution images; none of them is 0
+COMPOSE_CALLS = 3 * (207 + 512 + 2 * 64)
+
+
+def related_products(monkeypatch, adapted, S):
+    """Every product related_triple forms, counted through the module
+    global compose."""
+    import triality.brauer as brauer
+
+    products = []
+    monkeypatch.setattr(brauer, "compose", lambda A, B, n: products.append(compose(A, B, n)) or products[-1])
+    related_triple(adapted, S)
+    return products
 
 
 def test_related_triple_compose_count(fines, monkeypatch):
-    # the work of one Okubo related triple over G/<h>, counted through the
-    # module global
-    import triality.brauer as brauer
-
-    adapted = coarse_adapted(fines["okubo"])
-    products = []
-    monkeypatch.setattr(brauer, "compose", lambda A, B, n: products.append(compose(A, B, n)) or products[-1])
-    related_triple(adapted, fines["okubo"].V.S)
+    # the work of one Okubo related triple over G/<h>
+    products = related_products(monkeypatch, coarse_adapted(fines["okubo"]), fines["okubo"].V.S)
     assert len(products) == COMPOSE_CALLS
     assert all(products)
+
+
+def test_related_pair_pass_forms_no_product_the_masks_rule_out(fines, mod, tri_zorn, monkeypatch):
+    # the trivial grading on para-Zorn, whose seeds are sparser matrices: 149
+    # seed pair products per component are formed, and 302 pairs in all
+    # whose index masks do not meet are not; then the 512 table pairs and
+    # the 64 involution images per component
+    products = related_products(monkeypatch, *related_input("trivial", fines, mod, tri_zorn))
+    assert len(products) == 3 * (149 + 512 + 2 * 64)
+    assert all(products)
+
+
+def test_related_triple_refuses_a_partial_seed_set(fines):
+    # five seeds and their 15 pair products span at most 20 < 64 dimensions:
+    # the pair pass relies on the rank count when the input is not all of
+    # tri(S)
+    built = fines["okubo"]
+    with pytest.raises(BrauerError, match="propagation reached dimension"):
+        related_triple(coarse_adapted(built)[:5], built.V.S)
 
 
 def in_key_order(table):
