@@ -4,11 +4,11 @@ A graded division algebra over an algebraically closed-enough field is a
 twisted group algebra F^tau T, classified by its support T and the
 alternating bicharacter beta(s,t) with X_s X_t = beta(s,t) X_t X_s.  This
 module constructs F^tau T from (T, beta) via a symplectic-style
-decomposition, recovers (T, beta) from a graded matrix algebra by an
-idempotent cut D = eps A eps, propagates a Type I grading on tri(S) to the
-three 8-dimensional representations (the related triple), and verifies the
-Brauer-class relations [E_i]^2 = 1, [E_1] = [E_2][E_3] through commutation
-factors.
+decomposition, reads (T, beta) of a graded matrix algebra off the units of
+its generating characters (their degrees and commutation factors),
+propagates a Type I grading on tri(S) to the three 8-dimensional
+representations (the related triple), and verifies the Brauer-class
+relations [E_i]^2 = 1, [E_1] = [E_2][E_3] through commutation factors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fgab import AbGroup, Character, GroupElem, characters, subgroup_generated, quotient, subgroup_elements
+from .fgab import AbGroup, Character, GroupElem, characters, subgroup_generated, quotient
 from .grading import AdaptedRows, Grading, StructAlgebra, verify_grading
 from .linalg import Echelon, Residues, axpy, compose, echelon_from, grouped, invert_dense, kernel, to_flat
 
@@ -212,6 +212,7 @@ class DivisionParams:
     support_group: AbGroup       # canonical form of T
     support: frozenset           # canonical coordinates of T inside G
     beta: dict                   # (s, t) canonical pairs -> CycloScalar
+    expo: dict                   # (i, j), i < j -> zeta exponent of c(chi_i, chi_j)
 
     @property
     def trivial(self) -> bool:
@@ -223,81 +224,6 @@ class DivisionParams:
     def beta_pm1(self, field) -> bool:
         one = field.one
         return all(v == one or v == -one for v in self.beta.values())
-
-
-def primitive_idempotent(A: StructAlgebra, e_indices):
-    """A primitive idempotent of the identity component, found through a
-    minimal left ideal: for x in a minimal left ideal I of A_e with
-    x^2 != 0, right multiplication by x is A_e-linear on I, hence a scalar
-    lambda when the component is split, and eps = x / lambda."""
-    F = A.field
-    sub_idx = list(e_indices)
-    pos = {b: i for i, b in enumerate(sub_idx)}
-
-    def to_sub(vec):
-        out = {}
-        for b, c in vec.items():
-            if b not in pos:
-                raise BrauerError("product left the identity component")
-            out[pos[b]] = c
-        return out
-
-    def to_full(vec):
-        return {sub_idx[i]: c for i, c in vec.items()}
-
-    def left_ideal(x_sub):
-        ech = Echelon(F)
-        work = [x_sub] if ech.insert(x_sub) else []
-        while work:
-            v = to_full(work.pop())
-            for b in sub_idx:
-                img = to_sub(A.product(A.basis_vec(b), v))
-                if img and ech.insert(img):
-                    work.append(img)
-        return ech
-
-    current = left_ideal({0: F.one})
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for row in current.basis():
-            cand = left_ideal(row)
-            if 0 < cand.rank < current.rank:
-                current = cand
-                shrinking = True
-                break
-    ideal_basis = current.basis()
-    for y in ideal_basis + [_sub_add(ideal_basis)]:
-        yy = to_sub(A.product(to_full(y), to_full(y)))
-        if not yy:
-            continue
-        # right multiplication by y on the ideal must be the scalar yy/y
-        lam = None
-        ok = True
-        for row in ideal_basis:
-            img = to_sub(A.product(to_full(row), to_full(y)))
-            lam_here = _proportionality(F, img, row)
-            if lam_here is None:
-                ok = False
-                break
-            if lam is None and not lam_here.is_zero():
-                lam = lam_here
-            elif lam is not None and not lam_here.is_zero() and lam_here != lam:
-                ok = False
-                break
-        if not ok or lam is None or lam.is_zero():
-            continue
-        eps = {i: c / lam for i, c in to_full(y).items()}
-        if A.product(eps, eps) == eps and eps:
-            return eps
-    raise BrauerError("no split primitive idempotent found (field too small?)")
-
-
-def _sub_add(rows):
-    acc = {}
-    for r in rows:
-        axpy(acc, None, r)
-    return acc
 
 
 def _proportionality(F, img, base):
@@ -316,72 +242,64 @@ def _proportionality(F, img, base):
     return lam
 
 
-def graded_simple_check(A: StructAlgebra):
-    """Desk-scale check: the two-sided ideal generated by the first
-    homogeneous basis element is everything.  It returns as soon as the
-    ideal has full rank."""
-    ideal = Echelon(A.field)
-    work = [A.basis_vec(0)]
-    while work:
-        v = work.pop()
-        for i in range(A.dim):
-            bi = A.basis_vec(i)
-            for x, y in ((bi, v), (v, bi)):
-                pv = A.product(x, y)
-                if ideal.insert(pv):
-                    if ideal.rank == A.dim:
-                        return
-                    work.append(pv)
-    raise BrauerError("algebra is not graded simple at desk scale")
+def _pairing(expo, x, y):
+    """The zeta exponent of c(prod chi_i^x_i, prod chi_j^y_j) =
+    prod_{i<j} c_ij^(x_i y_j - x_j y_i), from the exponents of the c_ij."""
+    return sum(e * (x[i] * y[j] - x[j] * y[i]) for (i, j), e in expo.items())
 
 
 def division_params(A: StructAlgebra, grading: Grading) -> DivisionParams:
-    """(T, beta) of the graded division algebra D = eps A eps for a
-    primitive idempotent eps of the identity component."""
+    """(T, beta) of the graded division algebra D with A = End_D(W), read
+    off the units u_i of the generating characters chi_i of the torsion
+    part of G (exps e_i, one per invariant factor, trivial on the free
+    part), each the one kernel line of its system (_solve_character_unit).
+
+    - The unit system is graded (the degree-g part of a solution solves
+      it), so its single kernel line is homogeneous; a unit whose entries
+      do not all share one degree is refused.  Let t_chi be its degree.
+    - chi -> t_chi is a homomorphism: for A associative (products of
+      matrices; ROADMAP item 9), u_chi u_psi is invertible and solves the
+      system of chi psi, so it is that unit up to a scalar.  As u_i^d_i is
+      the unit of the trivial character, of degree 0, the t_x = sum x_i t_i,
+      x_i < d_i, are the subgroup the t_i generate.
+    - related_triple's checks make each related algebra End(S), so
+      A = End_D(W), W a graded D-module with a homogeneous D-basis of
+      degrees g_1, ..., g_k, and beta nondegenerate on T.  There
+      u_chi = diag(chi(g_i)) (x) X_t with beta(t, .) = chi restricted to T;
+      every character of T extends to G, so T = {t_chi}, and as diagonal
+      matrices commute, beta(t_chi, t_psi) = c(chi, psi), the commutation
+      factor u_chi u_psi = c u_psi u_chi.
+    - When G has no torsion there is no generating character and T = 1: a
+      finite support lies in the torsion part.
+
+    beta is read from the exponents e_ij of c_ij = c(chi_i, chi_j), i < j,
+    the table verify_brauer_relations decides its relations on:
+    beta(t_x, t_y) = zeta^_pairing(e, x, y), x the first exps of its t_x.
+    That is well defined: the unit system at the homogeneous u_psi gives
+    c(chi, psi) = chi(t_psi), so the pairing of x and y is chi_x(t_y) =
+    chi_y(t_x)^-1, which depends on t_x and t_y only."""
     F = A.field
     G = grading.group
-    graded_simple_check(A)
-    comps = grading.components("A")
-    e_can = G.identity().canonical()
-    e_indices = comps.get(e_can)
-    if not e_indices:
-        raise BrauerError("identity component is zero")
-    eps = primitive_idempotent(A, e_indices)
-    # cut every component
-    cut = {}
-    for g, idxs in comps.items():
-        ech = Echelon(F)
-        for i in idxs:
-            v = A.product(eps, A.product(A.basis_vec(i), eps))
-            if v:
-                ech.insert(v)
-        if ech.rank > 1:
-            raise BrauerError("eps A eps is not graded division (component of dim > 1)")
-        if ech.rank == 1:
-            cut[g] = ech.basis()[0]
-    support = frozenset(cut)
-    T_group, _incl = subgroup_generated(G, [G.element(g) for g in support])
-    if frozenset(x for x in subgroup_elements([G.element(g) for g in support])) != support:
-        raise BrauerError("division support is not a subgroup")
-    # invertibility inside D and the commutation bicharacter
-    beta = {}
-    for s, Xs in cut.items():
-        minus = (-G.element(s)).canonical()
-        prod = A.product(Xs, cut[minus])
-        lam = _proportionality(F, prod, cut[e_can])
-        if lam is None or lam.is_zero():
-            raise BrauerError("homogeneous element of D is not invertible")
-    for s, Xs in cut.items():
-        for t, Xt in cut.items():
-            st = (G.element(s) + G.element(t)).canonical()
-            fwd = A.product(Xs, Xt)
-            bwd = A.product(Xt, Xs)
-            lf = _proportionality(F, fwd, cut[st])
-            lb = _proportionality(F, bwd, cut[st])
-            if lf is None or lb is None or lf.is_zero() or lb.is_zero():
-                raise BrauerError("division product left its component")
-            beta[(s, t)] = lf / lb
-    return DivisionParams(T_group, support, beta)
+    N = F.conductor
+    if any(N % d for d in G.torsion):
+        raise BrauerError(f"the field conductor {N} does not provide the characters of {G}")
+    degs = grading.degrees["A"]
+    r = len(G.torsion)
+    units, t = [], []
+    for i in range(r):
+        u = _solve_character_unit(A, grading, Character(G, F, tuple(int(k == i) for k in range(r))))
+        t.append(degs[min(u)])
+        if any(degs[a] != t[-1] for a in u):
+            raise BrauerError("character unit is not homogeneous")
+        units.append(u)
+    pairs = itertools.combinations(range(r), 2)
+    expo = {(i, j): _value_to_exponent(F, commutation_factor(A, units[i], units[j])) for i, j in pairs}
+    pre = {}
+    for x in itertools.product(*(range(d) for d in G.torsion)):
+        pre.setdefault(sum((c * g for c, g in zip(x, t)), G.identity()).canonical(), x)
+    T_group, _incl = subgroup_generated(G, t)
+    beta = {(s, v): F.zeta(_pairing(expo, x, y)) for s, x in pre.items() for v, y in pre.items()}
+    return DivisionParams(T_group, frozenset(pre), beta, expo)
 
 
 # ---------------------------------------------------------- related triples
@@ -519,8 +437,8 @@ def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     """The unit u of chi: u a = chi(deg a) a u for every basis element a.
     The kernel of this system must be one line, spanned by an invertible u.
     An invertible solution u makes the kernel u Z(A), Z(A) the centre of A,
-    so the one line is the statement Z(A) = F that verify_brauer_relations
-    rests on."""
+    so the one line is the statement Z(A) = F that division_params rests
+    on."""
     F = A.field
     mul = A.mul
     negs = [-chi(g) for g in grading.degrees["A"]]
@@ -560,7 +478,9 @@ def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     """[E_i]^2 = 1 (elementary 2-torsion supports, +-1-valued betas) and
     [E_1] = [E_2][E_3] via commutation factors, decided on the generating
     characters chi_i of the finite grading group (exps e_i, one per
-    invariant factor).
+    invariant factor).  Both are read off the division_params of the three
+    algebras, which solve the units u_i and their factors c_ij; nothing is
+    solved here.
 
     Only the units u_i of the chi_i are solved in each algebra A, each the
     one kernel line of its system and invertible, so the centre of A is F
@@ -570,10 +490,10 @@ def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     u_chi u_psi u_chi^-1 solves that of psi, so u_chi u_psi =
     c(chi, psi) u_psi u_chi, with c an alternating bicharacter
     (c(chi chi', psi) = c(chi, psi) c(chi', psi) from u_chi u_chi' u_psi).
-    With c_ij = c(chi_i, chi_j), a root of unity read as a zeta exponent,
-    c(prod chi_i^x_i, prod chi_j^y_j) = prod_{i<j} c_ij^(x_i y_j - x_j y_i),
-    so c_1 = c_2 c_3 holds on every character pair exactly when it holds on
-    the generator pairs.  details["factors"] holds c on every pair, in the
+    With c_ij = c(chi_i, chi_j), a root of unity read as a zeta exponent
+    (DivisionParams.expo), c(prod chi_i^x_i, prod chi_j^y_j) =
+    prod_{i<j} c_ij^(x_i y_j - x_j y_i) (_pairing), so c_1 = c_2 c_3 holds
+    on every character pair exactly when it holds on the generator pairs.  details["factors"] holds c on every pair, in the
     order of fgab.characters, one value per algebra."""
     G = triple.gradings[0].group
     if not G.is_finite():
@@ -581,21 +501,11 @@ def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     params = [division_params(a, g) for a, g in zip(triple.algebras, triple.gradings)]
     elem2 = all(p.elementary_2() for p in params)
     pm1 = all(p.beta_pm1(field) for p in params)
-    chars = characters(G, field)
-    r = len(G.torsion)
-    gens = [Character(G, field, tuple(int(k == i) for k in range(r))) for i in range(r)]
-    pairs = list(itertools.combinations(range(r), 2))
-    expo = []  # per algebra: (i, j) -> the zeta exponent of c_ij
-    for A, gr in zip(triple.algebras, triple.gradings):
-        u = [_solve_character_unit(A, gr, chi) for chi in gens]
-        expo.append({(i, j): _value_to_exponent(field, commutation_factor(A, u[i], u[j])) for i, j in pairs})
-    e1, e2, e3 = expo
-    product_ok = all((e1[p] - e2[p] - e3[p]) % field.conductor == 0 for p in pairs)
+    e1, e2, e3 = (p.expo for p in params)
+    product_ok = all((e1[p] - e2[p] - e3[p]) % field.conductor == 0 for p in e1)
     factors = {}
-    for c1, c2 in itertools.combinations(chars, 2):
-        x, y = c1.exps, c2.exps
-        minor = {(i, j): x[i] * y[j] - x[j] * y[i] for i, j in pairs}
-        factors[(x, y)] = [field.zeta(sum(ex[p] * minor[p] for p in pairs)).to_strings() for ex in expo]
+    for c1, c2 in itertools.combinations(characters(G, field), 2):
+        factors[(c1.exps, c2.exps)] = [field.zeta(_pairing(p.expo, c1.exps, c2.exps)).to_strings() for p in params]
     return BrauerReport(params, elem2, pm1, product_ok, {"factors": factors})
 
 

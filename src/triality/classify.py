@@ -588,10 +588,6 @@ def _conj_tensor_tau_cols(built: BuiltGrading):
     return cols
 
 
-def _tau(L):
-    return lambda l: L.tau(l)
-
-
 def witness_map(case: str, G: AbGroup, conductor: int = 12, **kw) -> dict:
     """Construct and verify the explicit witness behind a similarity
     bullet.  Returns a dict with the built gradings, the map, and the
@@ -611,7 +607,7 @@ def witness_map(case: str, G: AbGroup, conductor: int = 12, **kw) -> dict:
         A = build(h_flips[case](kw["h"]), conductor)
         B = build(h_flips[case](2 * kw["h"]), conductor)
         cols = _conj_tensor_tau_cols(A)
-        rep = verify_graded_iso(cols, _tau(L), A.grading, B.grading, opposite=True)
+        rep = verify_graded_iso(cols, L.tau, A.grading, B.grading, opposite=True)
         return {"A": A, "B": B, "cols": cols, "report": rep, "opposite": True}
     if case == "rank2_shift":
         return _witness_rank2_shift(G, kw["gamma"], kw["h"], conductor)
@@ -759,7 +755,7 @@ def _witness_rank0_flip(G, K, h, conductor):
         for j in range(3):
             i = V.idx(p, j)
             cols[i] = {V.idx(r, (2 * j) % 3): c for r, c in sig[p].items()}
-    rep = verify_graded_iso(cols, _tau(L), A.grading, B.grading, opposite=True)
+    rep = verify_graded_iso(cols, L.tau, A.grading, B.grading, opposite=True)
     return {"A": A, "B": B, "cols": cols, "report": rep, "opposite": True}
 
 

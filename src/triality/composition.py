@@ -22,7 +22,7 @@ from __future__ import annotations
 from .scalars import default_field
 from .fgab import make_group
 from .grading import Grading, Report, StructAlgebra, verify_grading
-from .linalg import Residues, axpy, grouped
+from .linalg import Residues, axpy, echelon_from, grouped
 
 
 class CompositionError(ValueError):
@@ -287,11 +287,10 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
 
 
 def _nonsingular(S) -> bool:
-    from .linalg import det_dense
-
-    n = S.dim
-    gram = [[S.forms["n"].get((i, j), S.field.zero) for j in range(n)] for i in range(n)]
-    return not det_dense(S.field, gram).is_zero()
+    """The Gram matrix of the polar form, row by row from its table, has
+    full rank."""
+    rows = grouped((i, (j, c)) for (i, j), c in S.forms["n"].items())
+    return echelon_from(S.field, [dict(row) for row in rows.values()]).rank == S.dim
 
 
 def _norm_multiplicative(S) -> list:

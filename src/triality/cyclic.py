@@ -307,11 +307,10 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     viol.extend(_polarized_norm_check(V, prod, lbasis))
     viol.extend(_triple_check(V, prod, lbasis))
 
-    # nonsingularity of b_Q over L on the L-basis s_p (x) 1
-    gram = [[V.bform(V.embed(p), V.embed(q)) for q in range(m)] for p in range(m)]
-    # determinant of an L-valued matrix, computed in the commutative ring L
-    det = _l_det(L, gram)
-    if L.scalar_part(L.norm(det)).is_zero():
+    # b_Q is nonsingular over L = F x F x F on the L-basis s_p (x) 1 exactly
+    # when each of its three component Gram matrices has rank m
+    gram = [[L.components(V.bform(V.embed(p), V.embed(q))) for q in range(m)] for p in range(m)]
+    if any(echelon_from(L.field, [{q: row[q][c] for q in range(m)} for row in gram]).rank < m for c in range(3)):
         viol.append(("b_Q_nonsingular", ()))
     return Report(viol, 4 * n * n + m ** 4 + 3 * m ** 3)
 
@@ -418,23 +417,6 @@ def _triple_check(V: CyclicAlgebra, prod, lbasis):
             diff.add((i, j, k, 2), None, {V.idx(p, e + m): -c for m, c in row_2t.items()})
             diff.add((i, j, k, 3), None, {V.idx(p, e + m): -c for m, c in row_t.items()})
     return list(dict.fromkeys((_TRIPLE_NAMES[f], (i, j, k)) for i, j, k, f in diff.uncancelled()))
-
-
-def _l_det(L: CubicEtale, mat):
-    """Determinant over the commutative ring L by cofactor expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = L.zero
-    for j in range(n):
-        if L.is_zero(mat[0][j]):
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = L.mul(mat[0][j], _l_det(L, minor))
-        if j % 2:
-            term = L.smul(L.field.scalar(-1), term)
-        total = L.add(total, term)
-    return total
 
 
 # ------------------------------------------------ gradings on the triple model

@@ -435,7 +435,8 @@ def subgroup_elements(gens) -> frozenset:
 
 
 class Character:
-    """A character of a finite abelian group with root-of-unity values."""
+    """A character of the torsion part of an abelian group, trivial on its
+    free part, with root-of-unity values."""
 
     __slots__ = ("group", "field", "exps")
 
@@ -448,7 +449,7 @@ class Character:
         if g.group != self.group:
             raise ValueError("element not in the group")
         N = self.field.conductor
-        c = g.canonical()
+        c = g.canonical()[self.group.free_rank:]
         total = 0
         for x, e, d in zip(c, self.exps, self.group.torsion):
             total += (N // d) * e * x

@@ -205,27 +205,6 @@ def invert_dense(field, mat):
     return [row[n:] for row in aug]
 
 
-def det_dense(field, mat):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    det = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            if not a[r][col].is_zero():
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def axpy(acc: dict, a, x: dict) -> dict:
     """acc += a x in place, dropping entries that cancel; returns acc.
     a is None adds x unscaled."""

@@ -6,20 +6,21 @@ import pytest
 from triality.brauer import (
     BrauerError,
     RelatedTriple,
+    _proportionality,
     _solve_character_unit,
     check_beta_bar,
     commutation_factor,
     division_params,
     graded_division_from_pair,
-    graded_simple_check,
     related_triple,
     verify_brauer_relations,
 )
 from triality.classify import build, params_r0
-from triality.fgab import GroupElem, characters, make_group, quotient
+from triality.fgab import GroupElem, characters, make_group, quotient, subgroup_elements, subgroup_generated
 from triality.grading import AdaptedRows, Grading, StructAlgebra, verify_grading
 from triality.trilie import TrialityError, _homogeneous_pieces, induce_tri_grading, operator_degrees, tri_basis
 from triality.linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
+from triality.scalars import make_field
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,150 @@ def matrix_units(field, units):
             if j == k:
                 mul[(a, b)] = {index[(i, l)]: field.one}
     return StructAlgebra(field, [f"E{i}{j}" for i, j in units], mul)
+
+
+# -- the idempotent cut D = eps A eps: the oracle for division_params,
+# which reads (T, beta) off the character units.
+
+
+def graded_simple_check(A):
+    """The two-sided ideal generated by the first homogeneous basis element
+    is everything; it returns as soon as the ideal has full rank."""
+    ideal = Echelon(A.field)
+    work = [A.basis_vec(0)]
+    while work:
+        v = work.pop()
+        for i in range(A.dim):
+            bi = A.basis_vec(i)
+            for x, y in ((bi, v), (v, bi)):
+                pv = A.product(x, y)
+                if ideal.insert(pv):
+                    if ideal.rank == A.dim:
+                        return
+                    work.append(pv)
+    raise BrauerError("algebra is not graded simple at desk scale")
+
+
+def primitive_idempotent(A, e_indices):
+    """A primitive idempotent of the identity component, found through a
+    minimal left ideal: for x in a minimal left ideal I of A_e with
+    x^2 != 0, right multiplication by x is A_e-linear on I, hence a scalar
+    lambda when the component is split, and eps = x / lambda."""
+    F = A.field
+    sub_idx = list(e_indices)
+    pos = {b: i for i, b in enumerate(sub_idx)}
+
+    def to_sub(vec):
+        out = {}
+        for b, c in vec.items():
+            if b not in pos:
+                raise BrauerError("product left the identity component")
+            out[pos[b]] = c
+        return out
+
+    def to_full(vec):
+        return {sub_idx[i]: c for i, c in vec.items()}
+
+    def left_ideal(x_sub):
+        ech = Echelon(F)
+        work = [x_sub] if ech.insert(x_sub) else []
+        while work:
+            v = to_full(work.pop())
+            for b in sub_idx:
+                img = to_sub(A.product(A.basis_vec(b), v))
+                if img and ech.insert(img):
+                    work.append(img)
+        return ech
+
+    current = left_ideal({0: F.one})
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for row in current.basis():
+            cand = left_ideal(row)
+            if 0 < cand.rank < current.rank:
+                current = cand
+                shrinking = True
+                break
+    ideal_basis = current.basis()
+    row_sum = {}
+    for row in ideal_basis:
+        axpy(row_sum, None, row)
+    for y in ideal_basis + [row_sum]:
+        yy = to_sub(A.product(to_full(y), to_full(y)))
+        if not yy:
+            continue
+        # right multiplication by y on the ideal must be the scalar yy/y
+        lam = None
+        ok = True
+        for row in ideal_basis:
+            img = to_sub(A.product(to_full(row), to_full(y)))
+            lam_here = _proportionality(F, img, row)
+            if lam_here is None:
+                ok = False
+                break
+            if lam is None and not lam_here.is_zero():
+                lam = lam_here
+            elif lam is not None and not lam_here.is_zero() and lam_here != lam:
+                ok = False
+                break
+        if not ok or lam is None or lam.is_zero():
+            continue
+        eps = {i: c / lam for i, c in to_full(y).items()}
+        if A.product(eps, eps) == eps and eps:
+            return eps
+    raise BrauerError("no split primitive idempotent found (field too small?)")
+
+
+def cut_division_params(A, grading, eps=None):
+    """(T, support, beta) of D = eps A eps, for eps the primitive
+    idempotent of the identity component that primitive_idempotent finds,
+    or the one given."""
+    F = A.field
+    G = grading.group
+    graded_simple_check(A)
+    comps = grading.components("A")
+    e_can = G.identity().canonical()
+    e_indices = comps.get(e_can)
+    if not e_indices:
+        raise BrauerError("identity component is zero")
+    if eps is None:
+        eps = primitive_idempotent(A, e_indices)
+    # cut every component
+    cut = {}
+    for g, idxs in comps.items():
+        ech = Echelon(F)
+        for i in idxs:
+            v = A.product(eps, A.product(A.basis_vec(i), eps))
+            if v:
+                ech.insert(v)
+        if ech.rank > 1:
+            raise BrauerError("eps A eps is not graded division (component of dim > 1)")
+        if ech.rank == 1:
+            cut[g] = ech.basis()[0]
+    support = frozenset(cut)
+    T_group, _incl = subgroup_generated(G, [G.element(g) for g in support])
+    if frozenset(x for x in subgroup_elements([G.element(g) for g in support])) != support:
+        raise BrauerError("division support is not a subgroup")
+    # invertibility inside D and the commutation bicharacter
+    beta = {}
+    for s, Xs in cut.items():
+        minus = (-G.element(s)).canonical()
+        prod = A.product(Xs, cut[minus])
+        lam = _proportionality(F, prod, cut[e_can])
+        if lam is None or lam.is_zero():
+            raise BrauerError("homogeneous element of D is not invertible")
+    for s, Xs in cut.items():
+        for t, Xt in cut.items():
+            st = (G.element(s) + G.element(t)).canonical()
+            fwd = A.product(Xs, Xt)
+            bwd = A.product(Xt, Xs)
+            lf = _proportionality(F, fwd, cut[st])
+            lb = _proportionality(F, bwd, cut[st])
+            if lf is None or lb is None or lf.is_zero() or lb.is_zero():
+                raise BrauerError("division product left its component")
+            beta[(s, t)] = lf / lb
+    return T_group, support, beta
 
 
 def test_graded_simple_check(field):
@@ -126,33 +271,91 @@ def test_division_params_elementary(field):
     assert verify_grading(gr).ok
     dp = division_params(A, gr)
     assert dp.trivial
-    # and the answer does not depend on which primitive idempotent is cut:
-    # E_11 instead of E_00
-    eps2 = {idx[(1, 1)]: field.one}
-    from triality.brauer import DivisionParams
-
-    cut2 = division_params_with_idempotent(A, gr, eps2, field)
-    assert cut2 == dp.support_group
+    # the cut at E_11 instead of the idempotent the oracle finds, E_00, gives
+    # the same answer
+    assert cut_division_params(A, gr, {idx[(1, 1)]: field.one}) == (dp.support_group, dp.support, dp.beta)
 
 
-def division_params_with_idempotent(A, gr, eps, field):
-    """Recompute the support using a caller-chosen primitive idempotent."""
-    G = gr.group
-    comps = gr.components("A")
-    support = set()
-    for g, idxs in comps.items():
-        ech = Echelon(field)
-        for i in idxs:
-            v = A.product(eps, A.product(A.basis_vec(i), eps))
-            if v:
-                ech.insert(v)
-        assert ech.rank <= 1
-        if ech.rank == 1:
-            support.add(g)
-    from triality.fgab import subgroup_generated
+def generalized_pauli(field, orders):
+    """F^tau T, T = prod Z_d over the (even number of) orders, with
+    beta(a, b) = zeta_d on each pair (a, b) of consecutive generators: a
+    graded division algebra with nondegenerate beta, graded by T."""
+    T = make_group(0, orders)
+    N = field.conductor
+    beta = [[field.one] * len(orders) for _ in orders]
+    for a in range(0, len(orders), 2):
+        d = T.torsion[a]
+        beta[a][a + 1], beta[a + 1][a] = field.zeta(N // d), field.zeta(-N // d)
+    return graded_division_from_pair(T, beta, field)
 
-    H, _ = subgroup_generated(G, [G.element(s) for s in support])
-    return H
+
+def with_elementary_m2(D, G, lead, shift):
+    """D (x) M_2(F), graded by G: X_t (x) E_ij in degree t + (i - j) shift,
+    with t in G at the coordinates after the first lead ones."""
+    mul = {}
+    for (a, b), row in D.mul.items():
+        for i, j, l in itertools.product(range(2), repeat=3):
+            mul[(4 * a + 2 * i + j, 4 * b + 2 * j + l)] = {4 * k + 2 * i + l: c for k, c in row.items()}
+    A = StructAlgebra(D.field, [f"{x}E{i}{j}" for x in D.labels for i in range(2) for j in range(2)], mul)
+    degs = []
+    for t in D.elems:
+        coords = (0,) * lead + t.canonical()
+        g = G.element(coords + (0,) * (G.ndim - len(coords)))
+        degs.extend(g + (i - j) * G.element(shift) for i in range(2) for j in range(2))
+    gr = Grading(A, G, {"A": degs})
+    assert verify_grading(gr).ok
+    return A, gr
+
+
+# name -> (orders of T, None or (G, lead, shift) of with_elementary_m2)
+DIVISION_INPUTS = {
+    "pauli Z2^2": ([2, 2], None),
+    "pauli Z3^2": ([3, 3], None),
+    "pauli Z6^2": ([6, 6], None),
+    "pauli Z2^4": ([2, 2, 2, 2], None),
+    "pauli (x) M2 over Z2^3": ([2, 2], (make_group(0, [2, 2, 2]), 0, (0, 0, 1))),
+    "pauli (x) M2 over Z3^3": ([3, 3], (make_group(0, [3, 3, 3]), 0, (0, 0, 1))),
+    "pauli (x) M2 over ZxZ2^2": ([2, 2], (make_group(1, [2, 2]), 1, (1, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", DIVISION_INPUTS)
+def test_division_params_equal_the_cut(name, field, monkeypatch):
+    # T, its support in G and beta, read off the character units, equal
+    # those of the cut; T is the Pauli factor's group, and each generating
+    # character's unit is solved once
+    import triality.brauer as brauer
+
+    orders, m2 = DIVISION_INPUTS[name]
+    D = generalized_pauli(field, orders)
+    A, gr = (D, D.grading) if m2 is None else with_elementary_m2(D, *m2)
+    solved = []
+    solve = brauer._solve_character_unit
+    monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append(chi.exps) or solve(A, g, chi))
+    dp = division_params(A, gr)
+    assert (dp.support_group, dp.support, dp.beta) == cut_division_params(A, gr)
+    assert dp.support_group == make_group(0, orders)
+    assert len(set(solved)) == len(solved) == len(gr.group.torsion)
+
+
+def test_division_params_refuses_an_inhomogeneous_unit(pauli, monkeypatch):
+    # each solved unit plus the identity X_0, entries of two degrees: a
+    # graded unit system has homogeneous kernel lines, so this is refused
+    import triality.brauer as brauer
+
+    solve = brauer._solve_character_unit
+    monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: axpy(dict(solve(A, g, chi)), None, A.basis_vec(0)))
+    with pytest.raises(BrauerError, match="not homogeneous"):
+        division_params(pauli, pauli.grading)
+
+
+def test_division_params_needs_the_characters():
+    # the group algebra of Z2 over Q(zeta_3), which lacks the character of
+    # order 2
+    F3 = make_field(3)
+    A = graded_division_from_pair(make_group(0, [2]), [[F3.one]], F3)
+    with pytest.raises(BrauerError, match="does not provide the characters"):
+        division_params(A, A.grading)
 
 
 def test_commutation_factor_examples(field, pauli):
@@ -381,9 +584,11 @@ def test_character_units_equal_full_system(field, okubo_triple):
 
 def all_characters_relations(triple, field):
     """The decision on every character, kept as the oracle: (factors,
-    squares, product) with a unit for every character of the grading group
-    (the first line of its full system, verified invertible), a commutation
-    factor for every character pair, and [E_1] = [E_2][E_3] on every pair."""
+    squares, product, params) with a unit for every character of the
+    grading group (the first line of its full system, verified invertible),
+    a commutation factor for every character pair, [E_1] = [E_2][E_3] on
+    every pair, and the cut's (T, support, beta) of each algebra, from
+    which [E_i]^2 = 1 is read."""
     chars = characters(triple.gradings[0].group, field)
     units = []
     for A, gr in zip(triple.algebras, triple.gradings):
@@ -401,9 +606,10 @@ def all_characters_relations(triple, field):
         vals = [commutation_factor(A, per[c1], per[c2]) for A, per in zip(triple.algebras, units)]
         factors[(c1.exps, c2.exps)] = [v.to_strings() for v in vals]
         product = product and vals[0] == vals[1] * vals[2]
-    params = [division_params(A, gr) for A, gr in zip(triple.algebras, triple.gradings)]
-    squares = all(p.elementary_2() and p.beta_pm1(field) for p in params)
-    return factors, squares, product
+    params = [cut_division_params(A, gr) for A, gr in zip(triple.algebras, triple.gradings)]
+    one = field.one
+    squares = all(set(T.torsion) <= {2} and all(v == one or v == -one for v in beta.values()) for T, _s, beta in params)
+    return factors, squares, product, params
 
 
 # the four lines k of K = <k1, k2> of a rank-0 grading over Z3^3, as in the
@@ -431,10 +637,11 @@ def brauer_inputs(fines, okubo_triple, z2cubed_triple):
     [("okubo", 6), ("z2cubed", 9), ("cartan", 0)] + [(f"rank0/<h,{a}k1+{b}k2>", 3) for a, b in QUOTIENT_LINES],
 )
 def test_relations_on_generators_equal_all_characters(name, solves, field, brauer_inputs, monkeypatch):
-    # the factors of every character pair (keys, order, values) and both
-    # relation booleans equal the oracle's, from one unit solve per
-    # (algebra, generating character): 3 algebras x the number of
-    # invariant factors of the grading group, Z3^2, Z2^3, trivial and Z3
+    # the factors of every character pair (keys, order, values), both
+    # relation booleans and each algebra's (T, support, beta) equal the
+    # oracle's, from one unit solve per (algebra, generating character): 3
+    # algebras x the number of invariant factors of the grading group,
+    # Z3^2, Z2^3, trivial and Z3
     import triality.brauer as brauer
 
     triple = brauer_inputs[name]
@@ -442,9 +649,10 @@ def test_relations_on_generators_equal_all_characters(name, solves, field, braue
     solve = brauer._solve_character_unit
     monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append((id(A), chi.exps)) or solve(A, g, chi))
     rep = verify_brauer_relations(triple, field)
-    factors, squares, product = all_characters_relations(triple, field)
+    factors, squares, product, params = all_characters_relations(triple, field)
     assert list(rep.details["factors"].items()) == list(factors.items())
     assert (rep.elementary2 and rep.beta_pm1, rep.product_relation) == (squares, product)
+    assert [(p.support_group, p.support, p.beta) for p in rep.params] == params
     assert len(set(solved)) == len(solved) == solves
     assert all(sum(exps) == 1 for _a, exps in solved)  # exps a unit vector
 
@@ -483,7 +691,7 @@ def test_generator_path_loses_no_mutant(field, okubo_triple):
         algebras, gradings = list(okubo_triple.algebras), list(okubo_triple.gradings)
         algebras[1], gradings[1] = bad, Grading(bad, gr.group, gr.degrees)
         mutant = RelatedTriple(algebras, gradings)
-        oracle = rejects(lambda: all(all_characters_relations(mutant, field)[1:]))
+        oracle = rejects(lambda: all(all_characters_relations(mutant, field)[1:3]))
         assert rejects(lambda: verify_brauer_relations(mutant, field).ok()) >= oracle, key
         caught += oracle
     assert caught == 28

@@ -135,7 +135,7 @@ def test_rank2_shift_cuts_once(monkeypatch):
 def test_sigma_tau_needs_opposite_flag():
     # sigma (x) tau reverses the product: without the opposite flag the
     # same map must fail the product check
-    from triality.classify import _conj_tensor_tau_cols, _tau, verify_graded_iso
+    from triality.classify import _conj_tensor_tau_cols, verify_graded_iso
 
     h = G333.element((0, 0, 1))
     g1 = G333.element((1, 0, 0))
@@ -143,7 +143,7 @@ def test_sigma_tau_needs_opposite_flag():
     B = build(params_r4(G333, g1, 2 * h))
     cols = _conj_tensor_tau_cols(A)
     L = models(12)["L"]
-    rep = verify_graded_iso(cols, _tau(L), A.grading, B.grading, opposite=False)
+    rep = verify_graded_iso(cols, L.tau, A.grading, B.grading, opposite=False)
     assert not rep.ok
     assert any(f[0] == "product" for f in rep.violations)
 

@@ -6,7 +6,6 @@ import pytest
 from triality.composition import (
     CompositionError,
     _cube_roots,
-    _nonsingular,
     SymCompAlgebra,
     cartan_grading_cayley,
     cayley_dickson,
@@ -61,7 +60,35 @@ def test_corrupted_hurwitz_product_located(field):
 
 
 # -- the dense checks, a loop over every basis tuple: the oracle for the
-# residue tables of is_hurwitz and is_symmetric_composition.
+# residue tables of is_hurwitz and is_symmetric_composition, and the
+# determinant of the Gram matrix for their rank test of the polar form.
+
+
+def det_dense(field, mat):
+    """Exact determinant by Gaussian elimination."""
+    n = len(mat)
+    a = [list(row) for row in mat]
+    det = field.one
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            return field.zero
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = a[col][col].inverse()
+        for r in range(col + 1, n):
+            if not a[r][col].is_zero():
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def dense_nonsingular(S) -> bool:
+    n = S.dim
+    gram = [[S.forms["n"].get((i, j), S.field.zero) for j in range(n)] for i in range(n)]
+    return not det_dense(S.field, gram).is_zero()
 
 
 def dense_norm_multiplicative(pol, bas, prod) -> list:
@@ -82,7 +109,7 @@ def dense_symmetric_report(S) -> Report:
     prod = [[S.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
     pol = lambda x, y: S.form_value("n", x, y)
     viol = []
-    if not _nonsingular(S):
+    if not dense_nonsingular(S):
         viol.append(("nonsingular", (), "polar form is singular"))
     viol += dense_norm_multiplicative(pol, bas, prod)
     for i, j, k in itertools.product(range(n), repeat=3):
@@ -106,7 +133,7 @@ def dense_hurwitz_report(A) -> Report:
     prod = [[A.product(bas[i], bas[j]) for j in range(n)] for i in range(n)]
     pol = lambda x, y: A.form_value("n", x, y)
     viol = []
-    if not _nonsingular(A):
+    if not dense_nonsingular(A):
         viol.append(("nonsingular", (), ""))
     for i in range(n):
         if A.product(A.unit, bas[i]) != bas[i] or A.product(bas[i], A.unit) != bas[i]:
@@ -171,6 +198,24 @@ def test_every_corrupted_constant_agrees_with_dense(field, mod, name):
             assert (rep.violations, rep.checked) == (oracle.violations, oracle.checked)
             tried += 1
     assert tried == 2 * (32 + 8)
+
+
+def test_singular_form_agrees_with_dense(field, mod):
+    # the polar form with the row of the second basis element replaced by
+    # that of the first: no row is zero, the determinant is, and both
+    # verifiers report the form singular with the oracle's violations
+    for A, verify, dense in (
+        (zorn_cayley(field), is_hurwitz, dense_hurwitz_report),
+        (mod["okubo"], is_symmetric_composition, dense_symmetric_report),
+    ):
+        form = A.forms["n"]
+        bad = copy.copy(A)
+        bad.forms = {"n": {**{k: c for k, c in form.items() if k[0] != 1}, **{(1, j): c for (i, j), c in form.items() if i == 0}}}
+        assert all(any(i == r for i, _j in bad.forms["n"]) for r in range(A.dim))
+        assert not dense_nonsingular(bad)
+        rep, oracle = verify(bad), dense(bad)
+        assert rep.violations[0][0] == "nonsingular"
+        assert (rep.violations, rep.checked) == (oracle.violations, oracle.checked)
 
 
 def test_composition_laws_skip_the_dense_form_loop(field, mod, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from triality.cyclic import (
     CyclicAlgebra,
     CyclicAxiomError,
-    _l_det,
+    CubicEtale,
     _rho_rows,
     cut_on_basis,
     cyclic_from_symmetric,
@@ -110,7 +110,25 @@ def violations_digest(violations):
 
 # -- the dense check, on every tensor basis tuple and without the
 # L-bilinearity of b_Q: the oracle for the L-basis verdicts of
-# verify_cyclic_axioms, whose proof rests on the scaling argument.
+# verify_cyclic_axioms, whose proof rests on the scaling argument, and the
+# determinant over L for its rank test of the component Gram matrices.
+
+
+def _l_det(L: CubicEtale, mat):
+    """Determinant over the commutative ring L by cofactor expansion."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = L.zero
+    for j in range(n):
+        if L.is_zero(mat[0][j]):
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = L.mul(mat[0][j], _l_det(L, minor))
+        if j % 2:
+            term = L.smul(L.field.scalar(-1), term)
+        total = L.add(total, term)
+    return total
 
 
 def dense_report(V: CyclicAlgebra) -> Report:
@@ -287,6 +305,26 @@ def test_corrupted_form_constant_located(field, mod):
     (p, e), (q, f) = V.split(i), V.split(j)
     located = [key for name, key in rep.violations if name == "bq_L_bilinear"]
     assert sorted(located) == sorted([(i, j), (V.idx(p, e - 1), j), (i, V.idx(q, f - 1))])
+
+
+def test_singular_component_of_b_Q_located(field, mod):
+    # b_Q(s_0 (x) 1, s_q (x) 1) and b_Q(s_q (x) 1, s_0 (x) 1) times 1 - e_0,
+    # e_0 the idempotent of the first component of L = F x F x F: that
+    # component's Gram matrix gets a zero row, the other two are unchanged,
+    # and b_Q is singular over L, as the determinant over L says
+    V = mod["V_zorn"]
+    L = V.L
+    cut = L.add(L.one, L.smul(-field.one, L.idempotents()[0]))
+    assert L.components(cut) == (field.zero, field.one, field.one)
+    on = V.idx(0, 0)
+    bq = dict(V.bq)
+    for key in [k for k in V.bq if on in k and k[0] % 3 == k[1] % 3 == 0]:
+        value = L.mul(tuple(V.bq[key].get(m, field.zero) for m in range(3)), cut)
+        bq[key] = {m: c for m, c in enumerate(value) if not c.is_zero()}
+    bad = CyclicAlgebra(V.S, L, V.mul, bq, twist=V.twist)
+    rep = verify_cyclic_axioms(bad)
+    assert rep.violations[-1] == ("b_Q_nonsingular", ())
+    assert_agrees_with_dense(rep, dense_report(bad), bad)
 
 
 def corrupted_constants(V, bump):

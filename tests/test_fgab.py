@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from triality.fgab import (
+    Character,
     GroupHom,
     characters,
     in_subgroup,
@@ -193,6 +194,17 @@ def test_characters_z2_and_error(field):
     assert vals == {field.one, -field.one}
     with pytest.raises(ValueError):
         characters(make_group(0, [5]), field)
+
+
+def test_character_on_a_group_with_free_rank(field):
+    # a character of Z x Z3 reads the torsion coordinate only: chi = (1,) is
+    # 1 on the free generator and omega on the torsion one
+    G = make_group(1, [3])
+    chi = Character(G, field, (1,))
+    w = field.omega
+    assert chi(G.element((1, 0))) == field.one
+    assert chi(G.element((0, 1))) == w
+    assert chi(G.element((-4, 5))) == w * w
 
 
 def test_character_orthogonality(field):

@@ -142,7 +142,6 @@ UNREACHED = {
         "classify.okubo_involution",
         "classify.verify_graded_iso",
         "classify._conj_tensor_tau_cols",
-        "classify._tau",
         "cyclic.para_subalgebra_from_idempotent",
         "cyclic.cut_on_basis",
     },
