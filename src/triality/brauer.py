@@ -440,17 +440,14 @@ def _solve_character_unit(A: StructAlgebra, grading: Grading, chi):
     so the one line is the statement Z(A) = F that division_params rests
     on."""
     F = A.field
-    mul = A.mul
     negs = [-chi(g) for g in grading.degrees["A"]]
-    # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i for every j,
-    # from the rows of the product table
-    cols = []
-    for i in range(A.dim):
-        col = {}
-        for j, neg in enumerate(negs):
-            for out, c in axpy(dict(mul.get((i, j), {})), neg, mul.get((j, i), {})).items():
-                col[(j, out)] = c
-        cols.append(col)
+    # the column of e_i holds e_i e_j - chi(deg e_j) e_j e_i at (j, out) for
+    # every j: each stored product e_i e_j enters column i at (j, out) and,
+    # times -chi(deg e_i), column j at (i, out)
+    cols = [{} for _ in range(A.dim)]
+    for (i, j), row in A.mul.items():
+        axpy(cols[i], None, {(j, out): c for out, c in row.items()})
+        axpy(cols[j], negs[i], {(i, out): c for out, c in row.items()})
     sols = kernel(F, cols)
     if not sols:
         raise BrauerError("no character unit (input is not a matrix-algebra grading)")

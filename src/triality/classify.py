@@ -152,6 +152,8 @@ def validate(p: TypeIIIParams):
         if p.delta not in ("+", "-"):
             raise ParamError("delta must be '+' or '-'")
     elif p.rank == 1:
+        if len(p.K) != 3:
+            raise ParamError("r=1 needs an ordered triple of generators for K")
         K, _ = subgroup_generated(G, list(p.K))
         if K != make_group(0, [2, 2, 2]):
             raise ParamError(f"K is {K}, not Z2^3")

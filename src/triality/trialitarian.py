@@ -384,29 +384,38 @@ def kappa(V, E, Cl) -> KappaMap:
 
 
 class AlphaMap:
-    """alpha: Cl_0(V,Q) -> rhoE x rho2E, built multiplicatively from the
-    generator images x -> offdiag(l_x, r_x) and stored per monomial as a
-    pair of E-elements."""
+    """alpha: Cl_0(V,Q) -> rhoE x rho2E, stored per even monomial as a pair
+    of E-elements.
+
+    The generator image x -> offdiag(l_x, r_x) is only semilinear, so l_x
+    and r_x for x = s_p (x) 1 are formed once as column maps V -> V.  Their
+    composites l_p r_q and r_p l_q are L-linear: they are read into E once,
+    as lr[p][q] and rl[p][q], by _cols_to_erep, which checks them against
+    the columns exactly.  Each even monomial e_i e_j rest, i < j the two
+    lowest generators, then maps to (lr[i][j] a1, rl[i][j] a2), with
+    (a1, a2) the image of rest, and the empty monomial to (1, 1)."""
 
     def __init__(self, V, E, Cl):
         self.V = V
         self.E = E
         self.Cl = Cl
         n = V.S.dim
-        # l_x, r_x as column maps V -> V for x = s_p (x) 1
-        self.l_cols = []
-        self.r_cols = []
-        for p in range(n):
-            x = V.basis_vec(V.idx(p, 0))
-            lc = {j: V.product(x, V.basis_vec(j)) for j in range(V.dim)}
-            rc = {j: V.product(V.basis_vec(j), x) for j in range(V.dim)}
-            self.l_cols.append({j: c for j, c in lc.items() if c})
-            self.r_cols.append({j: c for j, c in rc.items() if c})
-        self._even = {}  # mask -> (erep1, erep2)
-        self._build()
+        gens = [V.basis_vec(V.idx(p, 0)) for p in range(n)]
+        l_cols = [{j: V.product(x, V.basis_vec(j)) for j in range(V.dim)} for x in gens]
+        r_cols = [{j: V.product(V.basis_vec(j), x) for j in range(V.dim)} for x in gens]
 
-    def _compose(self, outer_cols, inner_cols):
-        return {j: mat_vec(outer_cols, col) for j, col in inner_cols.items()}
+        def composite(outer, inner):
+            return self._cols_to_erep({j: mat_vec(outer, col) for j, col in inner.items()})
+
+        self.lr = [[composite(l_cols[p], r_cols[q]) for q in range(n)] for p in range(n)]
+        self.rl = [[composite(r_cols[p], l_cols[q]) for q in range(n)] for p in range(n)]
+        self._even = {0: (E.unit, E.unit)}  # mask -> (a1, a2)
+        for m in sorted(Cl.masks, key=_popcount)[1:]:
+            i = (m & -m).bit_length() - 1
+            rest = m & (m - 1)
+            j = (rest & -rest).bit_length() - 1
+            a1, a2 = self._even[rest & (rest - 1)]
+            self._even[m] = (E.product(self.lr[i][j], a1), E.product(self.rl[i][j], a2))
 
     def _cols_to_erep(self, cols):
         """Convert an L-linear column map to an E element (and verify
@@ -430,32 +439,6 @@ class AlphaMap:
             if apply_deltas(V, out, {j: F.one}) != col:
                 raise TrialitarianError("E-representation mismatch")
         return out
-
-    def _build(self):
-        V, Cl = self.V, self.Cl
-        ident = {j: {j: V.field.one} for j in range(V.dim)}
-        # build even masks by peeling the two lowest generators
-        self._even[0] = (self._cols_to_erep(ident), self._cols_to_erep(ident))
-        masks = sorted(Cl.masks, key=_popcount)
-        for m in masks:
-            if m == 0:
-                continue
-            i = (m & -m).bit_length() - 1
-            rest = m & (m - 1)
-            j = (rest & -rest).bit_length() - 1
-            rest2 = rest & (rest - 1)
-            base1, base2 = self._even_cols(rest2)
-            # alpha(e_i e_j . rest2): odd(e_i) odd(e_j) even(rest2)
-            f1 = self._compose(self.l_cols[i], self._compose(self.r_cols[j], base1))
-            f2 = self._compose(self.r_cols[i], self._compose(self.l_cols[j], base2))
-            self._even[m] = (self._cols_to_erep(f1), self._cols_to_erep(f2))
-
-    def _even_cols(self, mask):
-        pair = self._even[mask]
-        V = self.V
-        cols1 = {j: apply_deltas(V, pair[0], {j: V.field.one}) for j in range(V.dim)}
-        cols2 = {j: apply_deltas(V, pair[1], {j: V.field.one}) for j in range(V.dim)}
-        return cols1, cols2
 
     def image_of_monomial(self, mask, k):
         """(rho(xi^k) a1, rho2(xi^k) a2) for the monomial (mask, k)."""
@@ -484,28 +467,29 @@ def alpha(V, E, Cl) -> AlphaMap:
     """Build alpha and certify it.  Checked: the generator images satisfy the
     Clifford relations l_x r_y + l_y r_x = rho(b(x,y)), r_x l_y + r_y l_x =
     rho2(b(x,y)) through the twisted L-structures (which pins the factor
-    ordering) on every pair (p, q) of the L-basis s_p (x) 1, and the map is
-    bijective (rank 384 over F).  Multiplicativity follows, unchecked: by
-    bilinearity and the universal property of the Clifford algebra the
-    generator images extend to a homomorphism on Cl(V,Q), and AlphaMap._build
-    defines each even monomial's image as the ordered product of its
-    generator images, odd(e_i) odd(e_j) even(rest), read back into E exactly
-    by _cols_to_erep: the homomorphism's value on a basis of Cl_0."""
+    ordering) on every pair (p, q) of the L-basis s_p (x) 1, decided on the
+    composite table lr, rl that builds alpha, and the map is bijective (rank
+    384 over F).  Multiplicativity follows, unchecked: by bilinearity and the
+    universal property of the Clifford algebra the generator images extend
+    to a homomorphism on Cl(V,Q), whose value on the even monomial e_i e_j
+    rest is l_i r_j, resp. r_i l_j, composed with its value on rest.
+    AlphaMap stores exactly that, as the E-product of a generator composite
+    with the image of rest, because E's product table is operator
+    composition under trilie.apply_deltas (the premise that
+    alpha_multiplicative_sample and kappa's L-linearity check also rest on):
+    the homomorphism's value on a basis of Cl_0."""
     am = AlphaMap(V, E, Cl)
-    F = V.field
     L = V.L
     n = V.S.dim
-    # relations: l_x r_y + l_y r_x = m_rho(b(x,y)), r_x l_y + r_y l_x = m_rho2(b(x,y))
     for p in range(n):
         for q in range(n):
             b = V.bform(V.basis_vec(V.idx(p, 0)), V.basis_vec(V.idx(q, 0)))
-            m1 = E.central_scalar(L.rho(b, 1))
-            m2 = E.central_scalar(L.rho(b, 2))
-            lr = _pair_products(am, p, q)
-            if lr[0] != m1 or lr[1] != m2:
+            lr = E.add(am.lr[p][q], am.lr[q][p])
+            rl = E.add(am.rl[p][q], am.rl[q][p])
+            if lr != E.central_scalar(L.rho(b, 1)) or rl != E.central_scalar(L.rho(b, 2)):
                 raise TrialitarianError(f"alpha generator relation fails at ({p},{q})")
     # bijectivity: rank 384 over F
-    ech = Echelon(F)
+    ech = Echelon(V.field)
     for mask in Cl.masks:
         for k in range(3):
             a1, a2 = am.image_of_monomial(mask, k)
@@ -516,23 +500,6 @@ def alpha(V, E, Cl) -> AlphaMap:
     if ech.rank != Cl.dim:
         raise TrialitarianError(f"alpha has rank {ech.rank}, expected {Cl.dim}")
     return am
-
-
-def _pair_products(am: AlphaMap, p, q):
-    c1 = am._compose(am.l_cols[p], am.r_cols[q])
-    c2 = am._compose(am.l_cols[q], am.r_cols[p])
-    d1 = am._compose(am.r_cols[p], am.l_cols[q])
-    d2 = am._compose(am.r_cols[q], am.l_cols[p])
-
-    def cols_add(a, b):
-        out = {j: dict(col) for j, col in a.items()}
-        for j, col in b.items():
-            axpy(out.setdefault(j, {}), None, col)
-        return out
-
-    first = am._cols_to_erep(cols_add(c1, c2))
-    second = am._cols_to_erep(cols_add(d1, d2))
-    return first, second
 
 
 def alpha_multiplicative_sample(am: AlphaMap, seed=0, count=120) -> bool:

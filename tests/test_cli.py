@@ -72,6 +72,7 @@ def test_similar_golden_stdout(name, params):
         ("brauer_z2cubed", ["brauer", "--kind", "z2cubed"]),
         ("brauer_cartan", ["brauer", "--kind", "cartan"]),
         ("verify_jordan", ["verify", "--suite", "jordan"]),
+        ("verify_trialitarian", ["verify", "--suite", "trialitarian"]),
     ],
 )
 def test_product_fed_golden_stdout(name, args):
@@ -128,10 +129,13 @@ def test_invariants_command():
 
 def test_exit_codes():
     bad = '{"rank": 4, "group": {"free_rank": 0, "torsion": [3,3,3]}, "h": [0,0,1], "g": [0,0,2]}'
+    redundant_r1 = PARAMS_R1.replace("[0,0,3]]", "[0,0,3],[1,1,0]]")  # rank 1 reads an ordered triple
     cases = [
         (("build", "--constructor", "nope"), 2),
         (("similar", "--params", "not json"), 2),
         (("invariants", "--params", bad), 2),  # g in <h>
+        (("build", "--constructor", "typeIII", "--params", redundant_r1), 2),
+        (("invariants", "--params", redundant_r1), 2),
         (("verify", "--suite", "composition"), 0),
         (("--field-conductor", "0", "verify", "--suite", "composition"), 2),
         (("--field-conductor", "4", "verify", "--suite", "composition"), 2),  # no cube root of unity

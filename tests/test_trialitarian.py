@@ -19,8 +19,8 @@ from triality.trialitarian import (
     lie_of_E,
     lie_of_E_equals_der,
 )
-from triality.linalg import echelon_from
-from triality.trilie import der_cyclic, so_blocks
+from triality.linalg import Residues, echelon_from, mat_vec
+from triality.trilie import apply_deltas, der_cyclic, so_blocks
 from triality.classify import build, params_r8, fine_typeIII
 
 
@@ -47,17 +47,51 @@ def test_end_algebra_catches_corrupted_form(mod):
         end_algebra(CyclicAlgebra(V.S, V.L, V.mul, bq, twist=V.twist))
 
 
-def test_end_algebra_catches_corrupted_product(mod, monkeypatch):
+class CorruptedProduct(EndAlgebraE):
     # E_00 E_01 = 2 E_01 in place of E_01
-    class CorruptedProduct(EndAlgebraE):
-        def __init__(self, V):
-            super().__init__(V)
-            i, j = self.index[(0, 0, 0)], self.index[(0, 1, 0)]
-            self.mul = {**self.mul, (i, j): {j: self.field.scalar(2)}}
+    def __init__(self, V):
+        super().__init__(V)
+        i, j = self.index[(0, 0, 0)], self.index[(0, 1, 0)]
+        self.mul = {**self.mul, (i, j): {j: self.field.scalar(2)}}
 
+
+def test_end_algebra_catches_corrupted_product(mod, monkeypatch):
     monkeypatch.setattr(trialitarian, "EndAlgebraE", CorruptedProduct)
     with pytest.raises(TrialitarianError, match="sigma is not an anti-homomorphism"):
         end_algebra(mod["V_zorn"])
+
+
+def composition_residues(V, E):
+    """(x_i x_j) v - x_i (x_j v) at (i, j, v) for all operator pairs and V
+    basis vectors v.  The left side is reached from the stored products,
+    applied to the v whose S-index is a column r of the product, the right
+    side from the operators x_j with x_j v != 0 and x_i with x_i (x_j v) !=
+    0, so a tuple without an entry has both sides 0."""
+    n, minus_one = E.n, -V.field.one
+    by_column = {}  # r -> the V basis vectors s_r (x) xi^c
+    for v in range(V.dim):
+        by_column.setdefault(V.split(v)[0], []).append(v)
+    diff = Residues()
+    for (i, j), row in E.mul.items():
+        for v in sorted({v for pos in row for v in by_column[pos % n]}):
+            diff.add((i, j, v), None, apply_deltas(V, row, V.basis_vec(v)))
+    for v in range(V.dim):
+        r = V.split(v)[0]
+        for j in (E.index[(p, r, k)] for k in range(3) for p in range(n)):
+            w = apply_deltas(V, E.basis_vec(j), V.basis_vec(v))
+            (r2,) = {V.split(u)[0] for u in w}
+            for i in (E.index[(p, r2, k)] for k in range(3) for p in range(n)):
+                diff.add((i, j, v), minus_one, apply_deltas(V, E.basis_vec(i), w))
+    return diff
+
+
+def test_end_algebra_product_is_composition(mod):
+    # the premise of alpha's construction, of alpha_multiplicative_sample
+    # and of kappa's L-linearity check: E's product is operator composition
+    # under apply_deltas
+    V = mod["V_zorn"]
+    assert composition_residues(V, EndAlgebraE(V)).uncancelled() == []
+    assert len(composition_residues(V, CorruptedProduct(V)).uncancelled()) == 3
 
 
 def test_clifford_associativity(trial_zorn):
@@ -108,6 +142,60 @@ def test_kappa_not_multiplicative(mod, trial_zorn):
         if found:
             break
     assert found
+
+
+def column_map_even(V, E, Cl, am):
+    """The even images as the column-map build made them: l_x and r_x as
+    column maps V -> V, each even monomial e_i e_j rest mapped to
+    (l_i r_j base1, r_i l_j base2) composed column by column and read back
+    into E by am._cols_to_erep."""
+    n = V.S.dim
+    gens = [V.basis_vec(V.idx(p, 0)) for p in range(n)]
+    l_cols = [{j: V.product(x, V.basis_vec(j)) for j in range(V.dim)} for x in gens]
+    r_cols = [{j: V.product(V.basis_vec(j), x) for j in range(V.dim)} for x in gens]
+
+    def compose(outer, inner):
+        return {j: mat_vec(outer, col) for j, col in inner.items()}
+
+    def cols(erep):
+        return {j: apply_deltas(V, erep, V.basis_vec(j)) for j in range(V.dim)}
+
+    ident = {j: V.basis_vec(j) for j in range(V.dim)}
+    even = {0: (am._cols_to_erep(ident), am._cols_to_erep(ident))}
+    for m in sorted(Cl.masks, key=lambda m: bin(m).count("1"))[1:]:
+        i = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        j = (rest & -rest).bit_length() - 1
+        base1, base2 = even[rest & (rest - 1)]
+        f1 = compose(l_cols[i], compose(r_cols[j], cols(base1)))
+        f2 = compose(r_cols[i], compose(l_cols[j], cols(base2)))
+        even[m] = (am._cols_to_erep(f1), am._cols_to_erep(f2))
+    return even
+
+
+@pytest.mark.parametrize("name", ["V_zorn", "V_doubled", "V_okubo"])
+def test_alpha_even_images_equal_column_map_build(mod, name):
+    V = mod[name]
+    E, Cl = EndAlgebraE(V), trialitarian.CliffordEven(V)
+    am = trialitarian.AlphaMap(V, E, Cl)
+    assert am._even == column_map_even(V, E, Cl, am)
+
+
+def test_alpha_catches_corrupted_composite(mod, monkeypatch):
+    # one entry of the composite l_0 r_1 plus one: the generator relation
+    # at (0, 1) no longer holds
+    class CorruptedComposite(trialitarian.AlphaMap):
+        def __init__(self, V, E, Cl):
+            super().__init__(V, E, Cl)
+            lr = self.lr[0][1]
+            idx = min(lr)
+            self.lr[0][1] = {**lr, idx: lr[idx] + E.field.one}
+
+    V = mod["V_zorn"]
+    E, Cl = EndAlgebraE(V), trialitarian.CliffordEven(V)
+    monkeypatch.setattr(trialitarian, "AlphaMap", CorruptedComposite)
+    with pytest.raises(TrialitarianError, match=r"generator relation fails at \(0,1\)"):
+        trialitarian.alpha(V, E, Cl)
 
 
 def test_alpha_certificates(trial_zorn):
