@@ -6,9 +6,13 @@ product obtained by linearizing the adjoint,
 
 with X x Y = (X+Y)# - X# - Y# and (l, v)# = (l# - Q(v), v*v - l v).
 
-The product formula is not taken on faith: the constructor certifies it
-against two independent oracles, agreement with the product of L on the
-subalgebra (l, 0) and the generic degree-3 identity
+The product table and the trace form are read off the tables of L and V,
+not evaluated through # on basis pairs: X x Y is the polarized adjoint of
+L, minus the L-action on V, or the symmetrized product and form of V, and
+T(X, Y) is 3 times the coefficient of 1 in l l' + b_Q(v, w).  The tables
+are not taken on faith: `albert` certifies them against two independent
+oracles, agreement with the product of L on the subalgebra (l, 0) and the
+generic degree-3 identity
 X^3 - T(X) X^2 + S(X) X - N(X) 1 = 0.  The identity is cubic in X, so it
 is decided for every X at once: each coefficient of its left side, one per
 sorted basis triple, must vanish (`degree3_table`).
@@ -78,19 +82,6 @@ class AlbertAlgebra(StructAlgebra):
         new_v = axpy(V.product(v, v), F.scalar(-1), V.act(l, v))
         return self.element(new_l, new_v)
 
-    def cross(self, x, y):
-        minus_one = self.field.scalar(-1)
-        out = axpy(self.sharp(self.add(x, y)), minus_one, self.sharp(x))
-        return axpy(out, minus_one, self.sharp(y))
-
-    def trace_bilinear(self, x, y):
-        V, L = self.V, self.L
-        lx, vx = self.pair(x)
-        ly, vy = self.pair(y)
-        tl = L.trace(L.mul(lx, ly))
-        tv = L.trace(V.bform(vx, vy))
-        return L.scalar_part(tl) + L.scalar_part(tv)
-
     def norm(self, x):
         """N((l, v)) = N(l) + b_Q(v, v*v) - T(l Q(v)), an F-scalar."""
         V, L = self.V, self.L
@@ -100,36 +91,48 @@ class AlbertAlgebra(StructAlgebra):
         t_term = L.scalar_part(L.trace(L.mul(l, V.quadratic(v))))
         return n_l + middle - t_term
 
-    def _jordan_product_pairs(self, x, y):
-        F = self.field
-        tx, ty = self.trace_linear(x), self.trace_linear(y)
-        txy = self.trace_bilinear(x, y)
-        out = self.cross(x, y)
-        axpy(out, tx, y)
-        axpy(out, ty, x)
-        c = tx * ty - txy
-        if not c.is_zero():
-            out = self.add(out, {0: -c})
-        return self.scale(F.scalar(1, 2), out)
-
     def _build_tables(self, V):
-        F = V.field
-        dim = 3 + V.dim
+        """J.mul and the trace form T, read off the tables of L and V.  On
+        basis elements the cross product X x Y = (X+Y)# - X# - Y# is
+        - (l x l', 0) for l, l' in L, l x l' = rho(l) rho^2(l') + rho(l') rho^2(l);
+        - (0, -l v) for l in L and v in V (`V.act`);
+        - (-1/2 (b_Q(v, w) + b_Q(w, v)), v*w + w*v) for v, w in V (`V.bq`,
+          `V.mul`);
+        T(e_a) is 3 at a = 0 only, and T(X, Y) = 3 (coefficient of 1 in
+        l l' + b_Q(v, w)), as L's trace is 3 times the coefficient of 1."""
+        F, L = V.field, V.L
+        one, half, three = F.one, F.scalar(1, 2), F.scalar(3)
+        lbasis = (L.one, L.xi, L.xi2)
+        trace = [three] + [F.zero] * (2 + V.dim)
+        tform = {(a, -a % 3): three for a in range(3)}
+        for (i, j), row in V.bq.items():
+            if 0 in row and not row[0].is_zero():
+                tform[(3 + i, 3 + j)] = three * row[0]
+        cross = {}
+        for a in range(3):
+            for b in range(a, 3):
+                l_ab = L.add(L.mul(L.rho(lbasis[a]), L.rho(lbasis[b], 2)), L.mul(L.rho(lbasis[b]), L.rho(lbasis[a], 2)))
+                cross[(a, b)] = {n: c for n, c in enumerate(l_ab) if not c.is_zero()}
+            for i in range(V.dim):
+                cross[(a, 3 + i)] = {3 + k: -c for k, c in V.act(lbasis[a], {i: one}).items()}
+        for i in range(V.dim):
+            for j in range(i, V.dim):
+                row = axpy(axpy({}, -half, V.bq.get((i, j), {})), -half, V.bq.get((j, i), {}))
+                for k, c in axpy(dict(V.mul.get((i, j), {})), None, V.mul.get((j, i), {})).items():
+                    row[3 + k] = c
+                cross[(3 + i, 3 + j)] = row
+        # X o Y = 1/2 (X x Y + T(X) Y + T(Y) X - (T(X)T(Y) - T(X,Y)) 1), i <= j
         mul = {}
-        basis = [{i: F.one} for i in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                prod = self._jordan_product_pairs(basis[i], basis[j])
-                if prod:
-                    mul[(i, j)] = prod
-                    if i != j:
-                        mul[(j, i)] = dict(prod)
-        tform = {}
-        for i in range(dim):
-            for j in range(dim):
-                c = self.trace_bilinear(basis[i], basis[j])
-                if not c.is_zero():
-                    tform[(i, j)] = c
+        for (i, j), row in cross.items():
+            out = dict(row)
+            axpy(out, trace[i], {j: one})
+            axpy(out, trace[j], {i: one})
+            axpy(out, tform.get((i, j), F.zero) - trace[i] * trace[j], {0: one})
+            prod = axpy({}, half, out)
+            if prod:
+                mul[(i, j)] = prod
+                if i != j:
+                    mul[(j, i)] = dict(prod)
         return mul, tform
 
 
@@ -254,8 +257,10 @@ def verify_degree3(J: AlbertAlgebra) -> Report:
     """The generic degree-3 identity for every X, decided on
     `degree3_table`: the violations are the sorted basis triples whose
     coefficient does not cancel, and the count is the C(n + 2, 3) sorted
-    triples (3,654 for n = 27)."""
-    return Report(sorted(degree3_table(J)), math.comb(J.dim + 2, 3))
+    triples (3,654 for n = 27).  The table is kept as J.degree3, so a
+    caller reads its samples off the table the decision was made on."""
+    J.degree3 = degree3_table(J)
+    return Report(sorted(J.degree3), math.comb(J.dim + 2, 3))
 
 
 def degree3_residual(table: dict, x) -> dict:

@@ -258,25 +258,26 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     duals = [mono[((-a) % 3, (-b) % 3)] for a, b in keys]
     inv_pairing = [tr_prod(mono[k], dual).inverse() for k, dual in zip(keys, duals)]
 
+    # M_(a,b) M_(c,d) lies on the line of M_(a+c, b+d): x * y has one
+    # coordinate, read at that one dual, and none on degree (0, 0), where
+    # mu xy + (1-mu) yx = tr(xy)/3 1; n pairs only degrees adding to (0, 0)
+    index = {k: i for i, k in enumerate(keys)}
     mul = {}
     n_polar = {}
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            AB = mat_mul(mono[ki], mono[kj])
-            BA = mat_mul(mono[kj], mono[ki])
-            row = {}
-            for idx, dual in enumerate(duals):
-                t1, t2 = tr_prod(AB, dual), tr_prod(BA, dual)
-                if t1.is_zero() and t2.is_zero():
-                    continue
-                c = (mu * t1 + one_minus_mu * t2) * inv_pairing[idx]
-                if not c.is_zero():
-                    row[idx] = c
-            if row:
-                mul[(i, j)] = row
-            c = third * tr_prod(mono[ki], mono[kj])
-            if not c.is_zero():
-                n_polar[(i, j)] = c
+    for i, (a, b) in enumerate(keys):
+        for j, (c, d) in enumerate(keys):
+            A, B = mono[(a, b)], mono[(c, d)]
+            k = ((a + c) % 3, (b + d) % 3)
+            if k == (0, 0):
+                t = third * tr_prod(A, B)
+                if not t.is_zero():
+                    n_polar[(i, j)] = t
+                continue
+            idx = index[k]
+            t1, t2 = tr_prod(mat_mul(A, B), duals[idx]), tr_prod(mat_mul(B, A), duals[idx])
+            t = (mu * t1 + one_minus_mu * t2) * inv_pairing[idx]
+            if not t.is_zero():
+                mul[(i, j)] = {idx: t}
     labels = [f"X^{a}Y^{b}" if a and b else (f"X^{a}" if a else f"Y^{b}") for a, b in keys]
     S = SymCompAlgebra(F, labels, mul, n_polar)
     S.monomial_keys = keys

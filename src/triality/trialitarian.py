@@ -123,16 +123,18 @@ def end_algebra(V) -> EndAlgebraE:
     # b_Q(a x, y) - b_Q(x, sigma(a) y) at (a, x, y)
     by_first = grouped((u, (w, row)) for (u, w), row in V.bq.items())  # w -> [(y, b_Q(x_w, x_y))]
     by_second = grouped((w, (u, row)) for (u, w), row in V.bq.items())  # w -> [(x, b_Q(x_x, x_w))]
-    ys = [V.basis_vec(vj) for vj in range(V.dim)]
+    # an operator (p, r, k) sends every basis vector outside block r to 0,
+    # so each side is applied only to the blocks its operators read
     diff = Residues()
-    for i in range(E.dim):
+    for i, (_, r, _) in enumerate(E.keys):
         a = E.basis_vec(i)
         sa = E.conj(a)
-        for v, y in enumerate(ys):
-            for w, c in apply_deltas(V, a, y).items():
+        for v in (V.idx(r, j) for j in range(3)):
+            for w, c in apply_deltas(V, a, V.basis_vec(v)).items():
                 for vj, row in by_first.get(w, ()):
                     diff.add((i, v, vj), c, row)
-            for w, c in apply_deltas(V, sa, y).items():
+        for v in sorted({V.idx(pos % E.n, j) for pos in sa for j in range(3)}):
+            for w, c in apply_deltas(V, sa, V.basis_vec(v)).items():
                 for vi, row in by_second.get(w, ()):
                     diff.add((i, vi, v), -c, row)
     if diff.uncancelled():

@@ -39,6 +39,61 @@ def dense_degree3(J, x):
     return out
 
 
+def dense_jordan_tables(J):
+    """The oracle for J.mul and T: on every basis pair, X o Y through the
+    adjoint, X x Y = (X+Y)# - X# - Y#, and T(X, Y) = T_L(l l') + T_L(b_Q(v, w))."""
+    F, L, V = J.field, J.L, J.V
+    minus_one = F.scalar(-1)
+
+    def cross(x, y):
+        out = axpy(J.sharp(J.add(x, y)), minus_one, J.sharp(x))
+        return axpy(out, minus_one, J.sharp(y))
+
+    def trace_bilinear(x, y):
+        (lx, vx), (ly, vy) = J.pair(x), J.pair(y)
+        return L.scalar_part(L.trace(L.mul(lx, ly))) + L.scalar_part(L.trace(V.bform(vx, vy)))
+
+    mul, tform = {}, {}
+    for i in range(J.dim):
+        for j in range(J.dim):
+            x, y = J.basis_vec(i), J.basis_vec(j)
+            tx, ty, txy = J.trace_linear(x), J.trace_linear(y), trace_bilinear(x, y)
+            out = cross(x, y)
+            axpy(out, tx, y)
+            axpy(out, ty, x)
+            axpy(out, txy - tx * ty, J.unit)
+            prod = J.scale(F.scalar(1, 2), out)
+            if prod:
+                mul[(i, j)] = prod
+            if not txy.is_zero():
+                tform[(i, j)] = txy
+    return mul, tform
+
+
+@pytest.mark.parametrize("model", ["V_zorn", "V_okubo", "V_doubled"])
+def test_tables_equal_the_dense_formula(mod, model):
+    Jm = AlbertAlgebra(mod[model])
+    mul, tform = dense_jordan_tables(Jm)
+    assert Jm.mul == mul
+    assert Jm.forms["T"] == tform
+
+
+@pytest.mark.parametrize("table", ["mul", "bq"])
+def test_albert_catches_a_corrupted_V_constant(field, mod, table):
+    # the fill reads V.mul and V.bq directly, so a seeded 6 of their
+    # constants, each +1 and times omega, must fail albert()
+    V = mod["V_zorn"]
+    constants = sorted((key, k) for key, row in getattr(V, table).items() for k in row)
+    for key, k in random.Random(6).sample(constants, 6):
+        for change in (lambda c: c + field.one, lambda c: c * field.omega):
+            tab = {kk: dict(row) for kk, row in getattr(V, table).items()}
+            tab[key][k] = change(tab[key][k])
+            bad = copy.copy(V)
+            setattr(bad, table, tab)
+            with pytest.raises(AlbertError):
+                albert(bad)
+
+
 def test_dimension_and_unit(field, J):
     assert J.dim == 27
     one = J.unit
@@ -154,22 +209,25 @@ def test_degree3_corrupted_norm_agrees_with_dense(field, J):
         _agrees_with_dense(bad)
 
 
-def test_degree3_skips_the_dense_products(J, monkeypatch, tmp_path):
-    # verify_degree3 reads the constants, not the product or the norm
+def test_degree3_skips_the_dense_products(J, mod, monkeypatch, tmp_path):
+    # the constructor and verify_degree3 read the constants, not the
+    # product, the adjoint or the norm
     calls = []
-    product, norm = StructAlgebra.product, AlbertAlgebra.norm
+    product, sharp, norm = StructAlgebra.product, AlbertAlgebra.sharp, AlbertAlgebra.norm
     monkeypatch.setattr(StructAlgebra, "product", lambda self, *args: calls.append("product") or product(self, *args))
+    monkeypatch.setattr(AlbertAlgebra, "sharp", lambda self, *args: calls.append("sharp") or sharp(self, *args))
     monkeypatch.setattr(AlbertAlgebra, "norm", lambda self, *args: calls.append("norm") or norm(self, *args))
+    AlbertAlgebra(mod["V_zorn"])
     assert verify_degree3(J).ok
     assert calls == []
-    # the jordan suite builds the table at most twice: in albert() and for
-    # its samples
+    # the jordan suite builds the table once, in albert(), and reads its
+    # samples off that table
     builds = []
     table = albert_module.degree3_table
     monkeypatch.setattr(albert_module, "degree3_table", lambda J: builds.append(J) or table(J))
     out = tmp_path / "jordan.json"
     assert main(["--field-conductor", "12", "--seed", "0", "--out", str(out), "verify", "--suite", "jordan"]) == 0
-    assert 1 <= len(builds) <= 2
+    assert len(builds) == 1
 
 
 def test_corrupted_product_detected(field, J):

@@ -73,11 +73,14 @@ def test_similar_golden_stdout(name, params):
         ("brauer_cartan", ["brauer", "--kind", "cartan"]),
         ("verify_jordan", ["verify", "--suite", "jordan"]),
         ("verify_trialitarian", ["verify", "--suite", "trialitarian"]),
+        ("verify_composition", ["verify", "--suite", "composition"]),
+        ("verify_composition_n24", ["--field-conductor", "24", "verify", "--suite", "composition"]),
     ],
 )
 def test_product_fed_golden_stdout(name, args):
     # bytes pinned from the version whose structure-constant products and
-    # b_Q normalized every term on its own
+    # b_Q normalized every term on its own; the two composition suites from
+    # the version that read each Okubo product at all eight duals
     proc = run_cli("--seed", "11", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -340,6 +340,14 @@ def test_okubo_equals_dense_construction(conductor):
     assert S.monomial_keys == keys
     assert [(k, list(row.items())) for k, row in S.mul.items()] == [(k, list(row.items())) for k, row in mul.items()]
     assert list(S.forms["n"].items()) == list(n_polar.items())
+    # the oracle reads every product at all 8 duals: each lies on the line
+    # of the monomial of degree (a+c, b+d), and n pairs only degrees adding
+    # to (0, 0), the two facts okubo_sl3 builds on
+    for (i, j), row in mul.items():
+        (a, b), (c, d) = keys[i], keys[j]
+        assert list(row) == [keys.index(((a + c) % 3, (b + d) % 3))]
+    for i, j in n_polar:
+        assert keys[i][0] + keys[j][0] in (0, 3) and keys[i][1] + keys[j][1] in (0, 3)
 
 
 def test_okubo_verifier_and_epsilon(field, mod):
