@@ -3,19 +3,25 @@ algebra, their ranks, the combinatorial similarity decision procedure, the
 explicit witness (anti-)isomorphisms behind it, and the three fine Type III
 gradings with their universal groups.
 
-Parameter conventions (G a f.g. abelian group, h of order 3, H = <h>):
+Parameter conventions (G a f.g. abelian group, h of order 3, H = <h>).
+Each family is the fine grading of one kind over its universal group U,
+coarsened along the homomorphism alpha: U -> G that sends the generators of
+U to the images listed; deg xi = h throughout.  A grading composed with a
+homomorphism is again a grading, so only the fine gradings, the families at
+alpha = identity, are verified.
 
   r=0  (K via an ordered generator pair (k1, k2) with K iso Z3^2, h not in
-       K, sign delta): the Okubo grading with support K \\ {e} tensored
-       with deg xi = h.  delta = '+' puts the degree-k1 generator x and the
-       degree-k2 generator y in the orientation x*y = 0.
-  r=1  (K via generators of a Z2^3, h not in K): the unique Z2^3-supported
-       Cayley grading tensored with deg xi = h.
-  r=2  (gamma = (g1, g2, g3) with g_i not in H and g1 g2 g3 = e, h): the
-       Cartan-induced grading deg u_i = g_i tensored with deg xi = h.
+       K, sign delta): okubo, U = Z3^3, alpha = (k1, k2, h), or (k2, k1, h)
+       when delta = '-'.  The Okubo algebra has support K \\ {e}; delta =
+       '+' puts the degree-k1 generator x and the degree-k2 generator y in
+       the orientation x*y = 0.
+  r=1  (K via generators k1, k2, k3 of a Z2^3, h not in K): z2cubed,
+       U = Z2^2 x Z6, alpha = (k1, k2, k3 - h), the Z2^3-graded Cayley algebra.
+  r=2  (gamma = (g1, g2, g3) with g_i not in H and g1 g2 g3 = e, h): cartan,
+       U = Z^2 x Z3, alpha = (g1, g2, h), the Cartan grading deg u_i = g_i.
   r=4  (g not in H, h): the r=2 family with gamma = (e, g, g^-1).
-  r=8  (h, t in {'p', 'o'}): the trivial grading on the para-Cayley (t='p')
-       or Okubo (t='o') algebra tensored with deg xi = h.
+  r=8  (h, t in {'p', 'o'}): cartan (t='p') or okubo (t='o') at alpha =
+       (e, e, h), the trivially graded para-Cayley or Okubo algebra.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .scalars import make_field
-from .fgab import AbGroup, GroupElem, make_group, quotient, subgroup_elements, in_subgroup, subgroup_generated
-from .grading import Grading, Report, verify_grading, universal_group
+from .fgab import AbGroup, GroupElem, GroupHom, make_group, quotient, subgroup_elements, in_subgroup, subgroup_generated
+from .grading import Grading, Report, coarsen, verify_grading, universal_group
 from .linalg import Echelon, axpy, mat_vec
 from .composition import (
     zorn_cayley,
@@ -242,59 +248,29 @@ class BuiltGrading:
         return related_triple([(pr(g), trip) for g, trip in adapted], self.V.S)
 
 
-def _grade_S(S, G, degree_list):
-    g = Grading(S, G, {"A": degree_list})
-    verify_grading(g).require(ParamError, "S grading")
-    return g
+def _fine_kind_and_alpha(p: TypeIIIParams):
+    """The kind of p's family and alpha_p on the generators of U."""
+    e = p.group.identity()
+    if p.rank == 0:
+        k1, k2 = p.K if p.delta == "+" else p.K[::-1]
+        return "okubo", (k1, k2, p.h)
+    if p.rank == 1:
+        k1, k2, k3 = p.K
+        return "z2cubed", (k1, k2, k3 - p.h)
+    if p.rank in (2, 4):
+        g1, g2 = p.gamma[:2] if p.rank == 2 else (e, p.gamma[0])
+        return "cartan", (g1, g2, p.h)
+    return ("cartan" if p.t == "p" else "okubo"), (e, e, p.h)
 
 
 def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
-    """Construct the graded cyclic composition algebra of the family and
-    verify everything: the S grading, the tensor grading, and that the
-    identity component has dimension exactly p.rank."""
+    """The fine grading of p's kind coarsened along alpha_p, which GroupHom
+    checks is well defined; its identity component must have dimension p.rank."""
     validate(p)
-    mod = models(conductor)
-    G = p.group
-    e = G.identity()
-    if p.rank == 0:
-        S = mod["okubo"]
-        V = mod["V_okubo"]
-        k1, k2 = p.K
-        degs = []
-        for a, b in S.monomial_keys:
-            if p.delta == "+":
-                degs.append(a * k1 + b * k2)
-            else:
-                degs.append(a * k2 + b * k1)
-        gS = _grade_S(S, G, degs)
-    elif p.rank == 1:
-        S = mod["para_doubled"]
-        V = mod["V_doubled"]
-        k1, k2, k3 = p.K
-
-        def word_degree(label):
-            acc = e
-            for idx, k in enumerate((k1, k2, k3), start=1):
-                if f"g{idx}" in label:
-                    acc = acc + k
-            return acc
-
-        gS = _grade_S(S, G, [word_degree(lab) for lab in S.labels])
-    elif p.rank in (2, 4):
-        S = mod["para_zorn"]
-        V = mod["V_zorn"]
-        if p.rank == 2:
-            g1, g2 = p.gamma[0], p.gamma[1]
-        else:
-            g1, g2 = e, p.gamma[0]
-        g3 = -(g1 + g2)
-        degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
-        gS = _grade_S(S, G, degs)
-    else:
-        S = mod["para_zorn"] if p.t == "p" else mod["okubo"]
-        V = mod["V_zorn"] if p.t == "p" else mod["V_okubo"]
-        gS = _grade_S(S, G, [e] * S.dim)
-    built = BuiltGrading(p, V, tensor_grading(gS, p.h, V))
+    kind, images = _fine_kind_and_alpha(p)
+    fine = _fine_grading(kind, conductor)
+    alpha = GroupHom(fine.group, p.group, list(zip(*(g.coords for g in images))))
+    built = BuiltGrading(p, fine.structure, coarsen(fine, alpha))
     if built.rank != p.rank:
         raise ParamError(f"built grading has rank {built.rank}, expected {p.rank}")
     return built
@@ -764,23 +740,43 @@ def _witness_rank0_flip(G, K, h, conductor):
 # --------------------------------------------------------- fine gradings
 
 
-def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:
-    """The three fine Type III gradings, each with its parameter group as
-    universal group: cartan over Z^2 x Z3, z2cubed over Z2^3 x Z3, okubo
-    over Z3^3."""
-    if kind == "cartan":
-        G = make_group(2, [3])
-        p = params_r2(G, (G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((-1, -1, 0))), G.element((0, 0, 1)))
-    elif kind == "z2cubed":
-        G = make_group(0, [2, 2, 2, 3])
-        gens = [G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 3))]
-        p = params_r1(G, gens, G.element((0, 0, 2)))
-    elif kind == "okubo":
-        G = make_group(0, [3, 3, 3])
-        p = params_r0(G, G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 1)), "+")
-    else:
+def _fine_params(kind: str) -> TypeIIIParams:
+    """The fine tuple of the kind: its family over U at alpha = identity."""
+    universal = {"cartan": (2, [3]), "z2cubed": (0, [2, 2, 2, 3]), "okubo": (0, [3, 3, 3])}
+    if kind not in universal:
         raise ParamError("kind must be cartan, z2cubed or okubo")
-    return build(p, conductor)
+    U = make_group(*universal[kind])
+    u1, u2, u3 = map(U.generator, range(3))
+    if kind == "cartan":
+        return params_r2(U, (u1, u2, -(u1 + u2)), u3)
+    if kind == "z2cubed":
+        return params_r1(U, (u1, u2, 3 * u3), 2 * u3)
+    return params_r0(U, u1, u2, u3, "+")
+
+
+@lru_cache(maxsize=None)
+def _fine_grading(kind: str, conductor: int) -> Grading:
+    """The fine grading of the kind, built and verified once per conductor:
+    its family's degree formula on S at the fine tuple, tensored with L."""
+    p = _fine_params(kind)
+    V = models(conductor)[{"okubo": "V_okubo", "z2cubed": "V_doubled", "cartan": "V_zorn"}[kind]]
+    e = p.group.identity()
+    if p.rank == 0:
+        k1, k2 = p.K
+        degs = [a * k1 + b * k2 for a, b in V.S.monomial_keys]
+    elif p.rank == 1:
+        degs = [sum((k for i, k in enumerate(p.K, start=1) if f"g{i}" in label), e) for label in V.S.labels]
+    else:
+        g1, g2, g3 = p.gamma
+        degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
+    gS = Grading(V.S, p.group, {"A": degs})
+    verify_grading(gS).require(ParamError, "S grading")
+    return tensor_grading(gS, p.h, V)
+
+
+def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:
+    """The fine grading of the kind over its universal group, as a new record on a new tuple."""
+    return build(_fine_params(kind), conductor)
 
 
 def refinement_impossible(fine_a: BuiltGrading, fine_b: BuiltGrading):

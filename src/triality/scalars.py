@@ -146,6 +146,9 @@ class CycloField:
         return CycloScalar(self, tuple(q.numerator * (den // q.denominator) for q in qs), den)
 
     def scalar(self, p, q=1) -> CycloScalar:
+        if isinstance(p, int) and isinstance(q, int) and q:
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            return CycloScalar(self, (p // g,) + (0,) * (self.degree - 1), q // g)
         r = Rational(p) / Rational(q)
         return CycloScalar(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 

@@ -21,8 +21,9 @@ from triality.classify import (
     similar_params,
     witness_map,
 )
+from triality.cyclic import tensor_grading
 from triality.fgab import make_group, subgroup_elements
-from triality.grading import invariants
+from triality.grading import Grading, invariants, verify_grading
 
 import sweep_utils
 
@@ -229,6 +230,117 @@ def test_class_invariants_golden(sweep_tuples):
     golden = json.loads(CLASS_INVARIANTS.read_text())
     assert len(golden) == 171
     assert class_invariants(sweep_tuples) == golden
+
+
+def reference_build(p, conductor=12):
+    """The four-branch constructor that `build` replaced: the degree formula
+    of each rank family on S, verified, tensored with deg xi = h and
+    verified again, for every tuple.  Returns (V, grading)."""
+    mod = models(conductor)
+    G = p.group
+    e = G.identity()
+    if p.rank == 0:
+        S, V = mod["okubo"], mod["V_okubo"]
+        k1, k2 = p.K
+        degs = [a * k1 + b * k2 if p.delta == "+" else a * k2 + b * k1 for a, b in S.monomial_keys]
+    elif p.rank == 1:
+        S, V = mod["para_doubled"], mod["V_doubled"]
+
+        def word_degree(label):
+            acc = e
+            for idx, k in enumerate(p.K, start=1):
+                if f"g{idx}" in label:
+                    acc = acc + k
+            return acc
+
+        degs = [word_degree(lab) for lab in S.labels]
+    elif p.rank in (2, 4):
+        S, V = mod["para_zorn"], mod["V_zorn"]
+        g1, g2 = (p.gamma[0], p.gamma[1]) if p.rank == 2 else (e, p.gamma[0])
+        g3 = -(g1 + g2)
+        degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
+    else:
+        S = mod["para_zorn"] if p.t == "p" else mod["okubo"]
+        V = mod["V_zorn"] if p.t == "p" else mod["V_okubo"]
+        degs = [e] * S.dim
+    gS = Grading(S, G, {"A": degs})
+    assert verify_grading(gS).ok
+    return V, tensor_grading(gS, p.h, V)
+
+
+def _canonical(grading):
+    return {s: [d.canonical() for d in ds] for s, ds in grading.degrees.items()}
+
+
+def differs_from_reference(p):
+    """True when `build(p)` raises ParamError or differs from the reference
+    in the model object or in a canonical V or L degree."""
+    V, ref = reference_build(p)
+    try:
+        built = build(p)
+    except ParamError:
+        return True
+    return built.V is not V or _canonical(built.grading) != _canonical(ref)
+
+
+def free_rank_tuples():
+    Z_Z3, Z2_Z3, Z3 = make_group(1, [3]), make_group(2, [3]), make_group(0, [3])
+    gamma = (Z2_Z3.element((1, 0, 1)), Z2_Z3.element((0, -2, 0)), Z2_Z3.element((-1, 2, 2)))
+    return [
+        params_r4(Z_Z3, Z_Z3.element((1, 0)), Z_Z3.element((0, 1))),
+        params_r4(Z_Z3, Z_Z3.element((-2, 1)), Z_Z3.element((0, 2))),
+        params_r2(Z2_Z3, gamma, Z2_Z3.element((0, 0, 1))),
+        params_r2(Z2_Z3, gamma, Z2_Z3.element((0, 0, 2))),
+        params_r8(Z3, Z3.element((1,)), "p"),
+        params_r8(Z3, Z3.element((2,)), "o"),
+    ]
+
+
+def test_build_matches_reference(sweep_tuples):
+    # the coarsenings of the fine gradings are the gradings that the four
+    # degree formulas gave, on the same model object, for all 912 sweep
+    # tuples and on groups with free rank
+    tuples = [p for params in sweep_tuples.values() for p in params] + free_rank_tuples()
+    assert len(tuples) == 912 + 6
+    assert [p for p in tuples if differs_from_reference(p)] == []
+
+
+@pytest.mark.parametrize(
+    "family, mutant",
+    [
+        # delta = '-' read with k1 and k2 in the order of delta = '+'
+        ((G333, 0), lambda p, kind, images: (kind, (*p.K, p.h)) if p.rank == 0 else (kind, images)),
+        # alpha(e3) = k3, so that alpha(h_U) = 2 k3 = e
+        ((G2223, 1), lambda p, kind, images: (kind, p.K) if p.rank == 1 else (kind, images)),
+    ],
+    ids=["r0_unswapped", "r1_k3"],
+)
+def test_alpha_mutants_fail_the_reference(sweep_tuples, monkeypatch, family, mutant):
+    import triality.classify as classify
+
+    real = classify._fine_kind_and_alpha
+    monkeypatch.setattr(classify, "_fine_kind_and_alpha", lambda p: mutant(p, *real(p)))
+    tuples = [p for p in sweep_tuples[family] if p.rank == 1 or p.delta == "-"]
+    assert tuples and all(differs_from_reference(p) for p in tuples)
+
+
+def test_build_does_not_reverify(sweep_tuples, monkeypatch):
+    # the fine gradings are verified once; a coarsening of a verified
+    # grading is a grading, so no build verifies anything again (the
+    # four-branch constructor made two verify_grading calls per tuple)
+    import sys
+
+    for kind in ("cartan", "z2cubed", "okubo"):
+        fine_typeIII(kind)
+    calls = []
+    real = verify_grading
+    for name, module in list(sys.modules.items()):
+        if name.startswith("triality") and getattr(module, "verify_grading", None) is real:
+            monkeypatch.setattr(module, "verify_grading", lambda g: calls.append(g) or real(g))
+    for params in sweep_tuples.values():
+        for p in params:
+            assert build(p).grading.verified
+    assert calls == []
 
 
 def reference_rank2(p, q):

@@ -22,6 +22,10 @@ SIMILAR_R0 = (
 )
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 PARAMS_R1 = '{"rank": 1, "group": {"free_rank": 0, "torsion": [2,2,6]}, "h": [0,0,2], "K": [[1,0,0],[0,1,0],[0,0,3]]}'
+PARAMS_R0 = f'{{"rank": 0, {Z333}, "K": [[1,0,0],[0,1,0]], "delta": "+"}}'
+PARAMS_R0_MINUS = f'{{"rank": 0, {Z333}, "K": [[1,0,0],[0,1,0]], "delta": "-"}}'
+PARAMS_R2 = f'{{"rank": 2, {Z333}, "gamma": [[1,0,0],[0,1,0],[2,2,0]]}}'
+PARAMS_R4_FREE = '{"rank": 4, "group": {"free_rank": 1, "torsion": [3]}, "h": [0,1], "g": [1,0]}'
 
 
 def run_cli(*args):
@@ -91,12 +95,20 @@ def test_product_fed_golden_stdout(name, args):
     [
         ("catalog_fine_typeIII", ["catalog", "fine-typeIII"]),
         ("build_typeIII_r1", ["build", "--constructor", "typeIII", "--params", PARAMS_R1]),
+        ("build_typeIII_r0_plus", ["build", "--constructor", "typeIII", "--params", PARAMS_R0]),
+        ("build_typeIII_r0_minus", ["build", "--constructor", "typeIII", "--params", PARAMS_R0_MINUS]),
+        ("build_typeIII_r2", ["build", "--constructor", "typeIII", "--params", PARAMS_R2]),
+        ("build_typeIII_r4_free", ["build", "--constructor", "typeIII", "--params", PARAMS_R4_FREE]),
+        ("build_typeIII_r8_p", ["build", "--constructor", "typeIII", "--params", PARAMS_R8]),
+        ("build_typeIII_r8_o", ["build", "--constructor", "typeIII", "--params", PARAMS_R8_O]),
     ],
 )
 def test_record_golden_stdout(name, args):
     # bytes pinned from the version that re-derived rank, universal group
     # and related triple in each command instead of reading them off the
-    # record that build returns
+    # record that build returns; the build_typeIII files other than r1 from
+    # the version that wrote a degree formula per rank family and verified
+    # every tuple's grading
     proc = run_cli("--seed", "11", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -208,3 +208,19 @@ def test_kernel_against_fraction_reference(conductor, data):
     g = F.galois(a, k)
     _assert_canonical(g)
     assert g.coeffs == _ref_galois(ca, k, F)
+
+
+def test_scalar_from_integers_matches_fraction(field):
+    # integer p/q is reduced by one gcd with the sign on the numerator; the
+    # stored form is that of the Fraction p/q
+    for p in range(-13, 14):
+        for q in [q for q in range(-13, 14) if q]:
+            r = Rational(p, q)
+            s = field.scalar(p, q)
+            assert (s.num, s.den) == ((r.numerator,) + (0,) * (field.degree - 1), r.denominator)
+            assert s == field.scalar(Rational(p), Rational(q))
+        with pytest.raises(ZeroDivisionError):
+            field.scalar(p, 0)
+    assert field.scalar(Rational(2, 3), -4) == field.scalar(-1, 6)
+    with pytest.raises(ZeroDivisionError):
+        field.scalar(Rational(1, 2), 0)
