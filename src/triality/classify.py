@@ -740,12 +740,15 @@ def _witness_rank0_flip(G, K, h, conductor):
 # --------------------------------------------------------- fine gradings
 
 
+# kind -> (its universal group U, as make_group arguments; the V it grades)
+_FINE_KINDS = {"cartan": ((2, [3]), "V_zorn"), "z2cubed": ((0, [2, 2, 2, 3]), "V_doubled"), "okubo": ((0, [3, 3, 3]), "V_okubo")}
+
+
 def _fine_params(kind: str) -> TypeIIIParams:
     """The fine tuple of the kind: its family over U at alpha = identity."""
-    universal = {"cartan": (2, [3]), "z2cubed": (0, [2, 2, 2, 3]), "okubo": (0, [3, 3, 3])}
-    if kind not in universal:
+    if kind not in _FINE_KINDS:
         raise ParamError("kind must be cartan, z2cubed or okubo")
-    U = make_group(*universal[kind])
+    U = make_group(*_FINE_KINDS[kind][0])
     u1, u2, u3 = map(U.generator, range(3))
     if kind == "cartan":
         return params_r2(U, (u1, u2, -(u1 + u2)), u3)
@@ -756,10 +759,12 @@ def _fine_params(kind: str) -> TypeIIIParams:
 
 @lru_cache(maxsize=None)
 def _fine_grading(kind: str, conductor: int) -> Grading:
-    """The fine grading of the kind, built and verified once per conductor:
-    its family's degree formula on S at the fine tuple, tensored with L."""
+    """The fine grading of the kind, built once per conductor: its family's
+    degree formula on S at the fine tuple, tensored with L.  tensor_grading
+    verifies it, and that covers S: the star products and b_Q values of the
+    s (x) 1 are the products and norms of S."""
     p = _fine_params(kind)
-    V = models(conductor)[{"okubo": "V_okubo", "z2cubed": "V_doubled", "cartan": "V_zorn"}[kind]]
+    V = models(conductor)[_FINE_KINDS[kind][1]]
     e = p.group.identity()
     if p.rank == 0:
         k1, k2 = p.K
@@ -769,9 +774,7 @@ def _fine_grading(kind: str, conductor: int) -> Grading:
     else:
         g1, g2, g3 = p.gamma
         degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
-    gS = Grading(V.S, p.group, {"A": degs})
-    verify_grading(gS).require(ParamError, "S grading")
-    return tensor_grading(gS, p.h, V)
+    return tensor_grading(Grading(V.S, p.group, {"A": degs}), p.h, V)
 
 
 def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:

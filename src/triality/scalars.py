@@ -146,11 +146,12 @@ class CycloField:
         return CycloScalar(self, tuple(q.numerator * (den // q.denominator) for q in qs), den)
 
     def scalar(self, p, q=1) -> CycloScalar:
-        if isinstance(p, int) and isinstance(q, int) and q:
-            g = gcd(p, q) if q > 0 else -gcd(p, q)
-            return CycloScalar(self, (p // g,) + (0,) * (self.degree - 1), q // g)
-        r = Rational(p) / Rational(q)
-        return CycloScalar(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
+        """The rational p/q, for p and q ints or Fractions, in lowest terms."""
+        n, d = p.numerator * q.denominator, p.denominator * q.numerator
+        if not d:
+            raise ZeroDivisionError("scalar with zero denominator")
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        return CycloScalar(self, (n // g,) + (0,) * (self.degree - 1), d // g)
 
     def zeta(self, power: int = 1) -> CycloScalar:
         return CycloScalar(self, self._pow_rows[power % self.conductor], 1)

@@ -425,3 +425,18 @@ def test_rank0_frame_signs_replay(sweep_tuples):
                 else:
                     assert q.h == -p.h and sign != p.delta
     assert cases == {"same h, same sign", "inverse h, flipped sign"}
+
+
+def test_a_failed_fine_grading_is_an_internal_error(monkeypatch):
+    # the fine tuples are constants, so a fine grading that fails its check
+    # is a defect of the program and must not read as invalid parameters:
+    # the Cartan degrees on the Okubo model raise AssertionError
+    import triality.classify as classify
+
+    monkeypatch.setitem(classify._FINE_KINDS, "cartan", ((2, [3]), "V_okubo"))
+    classify._fine_grading.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="tensor grading"):
+            classify._fine_grading("cartan", 12)
+    finally:
+        classify._fine_grading.cache_clear()
