@@ -6,14 +6,13 @@ coefficients; no check in this library carries a numerical tolerance.
 
 __version__ = "0.1.0"
 
-from .scalars import CycloField, CycloScalar, make_field, default_field
+from .scalars import CycloField, CycloScalar, make_field
 from .fgab import AbGroup, GroupElem, GroupHom, make_group, smith_normal_form
 
 __all__ = [
     "CycloField",
     "CycloScalar",
     "make_field",
-    "default_field",
     "AbGroup",
     "GroupElem",
     "GroupHom",

@@ -295,10 +295,10 @@ def verify_jordan(J: AlbertAlgebra) -> Report:
     return Report(viol, n + 2 * n * n)
 
 
-def random_element(J: AlbertAlgebra, rng, spread=5):
+def random_element(J: AlbertAlgebra, rng):
     out = {}
     for i in range(J.dim):
-        c = rng.randint(-spread, spread)
+        c = rng.randint(-5, 5)
         if c:
             out[i] = J.field.scalar(c, rng.randint(1, 3))
     return out

@@ -437,33 +437,25 @@ def canonical_key(p: TypeIIIParams):
 # --------------------------------------------------------- orientation
 
 
-def okubo_orientation(built: BuiltGrading, frame=None) -> str:
-    """The orientation of a rank-0 grading: for normalized homogeneous
-    generators x in V_{k1} and y in V_{k2} (n(x, x*x) = 1 = n(y, y*y)),
-    return '+' if x*y = 0 and '-' if y*x = 0.  Exactly one of the two
-    products vanishes; anything else is an error."""
+def okubo_orientation(built: BuiltGrading) -> str:
+    """The orientation of a rank-0 grading: for homogeneous generators x
+    of the line V_{k1} and y of the line V_{k2}, return '+' if x*y = 0 and
+    '-' if y*x = 0.  Scaling x by a != 0 and y by b != 0 scales both
+    products by ab, so the same product vanishes for every choice of
+    generators, and the basis vector spanning each line serves.  Exactly
+    one of the two products vanishes; anything else is an error."""
     if built.rank != 0:
         raise ParamError("orientation is defined for rank-0 gradings")
     V = built.grading.structure
-    L = V.L
-    F = V.field
-    k1, k2 = frame if frame is not None else built.params.K
     comps = built.grading.components("V")
 
-    def normalized_generator(k):
+    def generator(k):
         idxs = comps.get(k.canonical())
         if not idxs or len(idxs) != 1:
             raise ParamError(f"component at {k} is not a line")
-        x = V.basis_vec(idxs[0])
-        c = L.scalar_part(V.bform(x, V.product(x, x)))
-        lam = _cube_root_scalar(F, c.inverse())
-        return V.scale(lam, x)
+        return V.basis_vec(idxs[0])
 
-    x = normalized_generator(k1)
-    y = normalized_generator(k2)
-    for v in (x, y):
-        if L.scalar_part(V.bform(v, V.product(v, v))) != F.one:
-            raise ParamError("normalization n(x, x*x) = 1 failed")
+    x, y = (generator(k) for k in built.params.K)
     xy = V.product(x, y)
     yx = V.product(y, x)
     if bool(xy) == bool(yx):
@@ -478,15 +470,6 @@ def orientation_invariant(built: BuiltGrading) -> frozenset:
     h = built.params.h
     flip = "-" if sign == "+" else "+"
     return frozenset({(sign, h.canonical()), (flip, (-h).canonical())})
-
-
-def _cube_root_scalar(F, c):
-    from .composition import _cube_roots
-
-    roots = _cube_roots(F, c)
-    if not roots:
-        raise ParamError("normalization unachievable: no cube root in the field")
-    return roots[0]
 
 
 # ------------------------------------------------------- graded witnesses

@@ -19,7 +19,6 @@ every tuple is decided, and `checked` still counts each of them.
 
 from __future__ import annotations
 
-from .scalars import default_field
 from .fgab import make_group
 from .grading import Grading, Report, StructAlgebra, verify_grading
 from .linalg import Residues, axpy, echelon_from, grouped
@@ -37,13 +36,6 @@ class HurwitzAlgebra(StructAlgebra):
         super().__init__(field, labels, mul, forms={"n": n_polar}, involution=involution, unit=unit)
         self.doubling_steps = doubling_steps
 
-    def norm(self, x):
-        two = self.field.scalar(2)
-        return self.form_value("n", x, x) / two
-
-    def polar(self, x, y):
-        return self.form_value("n", x, y)
-
 
 class SymCompAlgebra(StructAlgebra):
     """A (not necessarily unital) composition algebra whose polar norm form
@@ -53,10 +45,6 @@ class SymCompAlgebra(StructAlgebra):
         super().__init__(field, labels, mul, forms={"n": n_polar})
         self.para_unit = para_unit
 
-    def norm(self, x):
-        two = self.field.scalar(2)
-        return self.form_value("n", x, x) / two
-
     def polar(self, x, y):
         return self.form_value("n", x, y)
 
@@ -64,10 +52,9 @@ class SymCompAlgebra(StructAlgebra):
 # --------------------------------------------------------------- Zorn model
 
 
-def zorn_cayley(field=None) -> HurwitzAlgebra:
+def zorn_cayley(F) -> HurwitzAlgebra:
     """The split Cayley algebra as Zorn vector matrices on the basis
     (e1, e2, u1, u2, u3, v1, v2, v3), with hyperbolic norm n = ab - u.v."""
-    F = field or default_field()
     zero, one = F.zero, F.one
 
     def vm(a, u, v, b):
@@ -132,9 +119,8 @@ def zorn_cayley(field=None) -> HurwitzAlgebra:
 # ------------------------------------------------------- Cayley-Dickson
 
 
-def ground_field_algebra(field=None) -> HurwitzAlgebra:
+def ground_field_algebra(F) -> HurwitzAlgebra:
     """F itself as the 1-dimensional Hurwitz algebra with n(x) = x^2."""
-    F = field or default_field()
     one = F.one
     return HurwitzAlgebra(F, ["1"], {(0, 0): {0: one}}, {(0, 0): F.scalar(2)}, {0: one}, {0: {0: one}})
 
@@ -186,9 +172,8 @@ def cayley_dickson(A: HurwitzAlgebra, mu) -> HurwitzAlgebra:
     return HurwitzAlgebra(F, labels, mul, n_polar, unit, involution, doubling_steps=step)
 
 
-def doubled_cayley(field=None) -> HurwitzAlgebra:
+def doubled_cayley(F) -> HurwitzAlgebra:
     """The split Cayley algebra built by three doublings of F with mu = 1."""
-    F = field or default_field()
     A = ground_field_algebra(F)
     for _ in range(3):
         A = cayley_dickson(A, F.one)
@@ -214,7 +199,7 @@ def para(A: HurwitzAlgebra) -> SymCompAlgebra:
 # --------------------------------------------------------------- Okubo
 
 
-def okubo_sl3(field=None) -> SymCompAlgebra:
+def okubo_sl3(F) -> SymCompAlgebra:
     """The Okubo algebra on traceless 3x3 matrices:
     x * y = mu xy + (1-mu) yx - (1/3) tr(xy) 1 with mu = (2+omega)/3 and
     n(x) = (1/6) tr(x^2).  The homogeneous basis is X^a Y^b, (a,b) != (0,0).
@@ -225,7 +210,6 @@ def okubo_sl3(field=None) -> SymCompAlgebra:
     on M_k, and tr(1 M_-k) = 0, so x * y of two monomials has the
     coordinates of mu xy + (1-mu) yx.
     """
-    F = field or default_field()
     w = F.omega
     zero, one = F.zero, F.one
     third = F.scalar(1, 3)
@@ -404,10 +388,9 @@ def is_hurwitz(A: HurwitzAlgebra) -> Report:
 # --------------------------------------------------------------- gradings
 
 
-def cartan_grading_cayley(A: HurwitzAlgebra | None = None, field=None):
+def cartan_grading_cayley(A: HurwitzAlgebra):
     """The Cartan Z^2-grading of the Zorn model: e1, e2 in degree 0,
     deg u1 = (1,0), deg u2 = (0,1), deg u3 = (-1,-1), deg v_i = -deg u_i."""
-    A = A or zorn_cayley(field)
     if A.labels[:3] != ["e1", "e2", "u1"]:
         raise CompositionError("the Cartan grading lives on the Zorn basis")
     G = make_group(2)
@@ -421,10 +404,9 @@ def cartan_grading_cayley(A: HurwitzAlgebra | None = None, field=None):
     return g
 
 
-def okubo_grading(S: SymCompAlgebra | None = None, sign: str = "+", field=None):
+def okubo_grading(S: SymCompAlgebra, sign: str):
     """The two Z_3^2 gradings of the Okubo algebra: deg X^a Y^b = (a, b)
     for "+", and with the two generators swapped for "-"."""
-    S = S if S is not None else okubo_sl3(field)
     if not hasattr(S, "monomial_keys"):
         raise CompositionError("the Okubo grading lives on the monomial basis")
     if sign not in ("+", "-"):
@@ -436,39 +418,3 @@ def okubo_grading(S: SymCompAlgebra | None = None, sign: str = "+", field=None):
     g = Grading(S, G, {"A": degs})
     verify_grading(g).require(AssertionError, "Okubo grading")
     return g
-
-
-# ------------------------------------------------------------ cube roots
-
-
-def _icbrt(n: int) -> int:
-    """The integer cube root floor(n^(1/3)) of n >= 0, by integer Newton
-    iteration from above."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) > n^(1/3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-def _cube_roots(field, c):
-    """All cube roots of c in the field, found among r * zeta^j with r a
-    rational cube root of a rational; sufficient for the desk-scale scalars
-    of the rank-0 normalization (roots of unity times rational cubes)."""
-    roots = []
-    for j in range(field.conductor):
-        t = c * field.zeta(-3 * j % field.conductor)
-        if not t.is_rational():
-            continue
-        q = t.rational_value()
-        # q is in lowest terms: a rational cube iff |numerator| and denominator are
-        n3, d3 = _icbrt(abs(q.numerator)), _icbrt(q.denominator)
-        if n3 ** 3 != abs(q.numerator) or d3 ** 3 != q.denominator:
-            continue
-        cand = field.scalar(n3 if q >= 0 else -n3, d3) * field.zeta(j)
-        if cand not in roots and cand * cand * cand == c:
-            roots.append(cand)
-    return roots

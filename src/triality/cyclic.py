@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .scalars import default_field
 from .composition import SymCompAlgebra, is_symmetric_composition
 from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
 from .linalg import Echelon, Residues, axpy, bilinear, echelon_from, grouped, kernel
@@ -34,9 +33,8 @@ class CyclicAxiomError(ValueError):
 class CubicEtale:
     """L = F x F x F with the cyclic shift rho, in xi-coordinates."""
 
-    def __init__(self, field=None):
-        F = field or default_field()
-        self.field = field = F
+    def __init__(self, F):
+        self.field = F
         self.omega = F.omega
         self._rho_factors = (F.one, F.omega, F.omega * F.omega)  # omega^k
         self.labels = ["1", "xi", "xi^2"]
@@ -47,9 +45,6 @@ class CubicEtale:
 
     def elt(self, c0, c1, c2):
         return (c0, c1, c2)
-
-    def scalar(self, c):
-        return (c, self.field.zero, self.field.zero)
 
     def mul(self, a, b):
         out = [self.field.zero, self.field.zero, self.field.zero]
@@ -85,9 +80,6 @@ class CubicEtale:
     def sharp(self, a):
         return self.mul(self.rho(a), self.rho(a, 2))
 
-    def is_zero(self, a):
-        return all(x.is_zero() for x in a)
-
     def scalar_part(self, a):
         """The F-value of an element known to lie in F.1."""
         if not (a[1].is_zero() and a[2].is_zero()):
@@ -100,13 +92,6 @@ class CubicEtale:
         fac = self._rho_factors
         return tuple(a[0] + fac[i] * a[1] + fac[2 * i % 3] * a[2] for i in range(3))
 
-    def invert(self, a):
-        n = self.norm(a)
-        s = self.scalar_part(n)
-        if s.is_zero():
-            raise ZeroDivisionError("element of L is not invertible")
-        return self.smul(s.inverse(), self.sharp(a))
-
     def idempotents(self):
         """The three primitive idempotents (1/3)(1 + w^-i xi + w^-2i xi^2)."""
         F = self.field
@@ -118,11 +103,10 @@ class CubicEtale:
         return out
 
 
-def make_L(field=None) -> CubicEtale:
+def make_L(F) -> CubicEtale:
     """The cubic etale algebra with its invariants verified exactly:
     rho^3 = id, N(xi) = 1, rho(xi) = omega xi, xi# = xi^2."""
-    L = CubicEtale(field)
-    F = L.field
+    L = CubicEtale(F)
     for a in ((F.one, F.scalar(2), F.scalar(-3)), L.xi, L.xi2):
         if L.rho(L.rho(L.rho(a))) != a:
             raise CyclicAxiomError("rho^3 is not the identity")
@@ -143,7 +127,7 @@ class CyclicAlgebra(StructAlgebra):
     argument); twist = 2 is used by opposite algebras.
     """
 
-    def __init__(self, S: SymCompAlgebra, L: CubicEtale, mul, bq, twist=1):
+    def __init__(self, S: SymCompAlgebra, L: CubicEtale, mul, bq, twist):
         self.S = S
         self.L = L
         self.twist = twist
@@ -217,11 +201,10 @@ class CyclicAlgebra(StructAlgebra):
         ]
 
 
-def cyclic_from_symmetric(S: SymCompAlgebra, L: CubicEtale | None = None, twist: int = 1) -> CyclicAlgebra:
-    """The cyclic composition algebra S (x) (L, rho^twist)."""
+def cyclic_from_symmetric(S: SymCompAlgebra, L: CubicEtale) -> CyclicAlgebra:
+    """The cyclic composition algebra S (x) (L, rho), in the standard twist."""
     if S.dim != 8:
         raise CyclicAxiomError("the triple model needs an 8-dimensional symmetric composition algebra")
-    L = L or make_L(S.field)
     F = S.field
     w = F.omega
     wpow = [F.one, w, w * w]
@@ -235,11 +218,11 @@ def cyclic_from_symmetric(S: SymCompAlgebra, L: CubicEtale | None = None, twist:
                 for b in range(3):
                     i, j = 3 * p + a, 3 * q + b
                     if row:
-                        fac = wpow[(twist * (a + 2 * b)) % 3]
+                        fac = wpow[(a + 2 * b) % 3]
                         mul[(i, j)] = {3 * r + ((a + b) % 3): fac * c for r, c in row.items()}
                     if npq is not None:
                         bq[(i, j)] = {(a + b) % 3: npq}
-    return CyclicAlgebra(S, L, mul, bq, twist=twist)
+    return CyclicAlgebra(S, L, mul, bq, twist=1)
 
 
 def opposite(V: CyclicAlgebra) -> CyclicAlgebra:

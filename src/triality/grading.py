@@ -170,15 +170,6 @@ class Grading:
     def identity_component(self, sort=None):
         return self.components(sort).get(self.group.identity().canonical(), [])
 
-    def degree_map_equal(self, other) -> bool:
-        if self.group != other.group or set(self.degrees) != set(other.degrees):
-            return False
-        for s in self.degrees:
-            a, b = self.degrees[s], other.degrees[s]
-            if len(a) != len(b) or any(x != y for x, y in zip(a, b)):
-                return False
-        return True
-
     def copy_with_degree(self, sort, index, new_deg):
         degs = {s: list(ds) for s, ds in self.degrees.items()}
         degs[sort][index] = new_deg

@@ -216,9 +216,6 @@ class CycloField:
         g = gcd(den, *acc[: self.degree])
         return CycloScalar(self, tuple([t // g for t in acc[: self.degree]]), den // g)
 
-    def from_strings(self, strings) -> CycloScalar:
-        return self.element([Rational(s) for s in strings])
-
     def __repr__(self):
         return f"CycloField(conductor={self.conductor})"
 
@@ -430,8 +427,3 @@ def make_field(conductor: int) -> CycloField:
     4
     """
     return CycloField(conductor)
-
-
-def default_field() -> CycloField:
-    """Q(zeta_12): the scalar domain used by every constructor by default."""
-    return make_field(12)

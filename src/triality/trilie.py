@@ -305,9 +305,6 @@ class RootDatum:
     simple_roots: list    # 4 integer vectors
     cartan_matrix: list   # 4x4 integers
 
-    def valences(self):
-        return sorted(sum(1 for x in row if x == -1) for row in self.cartan_matrix)
-
 
 def _ad_matrix(tri: TriAlgebra, coords: dict):
     """ad(x) in tri-basis coordinates for x given by coordinates."""

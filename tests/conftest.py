@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from triality.scalars import default_field
+from triality.scalars import make_field
 from triality.classify import models, fine_typeIII
 
 
@@ -19,7 +19,7 @@ def _clear_cli_env(monkeypatch):
 
 @pytest.fixture(scope="session")
 def field():
-    return default_field()
+    return make_field(12)
 
 
 @pytest.fixture(scope="session")

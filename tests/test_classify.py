@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -21,9 +22,10 @@ from triality.classify import (
     similar_params,
     witness_map,
 )
-from triality.cyclic import tensor_grading
+from triality.cyclic import CyclicAlgebra, tensor_grading
 from triality.fgab import make_group, subgroup_elements
 from triality.grading import Grading, invariants, verify_grading
+from triality.scalars import CycloScalar
 
 import sweep_utils
 
@@ -99,6 +101,55 @@ def test_orientation_invariant_separates():
         x = V.act(l_elt, V.basis_vec(i1))
         y = V.act(l_elt, V.basis_vec(i2))
         assert not V.product(x, y) and V.product(y, x)
+
+
+def corrupted_rank0(nonzero):
+    """The rank-0 record with delta = '+' whose V has one product of the
+    generators x of V_{k1} and y of V_{k2} corrupted: x*y set to y*x, so
+    both are nonzero, or y*x deleted, so both are 0."""
+    k1, k2, h = G333.element((1, 0, 0)), G333.element((0, 1, 0)), G333.element((0, 0, 1))
+    built = build(params_r0(G333, k1, k2, h, "+"))
+    V, g = built.V, built.grading
+    (i,), (j,) = (g.components("V")[k.canonical()] for k in (k1, k2))
+    mul = dict(V.mul)
+    assert (i, j) not in mul and mul[(j, i)]
+    if nonzero:
+        mul[(i, j)] = mul[(j, i)]
+    else:
+        del mul[(j, i)]
+    bad = CyclicAlgebra(V.S, V.L, mul, V.bq, twist=V.twist)
+    return dataclasses.replace(built, V=bad, grading=Grading(bad, g.group, g.degrees))
+
+
+@pytest.mark.parametrize("nonzero", [True, False], ids=["both_nonzero", "both_zero"])
+def test_orientation_refuses_a_broken_dichotomy(nonzero):
+    with pytest.raises(ParamError, match="dichotomy"):
+        okubo_orientation(corrupted_rank0(nonzero))
+
+
+def test_orientation_refuses_other_ranks_and_non_lines():
+    h = G333.element((0, 0, 1))
+    with pytest.raises(ParamError, match="rank-0"):
+        okubo_orientation(build(params_r8(G333, h, "p")))
+    # the degree of the generator at k2 moved to k1: V_{k1} is a plane
+    k1, k2 = G333.element((1, 0, 0)), G333.element((0, 1, 0))
+    built = build(params_r0(G333, k1, k2, h, "+"))
+    g = built.grading
+    (j,) = g.components("V")[k2.canonical()]
+    plane = dataclasses.replace(built, grading=g.copy_with_degree("V", j, k1))
+    with pytest.raises(ParamError, match="not a line"):
+        okubo_orientation(plane)
+
+
+def test_orientation_inverts_no_scalar(monkeypatch):
+    # the sign is read on the lines as built: nothing is rescaled
+    k1, k2, h = G333.element((1, 0, 0)), G333.element((0, 1, 0)), G333.element((0, 0, 1))
+    records = [build(params_r0(G333, k1, k2, h, d)) for d in "+-"]
+    calls = []
+    real = CycloScalar.inverse
+    monkeypatch.setattr(CycloScalar, "inverse", lambda self: calls.append(self) or real(self))
+    assert [okubo_orientation(b) for b in records] == ["+", "-"]
+    assert calls == []
 
 
 def test_witnesses_pass():
@@ -397,9 +448,22 @@ def test_rank4_traces_replay(G, sweep_tuples):
     assert inverted_seen
 
 
+def orientation_in_frame(built, frame):
+    """The sign read off the algebra in the frame (k1, k2): '+' if x*y = 0
+    and '-' if y*x = 0 for the basis vectors x, y spanning the lines at k1
+    and k2, which must be lines with exactly one of the products 0."""
+    V = built.grading.structure
+    comps = built.grading.components("V")
+    (i,), (j,) = (comps[k.canonical()] for k in frame)
+    xy = V.product(V.basis_vec(i), V.basis_vec(j))
+    yx = V.product(V.basis_vec(j), V.basis_vec(i))
+    assert bool(xy) != bool(yx)
+    return "+" if not xy else "-"
+
+
 def test_rank0_frame_signs_replay(sweep_tuples):
     """frame_sign is the orientation of q's grading read in p's frame: it
-    is checked against the algebra, where x*y = 0 for the normalized
+    is checked against the algebra, where x*y = 0 for the homogeneous
     generators of the frame's components exactly when the sign is '+'."""
     params = sweep_tuples[(G333, 0)]
     built = {}
@@ -415,7 +479,7 @@ def test_rank0_frame_signs_replay(sweep_tuples):
             if key not in orientation:
                 if q not in built:
                     built[q] = build(q)
-                orientation[key] = okubo_orientation(built[q], frame=p.K)
+                orientation[key] = orientation_in_frame(built[q], p.K)
             assert sign == orientation[key]
             if verdict.similar:
                 case = verdict.trace["case"]

@@ -101,6 +101,12 @@ def test_product_fed_golden_stdout(name, args):
         ("build_typeIII_r4_free", ["build", "--constructor", "typeIII", "--params", PARAMS_R4_FREE]),
         ("build_typeIII_r8_p", ["build", "--constructor", "typeIII", "--params", PARAMS_R8]),
         ("build_typeIII_r8_o", ["build", "--constructor", "typeIII", "--params", PARAMS_R8_O]),
+        ("invariants_r0_plus", ["invariants", "--params", PARAMS_R0]),
+        ("invariants_r0_minus", ["invariants", "--params", PARAMS_R0_MINUS]),
+        ("invariants_r0_plus_n3", ["--field-conductor", "3", "invariants", "--params", PARAMS_R0]),
+        ("invariants_r0_minus_n3", ["--field-conductor", "3", "invariants", "--params", PARAMS_R0_MINUS]),
+        ("invariants_r0_plus_n24", ["--field-conductor", "24", "invariants", "--params", PARAMS_R0]),
+        ("invariants_r0_minus_n24", ["--field-conductor", "24", "invariants", "--params", PARAMS_R0_MINUS]),
     ],
 )
 def test_record_golden_stdout(name, args):
@@ -108,7 +114,9 @@ def test_record_golden_stdout(name, args):
     # and related triple in each command instead of reading them off the
     # record that build returns; the build_typeIII files other than r1 from
     # the version that wrote a degree formula per rank family and verified
-    # every tuple's grading
+    # every tuple's grading; the invariants files from the version that
+    # rescaled the rank-0 generators to n(x, x*x) = 1 before reading the
+    # orientation
     proc = run_cli("--seed", "11", *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
