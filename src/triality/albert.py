@@ -23,11 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .grading import Grading, Report, StructAlgebra, verify_grading
+from .grading import Grading, Report, StructAlgebra, VerificationError, verify_grading
 from .linalg import axpy, grouped, summed
 
 
-class AlbertError(ValueError):
+class AlbertError(VerificationError):
     pass
 
 

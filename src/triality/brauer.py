@@ -17,11 +17,11 @@ import itertools
 from dataclasses import dataclass
 
 from .fgab import AbGroup, Character, GroupElem, characters, subgroup_generated, quotient
-from .grading import AdaptedRows, Grading, StructAlgebra, verify_grading
+from .grading import AdaptedRows, Grading, StructAlgebra, VerificationError, verify_grading
 from .linalg import Echelon, Residues, axpy, compose, echelon_from, grouped, invert_dense, kernel, to_flat
 
 
-class BrauerError(ValueError):
+class BrauerError(VerificationError):
     pass
 
 

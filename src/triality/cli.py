@@ -5,7 +5,7 @@ Reports are UTF-8 JSON with sorted keys; exact scalars are emitted as
 coefficient strings, so re-running a command on identical input produces
 byte-identical output.  Timing goes to stderr only, to keep the payload
 deterministic.  Exit codes: 0 = pass, 1 = verification failure,
-2 = usage or parameter error.
+2 = usage or parameter error, 3 = internal error.
 
 Flags (environment overrides in parentheses): --field-conductor
 (TRIALITY_FIELD_CONDUCTOR), --seed (TRIALITY_SEED), --out (TRIALITY_OUT).
@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .fgab import make_group
-from .grading import invariants, universal_group, verify_grading
+from .grading import VerificationError, universal_group, verify_grading
 from .scalars import MAX_CONDUCTOR
 from . import classify
 from .classify import (
@@ -321,15 +321,16 @@ def cmd_invariants(args) -> int:
 
 
 def invariants_of_built(built) -> dict:
-    inv = invariants(built.grading)
+    """Rank, support, type vector (n_i components of dimension i) and
+    universal group of a built grading on V, read off its record."""
+    comps = built.grading.components("V")
+    dims = [len(ix) for ix in comps.values()]
+    U = built.universal.group
     out = {
-        "rank": inv.identity_dim,
-        "support": [list(s) for s in inv.support],
-        "type_vector": list(inv.type_vector),
-        "universal_group": {
-            "free_rank": inv.universal.free_rank,
-            "torsion": list(inv.universal.torsion),
-        },
+        "rank": built.rank,
+        "support": [list(s) for s in sorted(comps)],
+        "type_vector": [dims.count(i) for i in range(1, max(dims) + 1)],
+        "universal_group": {"free_rank": U.free_rank, "torsion": list(U.torsion)},
     }
     if built.params.rank == 0:
         out["orientation"] = okubo_orientation(built)
@@ -495,9 +496,12 @@ def main(argv=None) -> int:
     except classify.ParamError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
-    except Exception as exc:  # verification machinery raised: report as failure
+    except VerificationError as exc:
         sys.stderr.write(f"verification error: {type(exc).__name__}: {exc}\n")
         return 1
+    except Exception as exc:  # a fault of the program, not a failed proof
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     sys.stderr.write(f"elapsed: {time.time() - t0:.2f}s\n")
     return code
 

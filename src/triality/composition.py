@@ -20,11 +20,11 @@ every tuple is decided, and `checked` still counts each of them.
 from __future__ import annotations
 
 from .fgab import make_group
-from .grading import Grading, Report, StructAlgebra, verify_grading
+from .grading import Grading, Report, StructAlgebra, VerificationError, verify_grading
 from .linalg import Residues, axpy, echelon_from, grouped
 
 
-class CompositionError(ValueError):
+class CompositionError(VerificationError):
     pass
 
 

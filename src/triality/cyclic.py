@@ -22,11 +22,11 @@ import itertools
 from functools import cached_property
 
 from .composition import SymCompAlgebra, is_symmetric_composition
-from .grading import SMap, Grading, Report, StructAlgebra, verify_grading
+from .grading import SMap, Grading, Report, StructAlgebra, VerificationError, verify_grading
 from .linalg import Echelon, Residues, axpy, bilinear, echelon_from, grouped, kernel
 
 
-class CyclicAxiomError(ValueError):
+class CyclicAxiomError(VerificationError):
     pass
 
 
@@ -155,21 +155,9 @@ class CyclicAlgebra(StructAlgebra):
         return tuple(half * c for c in self.bform(x, x))
 
     def act(self, l, x):
-        """The L-action: xi^k sends s_p (x) xi^j to s_p (x) xi^(j+k)."""
-        out = {}
-        for i, a in x.items():
-            p, j = self.split(i)
-            for k in range(3):
-                c = l[k]
-                if c.is_zero():
-                    continue
-                t = out.get(self.idx(p, j + k))
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(self.idx(p, j + k), None)
-                else:
-                    out[self.idx(p, j + k)] = t2
-        return out
+        """The L-action through the L.act table that verify_grading checks:
+        xi^k sends s_p (x) xi^j to s_p (x) xi^(j+k)."""
+        return bilinear(self._l_tables[1], {k: c for k, c in enumerate(l) if not c.is_zero()}, x)
 
     def embed(self, p, j=0):
         return {self.idx(p, j): self.field.one}
@@ -181,7 +169,8 @@ class CyclicAlgebra(StructAlgebra):
 
     @cached_property
     def _l_tables(self):
-        """The L.mul and L.act tables, built once for all grading maps."""
+        """The L.mul and L.act tables, built once for all grading maps and
+        for `act`."""
         one = self.field.one
         lmul = {(j, k): {(j + k) % 3: one} for j in range(3) for k in range(3)}
         act = {}

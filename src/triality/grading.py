@@ -120,6 +120,12 @@ class StructAlgebra:
         return maps
 
 
+class VerificationError(ValueError):
+    """A structure failed one of the package's exact checks.  The error of
+    each layer derives from it, so the CLI tells a failed proof (exit 1)
+    from an internal error (exit 3)."""
+
+
 @dataclass
 class Report:
     """The verdict of an exact verifier: the violations it found, empty iff
@@ -391,23 +397,3 @@ def universal_group(grading: Grading) -> UniversalResult:
     Report(wrong, len(relations)).require(AssertionError, "universal relabeling")
     relabeled.verified = True
     return UniversalResult(U, relabeled, to_original)
-
-
-@dataclass
-class GradingInvariants:
-    support: list            # canonical degree tuples of the main sort
-    type_vector: tuple       # n_i = number of main-sort components of dim i
-    identity_dim: int
-    universal: AbGroup
-
-
-def invariants(grading: Grading) -> GradingInvariants:
-    if not grading.verified:
-        raise ValueError("verify the grading before computing invariants")
-    comps = grading.components()
-    dims = sorted(len(ix) for ix in comps.values())
-    maxd = dims[-1] if dims else 0
-    tv = tuple(sum(1 for d in dims if d == i) for i in range(1, maxd + 1))
-    ident = len(grading.identity_component())
-    uni = universal_group(grading).group
-    return GradingInvariants(sorted(comps), tv, ident, uni)

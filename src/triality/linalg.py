@@ -18,21 +18,29 @@ and the zero test of new entries, was within 0.4 % on every benchmark
 workload (ten alternating pairs, inside the spread of its runs).  It is not a
 generator kernel: the vectors here have one to three entries, and a
 `collect(terms)` generator in the End_L(V) product and sigma made
-`end_algebra` 1.4-1.6x slower.  Loops that compute an output index per term
-(`compose`, the End_L(V) and Clifford products, the L-action, the xi
-transform and the brackets of trilie) stay written out: through `axpy` each
-term needs a remapped temporary dict, which made `clifford_even` about 12 %
-slower and saved no code.  `Echelon.reduce` and `insert` stay written out as
-well; they are the inner loop of every elimination, and `axpy` in `reduce`
-made the tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians of 3).
+`end_algebra` 1.4-1.6x slower.  `Echelon.reduce` and `insert` stay
+written out; they are the inner loop of every elimination, and `axpy` in
+`reduce` made the tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians
+of 3).  With `axpy` they are the only sums added by hand, and
+`tests/test_hygiene.py` names any other.
 
 `bilinear(table, x, y)` evaluates a sparse bilinear table {(i, j): {k: c}}:
-every `StructAlgebra.product` and b_Q of `CyclicAlgebra`.  Where `axpy`
+every `StructAlgebra.product`, b_Q and the L-action of `CyclicAlgebra` (the
+`L.act` table that `verify_grading` checks), and `trilie.apply_deltas`
+(the table of the elementary operators of End_L(V) on V).  Where `axpy`
 normalizes a scalar per term, it sums each output's terms with one
 `CycloField.sum_products` (a dense Jordan product: ~1,800 terms, 27 sums).
-`summed` is that step on its own; `albert.degree3_table` adds the terms
-of the degree-3 identity through it as well, one sum per (basis triple,
-coordinate): 9,423 terms in 2,880 sums on the Albert algebra.
+`summed` is that step on its own, for products of two or three factors:
+the sums whose output index is computed per term go through it (`compose`,
+trilie's xi transform, the product and reversal of `CliffordEven`), and
+`albert.degree3_table` adds the terms of the degree-3 identity through it,
+one sum per (basis triple, coordinate): 9,423 terms in 2,880 sums on the
+Albert algebra.  A short sum costs more here than products added in
+place: per call, in one process (2-core VM, best of 5), the L-action took
+1.4-1.6x as long as the loop it replaced, `scale_l` (now a Clifford
+product) 2.5x, the Clifford product 1.2x, `compose` and `apply_deltas`
+1.1x, the xi transform and the reversal as long.  These sums are a small
+share of every command.
 
 `Residues` is the one way an identity on basis tuples is decided without
 a dense loop over the tuples: `axpy` into one vector per tuple, from the
@@ -64,6 +72,9 @@ in the span.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import mul
 
 
 class Echelon:
@@ -241,16 +252,12 @@ def bilinear(table: dict, x: dict, y: dict) -> dict:
 
 
 def summed(terms: dict) -> dict:
-    """{key: the sum of a * b * c over the scalar triples of terms[key]}: a
-    lone term is one product, a longer sum one `CycloField.sum_products`,
-    and sums that cancel are dropped."""
+    """{key: the sum of the products of the scalar tuples (pairs or
+    triples) of terms[key]}: a lone product is multiplied out, a longer sum
+    is one `CycloField.sum_products`, and sums that cancel are dropped."""
     out = {}
     for key, t in terms.items():
-        if len(t) == 1:
-            a, b, c = t[0]
-            s = a * b * c
-        else:
-            s = t[0][0].field.sum_products(t)
+        s = reduce(mul, t[0]) if len(t) == 1 else t[0][0].field.sum_products(t)
         if any(s.num):
             out[key] = s
     return out
@@ -291,20 +298,19 @@ def mat_vec(mat_cols, vec: dict) -> dict:
 
 
 def compose(A: dict, B: dict, n: int) -> dict:
-    """The product A B of two flat n x n matrices {i*n + j: c}."""
+    """The product A B of two flat n x n matrices {i*n + j: c}: entry
+    (i, j) is the `summed` products of row i of A with column j of B."""
     rows_b = {}
     for idx, b in B.items():
         rows_b.setdefault(idx // n, []).append((idx % n, b))
-    out = {}
+    terms = {}
     for idx, a in A.items():
         row_b = rows_b.get(idx % n)
-        if row_b is None:
-            continue
-        base = idx - idx % n
-        for j, b in row_b:
-            t = out.get(base + j)
-            out[base + j] = a * b if t is None else t + a * b
-    return {idx: c for idx, c in out.items() if not c.is_zero()}
+        if row_b:
+            base = idx - idx % n
+            for j, b in row_b:
+                terms.setdefault(base + j, []).append((a, b))
+    return summed(terms)
 
 
 def to_flat(M) -> dict:

@@ -182,27 +182,28 @@ class CycloField:
         # numerators keep their content and the denominator stays reduced
         return CycloScalar(self, tuple(self._galois_num(a.num, k)), a.den)
 
-    def sum_products(self, triples) -> CycloScalar:
-        """The sum of a b c over the scalar triples (a, b, c), in lowest
-        terms: int products, not folded, over the lcm of the terms'
-        denominators, then one fold mod Phi_N and one gcd.  Rational
-        factors scale, as in __mul__; the form is canonical, so the value
-        is the one a loop of scalar products and sums gives."""
+    def sum_products(self, terms) -> CycloScalar:
+        """The sum of the products over the scalar tuples of terms (pairs
+        or triples), in lowest terms: int products, not folded, over the
+        lcm of the terms' denominators, then one fold mod Phi_N and one
+        gcd.  Rational factors scale, as in __mul__; the form is canonical,
+        so the value is the one a loop of scalar products and sums gives."""
         acc = [0] * (3 * self.degree - 2)
         den = 1
-        for a, b, c in triples:
-            d = a.den * b.den * c.den
-            if den % d:
-                s = d // gcd(den, d)
-                acc = [s * t for t in acc]
-                den *= s
-            k = den // d
-            vec = None
-            for v in (a.num, b.num, c.num):
+        for factors in terms:
+            d, k, vec = 1, 1, None
+            for f in factors:
+                d *= f.den
+                v = f.num
                 if any(v[1:]):
                     vec = v if vec is None else _poly_mul(vec, v)
                 else:
                     k *= v[0]
+            if den % d:
+                s = d // gcd(den, d)
+                acc = [s * t for t in acc]
+                den *= s
+            k *= den // d
             if vec is None:
                 acc[0] += k
             else:

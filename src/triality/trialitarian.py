@@ -21,12 +21,12 @@ subset of the S-basis.
 
 from __future__ import annotations
 
-from .grading import Grading, StructAlgebra, verify_grading
-from .linalg import Echelon, Residues, axpy, echelon_from, grouped, invert_dense, kernel, mat_vec
+from .grading import Grading, StructAlgebra, VerificationError, verify_grading
+from .linalg import Echelon, Residues, axpy, echelon_from, grouped, invert_dense, kernel, mat_vec, summed
 from .trilie import apply_deltas, operator_degrees, so_blocks, xi_transform
 
 
-class TrialitarianError(ValueError):
+class TrialitarianError(VerificationError):
     pass
 
 
@@ -218,63 +218,44 @@ class CliffordEven:
         self._gen_cache[key] = out
         return out
 
-    def _mask_mul(self, m1, m2):
-        key = (m1, m2)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        acc = {m2: self.field.one}
-        gens = [i for i in range(self.n) if m1 & (1 << i)]
-        for i in reversed(gens):
+    def _walk(self, gens, mask):
+        """e_g (... (e_h . monomial of mask)) for gens = h, ..., g in the
+        order given: each generator multiplies from the left."""
+        acc = {mask: self.field.one}
+        for i in gens:
             nxt = {}
             for m, c in acc.items():
                 axpy(nxt, c, self._left_gen(i, m))
             acc = nxt
-        self._pair_cache[key] = acc
         return acc
+
+    def _mask_mul(self, m1, m2):
+        key = (m1, m2)
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            gens = [i for i in range(self.n) if m1 & (1 << i)]
+            cached = self._pair_cache[key] = self._walk(reversed(gens), m2)
+        return cached
 
     def product(self, x, y):
         return self.odd_product({self.key_of(i): a for i, a in x.items()}, {self.key_of(j): b for j, b in y.items()})
 
     def scale_l(self, l_elt, x):
-        """Multiplication by an element of L in xi-coordinates."""
-        out = {}
-        for i, a in x.items():
-            m, k = self.key_of(i)
-            for k2, c in enumerate(l_elt):
-                if c.is_zero():
-                    continue
-                idx = self.key_index(m, k + k2)
-                t = out.get(idx)
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = t2
-        return out
+        """Multiplication by an element of L in xi-coordinates: the product
+        with l_elt, an element of L central in Cl_0 (mask 0)."""
+        l_mono = {(0, k): c for k, c in enumerate(l_elt) if not c.is_zero()}
+        return self.odd_product({self.key_of(i): a for i, a in x.items()}, l_mono)
 
     def reversal(self, x):
         """The standard involution: reverse the generator order of every
-        monomial and re-normal-order."""
-        out = {}
+        monomial, that is, multiply its generators from the left in
+        ascending order, and re-normal-order."""
+        terms = {}
         for i, a in x.items():
             m, k = self.key_of(i)
-            gens = [g for g in range(self.n) if m & (1 << g)]
-            acc = {0: self.field.one}
-            for g in gens:  # multiply e_g from the left in reversed order
-                nxt = {}
-                for mm, c in acc.items():
-                    axpy(nxt, c, self._left_gen(g, mm))
-                acc = nxt
-            for mm, c in acc.items():
-                idx = self.key_index(mm, k)
-                t = out.get(idx)
-                t2 = a * c if t is None else t + a * c
-                if t2.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = t2
-        return out
+            for mm, c in self._walk([g for g in range(self.n) if m & (1 << g)], 0).items():
+                terms.setdefault(self.key_index(mm, k), []).append((a, c))
+        return summed(terms)
 
     def vector(self, v):
         """An element of V as an odd Clifford element {(mask, k): c}
@@ -288,19 +269,12 @@ class CliffordEven:
     def odd_product(self, xv, yv):
         """Product of two elements given on monomials {(mask, k): c}, two
         V-elements from vector() among them, as an element of Cl_0."""
-        out = {}
+        terms = {}
         for (m1, k1), a in xv.items():
             for (m2, k2), b in yv.items():
-                ab = a * b
                 for m3, c in self._mask_mul(m1, m2).items():
-                    idx = self.key_index(m3, k1 + k2)
-                    t = out.get(idx)
-                    t2 = ab * c if t is None else t + ab * c
-                    if t2.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = t2
-        return out
+                    terms.setdefault(self.key_index(m3, k1 + k2), []).append((a, b, c))
+        return summed(terms)
 
 
 def clifford_even(V) -> CliffordEven:

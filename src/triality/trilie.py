@@ -14,8 +14,8 @@ delta_k as blocks, and xi_transform converts between the two.  In delta
 coordinates, position k*n*n + p*n + r is the elementary operator (p, r, k)
 of E = End_L(V), which sends s_r (x) xi^c to s_p (x) xi^(c+k): an element
 of E is such a vector (trialitarian.EndAlgebraE uses the same index),
-apply_deltas is the one rule applying it to V, and operator_degrees lists
-the degree of each position under a grading of V.
+apply_deltas applies it to V through the one table of that rule, and
+operator_degrees lists the degree of each position under a grading of V.
 
 Brackets are taken componentwise on triples only.  The basis
 TriAlgebra.vectors is the reduced rows of tri(S) in triple coordinates, so
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .linalg import axpy, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, to_flat
-from .grading import AdaptedRows, Grading, Report, StructAlgebra, verify_grading
+from .linalg import axpy, bilinear, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, summed, to_flat
+from .grading import AdaptedRows, Grading, Report, StructAlgebra, VerificationError, verify_grading
 
 
-class TrialityError(ValueError):
+class TrialityError(VerificationError):
     pass
 
 
@@ -65,55 +66,46 @@ def xi_transform(F, vec, nn, to_deltas):
         fac = [[third * wp[(-j * i) % 3] for i in range(3)] for j in range(3)]
     else:
         fac = [[wp[(j * i) % 3] for i in range(3)] for j in range(3)]
-    out = {}
+    terms = {}
     for idx, c in vec.items():
         i, rem = divmod(idx, nn)
         for j in range(3):
-            x = fac[j][i] * c
-            t = out.get(j * nn + rem)
-            out[j * nn + rem] = x if t is None else t + x
-    return {idx: c for idx, c in sorted(out.items()) if not c.is_zero()}
+            terms.setdefault(j * nn + rem, []).append((fac[j][i], c))
+    return dict(sorted(summed(terms).items()))
 
 
-def _bracket(xs, ys, n):
+def _bracket(F, xs, ys, n):
     """The componentwise commutator [x, y]_c = x_c y_c - y_c x_c of two
     vectors of End(S)^3 given by their blocks."""
-    nn = n * n
-    acc = {}
-    for k, (a, b) in enumerate(zip(xs, ys)):
-        if not a or not b:
-            continue
-        base = k * nn
-        for idx, c in compose(a, b, n).items():
-            t = acc.get(base + idx)
-            acc[base + idx] = c if t is None else t + c
-        for idx, c in compose(b, a, n).items():
-            t = acc.get(base + idx)
-            acc[base + idx] = -c if t is None else t - c
-    return {idx: c for idx, c in acc.items() if not c.is_zero()}
+    minus_one = F.scalar(-1)
+    return {
+        k * n * n + idx: c
+        for k, (a, b) in enumerate(zip(xs, ys))
+        if a and b
+        for idx, c in axpy(compose(a, b, n), minus_one, compose(b, a, n)).items()
+    }
+
+
+@lru_cache(maxsize=None)
+def _operator_table(V):
+    """How each elementary operator acts on the tensor basis of V, as a
+    bilinear table {(delta position, V index): {V index: 1}}: position
+    k*n*n + p*n + r, the operator (p, r, k), sends s_r (x) xi^c to
+    s_p (x) xi^(c+k).  Built once per V."""
+    n, one = V.S.dim, V.field.one
+    return {
+        (k * n * n + p * n + r, V.idx(r, c)): {V.idx(p, c + k): one}
+        for k in range(3)
+        for p in range(n)
+        for r in range(n)
+        for c in range(3)
+    }
 
 
 def apply_deltas(V, x, vec):
     """The element x of End_L(V), in delta coordinates, applied to a sparse
-    V-vector: position k*n*n + p*n + r, the elementary operator (p, r, k),
-    sends s_r (x) xi^c to s_p (x) xi^(c+k)."""
-    n = V.S.dim
-    out = {}
-    for pos, a in x.items():
-        k, rem = divmod(pos, n * n)
-        p, r = divmod(rem, n)
-        for vidx, c in vec.items():
-            q, col = V.split(vidx)
-            if q != r:
-                continue
-            key = V.idx(p, col + k)
-            t = out.get(key)
-            t2 = a * c if t is None else t + a * c
-            if t2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = t2
-    return out
+    V-vector through the table of the elementary operators."""
+    return bilinear(_operator_table(V), x, vec)
 
 
 def operator_degrees(grading: Grading) -> list:
@@ -170,7 +162,7 @@ class TriAlgebra:
         mul = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
-                coords = self.span.coordinates(_bracket(blocks[a], blocks[b], n))
+                coords = self.span.coordinates(_bracket(self.field, blocks[a], blocks[b], n))
                 if coords is None:
                     raise TrialityError("bracket is not in tri(S)")
                 if coords:

@@ -22,9 +22,10 @@ from triality.classify import (
     similar_params,
     witness_map,
 )
+from triality.cli import invariants_of_built
 from triality.cyclic import CyclicAlgebra, tensor_grading
 from triality.fgab import make_group, subgroup_elements
-from triality.grading import Grading, invariants, verify_grading
+from triality.grading import Grading, verify_grading
 from triality.scalars import CycloScalar
 
 import sweep_utils
@@ -261,15 +262,15 @@ def class_invariants(sweep_tuples):
         for p in params:
             first.setdefault(canonical_key(p), p)
         for p in first.values():
-            inv = invariants(build(p).grading)
-            U = inv.universal
+            inv = invariants_of_built(build(p))
+            U = inv["universal_group"]
             rows.append(
                 {
                     "params": p.describe(),
-                    "rank": inv.identity_dim,
-                    "support": [list(s) for s in inv.support],
-                    "type_vector": list(inv.type_vector),
-                    "universal_group": [U.free_rank, list(U.torsion)],
+                    "rank": inv["rank"],
+                    "support": inv["support"],
+                    "type_vector": inv["type_vector"],
+                    "universal_group": [U["free_rank"], U["torsion"]],
                 }
             )
     return rows

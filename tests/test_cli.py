@@ -281,6 +281,35 @@ def test_unknown_constructor_is_refused_before_the_models_are_built(monkeypatch,
     assert "usage error: unknown constructor 'nope'" in capsys.readouterr().err
 
 
+def package_errors():
+    from triality.albert import AlbertError
+    from triality.brauer import BrauerError
+    from triality.composition import CompositionError
+    from triality.cyclic import CyclicAxiomError
+    from triality.trialitarian import TrialitarianError
+    from triality.trilie import TrialityError
+
+    return [TrialityError, TrialitarianError, AlbertError, BrauerError, CyclicAxiomError, CompositionError]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(err, 1, "verification error") for err in package_errors()]
+    + [(AssertionError, 3, "internal error"), (KeyError, 3, "internal error"), (ValueError, 3, "internal error")],
+)
+def test_internal_errors_exit_3(monkeypatch, capsys, error, code, prefix):
+    # a verification error of the package is a failed proof (exit 1); any
+    # other exception from the machinery is a fault of the program (exit 3)
+    from triality import cli
+
+    def broken(*_args):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "build", broken)
+    assert cli.main(["invariants", "--params", PARAMS_R8]) == code
+    assert capsys.readouterr().err.startswith(f"{prefix}: {error.__name__}: ")
+
+
 def test_brauer_and_typeIII_suite_compute_no_universal_group(tmp_path, monkeypatch):
     # neither command prints a universal group, so the record never forms one
     from triality import classify

@@ -17,7 +17,7 @@ from triality.cyclic import (
     verify_cyclic_axioms,
 )
 from triality.composition import SymCompAlgebra
-from triality.grading import Report
+from triality.grading import Grading, Report, verify_grading
 from triality.linalg import Residues
 
 
@@ -478,3 +478,58 @@ def test_para_cut_rejects_non_idempotent(field, mod):
     V = mod["V_zorn"]
     with pytest.raises(CyclicAxiomError):
         para_subalgebra_from_idempotent(V, {V.idx(0, 0): field.one})
+
+
+def reference_act(V, l, x):
+    """The hand-written L-action that `act` replaced, kept as its oracle:
+    xi^k sends s_p (x) xi^j to s_p (x) xi^(j+k)."""
+    out = {}
+    for i, a in x.items():
+        p, j = V.split(i)
+        for k in range(3):
+            c = l[k]
+            if c.is_zero():
+                continue
+            t = out.get(V.idx(p, j + k))
+            t2 = a * c if t is None else t + a * c
+            if t2.is_zero():
+                out.pop(V.idx(p, j + k), None)
+            else:
+                out[V.idx(p, j + k)] = t2
+    return out
+
+
+@pytest.mark.parametrize("name", ["V_zorn", "V_okubo"])
+def test_act_matches_the_reference_loop(mod, name):
+    # every basis vector and every basis product, under 1, xi, xi^2 and
+    # 1 + 2 xi - 5 xi^2; for a power of xi the keys come in the same order
+    # too (the act of several powers lists them power by power, which no
+    # caller reads)
+    V = mod[name]
+    L, F = V.L, V.field
+    bas = [V.basis_vec(i) for i in range(V.dim)]
+    inputs = bas + [V.product(x, y) for x in bas for y in bas]
+    for l in (L.one, L.xi, L.xi2, (F.one, F.scalar(2), F.scalar(-5))):
+        single = sum(not c.is_zero() for c in l) == 1
+        for x in inputs:
+            got, want = V.act(l, x), reference_act(V, l, x)
+            assert got == want
+            assert not single or list(got) == list(want)
+
+
+@pytest.mark.parametrize("corruption", ["scaled", "shifted"])
+def test_corrupted_l_action_table_is_caught(mod, fines, corruption):
+    # act reads the L.act table that verify_grading checks, so a corrupted
+    # entry of it must fail a verifier: xi (s_2 (x) 1) doubled fails the
+    # semilinearity checks of the cyclic axioms, and xi (s_2 (x) 1) moved
+    # to s_2 (x) xi^2 fails the degree check of the Cartan fine grading
+    V = cyclic_from_symmetric(mod["para_zorn"], mod["L"])  # its own tables
+    act = V._l_tables[1]
+    i = V.idx(2, 0)
+    ((out, c),) = act[(1, i)].items()
+    act[(1, i)] = {out: c + c} if corruption == "scaled" else {V.idx(2, 2): c}
+    assert V.act(V.L.xi, V.basis_vec(i)) == act[(1, i)]
+    fine = fines["cartan"]
+    assert fine.V is mod["V_zorn"]
+    caught = not verify_cyclic_axioms(V).ok, not verify_grading(Grading(V, fine.grading.group, fine.grading.degrees)).ok
+    assert caught == ((True, False) if corruption == "scaled" else (True, True))

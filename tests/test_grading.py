@@ -17,7 +17,6 @@ from triality.grading import (
     Report,
     UniversalResult,
     coarsen,
-    invariants,
     universal_group,
     verify_grading,
 )
@@ -286,11 +285,13 @@ def test_trivial_universal_group(field):
 
 
 def test_invariants_weighted_sum(field):
+    # the Cartan grading: six one-dimensional components around the
+    # two-dimensional identity component, over its universal group Z^2
     g = cartan_grading_cayley(zorn_cayley(field))
-    inv = invariants(g)
-    assert sum((i + 1) * n for i, n in enumerate(inv.type_vector)) == 8
-    assert inv.identity_dim == 2
-    assert inv.universal == make_group(2)
+    dims = sorted(len(ix) for ix in g.components().values())
+    assert dims == [1] * 6 + [2]
+    assert len(g.identity_component()) == 2
+    assert universal_group(g).group == make_group(2)
 
 
 def test_report_verdict_and_require():

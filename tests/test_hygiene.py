@@ -6,8 +6,9 @@ does not count (a short list, by ROADMAP item, names the definitions still
 waiting to be wired in); every method is referenced somewhere in the
 package or benchmark, and here too a test reference does not count; no
 function takes a parameter it never reads or binds a local it never reads;
-no class stores a field that nothing reads; and every function the
-benchmark's tracer wraps by name is defined."""
+no class stores a field that nothing reads; every function the
+benchmark's tracer wraps by name is defined; and no function outside the
+kernels of `linalg` adds into a sparse vector by hand."""
 
 import ast
 import collections
@@ -512,3 +513,127 @@ def helper():
     return {"f": True}
 """
     assert literal_true_checks(ast.parse(source)) == [(3, "_suite_x"), (4, "_suite_x"), (6, "_suite_x"), (6, "_suite_x")]
+
+
+# The functions that add into a sparse vector by hand on purpose, each with
+# its reason.  The list may only shrink: a listed function that no longer
+# matches fails the test as an unlisted match does.
+HAND_SUM_KERNELS = {
+    # the accumulate step itself, which every other sum goes through
+    "linalg.axpy": "the kernel",
+    # the inner loop of every elimination: axpy in reduce made the
+    # tri(S)-to-Brauer path 8-14 % slower (2-core VM, medians of 3)
+    "linalg.Echelon.reduce": "measured: 8-14 % slower through axpy",
+    "linalg.Echelon.insert": "the elimination step of reduce, on the stored rows",
+}
+
+
+def functions(tree):
+    """(qualified name, node) for every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def hand_sums(tree):
+    """The functions that add into a sparse vector by hand: a local read by
+    `d.get(k)` is an operand of + or - in a value written back to `d[...]`,
+    directly or through another local, as in `t = out.get(k)`, `t2 = a * c
+    if t is None else t + a * c`, `out[k] = t2`.  A read with a default,
+    `vec.get(j, 0)`, is not matched: it reads the integer relation vectors
+    of the grading layer, which are sums over Z, not over the field that
+    `linalg`'s kernels work in."""
+    found = []
+    for name, fn in functions(tree):
+        assigns = [node for node in ast.walk(fn) if isinstance(node, ast.Assign)]
+        reads = {}  # local -> the dict it was read from
+        for node in assigns:
+            call = node.value
+            if (
+                len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                and isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "get"
+                and isinstance(call.func.value, ast.Name) and len(call.args) == 1
+            ):
+                reads[node.targets[0].id] = call.func.value.id
+
+        def added(expr):
+            return {
+                reads[op.id]
+                for b in ast.walk(expr)
+                if isinstance(b, ast.BinOp) and isinstance(b.op, (ast.Add, ast.Sub))
+                for op in (b.left, b.right)
+                if isinstance(op, ast.Name) and op.id in reads
+            }
+
+        sums = {}  # local -> the dicts whose reads it adds to
+        for node in assigns:
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    sums.setdefault(target.id, set()).update(added(node.value))
+        for node in assigns:
+            written = added(node.value) | sums.get(getattr(node.value, "id", None), set())
+            if any(isinstance(t, ast.Subscript) and getattr(t.value, "id", None) in written for t in node.targets):
+                found.append(name)
+                break
+    return found
+
+
+def test_no_hand_written_sparse_sums():
+    found = {f"{module}.{name}" for module, tree in package_sources().items() for name in hand_sums(tree)}
+    assert not found - HAND_SUM_KERNELS.keys(), "hand-written sparse sums: " + ", ".join(sorted(found - HAND_SUM_KERNELS.keys()))
+    assert not HAND_SUM_KERNELS.keys() - found, "listed, but no hand-written sum: " + ", ".join(sorted(HAND_SUM_KERNELS.keys() - found))
+
+
+def test_hand_sum_rule_on_a_synthetic_module():
+    source = """
+def direct(out, x):
+    for k, c in x.items():
+        t = out.get(k)
+        out[k] = c if t is None else t + c
+
+
+def through_a_local(out, x, a):
+    for k, c in x.items():
+        t = out.get(k)
+        t2 = a * c if t is None else t - a * c
+        if t2:
+            out[k] = t2
+
+
+class Table:
+    def add(self, acc, k):
+        t = acc.get(k)
+        acc[k] = t + 1
+
+
+def counted(vec, ins):
+    for j in ins:
+        vec[j] = vec.get(j, 0) + 1
+
+
+def grouped_terms(x):
+    terms = {}
+    for k, c in x.items():
+        terms.setdefault(k, []).append(c)
+    return terms
+
+
+def cached(cache, key, f):
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = f(key) + 1
+    return hit
+
+
+def other_dict(out, src, k):
+    t = src.get(k)
+    out[k] = t + 1
+"""
+    # the integer counter with a default, grouping without a sum, a cache
+    # whose value is not added to, and a read written to another dict are
+    # not hand-written sums
+    assert hand_sums(ast.parse(source)) == ["direct", "through_a_local", "Table.add"]

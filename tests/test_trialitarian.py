@@ -19,7 +19,7 @@ from triality.trialitarian import (
     lie_of_E,
     lie_of_E_equals_der,
 )
-from triality.linalg import Residues, echelon_from, mat_vec
+from triality.linalg import Residues, axpy, echelon_from, mat_vec
 from triality.trilie import apply_deltas, der_cyclic, so_blocks
 from triality.classify import build, params_r8, fine_typeIII
 
@@ -340,3 +340,93 @@ def test_alpha_multiplicative_sample_catches_corrupted_image(trial_zorn):
     bad._even[mask] = ({i: -c for i, c in a1.items()}, a2)
     assert alpha_multiplicative_sample(am, seed=1, count=80)
     assert not alpha_multiplicative_sample(bad, seed=1, count=80)
+
+
+# The hand-written sums of CliffordEven that the linalg kernels replaced,
+# kept as oracles.
+
+
+def reference_scale_l(Cl, l_elt, x):
+    out = {}
+    for i, a in x.items():
+        m, k = Cl.key_of(i)
+        for k2, c in enumerate(l_elt):
+            if c.is_zero():
+                continue
+            idx = Cl.key_index(m, k + k2)
+            t = out.get(idx)
+            t2 = a * c if t is None else t + a * c
+            if t2.is_zero():
+                out.pop(idx, None)
+            else:
+                out[idx] = t2
+    return out
+
+
+def reference_reversal(Cl, x):
+    out = {}
+    for i, a in x.items():
+        m, k = Cl.key_of(i)
+        gens = [g for g in range(Cl.n) if m & (1 << g)]
+        acc = {0: Cl.field.one}
+        for g in gens:  # multiply e_g from the left in reversed order
+            nxt = {}
+            for mm, c in acc.items():
+                axpy(nxt, c, Cl._left_gen(g, mm))
+            acc = nxt
+        for mm, c in acc.items():
+            idx = Cl.key_index(mm, k)
+            t = out.get(idx)
+            t2 = a * c if t is None else t + a * c
+            if t2.is_zero():
+                out.pop(idx, None)
+            else:
+                out[idx] = t2
+    return out
+
+
+def reference_odd_product(Cl, xv, yv):
+    out = {}
+    for (m1, k1), a in xv.items():
+        for (m2, k2), b in yv.items():
+            ab = a * b
+            for m3, c in Cl._mask_mul(m1, m2).items():
+                idx = Cl.key_index(m3, k1 + k2)
+                t = out.get(idx)
+                t2 = ab * c if t is None else t + ab * c
+                if t2.is_zero():
+                    out.pop(idx, None)
+                else:
+                    out[idx] = t2
+    return out
+
+
+def test_clifford_sums_match_the_reference_loops(trial_zorn):
+    # on all 384 monomials of Cl_0: scale_l by 1, xi, xi^2 and
+    # 1 + 2 xi - 5 xi^2, the reversal, and the products on either side with
+    # three monomials and two sums of monomials, where terms cancel; then
+    # the products of all pairs of basis vectors of V; values and key order
+    V, Cl = trial_zorn["V"], trial_zorn["Cl"]
+    L, F = V.L, V.field
+    monomials = [{Cl.key_of(i): F.one} for i in range(Cl.dim)]
+    vectors = [Cl.vector(V.basis_vec(j)) for j in range(V.dim)]
+    w = F.omega
+    sums = [
+        {(0, 0): F.one, (0b11, 1): w, (0b1100, 2): F.scalar(-5), (0b11110000, 0): F.scalar(2, 3)},
+        {(0b11, 0): F.scalar(-1), (0b101, 1): w * w, (0b11, 2): F.scalar(7)},
+    ]
+    evens = [{(0, 1): F.one}, {(0b11, 0): F.one}, {(0b11000011, 2): F.one}] + sums
+    for mono in monomials:
+        ((key, one),) = mono.items()
+        x = {Cl.key_index(*key): one}
+        for l in (L.one, L.xi, L.xi2, (F.one, F.scalar(2), F.scalar(-5))):
+            assert list(Cl.scale_l(l, x).items()) == list(reference_scale_l(Cl, l, x).items())
+        assert list(Cl.reversal(x).items()) == list(reference_reversal(Cl, x).items())
+        for y in evens:
+            for a, b in ((mono, y), (y, mono)):
+                assert list(Cl.odd_product(a, b).items()) == list(reference_odd_product(Cl, a, b).items())
+    for a in vectors:
+        for b in vectors:
+            assert list(Cl.odd_product(a, b).items()) == list(reference_odd_product(Cl, a, b).items())
+    x = Cl.product({Cl.key_index(0, 0): F.one, Cl.key_index(0b11, 1): w}, {Cl.key_index(0b1111, 2): F.scalar(3)})
+    assert list(Cl.reversal(x).items()) == list(reference_reversal(Cl, x).items())

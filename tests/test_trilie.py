@@ -5,7 +5,7 @@ import pytest
 from triality import trilie
 from triality.fgab import GroupHom, make_group, quotient
 from triality.grading import Grading, coarsen, verify_grading
-from triality.linalg import axpy, echelon_from
+from triality.linalg import axpy, compose, echelon_from
 from triality.trilie import (
     TrialityError,
     _homogeneous_pieces,
@@ -371,3 +371,123 @@ def test_induced_brackets_match_dense_commutators(kind, fines, tri_zorn, tri_oku
                             if not x.is_zero():
                                 rhs[comp][i][j] = rhs[comp][i][j] + c * x
             assert lhs == rhs, (kind, a, b)
+
+
+# The hand-written sums that the linalg kernels replaced, kept as oracles.
+
+
+def reference_compose(A, B, n):
+    """The product A B of two flat n x n matrices, added term by term."""
+    rows_b = {}
+    for idx, b in B.items():
+        rows_b.setdefault(idx // n, []).append((idx % n, b))
+    out = {}
+    for idx, a in A.items():
+        row_b = rows_b.get(idx % n)
+        if row_b is None:
+            continue
+        base = idx - idx % n
+        for j, b in row_b:
+            t = out.get(base + j)
+            out[base + j] = a * b if t is None else t + a * b
+    return {idx: c for idx, c in out.items() if not c.is_zero()}
+
+
+def reference_bracket(xs, ys, n):
+    """The componentwise commutator, added term by term."""
+    nn = n * n
+    acc = {}
+    for k, (a, b) in enumerate(zip(xs, ys)):
+        if not a or not b:
+            continue
+        base = k * nn
+        for idx, c in reference_compose(a, b, n).items():
+            t = acc.get(base + idx)
+            acc[base + idx] = c if t is None else t + c
+        for idx, c in reference_compose(b, a, n).items():
+            t = acc.get(base + idx)
+            acc[base + idx] = -c if t is None else t - c
+    return {idx: c for idx, c in acc.items() if not c.is_zero()}
+
+
+def reference_xi_transform(F, vec, nn, to_deltas):
+    """The change between triple and delta coordinates, term by term."""
+    w = F.omega
+    wp = (F.one, w, w * w)
+    if to_deltas:
+        third = F.scalar(1, 3)
+        fac = [[third * wp[(-j * i) % 3] for i in range(3)] for j in range(3)]
+    else:
+        fac = [[wp[(j * i) % 3] for i in range(3)] for j in range(3)]
+    out = {}
+    for idx, c in vec.items():
+        i, rem = divmod(idx, nn)
+        for j in range(3):
+            x = fac[j][i] * c
+            t = out.get(j * nn + rem)
+            out[j * nn + rem] = x if t is None else t + x
+    return {idx: c for idx, c in sorted(out.items()) if not c.is_zero()}
+
+
+def reference_apply_deltas(V, x, vec):
+    """An element of End_L(V) in delta coordinates applied to V, term by term."""
+    n = V.S.dim
+    out = {}
+    for pos, a in x.items():
+        k, rem = divmod(pos, n * n)
+        p, r = divmod(rem, n)
+        for vidx, c in vec.items():
+            q, col = V.split(vidx)
+            if q != r:
+                continue
+            key = V.idx(p, col + k)
+            t = out.get(key)
+            t2 = a * c if t is None else t + a * c
+            if t2.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = t2
+    return out
+
+
+def same_items(got, want):
+    """Equal values with the keys in the same order."""
+    return list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", ["tri_zorn", "tri_okubo"])
+def test_tri_sums_match_the_reference_loops(request, name):
+    # compose on every pair of blocks of the basis, the bracket of every
+    # basis pair, and xi_transform both ways on every basis vector (and
+    # back from its deltas), all in the same key order
+    tri = request.getfixturevalue(name)
+    F, n = tri.field, tri.S.dim
+    nn = n * n
+    blocks = [trilie._blocks(v, nn) for v in tri.vectors]
+    for xs in blocks:
+        for ys in blocks:
+            for a, b in zip(xs, ys):
+                assert same_items(compose(a, b, n), reference_compose(a, b, n))
+            assert same_items(trilie._bracket(F, xs, ys, n), reference_bracket(xs, ys, n))
+    for vec in tri.vectors:
+        deltas = trilie.xi_transform(F, vec, nn, to_deltas=True)
+        assert same_items(deltas, reference_xi_transform(F, vec, nn, True))
+        assert same_items(trilie.xi_transform(F, vec, nn, to_deltas=False), reference_xi_transform(F, vec, nn, False))
+        assert same_items(trilie.xi_transform(F, deltas, nn, to_deltas=False), reference_xi_transform(F, deltas, nn, False))
+
+
+def test_apply_deltas_matches_the_reference_loop(mod, tri_zorn):
+    # all 192 elementary operators on all 24 basis vectors, and the basis
+    # derivations of tri(S) in delta coordinates on the basis and on sums
+    # of basis vectors, in the same key order
+    V = mod["V_zorn"]
+    F = V.field
+    bas = [V.basis_vec(i) for i in range(V.dim)]
+    for pos in range(3 * 64):
+        for x in bas:
+            assert same_items(trilie.apply_deltas(V, {pos: F.one}, x), reference_apply_deltas(V, {pos: F.one}, x))
+    sums = [axpy(dict(x), F.scalar(-3), y) for x, y in zip(bas, bas[5:] + bas[:5])]
+    for vec in tri_zorn.vectors:
+        d = trilie.xi_transform(F, vec, 64, to_deltas=True)
+        for x in bas + sums:
+            assert same_items(trilie.apply_deltas(V, d, x), reference_apply_deltas(V, d, x))
