@@ -22,16 +22,41 @@ alpha = identity, are verified.
   r=4  (g not in H, h): the r=2 family with gamma = (e, g, g^-1).
   r=8  (h, t in {'p', 'o'}): cartan (t='p') or okubo (t='o') at alpha =
        (e, e, h), the trivially graded para-Cayley or Okubo algebra.
+
+Similarity.  Tuples p, q over one G are similar exactly when they have one
+rank and kind and alpha_q = alpha_p o w for some w in a finite group W_kind
+of automorphisms of U, generated by one automorphism per rule of the
+classification (its columns w(e1), w(e2), w(e3) are in _FINE_KINDS):
+
+  cartan, |W| = 72: cycle e1 -> e2 -> -e1-e2 and swap e1 <-> e2 permute
+    gamma; negate e1, e2 -> -e1, -e2 inverts it (g -> g^-1 at r=4); shift
+    e1, e2 -> e1+e3, e2+e3 takes gamma to h gamma; h_flip e3 -> -e3 takes
+    h to h^-1.
+  okubo, |W| = 432: the transvections e1 -> e1+e2 and e2 -> e2+e1 generate
+    SL2(F3), the frames (k1, k2) of K of one orientation; shift e1 -> e1+e3
+    reads the frame modulo H; flip e1 <-> e2, e3 -> -e3 is the rule
+    (K, h, delta) ~ (K, h^-1, -delta).
+  z2cubed, |W| = 336: cycle (e1, e2, e3) -> (e2, 3e3, e1+4e3) and
+    transvection e1 -> e1+e2 act on the 2-torsion <e1, e2, 3e3> = Z2^3 as
+    GL3(F2), the ordered generating triples of one K, and fix 2e3, which
+    alpha sends to h; h_flip e3 -> 5e3 takes h to h^-1.
+
+canonical_key(p) is (rank, kind, least (alpha(w e1), alpha(w e2),
+alpha(w e3)) over W), alpha = alpha_p.  That triple determines alpha o w,
+so the triples over W are the orbit of alpha_p; orbits are equal or
+disjoint and each holds its least point, so equal keys mean one orbit, that
+is similar tuples (ranks 2, 4 and 8 share the kind cartan, hence the rank).
+W is closed once (_weyl) and alpha_p evaluated on its 20, 26 or 21 distinct
+columns.  witness_map realises h_flip, the rank-2 shift and the rank-0 flip.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .scalars import make_field
-from .fgab import AbGroup, GroupElem, GroupHom, make_group, quotient, subgroup_elements, in_subgroup, subgroup_generated
+from .fgab import AbGroup, GroupElem, GroupHom, make_group, quotient, in_subgroup, subgroup_generated
 from .grading import Grading, Report, coarsen, verify_grading, universal_group
 from .linalg import Echelon, axpy, mat_vec
 from .composition import (
@@ -104,41 +129,11 @@ class TypeIIIParams:
             out["t"] = self.t
         return out
 
-    # Element codes computed once per tuple, so that similar_params compares
-    # plain values instead of doing group arithmetic for every pair.
-    # cached_property writes the instance __dict__ and leaves the field-based
-    # equality and hash alone; it is one flat tuple because every further
-    # cached attribute grows the instance by about 400 bytes.
-
     @cached_property
-    def codes(self) -> tuple:
-        """The codes of e, h and 2h (= h^-1, since h has order 3 in every
-        valid tuple), then those of s g_i + j h for the n = len(gamma)
-        elements g_i, s = 1, -1, and j = 0 (every rank) or j = 0, 1, 2, 3
-        (rank 2), at entry 3 + n (2j + (s == -1)) + i."""
-        h = self.h
-        js = (0, 1, 2, 3) if self.rank == 2 else (0,)
-        return (_code(self.group.identity()), _code(h), _code(2 * h)) + tuple(
-            _code(s * g + j * h) for j in js for s in (1, -1) for g in self.gamma
-        )
-
-    @cached_property
-    def kh_key(self) -> frozenset:
-        """The elements of the subgroup generated by K and h."""
-        return _subgroup_key(self.group, _gen_key(list(self.K) + [self.h]))
-
-    @cached_property
-    def chart(self) -> dict:
-        """Rank 0: {code of a k1 + b k2 + j h: (a, b)} for a, b, j in 0..2,
-        keeping the first (a, b) in lexicographic order: the coordinates of
-        each element of K<h> against the generators, modulo <h>."""
-        k1, k2 = self.K
-        out = {}
-        for a in range(3):
-            for b in range(3):
-                for j in range(3):
-                    out.setdefault(_code(a * k1 + b * k2 + j * self.h), (a, b))
-        return out
+    def key(self) -> tuple:
+        """canonical_key(self), kept in the instance __dict__."""
+        kind, values = _alpha_on_columns(self)
+        return (self.rank, kind, min((values[a], values[b], values[c]) for a, b, c in _weyl(kind)[1]))
 
 
 def validate(p: TypeIIIParams):
@@ -281,157 +276,66 @@ def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
 
 @dataclass
 class SimilarityVerdict:
+    first: TypeIIIParams
+    second: TypeIIIParams
     similar: bool
-    trace: dict
 
-    def __bool__(self):
-        return self.similar
-
-
-def _code(g: GroupElem):
-    """One value per element of g's group: the index of g in G.elements()
-    when G is finite (a small int, which costs no memory), its canonical
-    coordinates otherwise."""
-    c = g.canonical()
-    if g.group.free_rank:
-        return c
-    code = 0
-    for x, d in zip(c, g.group.torsion):
-        code = code * d + x
-    return code
+    @cached_property
+    def trace(self) -> dict:
+        """{"kinds": [kind of p, kind of q], "word": the word of the first w
+        in W (breadth-first) with alpha_q = alpha_p o w, or None}."""
+        kind, values = _alpha_on_columns(self.first)
+        kind_q, images = _fine_kind_and_alpha(self.second)
+        word = None
+        if self.similar:
+            _columns, triples, words = _weyl(kind)
+            target = tuple(g.canonical() for g in images)
+            word = next(words[n] for n, (a, b, c) in enumerate(triples) if (values[a], values[b], values[c]) == target)
+        return {"kinds": [kind, kind_q], "word": word}
 
 
-@lru_cache(maxsize=65536)
-def _subgroup_key(G: AbGroup, coords: tuple) -> frozenset:
-    return subgroup_elements([G.element(c) for c in coords])
+@lru_cache(maxsize=None)
+def _weyl(kind: str):
+    """W_kind closed breadth-first from the identity: (columns, triples,
+    words), columns the distinct w(e_i) over U, each w the triple of the
+    indices of w(e1), w(e2), w(e3), with a shortest word [g1, ..., gn] of
+    generator names composing to w = g1 o ... o gn."""
+    group_args, _model, generators = _FINE_KINDS[kind]
+    U = make_group(*group_args)
+    queue = [tuple(U.generator(i).canonical() for i in range(3))]
+    words = {queue[0]: []}
+    for a, b, d in queue:  # grows while it is read: breadth-first
+        for name, g in generators.items():
+            # (w o g)(e_i) = w(g(e_i)) = x w(e1) + y w(e2) + z w(e3)
+            wg = tuple(U.reduce(tuple(x * a[r] + y * b[r] + z * d[r] for r in range(3))) for x, y, z in g)
+            if wg not in words:
+                words[wg] = words[(a, b, d)] + [name]
+                queue.append(wg)
+    columns = sorted({c for w in words for c in w})
+    index = {c: i for i, c in enumerate(columns)}
+    return columns, [tuple(index[c] for c in w) for w in words], list(words.values())
 
 
-def _gen_key(gens) -> tuple:
-    return tuple(sorted(g.canonical() for g in gens))
-
-
-def _same_subgroup(G, gens_a, gens_b) -> bool:
-    return _subgroup_key(G, _gen_key(gens_a)) == _subgroup_key(G, _gen_key(gens_b))
-
-
-def _orientation_in_frame(p: TypeIIIParams, frame) -> str:
-    """The sign of the grading of p read against the ordered generator
-    frame (k1, k2), working modulo H = <h>: the chart of p maps its own
-    generators to (1,0), (0,1) (swapped for '-'), and the orientation
-    against the frame flips with the determinant of the change of basis."""
-    coords = []
-    for k in frame:
-        # k = a k1 + b k2 modulo <h>
-        hit = p.chart.get(_code(k))
-        if hit is None:
-            raise ParamError("frame does not lie in K<h>")
-        coords.append(hit)
-    det = (coords[0][0] * coords[1][1] - coords[0][1] * coords[1][0]) % 3
-    if det == 0:
-        raise ParamError("frame is degenerate modulo <h>")
-    base = 1 if p.delta == "+" else -1
-    sign = base * (1 if det == 1 else -1)
-    return "+" if sign == 1 else "-"
+def _alpha_on_columns(p: TypeIIIParams):
+    """The kind of p's family and alpha_p on the columns of W_kind."""
+    kind, images = _fine_kind_and_alpha(p)
+    rows = list(zip(*(g.coords for g in images)))
+    reduce = p.group.reduce
+    return kind, [reduce(tuple(x * a + y * b + z * d for a, b, d in rows)) for x, y, z in _weyl(kind)[0]]
 
 
 def similar_params(p: TypeIIIParams, q: TypeIIIParams) -> SimilarityVerdict:
-    """The similarity decision procedure: implements the classification
-    conditions bullet by bullet, with a replayable trace naming the
-    witnessing data."""
+    """p and q are similar exactly when their keys coincide (see the module
+    docstring); the verdict's trace searches a witnessing word when read."""
     if p.group != q.group:
         raise ParamError("parameters live over different groups")
-    if p.rank != q.rank:
-        return SimilarityVerdict(False, {"bullet": "rank", "ranks": (p.rank, q.rank)})
-    # <h'> = <h> for order-3 elements means h' = h or h' = h^2
-    codes = p.codes
-    h_p, h2_p = codes[1:3]
-    h_q = q.codes[1]
-    same_h_span = h_q == h_p or h_q == h2_p
-    if p.rank == 8:
-        ok = same_h_span and p.t == q.t
-        return SimilarityVerdict(ok, {"bullet": "r8", "same_h_span": same_h_span, "t": (p.t, q.t)})
-    if p.rank == 4:
-        g_q = q.codes[3]
-        g_p, neg_p = codes[3:]
-        ok = same_h_span and (g_q == g_p or g_q == neg_p)
-        return SimilarityVerdict(ok, {"bullet": "r4", "same_h_span": same_h_span, "inverted": g_q == neg_p})
-    if p.rank == 2:
-        if not same_h_span:
-            return SimilarityVerdict(False, {"bullet": "r2", "same_h_span": False})
-        # the first match of q.gamma[i] == (-1)^inverted p.gamma[pi[i]] + j h
-        q0, q1, q2 = q.codes[3:6]
-        for pi in itertools.permutations(range(3)):
-            a, b, c = pi
-            for j in (1, 2, 3):
-                for inverted in (False, True):
-                    row = 3 + 3 * (2 * j + inverted)
-                    if codes[row + a] == q0 and codes[row + b] == q1 and codes[row + c] == q2:
-                        return SimilarityVerdict(
-                            True,
-                            {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted},
-                        )
-        return SimilarityVerdict(False, {"bullet": "r2", "same_h_span": True, "match": None})
-    if p.rank == 1:
-        ok = same_h_span and _same_subgroup(p.group, list(p.K), list(q.K))
-        return SimilarityVerdict(ok, {"bullet": "r1", "same_h_span": same_h_span})
-    # rank 0; h^-1 = 2h
-    same_kh = p.kh_key == q.kh_key
-    if not same_kh or not same_h_span:
-        return SimilarityVerdict(False, {"bullet": "r0", "same_KH": same_kh, "same_h_span": same_h_span})
-    delta_q_in_p_frame = _orientation_in_frame(q, p.K)
-    if h_q == h_p and delta_q_in_p_frame == p.delta:
-        return SimilarityVerdict(True, {"bullet": "r0", "case": "same h, same sign", "frame_sign": delta_q_in_p_frame})
-    if h_q == h2_p and delta_q_in_p_frame != p.delta:
-        return SimilarityVerdict(True, {"bullet": "r0", "case": "inverse h, flipped sign", "frame_sign": delta_q_in_p_frame})
-    return SimilarityVerdict(False, {"bullet": "r0", "frame_sign": delta_q_in_p_frame, "h_flipped": h_q == h2_p})
+    return SimilarityVerdict(p, q, p.key == q.key)
 
 
-def canonical_key(p: TypeIIIParams):
-    """A canonical similarity-class key, computed independently of
-    similar_params: two valid parameter tuples are similar iff their keys
-    coincide.  Used as the oracle in the equivalence-relation sweeps."""
-    G = p.group
-    h_span = _subgroup_key(G, _gen_key([p.h]))
-    if p.rank == 8:
-        return (8, h_span, p.t)
-    if p.rank == 4:
-        g = p.gamma[0]
-        return (4, h_span, frozenset((g.canonical(), (-g).canonical())))
-    if p.rank == 2:
-        best = None
-        for pi in itertools.permutations(range(3)):
-            for j in range(3):
-                for inverted in (False, True):
-                    cand = []
-                    for i in range(3):
-                        base = p.gamma[pi[i]]
-                        if inverted:
-                            base = -base
-                        cand.append((base + j * p.h).canonical())
-                    cand = tuple(cand)
-                    if best is None or cand < best:
-                        best = cand
-        return (2, h_span, best)
-    if p.rank == 1:
-        return (1, h_span, _subgroup_key(G, _gen_key(p.K)))
-    kh = _subgroup_key(G, _gen_key(list(p.K) + [p.h]))
-    # canonical frame: the two lexicographically smallest elements of
-    # KH \ H that are independent modulo H
-    candidates = sorted(kh - h_span)
-    f1 = G.element(candidates[0])
-    f2 = None
-    for c in candidates[1:]:
-        cand = G.element(c)
-        if all((cand - a * f1).canonical() not in h_span for a in range(3)):
-            f2 = cand
-            break
-    if f2 is None:
-        raise ParamError("could not pick a canonical frame")
-    sign = _orientation_in_frame(p, (f1, f2))
-    inv = frozenset(
-        {(sign, p.h.canonical()), ("-" if sign == "+" else "+", (-p.h).canonical())}
-    )
-    return (0, kh, h_span, inv)
+def canonical_key(p: TypeIIIParams) -> tuple:
+    """(rank, kind, the least point of the orbit of alpha_p under W_kind):
+    two valid tuples over one group are similar iff their keys coincide."""
+    return p.key
 
 
 # --------------------------------------------------------- orientation
@@ -461,15 +365,6 @@ def okubo_orientation(built: BuiltGrading) -> str:
     if bool(xy) == bool(yx):
         raise ParamError("orientation dichotomy violated")
     return "+" if not xy else "-"
-
-
-def orientation_invariant(built: BuiltGrading) -> frozenset:
-    """The unordered pair {(delta, h), (-delta, h^-1)} that separates the
-    two rank-0 similarity classes."""
-    sign = okubo_orientation(built)
-    h = built.params.h
-    flip = "-" if sign == "+" else "+"
-    return frozenset({(sign, h.canonical()), (flip, (-h).canonical())})
 
 
 # ------------------------------------------------------- graded witnesses
@@ -723,8 +618,28 @@ def _witness_rank0_flip(G, K, h, conductor):
 # --------------------------------------------------------- fine gradings
 
 
-# kind -> (its universal group U, as make_group arguments; the V it grades)
-_FINE_KINDS = {"cartan": ((2, [3]), "V_zorn"), "z2cubed": ((0, [2, 2, 2, 3]), "V_doubled"), "okubo": ((0, [3, 3, 3]), "V_okubo")}
+# kind -> (U as make_group arguments; the V it grades; the generators of
+# W_kind by name, as columns w(e1), w(e2), w(e3) over U: module docstring)
+_FINE_KINDS = {
+    "cartan": ((2, [3]), "V_zorn", {
+        "cycle": ((0, 1, 0), (-1, -1, 0), (0, 0, 1)),
+        "swap": ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+        "negate": ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+        "shift": ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
+        "h_flip": ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+    }),
+    "z2cubed": ((0, [2, 2, 2, 3]), "V_doubled", {
+        "cycle": ((0, 1, 0), (0, 0, 3), (1, 0, 4)),
+        "transvection": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        "h_flip": ((1, 0, 0), (0, 1, 0), (0, 0, 5)),
+    }),
+    "okubo": ((0, [3, 3, 3]), "V_okubo", {
+        "transvection_12": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        "transvection_21": ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+        "shift": ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
+        "flip": ((0, 1, 0), (1, 0, 0), (0, 0, -1)),
+    }),
+}
 
 
 def _fine_params(kind: str) -> TypeIIIParams:

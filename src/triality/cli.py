@@ -344,14 +344,13 @@ def cmd_similar(args) -> int:
     p = params_from_json(data["first"])
     q = params_from_json(data["second"])
     verdict = similar_params(p, q)
-    trace = {k: (list(v) if isinstance(v, tuple) else v) for k, v in verdict.trace.items()}
     rep = base_report(
         args,
         "pass",
         first=p.describe(),
         second=q.describe(),
-        similar=bool(verdict.similar),
-        trace=trace,
+        similar=verdict.similar,
+        trace=verdict.trace,
     )
     return emit(rep, args.out, 0)
 

@@ -233,6 +233,8 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     multiplicativity of Q and the identities (x*y)*x = rho^2t(Q(x)) y,
     x*(y*x) = rho^t(Q(x)) y in fully polarized form, which is equivalent
     in characteristic 0; and b_Q is nonsingular over L on that basis.
+    On the n basis vectors, 1 x = x and xi (xi x) = xi^2 x: the checks
+    above read only the xi row of the L.act table that `act` reads.
 
     Why the L-basis tuples suffice: every tensor basis element is
     xi^j (s_p (x) 1), and once the first two checks hold, scaling one
@@ -247,7 +249,7 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     carries the same xi.  Both sides are F-multilinear and xi is a unit,
     so an identity that holds on the L-basis tuples holds on all tensor
     basis tuples, hence on V.  The count covers the
-    2 n^2 + 2 n^2 + m^4 + 3 m^3 identities checked (7,936 for n = 24).
+    2 n^2 + 2 n^2 + m^4 + 3 m^3 + 2 n identities checked (7,984 for n = 24).
 
     The polarized identities are decided on `linalg.Residues` tables keyed
     by L-basis tuple, not by a loop over the m^4 and m^3 tuples: every term
@@ -284,7 +286,12 @@ def verify_cyclic_axioms(V: CyclicAlgebra) -> Report:
     gram = [[L.components(V.bform(V.embed(p), V.embed(q))) for q in range(m)] for p in range(m)]
     if any(echelon_from(L.field, [{q: row[q][c] for q in range(m)} for row in gram]).rank < m for c in range(3)):
         viol.append(("b_Q_nonsingular", ()))
-    return Report(viol, 4 * n * n + m ** 4 + 3 * m ** 3)
+    for i, x in enumerate(bas):
+        if V.act(L.one, x) != x:
+            viol.append(("l_module_unit", i))
+        if V.act(L.xi, xi_bas[i]) != V.act(L.xi2, x):
+            viol.append(("l_module_xi2", i))
+    return Report(viol, 4 * n * n + m ** 4 + 3 * m ** 3 + 2 * n)
 
 
 def _rho_rows(V: CyclicAlgebra, power):

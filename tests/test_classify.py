@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import pathlib
@@ -12,7 +13,6 @@ from triality.classify import (
     fine_typeIII,
     models,
     okubo_orientation,
-    orientation_invariant,
     params_r0,
     params_r1,
     params_r2,
@@ -24,9 +24,11 @@ from triality.classify import (
 )
 from triality.cli import invariants_of_built
 from triality.cyclic import CyclicAlgebra, tensor_grading
-from triality.fgab import make_group, subgroup_elements
+from triality.fgab import GroupHom, make_group, quotient, subgroup_elements
 from triality.grading import Grading, verify_grading
 from triality.scalars import CycloScalar
+
+import triality.classify as classify
 
 import sweep_utils
 
@@ -82,14 +84,16 @@ def test_similarity_bullet_examples():
 
 
 def test_orientation_invariant_separates():
+    # the key carries the rank-0 orientation class: (K, h, +) and
+    # (K, h^-1, +) are not similar, (K, h, +) and (K, h^-1, -) are
     h = G333.element((0, 0, 1))
     k1, k2 = G333.element((1, 0, 0)), G333.element((0, 1, 0))
     plus_h = build(params_r0(G333, k1, k2, h, "+"))
-    plus_hinv = build(params_r0(G333, k1, k2, 2 * h, "+"))
-    minus_hinv = build(params_r0(G333, k1, k2, 2 * h, "-"))
+    plus_hinv = params_r0(G333, k1, k2, 2 * h, "+")
+    minus_hinv = params_r0(G333, k1, k2, 2 * h, "-")
     assert okubo_orientation(plus_h) == "+"
-    assert orientation_invariant(plus_h) != orientation_invariant(plus_hinv)
-    assert orientation_invariant(plus_h) == orientation_invariant(minus_hinv)
+    assert canonical_key(plus_h.params) != canonical_key(plus_hinv)
+    assert canonical_key(plus_h.params) == canonical_key(minus_hinv)
     # invariance under the center orbit: regrade by l and re-read
     from triality.trilie import center_elements
 
@@ -395,6 +399,104 @@ def test_build_does_not_reverify(sweep_tuples, monkeypatch):
     assert calls == []
 
 
+# ------------------------------------------------- the per-bullet oracle
+#
+# The similarity decision that the orbit key replaced, bullet by bullet,
+# with its trace: element codes, spans and the rank-0 chart computed once
+# per tuple, and the rank-0 sign read in p's frame.
+
+
+@functools.lru_cache(maxsize=None)
+def _codes(p):
+    """The canonical coordinates of e, h and 2h (= h^-1), then those of
+    s g_i + j h for the n = len(gamma) elements g_i, s = 1, -1, and j = 0
+    (every rank) or j = 0, 1, 2, 3 (rank 2), at entry 3 + n (2j + (s == -1)) + i."""
+    h = p.h
+    js = (0, 1, 2, 3) if p.rank == 2 else (0,)
+    return (p.group.identity().canonical(), h.canonical(), (2 * h).canonical()) + tuple(
+        (s * g + j * h).canonical() for j in js for s in (1, -1) for g in p.gamma
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _span(G, coords):
+    return subgroup_elements([G.element(c) for c in coords])
+
+
+def _span_of(gens):
+    return _span(gens[0].group, tuple(sorted(g.canonical() for g in gens)))
+
+
+@functools.lru_cache(maxsize=None)
+def _chart(p):
+    """Rank 0: {a k1 + b k2 + j h: (a, b)} for a, b, j in 0..2, keeping the
+    first (a, b) in lexicographic order: the coordinates of each element of
+    K<h> against the generators, modulo <h>."""
+    k1, k2 = p.K
+    out = {}
+    for a, b, j in itertools.product(range(3), repeat=3):
+        out.setdefault((a * k1 + b * k2 + j * p.h).canonical(), (a, b))
+    return out
+
+
+def frame_sign(p, frame):
+    """The sign of the grading of p read against the ordered generator
+    frame (k1, k2), working modulo <h>: the chart of p maps its own
+    generators to (1,0), (0,1) (swapped for '-'), and the orientation
+    against the frame flips with the determinant of the change of basis."""
+    coords = []
+    for k in frame:
+        hit = _chart(p).get(k.canonical())
+        if hit is None:
+            raise ParamError("frame does not lie in K<h>")
+        coords.append(hit)
+    det = (coords[0][0] * coords[1][1] - coords[0][1] * coords[1][0]) % 3
+    if det == 0:
+        raise ParamError("frame is degenerate modulo <h>")
+    base = 1 if p.delta == "+" else -1
+    return "+" if base * (1 if det == 1 else -1) == 1 else "-"
+
+
+def reference_similar(p, q):
+    """(similar, trace): the classification conditions bullet by bullet."""
+    assert p.group == q.group
+    if p.rank != q.rank:
+        return False, {"bullet": "rank", "ranks": (p.rank, q.rank)}
+    codes = _codes(p)
+    h_p, h2_p = codes[1:3]
+    h_q = _codes(q)[1]
+    same_h_span = h_q == h_p or h_q == h2_p
+    if p.rank == 8:
+        return same_h_span and p.t == q.t, {"bullet": "r8", "same_h_span": same_h_span, "t": (p.t, q.t)}
+    if p.rank == 4:
+        g_q = _codes(q)[3]
+        g_p, neg_p = codes[3:]
+        return same_h_span and g_q in (g_p, neg_p), {"bullet": "r4", "same_h_span": same_h_span, "inverted": g_q == neg_p}
+    if p.rank == 2:
+        if not same_h_span:
+            return False, {"bullet": "r2", "same_h_span": False}
+        q0, q1, q2 = _codes(q)[3:6]
+        for pi in itertools.permutations(range(3)):
+            a, b, c = pi
+            for j in (1, 2, 3):
+                for inverted in (False, True):
+                    row = 3 + 3 * (2 * j + inverted)
+                    if codes[row + a] == q0 and codes[row + b] == q1 and codes[row + c] == q2:
+                        return True, {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted}
+        return False, {"bullet": "r2", "same_h_span": True, "match": None}
+    if p.rank == 1:
+        return same_h_span and _span_of(p.K) == _span_of(q.K), {"bullet": "r1", "same_h_span": same_h_span}
+    same_kh = _span_of(p.K + (p.h,)) == _span_of(q.K + (q.h,))
+    if not same_kh or not same_h_span:
+        return False, {"bullet": "r0", "same_KH": same_kh, "same_h_span": same_h_span}
+    sign = frame_sign(q, p.K)
+    if h_q == h_p and sign == p.delta:
+        return True, {"bullet": "r0", "case": "same h, same sign", "frame_sign": sign}
+    if h_q == h2_p and sign != p.delta:
+        return True, {"bullet": "r0", "case": "inverse h, flipped sign", "frame_sign": sign}
+    return False, {"bullet": "r0", "frame_sign": sign, "h_flipped": h_q == h2_p}
+
+
 def reference_rank2(p, q):
     """The rank-2 decision by group arithmetic on every pair: the first
     (pi, j, inverted) with q.gamma[i] == (+-) p.gamma[pi[i]] + j h."""
@@ -417,17 +519,200 @@ def reference_rank2(p, q):
     return False, {"bullet": "r2", "same_h_span": True, "match": None}
 
 
+def mismatches(params):
+    """The pairs (i, j) on which equal keys and the oracle disagree."""
+    keys = [canonical_key(p) for p in params]
+    return [
+        (i, j)
+        for i, p in enumerate(params)
+        for j, q in enumerate(params)
+        if (keys[i] == keys[j]) != reference_similar(p, q)[0]
+    ]
+
+
+# ------------------------------------------------ families beyond the sweep
+
+
+def _rank2(G, hs, candidates):
+    out = []
+    for h in hs:
+        hspan = subgroup_elements([h])
+        cands = [g for g in candidates if g.canonical() not in hspan][:10]
+        for g1, g2 in itertools.product(cands, repeat=2):
+            if (-(g1 + g2)).canonical() not in hspan:
+                out.append(params_r2(G, (g1, g2, -(g1 + g2)), h))
+    return out
+
+
+def _rank4(G, hs, candidates):
+    return [params_r4(G, g, h) for h in hs for g in candidates if g.canonical() not in subgroup_elements([h])]
+
+
+def _box(G, radius):
+    """The elements of G = Z^r x torsion with free coordinates in [-radius, radius]."""
+    ranges = [range(-radius, radius + 1)] * G.free_rank + [range(d) for d in G.torsion]
+    return [G.element(c) for c in itertools.product(*ranges)]
+
+
+def _rank1_z2_4(per_subgroup=8):
+    """Rank 1 over Z2^4 x Z3 (= Z2^3 x Z6): for every Z2^3 in the
+    2-torsion, its first ordered generating triples, at both h."""
+    G = make_group(0, [2, 2, 2, 6])
+    two = [g for g in G.elements() if g.order() == 2]
+    triples = {}
+    for K in itertools.permutations(two, 3):
+        span = subgroup_elements(list(K))
+        if len(span) == 8 and len(triples.setdefault(span, [])) < per_subgroup:
+            triples[span].append(K)
+    hs = [G.element((0, 0, 0, 2)), G.element((0, 0, 0, 4))]
+    return [params_r1(G, K, h) for Ks in triples.values() for K in Ks for h in hs]
+
+
+Z2_4_Z3 = make_group(0, [2, 2, 2, 6])
+
+
+def oracle_families():
+    """Families over groups the sweep does not cover, sliced to a few
+    hundred tuples each: rank 2 over Z3 x Z9 and Z6 x Z6, ranks 2 and 4
+    over Z x Z3 and Z^2 x Z3 (free coordinates in a box), and rank 1
+    over Z2^4 x Z3, where K varies."""
+    out = {}
+    for G in (make_group(0, [3, 9]), make_group(0, [6, 6])):
+        hs = [g for g in G.elements() if g.order() == 3][:2]
+        out[(G, 2)] = _rank2(G, hs, list(G.elements()))
+    for G, radius in ((make_group(1, [3]), 2), (make_group(2, [3]), 1)):
+        box = _box(G, radius)
+        hs = [G.element((0,) * G.free_rank + (c,)) for c in (1, 2)]
+        out[(G, 2)] = _rank2(G, hs, box)
+        out[(G, 4)] = _rank4(G, hs, box)
+    out[(Z2_4_Z3, 1)] = _rank1_z2_4()
+    return out
+
+
+@pytest.fixture(scope="module")
+def other_tuples():
+    return oracle_families()
+
+
+OTHER_FAMILIES = [(make_group(0, [3, 9]), 2), (make_group(0, [6, 6]), 2)] + [
+    (make_group(free, [3]), r) for free in (1, 2) for r in (2, 4)
+] + [(Z2_4_Z3, 1)]
+
+
+def _family_id(key):
+    G, r = key
+    return f"{G!r}_r{r}".replace(" x ", "x")
+
+
+# the sweep's families are compared with the oracle in
+# test_acceptance.py::test_criterion_07a_similarity_equivalence
+
+
+@pytest.mark.parametrize("family", OTHER_FAMILIES, ids=_family_id)
+def test_other_decisions_match_the_oracle(other_tuples, family):
+    params = other_tuples[family]
+    assert 1 < len({canonical_key(p) for p in params}) < len(params)
+    assert mismatches(params) == []
+
+
+def test_rank1_oracle_family_varies_K(other_tuples):
+    # the sweep's rank-1 family has a single K; this one has every Z2^3
+    params = other_tuples[(Z2_4_Z3, 1)]
+    assert len(params) == 15 * 8 * 2
+    assert len({canonical_key(p) for p in params}) == 15
+
+
+def replay(p, word):
+    """alpha_p o w for the composite w of the word, by group arithmetic on
+    the images of e1, e2, e3: alpha o g sends e_i to sum_j g(e_i)_j alpha(e_j)."""
+    kind, alpha = classify._fine_kind_and_alpha(p)
+    generators = classify._FINE_KINDS[kind][2]
+    for name in word:
+        a1, a2, a3 = alpha
+        alpha = tuple(c1 * a1 + c2 * a2 + c3 * a3 for c1, c2, c3 in generators[name])
+    return kind, alpha
+
+
+def test_words_replay(sweep_tuples):
+    # every similar sweep pair carries a word w with alpha_q = alpha_p o w;
+    # a pair that is not similar carries none
+    similar = 0
+    for params in sweep_tuples.values():
+        for i, p in enumerate(params):
+            for j, q in enumerate(params):
+                verdict = similar_params(p, q)
+                if not verdict.similar:
+                    if i < 20 and j < 20:
+                        assert verdict.trace["word"] is None
+                    continue
+                similar += 1
+                trace = verdict.trace
+                kind, alpha = replay(p, trace["word"])
+                kind_q, alpha_q = classify._fine_kind_and_alpha(q)
+                assert trace["kinds"] == [kind, kind_q] and kind == kind_q
+                assert alpha == alpha_q
+    assert similar == 15756
+
+
+def test_trace_is_searched_only_when_read(sweep_tuples, monkeypatch):
+    # the decision compares keys; the word search runs on reading the trace
+    params = sweep_tuples[(G333, 0)]
+    p, q = params[0], next(q for q in params[1:] if canonical_key(q) == canonical_key(params[0]))
+    calls = []
+    real = classify._fine_kind_and_alpha
+    monkeypatch.setattr(classify, "_fine_kind_and_alpha", lambda t: calls.append(t) or real(t))
+    verdict = similar_params(p, q)
+    assert verdict.similar and calls == []
+    assert verdict.trace["word"] is not None and calls
+
+
+@pytest.mark.parametrize("kind, order, columns", [("cartan", 72, 20), ("okubo", 432, 26), ("z2cubed", 336, 21)])
+def test_weyl_generators_are_automorphisms(kind, order, columns):
+    # each generator is a well-defined endomorphism of U (GroupHom checks
+    # that it kills the relations) that is onto, hence an automorphism of
+    # the finitely generated abelian group U; the closure has the order of W
+    group_args, _model, generators = classify._FINE_KINDS[kind]
+    U = make_group(*group_args)
+    for name, cols in generators.items():
+        GroupHom(U, U, list(zip(*cols)))
+        Q, _ = quotient(U, [U.element(c) for c in cols])
+        assert Q.is_trivial(), name
+    cols, triples, words = classify._weyl(kind)
+    assert (len(triples), len(set(triples)), len(cols)) == (order, order, columns)
+    assert words[0] == [] and triples[0] == tuple(cols.index(U.generator(i).canonical()) for i in range(3))
+
+
+@pytest.mark.parametrize(
+    "kind, edit, family",
+    [
+        ("cartan", lambda gens: {k: v for k, v in gens.items() if k != "shift"}, (G333, 2)),
+        ("okubo", lambda gens: dict(gens, e3_plus_e1=((1, 0, 0), (0, 1, 0), (1, 0, 1))), (G333, 0)),
+    ],
+    ids=["cartan_without_shift", "okubo_e3_plus_e1"],
+)
+def test_weyl_mutants_fail_the_oracle(monkeypatch, kind, edit, family):
+    group_args, model, generators = classify._FINE_KINDS[kind]
+    monkeypatch.setitem(classify._FINE_KINDS, kind, (group_args, model, edit(generators)))
+    classify._weyl.cache_clear()
+    try:
+        params = sweep_utils.enumerate_tuples()[family]  # new tuples: keys are cached per tuple
+        assert mismatches(params)
+    finally:
+        classify._weyl.cache_clear()
+
+
 @pytest.mark.parametrize("G", [G333, G2223], ids=["Z3^3", "Z2^3xZ3"])
 def test_rank2_decisions_match_reference_loop(G, sweep_tuples):
     params = sweep_tuples[(G, 2)]
     similar = 0
     for p in params:
         for q in params:
-            verdict = similar_params(p, q)
-            assert (verdict.similar, verdict.trace) == reference_rank2(p, q)
-            if verdict.similar:
+            decision = reference_similar(p, q)
+            assert decision == reference_rank2(p, q)
+            assert similar_params(p, q).similar == decision[0]
+            if decision[0]:
                 similar += 1
-                pi, j, inverted = (verdict.trace[k] for k in ("pi", "j", "inverted"))
+                pi, j, inverted = (decision[1][k] for k in ("pi", "j", "inverted"))
                 sign = -1 if inverted else 1
                 assert all(q.gamma[i] == sign * p.gamma[pi[i]] + j * p.h for i in range(3))
     assert len(params) < similar < len(params) ** 2
@@ -435,14 +720,15 @@ def test_rank2_decisions_match_reference_loop(G, sweep_tuples):
 
 @pytest.mark.parametrize("G", [G333, G2223], ids=["Z3^3", "Z2^3xZ3"])
 def test_rank4_traces_replay(G, sweep_tuples):
+    # the oracle's rank-4 traces, replayed by group arithmetic
     params = sweep_tuples[(G, 4)]
     inverted_seen = 0
     for p in params:
         for q in params:
-            verdict = similar_params(p, q)
-            inverted = verdict.trace["inverted"]
+            similar, trace = reference_similar(p, q)
+            inverted = trace["inverted"]
             assert inverted == (q.gamma[0] == -p.gamma[0])
-            if verdict.similar:
+            if similar:
                 assert q.h in (p.h, 2 * p.h)
                 assert q.gamma[0] == (-p.gamma[0] if inverted else p.gamma[0])
                 inverted_seen += inverted
@@ -463,27 +749,28 @@ def orientation_in_frame(built, frame):
 
 
 def test_rank0_frame_signs_replay(sweep_tuples):
-    """frame_sign is the orientation of q's grading read in p's frame: it
-    is checked against the algebra, where x*y = 0 for the homogeneous
-    generators of the frame's components exactly when the sign is '+'."""
+    """The oracle's frame_sign is the orientation of q's grading read in
+    p's frame: it is checked against the algebra, where x*y = 0 for the
+    homogeneous generators of the frame's components exactly when the sign
+    is '+'."""
     params = sweep_tuples[(G333, 0)]
     built = {}
     orientation = {}
     cases = set()
     for p in params:
         for q in params:
-            verdict = similar_params(p, q)
-            if "frame_sign" not in verdict.trace:
+            similar, trace = reference_similar(p, q)
+            if "frame_sign" not in trace:
                 continue
-            sign = verdict.trace["frame_sign"]
+            sign = trace["frame_sign"]
             key = (q, p.K[0].canonical(), p.K[1].canonical())
             if key not in orientation:
                 if q not in built:
                     built[q] = build(q)
                 orientation[key] = orientation_in_frame(built[q], p.K)
             assert sign == orientation[key]
-            if verdict.similar:
-                case = verdict.trace["case"]
+            if similar:
+                case = trace["case"]
                 cases.add(case)
                 if case == "same h, same sign":
                     assert q.h == p.h and sign == p.delta

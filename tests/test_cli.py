@@ -60,9 +60,11 @@ def test_reports_embed_conductor_and_version():
 
 @pytest.mark.parametrize("name, params", [("similar_rank2", SIMILAR_R2), ("similar_rank0", SIMILAR_R0)])
 def test_similar_golden_stdout(name, params):
-    # bytes pinned from the version of `similar` that did group arithmetic
-    # for every pair: a rank-2 pair similar through pi = (1, 0, 2), j = 1,
-    # and a rank-0 pair similar through a swapped frame
+    # the decisions pinned from the version of `similar` that did group
+    # arithmetic for every pair, the traces re-recorded from the orbit key:
+    # a rank-2 pair similar through the word swap, shift (pi = (1, 0, 2),
+    # j = 1), and a rank-0 pair with a swapped frame, whose two tuples have
+    # one alpha (the empty word)
     proc = run_cli("--seed", "0", "similar", "--params", params)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

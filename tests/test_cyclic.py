@@ -247,9 +247,9 @@ def test_axioms_pass(cyclic_axiom_reports):
     assert cyclic_axiom_reports["okubo"].ok
     # 2 n^2 semilinearity + 2 n^2 L-bilinearity of b_Q on the n = 24 tensor
     # basis elements, m^4 norm + 3 m^3 form and identity checks on the
-    # m = 8 L-basis vectors
+    # m = 8 L-basis vectors, and 2 n L-module identities on the basis
     n, m = 24, 8
-    assert cyclic_axiom_reports["zorn"].checked == cyclic_axiom_reports["okubo"].checked == 2 * n * n + 2 * n * n + m**4 + 3 * m**3 == 7936
+    assert cyclic_axiom_reports["zorn"].checked == cyclic_axiom_reports["okubo"].checked == 2 * n * n + 2 * n * n + m**4 + 3 * m**3 + 2 * n == 7984
 
 
 def test_corrupted_constant_located(field, mod):
@@ -273,7 +273,7 @@ def test_corrupted_constant_located(field, mod):
     assert violations_digest(dense.violations) == "8432918ffd0761ff5f0a214e2603f7cb01fa5f549d3f6404e8b346ad1742209e"
     rep = verify_cyclic_axioms(bad)
     assert not rep.ok
-    assert rep.checked == 7936
+    assert rep.checked == 7984
     assert_agrees_with_dense(rep, dense, bad)
     assert_violation_order(rep.violations)
     # the dense list restricted to L-basis tuples: none of its 6 bq_cyclic
@@ -418,7 +418,7 @@ def test_axioms_with_multi_term_constants(field, mod):
     assert violations_digest(dense.violations) == "7335bbd2bb8d75672e788c27d72cb043791008a0bdd8a83945660ddbbf62a791"
     rep = verify_cyclic_axioms(bad)
     assert not rep.ok
-    assert rep.checked == 7936
+    assert rep.checked == 7984
     assert_agrees_with_dense(rep, dense, bad)
     assert_violation_order(rep.violations)
     assert Counter(name for name, _ in rep.violations) == {
@@ -533,3 +533,23 @@ def test_corrupted_l_action_table_is_caught(mod, fines, corruption):
     assert fine.V is mod["V_zorn"]
     caught = not verify_cyclic_axioms(V).ok, not verify_grading(Grading(V, fine.grading.group, fine.grading.degrees)).ok
     assert caught == ((True, False) if corruption == "scaled" else (True, True))
+
+
+def test_every_corrupted_l_action_entry_is_caught(mod, fines):
+    # each of the 72 entries of V_zorn's L.act table (xi^k on each basis
+    # vector), doubled or moved one xi-power on, fails the cyclic axioms or
+    # the Cartan fine grading: 144 corruptions
+    V = cyclic_from_symmetric(mod["para_zorn"], mod["L"])  # its own tables
+    act = V._l_tables[1]
+    fine = fines["cartan"]
+    missed = []
+    for (k, i), row in list(act.items()):
+        ((out, c),) = row.items()
+        p, j = V.split(out)
+        for name, bad in (("doubled", {out: c + c}), ("moved", {V.idx(p, j + 1): c})):
+            act[(k, i)] = bad
+            if verify_cyclic_axioms(V).ok and verify_grading(Grading(V, fine.grading.group, fine.grading.degrees)).ok:
+                missed.append((name, k, i))
+            act[(k, i)] = row
+    assert len(act) == 72
+    assert missed == []

@@ -153,7 +153,6 @@ UNREACHED = {
         "brauer.check_beta_bar",
         "brauer.BetaBarReport",
     },
-    "item 1, class-invariant orientation": {"classify.orientation_invariant"},
 }
 
 
