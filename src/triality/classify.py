@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 
 from .scalars import make_field
 from .fgab import AbGroup, GroupElem, GroupHom, make_group, quotient, in_subgroup, subgroup_generated
-from .grading import Grading, Report, coarsen, verify_grading, universal_group
+from .grading import Grading, Report, coarsen, coarsened_universal, verify_grading, universal_group
 from .linalg import Echelon, axpy, mat_vec
 from .composition import (
     zorn_cayley,
@@ -206,14 +206,18 @@ def params_r8(G, h, t):
 
 @dataclass
 class BuiltGrading:
-    """One Type III grading with the data the classification reads off it.
-    The derived members are computed on first use and kept on the record;
+    """One Type III grading with the data the classification reads off it:
+    the fine grading of `kind` pushed forward along `alpha`: U -> G.  The
+    derived members are computed on first use and kept on the record;
     `dataclasses.replace(record, grading=...)` starts a record with none of
-    them."""
+    them, and its `universal` raises unless the new grading is still the
+    pushforward along `alpha`."""
 
     params: TypeIIIParams
     V: CyclicAlgebra
     grading: Grading
+    kind: str
+    alpha: GroupHom
 
     @property
     def rank(self) -> int:
@@ -222,7 +226,10 @@ class BuiltGrading:
 
     @cached_property
     def universal(self):
-        return universal_group(self.grading)
+        """The universal group of the grading, the fine grading's modulo the
+        differences of its support elements that alpha identifies
+        (`grading.coarsened_universal`); no structure map is read again."""
+        return coarsened_universal(_fine_universal(self.kind, self.V.field.conductor), self.alpha, self.grading)
 
     @cached_property
     def brauer_quotient(self):
@@ -265,7 +272,7 @@ def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
     kind, images = _fine_kind_and_alpha(p)
     fine = _fine_grading(kind, conductor)
     alpha = GroupHom(fine.group, p.group, list(zip(*(g.coords for g in images))))
-    built = BuiltGrading(p, fine.structure, coarsen(fine, alpha))
+    built = BuiltGrading(p, fine.structure, coarsen(fine, alpha), kind, alpha)
     if built.rank != p.rank:
         raise ParamError(f"built grading has rank {built.rank}, expected {p.rank}")
     return built
@@ -673,6 +680,13 @@ def _fine_grading(kind: str, conductor: int) -> Grading:
         g1, g2, g3 = p.gamma
         degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
     return tensor_grading(Grading(V.S, p.group, {"A": degs}), p.h, V)
+
+
+@lru_cache(maxsize=None)
+def _fine_universal(kind: str, conductor: int):
+    """universal_group of the fine grading of the kind, once per conductor:
+    the one walk of its structure maps that every coarsening reads."""
+    return universal_group(_fine_grading(kind, conductor))
 
 
 def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import getitem
 
-from .fgab import AbGroup, GroupHom, _cokernel
+from .fgab import AbGroup, GroupHom, _cokernel, _relation_columns
 from .linalg import axpy, bilinear, grouped
 
 
@@ -397,3 +397,58 @@ def universal_group(grading: Grading) -> UniversalResult:
     Report(wrong, len(relations)).require(AssertionError, "universal relabeling")
     relabeled.verified = True
     return UniversalResult(U, relabeled, to_original)
+
+
+def coarsened_universal(result: UniversalResult, hom: GroupHom, grading: Grading) -> UniversalResult:
+    """The universal group of `grading`, read off the universal result of a
+    refinement Gamma~ of it, with no walk of the structure maps.  `grading`
+    must be the pushforward of Gamma~ along hom, that is of result.grading
+    along a = hom o result.to_original, on the same structure; anything
+    else raises ValueError (one comparison of every degree).
+
+    Let U~ = result.group, S the support of result.grading in U~ (every
+    sort), N = <s - s' : s, s' in S, a(s) = a(s')> and pi: U~ -> U~/N.
+    Then U~/N is the universal group of `grading`, pi pushes result.grading
+    forward to its relabeling, and a induces to_original:
+
+    - a kills N, so it factors through U~/N as the map sending pi(s) to
+      a(s); and pi(s) = pi(s') iff s - s' lies in N iff a(s) = a(s'),
+      since a kills N and N contains every s - s' with a(s) = a(s').  So
+      pi o deg has the components of `grading`, and it is a grading, the
+      pushforward of one along a homomorphism.
+    - An H-grading with the components of `grading` is refined by Gamma~,
+      so the universal property of U~ gives a homomorphism U~ -> H sending
+      s to the degree of the component holding Gamma~_s.  It sends s and
+      s' with a(s) = a(s') to one degree, so it kills N and factors
+      through U~/N, uniquely since pi(S) generates U~/N.
+
+    U~/N is U~'s presentation with the differences added, one Smith normal
+    form; to_original is the matrix of a, composed once, on the lifts of
+    the quotient's generators."""
+    fine = result.grading
+    G = hom.codomain
+    if hom.domain != result.to_original.codomain:
+        raise ValueError("homomorphism domain does not match the original group of the result")
+    a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*result.to_original.matrix)] for row in hom.matrix]
+    image, first, differences = {}, {}, []
+    for ds in fine.degrees.values():
+        for d in ds:
+            s = d.canonical()
+            if s not in image:
+                g = image[s] = G.reduce([sum(x * y for x, y in zip(row, s)) for row in a])
+                s0 = first.setdefault(g, s)
+                if s0 != s:
+                    differences.append([x - y for x, y in zip(s, s0)])
+    if (
+        grading.structure is not fine.structure
+        or grading.group != G
+        or any([image[d.canonical()] for d in fine.degrees[sort]] != [d.canonical() for d in ds] for sort, ds in grading.degrees.items())
+    ):
+        raise ValueError("the grading is not the pushforward of the refinement along the homomorphism")
+    U = result.group
+    Q, rows, lifts = _cokernel(U.ndim, _relation_columns(U) + differences)
+    degree_of = {s: Q.element([sum(x * y for x, y in zip(row, s)) for row in rows]) for s in image}
+    relabeled = Grading(fine.structure, Q, {sort: [degree_of[d.canonical()] for d in ds] for sort, ds in fine.degrees.items()})
+    relabeled.verified = True
+    to_original = GroupHom(Q, G, [[sum(x * y for x, y in zip(row, lift)) for lift in lifts] for row in a])
+    return UniversalResult(Q, relabeled, to_original)

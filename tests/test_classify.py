@@ -25,7 +25,7 @@ from triality.classify import (
 from triality.cli import invariants_of_built
 from triality.cyclic import CyclicAlgebra, tensor_grading
 from triality.fgab import GroupHom, make_group, quotient, subgroup_elements
-from triality.grading import Grading, verify_grading
+from triality.grading import Grading, universal_group, verify_grading
 from triality.scalars import CycloScalar
 
 import triality.classify as classify
@@ -250,6 +250,94 @@ def test_fine_gradings_and_non_refinement(fines):
         assert built.universal.group == expected[kind]
     for a, b in itertools.permutations(fines, 2):
         assert refinement_impossible(fines[a], fines[b]) is not None
+
+
+# ------------------------------------- the universal group of a coarsening
+#
+# built.universal is the fine grading's universal group modulo the
+# differences that alpha identifies (grading.coarsened_universal); the walk
+# of the structure maps, universal_group, is its oracle.
+
+
+def universal_summary(u):
+    """The group, the partition of the basis of every sort by relabeled
+    degree, and to_original on the relabeled degree of each basis element."""
+    parts = {}
+    for sort, ds in u.grading.degrees.items():
+        for i, d in enumerate(ds):
+            parts.setdefault(d.canonical(), []).append((sort, i))
+    back = {sort: [u.to_original(d).canonical() for d in ds] for sort, ds in u.grading.degrees.items()}
+    return u.group, sorted(parts.values()), back
+
+
+def universal_mismatches(params):
+    """The tuples whose record's universal result differs from the walk's,
+    or whose to_original does not give back the grading's degrees."""
+    out = []
+    for p in params:
+        built = build(p)
+        summary = universal_summary(built.universal)
+        degrees = {sort: [d.canonical() for d in ds] for sort, ds in built.grading.degrees.items()}
+        if summary != universal_summary(universal_group(built.grading)) or summary[2] != degrees:
+            out.append(p)
+    return out
+
+
+def test_coarsened_universal_matches_the_walk_on_the_sweep(sweep_tuples):
+    tuples = [p for params in sweep_tuples.values() for p in params]
+    assert len(tuples) == 912
+    assert universal_mismatches(tuples) == []
+
+
+def test_coarsened_universal_matches_the_walk_with_free_rank(other_tuples):
+    # every fourth tuple of the rank-2 and rank-4 families over Z x Z3 and Z^2 x Z3
+    tuples = [p for (G, _r), params in other_tuples.items() if G.free_rank for p in params[::4]]
+    assert {p.group.free_rank for p in tuples} == {1, 2} and {p.rank for p in tuples} == {2, 4}
+    assert universal_mismatches(tuples) == []
+
+
+def test_a_dropped_identification_fails_the_walk(sweep_tuples, other_tuples, monkeypatch):
+    # the quotient rule with one identification left out: d = 0 for the
+    # first difference d, that is u ~ u + d for every pair of support
+    # elements that differ by +-d.  (Leaving out one generator s - s' alone
+    # changes no sweep tuple: its pair recurs, translated, in other fibres.)
+    # The quotient is then too large, and the walk tells.
+    import triality.grading as grading
+
+    families = [sweep_tuples[(G333, 2)][:12], other_tuples[(make_group(1, [3]), 2)][:12]]
+    expected = [[universal_summary(universal_group(build(p).grading)) for p in params] for params in families]
+    real = grading._cokernel
+    # cartan's universal group (Z^2 x Z3) is computed, walk and all, before
+    # the patch; its one torsion relation heads the columns of the quotient
+    torsion = len(classify._fine_universal("cartan", 12).group.torsion)
+
+    def dropped(n, columns):
+        relations, differences = columns[:torsion], columns[torsion:]
+        if differences:
+            d = differences[0]
+            differences = [v for v in differences if v not in (d, [-x for x in d])]
+        return real(n, relations + differences)
+
+    monkeypatch.setattr(grading, "_cokernel", dropped)
+    for params, summaries in zip(families, expected):
+        wrong = [p for p, summary in zip(params, summaries) if universal_summary(build(p).universal) != summary]
+        assert 0 < len(wrong) < len(params)
+
+
+def test_universal_refuses_a_replaced_grading():
+    # a record whose grading is not alpha's pushforward of the fine degrees
+    # must not report the fine grading's quotient
+    built = build(params_r2(G333, (G333.element((1, 0, 0)), G333.element((0, 1, 0)), G333.element((2, 2, 0))), G333.element((0, 0, 1))))
+    g = built.grading
+    moved = dataclasses.replace(built, grading=g.copy_with_degree("V", 0, g.degrees["V"][0] + built.params.h))
+    with pytest.raises(ValueError, match="not the pushforward"):
+        moved.universal
+    other_V = corrupted_rank0(True)
+    with pytest.raises(ValueError, match="not the pushforward"):
+        other_V.universal
+    # the same degrees on a new grading object are the pushforward
+    again = dataclasses.replace(built, grading=Grading(built.V, G333, g.degrees))
+    assert universal_summary(again.universal) == universal_summary(built.universal)
 
 
 @pytest.fixture(scope="module")
@@ -497,26 +585,32 @@ def reference_similar(p, q):
     return False, {"bullet": "r0", "frame_sign": sign, "h_flipped": h_q == h2_p}
 
 
-def reference_rank2(p, q):
-    """The rank-2 decision by group arithmetic on every pair: the first
-    (pi, j, inverted) with q.gamma[i] == (+-) p.gamma[pi[i]] + j h."""
-    if not (q.h == p.h or q.h == 2 * p.h):
-        return False, {"bullet": "r2", "same_h_span": False}
+@functools.lru_cache(maxsize=None)
+def _rank2_images(p):
+    """{canonical coordinates of the triple (+-) p.gamma[pi[i]] + j h:
+    the first (pi, j, inverted) giving it}, the 36 candidates of p taken in
+    reference_rank2's order, computed by group arithmetic once per tuple."""
+    first = {}
     for pi in itertools.permutations(range(3)):
         for j in (1, 2, 3):
             shift = j * p.h
             for inverted in (False, True):
-                ok = True
-                for i in range(3):
-                    base = p.gamma[pi[i]]
-                    if inverted:
-                        base = -base
-                    if q.gamma[i] != base + shift:
-                        ok = False
-                        break
-                if ok:
-                    return True, {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted}
-    return False, {"bullet": "r2", "same_h_span": True, "match": None}
+                images = ((-p.gamma[k] if inverted else p.gamma[k]) + shift for k in pi)
+                first.setdefault(tuple(g.canonical() for g in images), (pi, j, inverted))
+    return first
+
+
+def reference_rank2(p, q):
+    """The rank-2 decision by group arithmetic on every pair: the first
+    (pi, j, inverted) with q.gamma[i] == (+-) p.gamma[pi[i]] + j h."""
+    assert p.group == q.group
+    if not (q.h == p.h or q.h == 2 * p.h):
+        return False, {"bullet": "r2", "same_h_span": False}
+    match = _rank2_images(p).get(tuple(g.canonical() for g in q.gamma))
+    if match is None:
+        return False, {"bullet": "r2", "same_h_span": True, "match": None}
+    pi, j, inverted = match
+    return True, {"bullet": "r2", "pi": pi, "j": j, "inverted": inverted}
 
 
 def mismatches(params):
