@@ -46,8 +46,11 @@ alpha(w e3)) over W), alpha = alpha_p.  That triple determines alpha o w,
 so the triples over W are the orbit of alpha_p; orbits are equal or
 disjoint and each holds its least point, so equal keys mean one orbit, that
 is similar tuples (ranks 2, 4 and 8 share the kind cartan, hence the rank).
-W is closed once (_weyl) and alpha_p evaluated on its 20, 26 or 21 distinct
-columns.  witness_map realises h_flip, the rank-2 shift and the rank-0 flip.
+W is closed once (_weyl), as a permutation group on its 20, 26 or 21
+distinct columns w(e_i): the columns are found by arithmetic in U, each
+generator becomes a tuple of column indices, and each product in W is a
+tuple lookup.  alpha_p is evaluated on the columns once per tuple.
+witness_map realises h_flip, the rank-2 shift and the rank-0 flip.
 """
 
 from __future__ import annotations
@@ -306,21 +309,43 @@ def _weyl(kind: str):
     """W_kind closed breadth-first from the identity: (columns, triples,
     words), columns the distinct w(e_i) over U, each w the triple of the
     indices of w(e1), w(e2), w(e3), with a shortest word [g1, ..., gn] of
-    generator names composing to w = g1 o ... o gn."""
+    generator names composing to w = g1 o ... o gn.
+
+    W is closed as a permutation group on the columns C, the orbit of e1,
+    e2, e3 under the generators, which is the only arithmetic in U.  A
+    generator g is the tuple sigma_g of the indices of g(C[i]) in C, and an
+    element w the tuple of the indices of w(C[i]), so w o g is
+    (w[j] for j in sigma_g).  Each w is linear, hence fixed by its triple,
+    and W maps C to itself, so w is also fixed by its permutation of C:
+    closing on permutations or on triples visits the same elements in the
+    same order, with the same words."""
     group_args, _model, generators = _FINE_KINDS[kind]
     U = make_group(*group_args)
-    queue = [tuple(U.generator(i).canonical() for i in range(3))]
-    words = {queue[0]: []}
-    for a, b, d in queue:  # grows while it is read: breadth-first
-        for name, g in generators.items():
-            # (w o g)(e_i) = w(g(e_i)) = x w(e1) + y w(e2) + z w(e3)
-            wg = tuple(U.reduce(tuple(x * a[r] + y * b[r] + z * d[r] for r in range(3))) for x, y, z in g)
-            if wg not in words:
-                words[wg] = words[(a, b, d)] + [name]
-                queue.append(wg)
-    columns = sorted({c for w in words for c in w})
+    units = [U.generator(i).canonical() for i in range(3)]
+
+    def image(g, c):
+        # g(c) = c1 g(e1) + c2 g(e2) + c3 g(e3)
+        return U.reduce(tuple(sum(x * col[r] for x, col in zip(c, g)) for r in range(3)))
+
+    orbit = list(units)
+    for c in orbit:  # grows while it is read
+        for g in generators.values():
+            gc = image(g, c)
+            if gc not in orbit:
+                orbit.append(gc)
+    columns = sorted(orbit)
     index = {c: i for i, c in enumerate(columns)}
-    return columns, [tuple(index[c] for c in w) for w in words], list(words.values())
+    sigmas = {name: tuple(index[image(g, c)] for c in columns) for name, g in generators.items()}
+    queue = [tuple(range(len(columns)))]
+    words = {queue[0]: []}
+    for w in queue:  # grows while it is read: breadth-first
+        for name, sigma in sigmas.items():
+            wg = tuple(w[j] for j in sigma)
+            if wg not in words:
+                words[wg] = words[w] + [name]
+                queue.append(wg)
+    e1, e2, e3 = (index[u] for u in units)
+    return columns, [(w[e1], w[e2], w[e3]) for w in words], list(words.values())
 
 
 def _alpha_on_columns(p: TypeIIIParams):

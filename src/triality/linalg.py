@@ -32,7 +32,8 @@ normalizes a scalar per term, it sums each output's terms with one
 `CycloField.sum_products` (a dense Jordan product: ~1,800 terms, 27 sums).
 `summed` is that step on its own, for products of two or three factors:
 the sums whose output index is computed per term go through it (`compose`,
-trilie's xi transform, the product and reversal of `CliffordEven`), and
+trilie's xi transform, the product and reversal of `CliffordEven`, the
+central-scalar shift `EndAlgebraE.scale_l`), and
 `albert.degree3_table` adds the terms of the degree-3 identity through it,
 one sum per (basis triple, coordinate): 9,423 terms in 2,880 sums on the
 Albert algebra.  A short sum costs more here than products added in

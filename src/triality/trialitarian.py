@@ -83,6 +83,18 @@ class EndAlgebraE(StructAlgebra):
                     out[self.index[(p, p, k)]] = c
         return out
 
+    def scale_l(self, l_elt, x):
+        """The product of central_scalar(l_elt) with x, without the product
+        table: E_(p,p,k) E_(p,r,k') = E_(p,r,k+k'), so xi^k moves the delta
+        position of each operator by k blocks of n*n."""
+        nn = self.n * self.n
+        terms = {}
+        for k, c in enumerate(l_elt):
+            if not c.is_zero():
+                for pos, a in x.items():
+                    terms.setdefault((pos + k * nn) % (3 * nn), []).append((c, a))
+        return summed(terms)
+
 
 def end_algebra(V) -> EndAlgebraE:
     """Build End_L(V) and verify sigma exactly: an involution, an
@@ -350,8 +362,7 @@ def kappa(V, E, Cl) -> KappaMap:
         a = E.basis_vec(i)
         if km(E.conj(a)) != Cl.reversal(km(a)):
             raise TrialitarianError("kappa sigma != reversal kappa")
-        xi_a = E.product(E.central_scalar(V.L.xi), a)
-        if km(xi_a) != Cl.scale_l(V.L.xi, km(a)):
+        if km(E.scale_l(V.L.xi, a)) != Cl.scale_l(V.L.xi, km(a)):
             raise TrialitarianError("kappa is not L-linear")
     return km
 
@@ -417,13 +428,14 @@ class AlphaMap:
         return out
 
     def image_of_monomial(self, mask, k):
-        """(rho(xi^k) a1, rho2(xi^k) a2) for the monomial (mask, k)."""
-        V, E = self.V, self.E
-        L = V.L
+        """(rho(xi^k) a1, rho2(xi^k) a2) for the monomial (mask, k): the
+        stored pair itself at k = 0, where both scalars are 1."""
         a1, a2 = self._even[mask]
-        t1 = E.product(E.central_scalar(L.rho(_xi_power(L, k), 1)), a1)
-        t2 = E.product(E.central_scalar(L.rho(_xi_power(L, k), 2)), a2)
-        return t1, t2
+        if k % 3 == 0:
+            return a1, a2
+        E, L = self.E, self.V.L
+        xk = _xi_power(L, k)
+        return E.scale_l(L.rho(xk, 1), a1), E.scale_l(L.rho(xk, 2), a2)
 
     def __call__(self, x):
         out1, out2 = {}, {}
@@ -452,8 +464,9 @@ def alpha(V, E, Cl) -> AlphaMap:
     AlphaMap stores exactly that, as the E-product of a generator composite
     with the image of rest, because E's product table is operator
     composition under trilie.apply_deltas (the premise that
-    alpha_multiplicative_sample and kappa's L-linearity check also rest on):
-    the homomorphism's value on a basis of Cl_0."""
+    alpha_multiplicative_sample and kappa's L-linearity check also rest on;
+    E.scale_l is that product with a central scalar, by the composition
+    rule): the homomorphism's value on a basis of Cl_0."""
     am = AlphaMap(V, E, Cl)
     L = V.L
     n = V.S.dim

@@ -525,16 +525,26 @@ def graded_module_check(grading: Grading, adapted) -> bool:
     """tri_g . V_a <= V_(g a), checked exactly for every adapted basis
     derivation and every basis vector of V.  The grading is basis-aligned,
     so V_(g a) is a coordinate subspace: an image lies in it when every
-    index of its support has degree g a."""
+    index of its support has degree g a.
+
+    The supports are read off the delta positions of the derivation x,
+    without applying it.  The operator (p, r, k) sends s_r (x) xi^c to
+    s_p (x) xi^(c+k) and every other basis vector to 0, so x (s_r (x) xi^c)
+    is the sum of x_(p,r,k) s_p (x) xi^(c+k) over the positions (p, r, k)
+    of x with that r.  Distinct (p, k) give distinct s_p (x) xi^(c+k), so
+    no term cancels, and the support is exactly those s_p (x) xi^(c+k).
+    Hence the check is deg(s_p (x) xi^(c+k)) = g + deg(s_r (x) xi^c) for
+    every position (p, r, k) of x and every c."""
     V = grading.structure
-    nn = V.S.dim * V.S.dim
-    one = V.field.one
+    n = V.S.dim
+    nn = n * n
     degs = [d.canonical() for d in grading.degrees["V"]]
     for g, trip in adapted:
-        x = xi_transform(V.field, trip, nn, to_deltas=True)
-        for i in range(V.dim):
-            target = (g + grading.degrees["V"][i]).canonical()
-            if any(degs[j] != target for j in apply_deltas(V, x, {i: one})):
+        targets = [(g + d).canonical() for d in grading.degrees["V"]]
+        for pos in xi_transform(V.field, trip, nn, to_deltas=True):
+            k, rem = divmod(pos, nn)
+            p, r = divmod(rem, n)
+            if any(degs[V.idx(p, c + k)] != targets[V.idx(r, c)] for c in range(3)):
                 return False
     return True
 

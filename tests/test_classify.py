@@ -776,6 +776,33 @@ def test_weyl_generators_are_automorphisms(kind, order, columns):
     assert words[0] == [] and triples[0] == tuple(cols.index(U.generator(i).canonical()) for i in range(3))
 
 
+def reference_weyl(kind):
+    """W_kind closed breadth-first on the triples (w(e1), w(e2), w(e3)),
+    each product w o g by group arithmetic in U: (columns, triples, words)
+    as classify._weyl returns them."""
+    group_args, _model, generators = classify._FINE_KINDS[kind]
+    U = make_group(*group_args)
+    queue = [tuple(U.generator(i).canonical() for i in range(3))]
+    words = {queue[0]: []}
+    for a, b, d in queue:
+        for name, g in generators.items():
+            # (w o g)(e_i) = w(g(e_i)) = x w(e1) + y w(e2) + z w(e3)
+            wg = tuple(U.reduce(tuple(x * a[r] + y * b[r] + z * d[r] for r in range(3))) for x, y, z in g)
+            if wg not in words:
+                words[wg] = words[(a, b, d)] + [name]
+                queue.append(wg)
+    columns = sorted({c for w in words for c in w})
+    index = {c: i for i, c in enumerate(columns)}
+    return columns, [tuple(index[c] for c in w) for w in words], list(words.values())
+
+
+@pytest.mark.parametrize("kind", ["cartan", "okubo", "z2cubed"])
+def test_weyl_closure_matches_the_reference(kind):
+    # the permutation closure visits the elements of the closure on
+    # triples in the same order, with the same words
+    assert classify._weyl(kind) == reference_weyl(kind)
+
+
 @pytest.mark.parametrize(
     "kind, edit, family",
     [
@@ -789,6 +816,7 @@ def test_weyl_mutants_fail_the_oracle(monkeypatch, kind, edit, family):
     monkeypatch.setitem(classify._FINE_KINDS, kind, (group_args, model, edit(generators)))
     classify._weyl.cache_clear()
     try:
+        assert classify._weyl(kind) == reference_weyl(kind)
         params = sweep_utils.enumerate_tuples()[family]  # new tuples: keys are cached per tuple
         assert mismatches(params)
     finally:

@@ -198,6 +198,35 @@ def test_alpha_catches_corrupted_composite(mod, monkeypatch):
         trialitarian.alpha(V, E, Cl)
 
 
+def test_E_scale_l_equals_the_central_product(trial_zorn):
+    # on all 192 operators, and on a sum where the shifted terms cancel:
+    # (1 + xi)(E_010 - E_011) = E_010 - E_012
+    V, E = trial_zorn["V"], trial_zorn["E"]
+    L, F = V.L, V.field
+    ls = (L.one, L.xi, L.xi2, L.rho(L.xi, 1), L.rho(L.xi, 2), (F.one, F.scalar(2), F.scalar(-5)))
+    for l in ls:
+        for i in range(E.dim):
+            x = E.basis_vec(i)
+            assert E.scale_l(l, x) == E.product(E.central_scalar(l), x)
+    x = {E.index[(0, 1, 0)]: F.one, E.index[(0, 1, 1)]: -F.one}
+    one_plus_xi = (F.one, F.one, F.zero)
+    assert E.scale_l(one_plus_xi, x) == E.product(E.central_scalar(one_plus_xi), x) == {
+        E.index[(0, 1, 0)]: F.one,
+        E.index[(0, 1, 2)]: -F.one,
+    }
+
+
+def test_alpha_images_equal_the_central_product(trial_zorn):
+    # (rho(xi^k) a1, rho2(xi^k) a2) on all 384 monomials (mask, k)
+    V, E, Cl, am = trial_zorn["V"], trial_zorn["E"], trial_zorn["Cl"], trial_zorn["alpha"]
+    L = V.L
+    for mask in Cl.masks:
+        a1, a2 = am._even[mask]
+        for k, xk in enumerate((L.one, L.xi, L.xi2)):
+            expected = tuple(E.product(E.central_scalar(L.rho(xk, t)), a) for t, a in ((1, a1), (2, a2)))
+            assert am.image_of_monomial(mask, k) == expected
+
+
 def test_alpha_certificates(trial_zorn):
     am = trial_zorn["alpha"]
     assert alpha_multiplicative_sample(am, seed=1, count=80)

@@ -218,6 +218,38 @@ def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
     assert not graded_module_check(built.grading, moved)
 
 
+def reference_graded_module_check(grading, adapted):
+    """graded_module_check by applying each adapted derivation to every
+    basis vector of V and reading the degrees of the image's support."""
+    V = grading.structure
+    nn = V.S.dim * V.S.dim
+    degs = [d.canonical() for d in grading.degrees["V"]]
+    for g, trip in adapted:
+        x = trilie.xi_transform(V.field, trip, nn, to_deltas=True)
+        for i in range(V.dim):
+            target = (g + grading.degrees["V"][i]).canonical()
+            if any(degs[j] != target for j in trilie.apply_deltas(V, x, V.basis_vec(i))):
+                return False
+    return True
+
+
+def test_graded_module_check_matches_the_reference(fines, tri_okubo):
+    # the three fine gradings pass both checks; moving any one of the 28
+    # adapted derivations of the Okubo grading to a wrong degree fails both
+    for kind in ("cartan", "z2cubed", "okubo"):
+        built = fines[kind]
+        _out, adapted = induce_tri_grading(built.grading, tri_basis(built.V.S))
+        assert graded_module_check(built.grading, adapted) and reference_graded_module_check(built.grading, adapted)
+    built = fines["okubo"]
+    _out, adapted = induce_tri_grading(built.grading, tri_okubo)
+    shift = built.params.group.element((1, 0, 0))
+    assert len(adapted) == 28
+    for m, (g, d) in enumerate(adapted):
+        moved = adapted[:m] + [(g + shift, d)] + adapted[m + 1:]
+        assert not graded_module_check(built.grading, moved)
+        assert not reference_graded_module_check(built.grading, moved)
+
+
 def oracle_e_degree_map(grading, spans):
     """Degree of every elementary operator of End_L(V) with respect to a
     component decomposition of V, by exact membership: the operator maps
