@@ -1,14 +1,14 @@
-"""The five Type III grading families on the rank-8 cyclic composition
-algebra, their ranks, the combinatorial similarity decision procedure, the
-explicit witness (anti-)isomorphisms behind it, and the three fine Type III
-gradings with their universal groups.
+"""The Type III gradings on the rank-8 cyclic composition algebra: the
+three fine gradings with their universal groups, the five families, the
+similarity decision procedure and the witness (anti-)isomorphisms behind it.
 
-Parameter conventions (G a f.g. abelian group, h of order 3, H = <h>).
-Each family is the fine grading of one kind over its universal group U,
-coarsened along the homomorphism alpha: U -> G that sends the generators of
-U to the images listed; deg xi = h throughout.  A grading composed with a
-homomorphism is again a grading, so only the fine gradings, the families at
-alpha = identity, are verified.
+A Type III grading is one datum (kind, alpha): the fine grading of the kind
+over its universal group U pushed forward along alpha: U -> G, which sends
+h_U = deg xi to h of order 3.  `coarsening` builds every record; G and h
+are read off its grading.  A grading composed with a homomorphism is again
+a grading, so only the three fine gradings are verified.  A family tuple
+(G a f.g. abelian group, H = <h>) names alpha by the images of e1, e2, e3:
+`build` validates it and keeps it on the record.
 
   r=0  (K via an ordered generator pair (k1, k2) with K iso Z3^2, h not in
        K, sign delta): okubo, U = Z3^3, alpha = (k1, k2, h), or (k2, k1, h)
@@ -62,12 +62,7 @@ from .scalars import make_field
 from .fgab import AbGroup, GroupElem, GroupHom, make_group, quotient, in_subgroup, subgroup_generated
 from .grading import Grading, Report, coarsen, coarsened_universal, verify_grading, universal_group
 from .linalg import Echelon, axpy, mat_vec
-from .composition import (
-    zorn_cayley,
-    doubled_cayley,
-    okubo_sl3,
-    para,
-)
+from .composition import doubled_cayley, okubo_sl3, para, zorn_cayley
 from .cyclic import (
     CyclicAlgebra,
     cyclic_from_symmetric,
@@ -135,7 +130,8 @@ class TypeIIIParams:
     @cached_property
     def key(self) -> tuple:
         """canonical_key(self), kept in the instance __dict__."""
-        kind, values = _alpha_on_columns(self)
+        kind, images = _fine_kind_and_alpha(self)
+        values = _alpha_on_columns(kind, images)
         return (self.rank, kind, min((values[a], values[b], values[c]) for a, b, c in _weyl(kind)[1]))
 
 
@@ -209,23 +205,29 @@ def params_r8(G, h, t):
 
 @dataclass
 class BuiltGrading:
-    """One Type III grading with the data the classification reads off it:
-    the fine grading of `kind` pushed forward along `alpha`: U -> G.  The
-    derived members are computed on first use and kept on the record;
-    `dataclasses.replace(record, grading=...)` starts a record with none of
-    them, and its `universal` raises unless the new grading is still the
-    pushforward along `alpha`."""
+    """The Type III grading (kind, alpha): the fine grading of `kind` pushed
+    forward along `alpha`: U -> G, with G = `grading.group`.  `params` is
+    the tuple it was built from, if any, for `describe` and the rank-0
+    frame.  The derived members are computed on first use and kept on the
+    record; `dataclasses.replace(record, grading=...)` starts a record with
+    none of them, and its `universal` raises unless the new grading is
+    still the pushforward along `alpha`."""
 
-    params: TypeIIIParams
     V: CyclicAlgebra
     grading: Grading
     kind: str
     alpha: GroupHom
+    params: TypeIIIParams | None = None
 
     @property
     def rank(self) -> int:
         """The dimension of the identity component of V."""
         return len(self.grading.identity_component("V"))
+
+    @property
+    def h(self) -> GroupElem:
+        """The degree of xi, alpha(h_U)."""
+        return self.grading.degrees["L"][1]
 
     @cached_property
     def universal(self):
@@ -239,8 +241,8 @@ class BuiltGrading:
         """(Q, pr) with Q = G/<h>, the free generators of G quotiented away
         as well when G has free rank: the Brauer relations take the
         characters of a finite group."""
-        G = self.params.group
-        return quotient(G, [self.params.h] + [G.generator(i) for i in range(G.free_rank)])
+        G = self.grading.group
+        return quotient(G, [self.h] + [G.generator(i) for i in range(G.free_rank)])
 
     @cached_property
     def related(self):
@@ -251,6 +253,18 @@ class BuiltGrading:
         _gt, adapted = induce_tri_grading(self.grading, tri_basis(self.V.S))
         _Q, pr = self.brauer_quotient
         return related_triple([(pr(g), trip) for g, trip in adapted], self.V.S)
+
+
+def coarsening(kind: str, images, conductor: int = 12) -> BuiltGrading:
+    """The record of the fine grading of the kind pushed forward along the
+    alpha: U -> G with alpha(e_i) = images[i], which GroupHom checks is well
+    defined; it is of Type III when alpha(h_U) has order 3."""
+    fine = _fine_grading(kind, conductor)
+    alpha = GroupHom(fine.group, images[0].group, list(zip(*(g.coords for g in images))))
+    built = BuiltGrading(fine.structure, coarsen(fine, alpha), kind, alpha)
+    if built.h.order() != 3:
+        raise ParamError(f"alpha sends h_U to an element of order {built.h.order()}, not 3")
+    return built
 
 
 def _fine_kind_and_alpha(p: TypeIIIParams):
@@ -269,13 +283,11 @@ def _fine_kind_and_alpha(p: TypeIIIParams):
 
 
 def build(p: TypeIIIParams, conductor: int = 12) -> BuiltGrading:
-    """The fine grading of p's kind coarsened along alpha_p, which GroupHom
-    checks is well defined; its identity component must have dimension p.rank."""
+    """The coarsening of p's kind along alpha_p, kept with p; its identity
+    component must have dimension p.rank."""
     validate(p)
-    kind, images = _fine_kind_and_alpha(p)
-    fine = _fine_grading(kind, conductor)
-    alpha = GroupHom(fine.group, p.group, list(zip(*(g.coords for g in images))))
-    built = BuiltGrading(p, fine.structure, coarsen(fine, alpha), kind, alpha)
+    built = coarsening(*_fine_kind_and_alpha(p), conductor)
+    built.params = p
     if built.rank != p.rank:
         raise ParamError(f"built grading has rank {built.rank}, expected {p.rank}")
     return built
@@ -294,12 +306,13 @@ class SimilarityVerdict:
     def trace(self) -> dict:
         """{"kinds": [kind of p, kind of q], "word": the word of the first w
         in W (breadth-first) with alpha_q = alpha_p o w, or None}."""
-        kind, values = _alpha_on_columns(self.first)
-        kind_q, images = _fine_kind_and_alpha(self.second)
+        kind, images = _fine_kind_and_alpha(self.first)
+        kind_q, images_q = _fine_kind_and_alpha(self.second)
         word = None
         if self.similar:
+            values = _alpha_on_columns(kind, images)
             _columns, triples, words = _weyl(kind)
-            target = tuple(g.canonical() for g in images)
+            target = tuple(g.canonical() for g in images_q)
             word = next(words[n] for n, (a, b, c) in enumerate(triples) if (values[a], values[b], values[c]) == target)
         return {"kinds": [kind, kind_q], "word": word}
 
@@ -348,12 +361,11 @@ def _weyl(kind: str):
     return columns, [(w[e1], w[e2], w[e3]) for w in words], list(words.values())
 
 
-def _alpha_on_columns(p: TypeIIIParams):
-    """The kind of p's family and alpha_p on the columns of W_kind."""
-    kind, images = _fine_kind_and_alpha(p)
+def _alpha_on_columns(kind: str, images) -> list:
+    """The alpha: U_kind -> G with alpha(e_i) = images[i] on the columns of W_kind."""
     rows = list(zip(*(g.coords for g in images)))
-    reduce = p.group.reduce
-    return kind, [reduce(tuple(x * a + y * b + z * d for a, b, d in rows)) for x, y, z in _weyl(kind)[0]]
+    reduce = images[0].group.reduce
+    return [reduce(tuple(x * a + y * b + z * d for a, b, d in rows)) for x, y, z in _weyl(kind)[0]]
 
 
 def similar_params(p: TypeIIIParams, q: TypeIIIParams) -> SimilarityVerdict:
@@ -382,6 +394,8 @@ def okubo_orientation(built: BuiltGrading) -> str:
     one of the two products vanishes; anything else is an error."""
     if built.rank != 0:
         raise ParamError("orientation is defined for rank-0 gradings")
+    if built.params is None:
+        raise ParamError("orientation is read in the frame (k1, k2) of a tuple, and the record has none")
     V = built.grading.structure
     comps = built.grading.components("V")
 
@@ -539,13 +553,9 @@ def _witness_rank2_shift(G, gamma, h, conductor):
     verify_grading(gS).require(ParamError, "cut grading")
     # the cut must be Cartan-shaped with parameters h * gamma
     shifted = sorted(((h + g).canonical() for g in gamma))
-    supp = gS.components()
-    ident_dim = len(gS.identity_component())
-    ok_pattern = ident_dim == 2 and sorted(
-        x for x, idxs in supp.items() for _ in idxs if not G.element(x).is_identity()
-    ) == sorted(
-        list(shifted) + [(-(h + g)).canonical() for g in gamma]
-    )
+    off_identity = [x for x, idxs in gS.components().items() for _ in idxs if not G.element(x).is_identity()]
+    expected = shifted + [(-(h + g)).canonical() for g in gamma]
+    ok_pattern = len(gS.identity_component()) == 2 and sorted(off_identity) == sorted(expected)
     VA = cyclic_from_symmetric(S_cut, L)
     gr_A = tensor_grading(gS, h, VA)
     cols = {}
@@ -580,9 +590,6 @@ def okubo_involution(conductor: int = 12):
     keys = S.monomial_keys
     kidx = {k: i for i, k in enumerate(keys)}
 
-    def swap(k):
-        return (k[1], k[0])
-
     c = {(1, 0): F.one, (0, 1): F.one}
     # propagate coefficients through nonzero single-term products
     changed = True
@@ -600,17 +607,17 @@ def okubo_involution(conductor: int = 12):
                 if kr in c:
                     continue
                 # sigma(a * b) = sigma(b) * sigma(a)
-                row2 = S.mul.get((kidx[swap(kb)], kidx[swap(ka)]))
+                row2 = S.mul.get((kidx[kb[::-1]], kidx[ka[::-1]]))
                 if not row2:
                     raise ParamError("involution propagation hit a zero product")
                 (r2idx, coef2), = row2.items()
-                if keys[r2idx] != swap(kr):
+                if keys[r2idx] != kr[::-1]:
                     raise ParamError("involution propagation is inconsistent")
                 c[kr] = c[kb] * c[ka] * coef2 / coef
                 changed = True
     if len(c) != 8:
         raise ParamError("involution propagation did not reach every monomial")
-    cols = {kidx[k]: {kidx[swap(k)]: c[k]} for k in keys}
+    cols = {kidx[k]: {kidx[k[::-1]]: c[k]} for k in keys}
     # certify: involution, anti-automorphism, isometry
     for i in range(8):
         x = S.basis_vec(i)
@@ -674,37 +681,25 @@ _FINE_KINDS = {
 }
 
 
-def _fine_params(kind: str) -> TypeIIIParams:
-    """The fine tuple of the kind: its family over U at alpha = identity."""
+@lru_cache(maxsize=None)
+def _fine_grading(kind: str, conductor: int) -> Grading:
+    """The fine grading of the kind over U, built once per conductor: its
+    degree rule on S, tensored with L at deg xi = h_U.  tensor_grading
+    verifies it, and that covers S: the star products and b_Q values of the
+    s (x) 1 are the products and norms of S."""
     if kind not in _FINE_KINDS:
         raise ParamError("kind must be cartan, z2cubed or okubo")
     U = make_group(*_FINE_KINDS[kind][0])
-    u1, u2, u3 = map(U.generator, range(3))
-    if kind == "cartan":
-        return params_r2(U, (u1, u2, -(u1 + u2)), u3)
-    if kind == "z2cubed":
-        return params_r1(U, (u1, u2, 3 * u3), 2 * u3)
-    return params_r0(U, u1, u2, u3, "+")
-
-
-@lru_cache(maxsize=None)
-def _fine_grading(kind: str, conductor: int) -> Grading:
-    """The fine grading of the kind, built once per conductor: its family's
-    degree formula on S at the fine tuple, tensored with L.  tensor_grading
-    verifies it, and that covers S: the star products and b_Q values of the
-    s (x) 1 are the products and norms of S."""
-    p = _fine_params(kind)
     V = models(conductor)[_FINE_KINDS[kind][1]]
-    e = p.group.identity()
-    if p.rank == 0:
-        k1, k2 = p.K
-        degs = [a * k1 + b * k2 for a, b in V.S.monomial_keys]
-    elif p.rank == 1:
-        degs = [sum((k for i, k in enumerate(p.K, start=1) if f"g{i}" in label), e) for label in V.S.labels]
-    else:
-        g1, g2, g3 = p.gamma
-        degs = [e, e, g1, g2, g3, -g1, -g2, -g3]
-    return tensor_grading(Grading(V.S, p.group, {"A": degs}), p.h, V)
+    u1, u2, u3 = map(U.generator, range(3))
+    if kind == "okubo":  # deg X^a Y^b = a e1 + b e2
+        return tensor_grading(Grading(V.S, U, {"A": [a * u1 + b * u2 for a, b in V.S.monomial_keys]}), u3, V)
+    if kind == "z2cubed":  # deg g1, g2, g3 = e1, e2, 3 e3, the 2-torsion of U
+        K = (u1, u2, 3 * u3)
+        degs = [sum((k for i, k in enumerate(K, start=1) if f"g{i}" in label), U.identity()) for label in V.S.labels]
+        return tensor_grading(Grading(V.S, U, {"A": degs}), 2 * u3, V)
+    e, g3 = U.identity(), -(u1 + u2)  # deg u_i = e1, e2, -e1-e2
+    return tensor_grading(Grading(V.S, U, {"A": [e, e, u1, u2, g3, -u1, -u2, -g3]}), u3, V)
 
 
 @lru_cache(maxsize=None)
@@ -715,8 +710,10 @@ def _fine_universal(kind: str, conductor: int):
 
 
 def fine_typeIII(kind: str, conductor: int = 12) -> BuiltGrading:
-    """The fine grading of the kind over its universal group, as a new record on a new tuple."""
-    return build(_fine_params(kind), conductor)
+    """The fine grading of the kind over its universal group U, as a new
+    record: the coarsening along the identity of U."""
+    U = _fine_grading(kind, conductor).group
+    return coarsening(kind, [U.generator(i) for i in range(3)], conductor)
 
 
 def refinement_impossible(fine_a: BuiltGrading, fine_b: BuiltGrading):

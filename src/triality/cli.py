@@ -138,7 +138,7 @@ def cmd_build(args) -> int:
             constructor="typeIII",
             params=p.describe(),
             rank=built.rank,
-            group={"free_rank": p.group.free_rank, "torsion": list(p.group.torsion)},
+            group={"free_rank": built.grading.group.free_rank, "torsion": list(built.grading.group.torsion)},
             degrees=degrees,
             support_size=len(built.grading.support("V")),
         )
@@ -281,7 +281,7 @@ def _suite_typeIII(args, mod):
         checks[f"{kind}_center_orbit_same_E_and_tri"] = same
         E, Cl = end_algebra(V), clifford_even(V)
         gE = induce_E_grading(grading, E)
-        checks[f"{kind}_E_type_III"] = detect_type(gE) == ("III", built.params.h)
+        checks[f"{kind}_E_type_III"] = detect_type(gE) == ("III", built.h)
         checks[f"{kind}_E_kappa_alpha_graded"] = e_grading_kappa_alpha_compatible(
             grading, gE, E, Cl, kappa(V, E, Cl), alpha(V, E, Cl)
         )
@@ -332,7 +332,7 @@ def invariants_of_built(built) -> dict:
         "type_vector": [dims.count(i) for i in range(1, max(dims) + 1)],
         "universal_group": {"free_rank": U.free_rank, "torsion": list(U.torsion)},
     }
-    if built.params.rank == 0:
+    if built.rank == 0:
         out["orientation"] = okubo_orientation(built)
     return out
 
@@ -384,7 +384,7 @@ def cmd_brauer(args) -> int:
         "pass" if ok else "fail",
         kind=kind,
         grading_group={"free_rank": Q.free_rank, "torsion": list(Q.torsion)},
-        note="free directions quotiented away" if built.params.group.free_rank else None,
+        note="free directions quotiented away" if built.grading.group.free_rank else None,
         factors=per_factor,
         relations={
             "squares_trivial": report.elementary2 and report.beta_pm1,
@@ -407,7 +407,7 @@ def cmd_catalog(args) -> int:
                 "free_rank": built.universal.group.free_rank,
                 "torsion": list(built.universal.group.torsion),
             },
-            "universal_matches_expected": built.universal.group == built.params.group,
+            "universal_matches_expected": built.universal.group == built.grading.group,
         }
         for kind, built in fines.items()
     ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import axpy, bilinear, compose, echelon_from, invert_dense, kernel, mat_vec, null_space, summed, to_flat
 from .grading import AdaptedRows, Grading, Report, StructAlgebra, VerificationError, verify_grading
@@ -140,8 +140,9 @@ def so_blocks(S):
 
 class TriAlgebra:
     """tri(S) with its 28-element basis: the reduced rows of the span of the
-    given triples, with the bracket structure constants over them.  A
-    vector of End(S)^3 is written in the basis by `span.coordinates`."""
+    given triples, and `lie`, the bracket structure constants over them,
+    built on first read.  A vector of End(S)^3 is written in the basis by
+    `span.coordinates`."""
 
     def __init__(self, S, vectors):
         self.S = S
@@ -149,13 +150,14 @@ class TriAlgebra:
         self.span = echelon_from(S.field, vectors)
         self.vectors = self.span.basis()  # basis triples as vectors of End(S)^3
         self.dim = len(self.vectors)
-        self.lie = self._structure_algebra()
 
     def contains(self, vec) -> bool:
         """Whether a vector of End(S)^3 lies in tri(S)."""
         return self.span.contains(vec)
 
-    def _structure_algebra(self) -> StructAlgebra:
+    @cached_property
+    def lie(self) -> StructAlgebra:
+        """The bracket over the basis; raises unless the span is closed under it."""
         n = self.S.dim
         blocks = [_blocks(v, n * n) for v in self.vectors]
         # the bracket is a commutator, so [b, a] = -[a, b]

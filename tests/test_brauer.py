@@ -506,7 +506,7 @@ def related_input(kind, fines, mod, tri_zorn):
     if kind != "cartan":
         return coarse_adapted(built), built.V.S
     _gt, adapted = induce_tri_grading(built.grading, tri_zorn)
-    _Q, pr = quotient(built.params.group, [built.params.h])
+    _Q, pr = quotient(built.grading.group, [built.h])
     return [(pr(g), t) for g, t in adapted], built.V.S
 
 
@@ -823,7 +823,7 @@ def test_adapted_tables_equal_all_rows_coordinates(kind, fines):
     mul, degrees = all_rows_induced(built.grading, tri)
     assert in_key_order(gt.structure.mul) == in_key_order(mul)
     assert [g.canonical() for g in gt.degrees["A"]] == degrees
-    _Q, pr = quotient(built.params.group, [built.params.h])
+    _Q, pr = quotient(built.grading.group, [built.h])
     coarse = [(pr(g), t) for g, t in adapted]
     triple = related_triple(coarse, S)
     for comp, (A, gr) in enumerate(zip(triple.algebras, triple.gradings)):

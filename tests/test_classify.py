@@ -10,6 +10,7 @@ from triality.classify import (
     ParamError,
     build,
     canonical_key,
+    coarsening,
     fine_typeIII,
     models,
     okubo_orientation,
@@ -246,10 +247,59 @@ def test_fine_gradings_and_non_refinement(fines):
         "okubo": make_group(0, [3, 3, 3]),
     }
     for kind, built in fines.items():
-        assert built.universal.group == built.params.group
+        assert built.universal.group == built.grading.group
         assert built.universal.group == expected[kind]
     for a, b in itertools.permutations(fines, 2):
         assert refinement_impossible(fines[a], fines[b]) is not None
+
+
+def test_records_read_G_and_h_off_the_grading(sweep_tuples):
+    # G is the grading's group and h the degree of xi, for the first 24
+    # tuples of every family of the sweep; the record keeps its tuple
+    for params in sweep_tuples.values():
+        for p in params[:24]:
+            built = build(p)
+            assert built.params is p and built.grading.group == p.group and built.h == p.h
+
+
+def test_fine_records_have_no_tuple(fines):
+    for built in fines.values():
+        assert built.params is None and built.h.order() == 3
+    # the rank-0 orientation is read in a tuple's frame, which a fine record lacks
+    with pytest.raises(ParamError, match="frame"):
+        okubo_orientation(fines["okubo"])
+    with pytest.raises(ParamError, match="kind must be"):
+        fine_typeIII("g2")
+
+
+@pytest.mark.parametrize(
+    "kind, images, rank, universal",
+    [
+        # okubo along (k, e, h), a rank-2 orbit of no family
+        ("okubo", ((1, 0, 0), (0, 0, 0), (0, 0, 1)), 2, make_group(0, [3, 3])),
+        # cartan along (e, h, h), that is gamma = (e, h, h^2): rank 8, not t = p
+        ("cartan", ((0, 0, 0), (0, 0, 1), (0, 0, 1)), 8, make_group(0, [3])),
+    ],
+    ids=["okubo_k_e_h", "cartan_e_h_h"],
+)
+def test_non_family_coarsenings(field, kind, images, rank, universal):
+    # the one constructor builds a W-orbit that no family tuple reaches: its
+    # universal group, read off the fine grading, agrees with the walk, and
+    # the Brauer relations hold on its related triple
+    from triality.brauer import verify_brauer_relations
+
+    built = coarsening(kind, [G333.element(c) for c in images])
+    assert built.params is None and built.rank == rank and built.h == G333.element((0, 0, 1))
+    assert built.universal.group == universal
+    assert universal_summary(built.universal) == universal_summary(universal_group(built.grading))
+    assert verify_brauer_relations(built.related, field).ok()
+
+
+def test_coarsening_refuses_a_grading_of_another_type():
+    # alpha(h_U) = e leaves xi in the identity component: not Type III
+    e, k = G333.identity(), G333.element((1, 0, 0))
+    with pytest.raises(ParamError, match="order 1, not 3"):
+        coarsening("cartan", (k, e, e))
 
 
 # ------------------------------------- the universal group of a coarsening
@@ -329,7 +379,7 @@ def test_universal_refuses_a_replaced_grading():
     # must not report the fine grading's quotient
     built = build(params_r2(G333, (G333.element((1, 0, 0)), G333.element((0, 1, 0)), G333.element((2, 2, 0))), G333.element((0, 0, 1))))
     g = built.grading
-    moved = dataclasses.replace(built, grading=g.copy_with_degree("V", 0, g.degrees["V"][0] + built.params.h))
+    moved = dataclasses.replace(built, grading=g.copy_with_degree("V", 0, g.degrees["V"][0] + built.h))
     with pytest.raises(ValueError, match="not the pushforward"):
         moved.universal
     other_V = corrupted_rank0(True)

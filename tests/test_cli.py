@@ -224,7 +224,7 @@ def test_verify_typeIII_fails_on_corrupted_degree(tmp_path, monkeypatch, typeIII
     def corrupted(kind, conductor):
         built = real(kind, conductor)
         g = built.grading
-        bad = g.copy_with_degree("V", 0, g.degrees["V"][0] + built.params.h)
+        bad = g.copy_with_degree("V", 0, g.degrees["V"][0] + built.h)
         # a new record: nothing derived from the sound grading carries over
         return dataclasses.replace(built, grading=bad)
 

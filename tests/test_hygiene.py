@@ -7,8 +7,10 @@ waiting to be wired in); every method is referenced somewhere in the
 package or benchmark, and here too a test reference does not count; no
 function takes a parameter it never reads or binds a local it never reads;
 no class stores a field that nothing reads; every function the
-benchmark's tracer wraps by name is defined; and no function outside the
-kernels of `linalg` adds into a sparse vector by hand."""
+benchmark's tracer wraps by name is defined; no function outside the
+kernels of `linalg` adds into a sparse vector by hand; and no module builds
+a Type III family tuple outside its constructors or reads G or h off a
+record's tuple."""
 
 import ast
 import collections
@@ -136,7 +138,7 @@ def unreached(package, users):
 # shrink: a listed definition that is reached, or deleted, fails the test as
 # an unlisted unreached one does.
 UNREACHED = {
-    "item 3, witness maps of the similarity bullets": {
+    "items 14 and 16, witness maps of the similarity bullets": {
         "classify.witness_map",
         "classify._witness_rank2_shift",
         "classify._witness_rank0_flip",
@@ -636,3 +638,58 @@ def other_dict(out, src, k):
     # whose value is not added to, and a read written to another dict are
     # not hand-written sums
     assert hand_sums(ast.parse(source)) == ["direct", "through_a_local", "Table.add"]
+
+
+# The family constructors, the only functions that build a TypeIIIParams.
+FAMILY_CONSTRUCTORS = {"params_r0", "params_r1", "params_r2", "params_r4", "params_r8"}
+
+
+def tuple_sources(tree):
+    """(line, what) for every call `TypeIIIParams(...)` outside the family
+    constructors, and for every read `.params.group` or `.params.h`: a
+    Type III record is (kind, alpha), and its G and h are read off its
+    grading, so an invented tuple or a second source for G and h is one of
+    these."""
+    allowed = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in FAMILY_CONSTRUCTORS
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            if getattr(func, "id", None) == "TypeIIIParams" or getattr(func, "attr", None) == "TypeIIIParams":
+                found.append((node.lineno, "TypeIIIParams("))
+        elif isinstance(node, ast.Attribute) and node.attr in ("group", "h"):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "params":
+                found.append((node.lineno, f".params.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_invented_tuples():
+    found = [f"{module}.py:{line} {what}" for module, tree in package_sources().items() for line, what in tuple_sources(tree)]
+    assert not found, "tuples outside the family constructors: " + ", ".join(found)
+
+
+def test_tuple_rule_on_a_synthetic_module():
+    source = """
+def params_r8(G, h, t):
+    return validate(TypeIIIParams(8, G, h, t=t))
+
+
+def fine(U):
+    return classify.TypeIIIParams(2, U, U.generator(2))
+
+
+def quotient_of(built):
+    return quotient(built.params.group, [built.params.h])
+
+
+def describe(built):
+    return built.params.describe(), built.grading.group, built.h, built.params
+"""
+    # the constructor's call is allowed; the record's own readings and its
+    # tuple's describe are not sources of G and h
+    assert tuple_sources(ast.parse(source)) == [(7, "TypeIIIParams("), (11, ".params.group"), (11, ".params.h")]

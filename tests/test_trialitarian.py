@@ -274,15 +274,15 @@ def test_induced_E_grading_and_type(fines, trial_zorn):
     gE = induce_E_grading(built.grading, E)
     assert gE.verified
     ty, h = detect_type(gE)
-    assert ty == "III" and h == built.params.h
+    assert ty == "III" and h == built.h
     assert h.order() == 3
     # kappa and alpha preserve the degrees
     assert e_grading_kappa_alpha_compatible(
         built.grading, gE, E, trial_zorn["Cl"], trial_zorn["kappa"], trial_zorn["alpha"]
     )
     # center components are F, F xi, F xi^2
-    G = built.params.group
-    Q, pr = quotient(G, [built.params.h])
+    G = built.grading.group
+    Q, pr = quotient(G, [built.h])
     gE_coarse = coarsen(gE, pr)
     ty2, _ = detect_type(gE_coarse)
     assert ty2 == "I"
@@ -312,8 +312,8 @@ def test_order_two_center_degree_is_rejected(trial_zorn):
 def test_induce_coarsen_functorial(fines, trial_zorn):
     built = fines["cartan"]
     E = trial_zorn["E"]
-    G = built.params.group
-    Q, pr = quotient(G, [built.params.h])
+    G = built.grading.group
+    Q, pr = quotient(G, [built.h])
     a = coarsen(induce_E_grading(built.grading, E), pr)
     b = induce_E_grading(coarsen(built.grading, pr), E)
     assert (a.group, a.degrees) == (b.group, b.degrees)
@@ -339,7 +339,7 @@ def test_kappa_alpha_compatibility_catches_moved_degree(fines, trial_zorn):
     built = fines["cartan"]
     E = trial_zorn["E"]
     gE = induce_E_grading(built.grading, E)
-    moved = gE.copy_with_degree("A", 0, gE.degrees["A"][0] + built.params.h)
+    moved = gE.copy_with_degree("A", 0, gE.degrees["A"][0] + built.h)
     assert not e_grading_kappa_alpha_compatible(
         built.grading, moved, E, trial_zorn["Cl"], trial_zorn["kappa"], trial_zorn["alpha"]
     )

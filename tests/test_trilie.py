@@ -115,6 +115,23 @@ def test_der_equals_tri(field, mod, tri_zorn, tri_okubo):
     assert span(derO) == span(tri_okubo)
 
 
+def test_der_cyclic_builds_no_bracket(mod):
+    # the trialitarian suite reads only the vectors of Der_L(V); the
+    # bracket table is built on the first read of `lie`
+    der = der_cyclic(mod["V_zorn"])
+    assert der.dim == 28 and "lie" not in vars(der)
+    assert der.lie.dim == 28 and "lie" in vars(der)
+
+
+def test_lie_of_an_unclosed_span_raises(tri_zorn):
+    # 27 of the 28 basis vectors: no subalgebra of the simple D4 has
+    # dimension 27, so some bracket leaves the span, and reading `lie` says so
+    part = trilie.TriAlgebra(tri_zorn.S, tri_zorn.vectors[:27])
+    assert part.dim == 27
+    with pytest.raises(TrialityError, match="bracket is not in tri"):
+        part.lie
+
+
 def test_derivation_property_on_V(mod, tri_zorn):
     # componentwise action of a basis triple is a derivation of *
     V = mod["V_zorn"]
@@ -185,8 +202,8 @@ def test_induce_and_coarsen_commute(mod, tri_zorn, fines):
 
     built = fines["cartan"]
     V = built.grading.structure
-    G = built.params.group
-    Q, pr = quotient(G, [built.params.h])
+    G = built.grading.group
+    Q, pr = quotient(G, [built.h])
     out_fine, adapted_fine = induce_tri_grading(built.grading, tri_zorn)
     coarse_first = coarsen(built.grading, pr)
     out_coarse, adapted_coarse = induce_tri_grading(coarse_first, tri_zorn)
@@ -214,7 +231,7 @@ def test_graded_module_rejects_wrong_degree(fines, tri_okubo):
     built = fines["okubo"]
     _out, adapted = induce_tri_grading(built.grading, tri_okubo)
     g0, d0 = adapted[0]
-    moved = [(g0 + built.params.group.element((1, 0, 0)), d0)] + adapted[1:]
+    moved = [(g0 + built.grading.group.element((1, 0, 0)), d0)] + adapted[1:]
     assert not graded_module_check(built.grading, moved)
 
 
@@ -242,7 +259,7 @@ def test_graded_module_check_matches_the_reference(fines, tri_okubo):
         assert graded_module_check(built.grading, adapted) and reference_graded_module_check(built.grading, adapted)
     built = fines["okubo"]
     _out, adapted = induce_tri_grading(built.grading, tri_okubo)
-    shift = built.params.group.element((1, 0, 0))
+    shift = built.grading.group.element((1, 0, 0))
     assert len(adapted) == 28
     for m, (g, d) in enumerate(adapted):
         moved = adapted[:m] + [(g + shift, d)] + adapted[m + 1:]
@@ -341,7 +358,7 @@ def test_center_orbit_mutants(fines, monkeypatch):
             m.setattr(trilie, "apply_deltas", rule)
             assert center_orbit(grading)[0] is False
     with monkeypatch.context() as m:
-        m.setattr(trilie, "operator_degrees", lambda g: [real_degrees(g)[0] + built.params.h] + real_degrees(g)[1:])
+        m.setattr(trilie, "operator_degrees", lambda g: [real_degrees(g)[0] + built.h] + real_degrees(g)[1:])
         assert center_orbit(grading)[0] is False
     assert center_orbit(grading)[0] is True
     # one doubled product constant keeps every degree, so the grading still
