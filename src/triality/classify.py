@@ -49,7 +49,8 @@ is similar tuples (ranks 2, 4 and 8 share the kind cartan, hence the rank).
 W is closed once (_weyl), as a permutation group on its 20, 26 or 21
 distinct columns w(e_i): the columns are found by arithmetic in U, each
 generator becomes a tuple of column indices, and each product in W is a
-tuple lookup.  alpha_p is evaluated on the columns once per tuple.
+tuple lookup.  alpha_p is evaluated on the columns once per tuple, in one
+`AbGroup.images` pass, as coarsenings and their universal groups are.
 witness_map realises h_flip, the rank-2 shift and the rank-0 flip.
 """
 
@@ -141,6 +142,8 @@ def validate(p: TypeIIIParams):
         raise ParamError("h does not lie in the parameter group")
     if p.h.order() != 3:
         raise ParamError(f"h must have order 3, got {p.h.order()}")
+    if any(g.group != G for g in (*p.K, *p.gamma)):
+        raise ParamError("K and gamma must lie in the parameter group")
     if p.rank == 0:
         if len(p.K) != 2:
             raise ParamError("r=0 needs an ordered pair of generators for K")
@@ -164,19 +167,18 @@ def validate(p: TypeIIIParams):
             raise ParamError("r=2 needs gamma = (g1, g2, g3)")
         if not (p.gamma[0] + p.gamma[1] + p.gamma[2]).is_identity():
             raise ParamError("gamma must satisfy g1 g2 g3 = e")
-        for g in p.gamma:
-            if in_subgroup(g, [p.h]):
-                raise ParamError("every g_i must lie outside <h>")
     elif p.rank == 4:
         if len(p.gamma) != 1:
             raise ParamError("r=4 needs a single element g")
-        if in_subgroup(p.gamma[0], [p.h]):
-            raise ParamError("g must lie outside <h>")
     elif p.rank == 8:
         if p.t not in ("p", "o"):
             raise ParamError("t must be 'p' or 'o'")
     else:
         raise ParamError(f"rank must be one of 0, 1, 2, 4, 8, got {p.rank}")
+    if p.rank in (2, 4):  # one quotient G/<h> decides every g_i
+        _Q, pr = quotient(G, [p.h])
+        if any(pr(g).is_identity() for g in p.gamma):
+            raise ParamError("every g_i must lie outside <h>" if p.rank == 2 else "g must lie outside <h>")
     return p
 
 
@@ -208,10 +210,11 @@ class BuiltGrading:
     """The Type III grading (kind, alpha): the fine grading of `kind` pushed
     forward along `alpha`: U -> G, with G = `grading.group`.  `params` is
     the tuple it was built from, if any, for `describe` and the rank-0
-    frame.  The derived members are computed on first use and kept on the
-    record; `dataclasses.replace(record, grading=...)` starts a record with
-    none of them, and its `universal` raises unless the new grading is
-    still the pushforward along `alpha`."""
+    frame.  The derived members (V's components, the universal group, the
+    Brauer quotient, the related triple) are computed on first use and kept
+    on the record; `dataclasses.replace(record, grading=...)` starts a
+    record with none of them, and its `universal` raises unless the new
+    grading is still the pushforward along `alpha`."""
 
     V: CyclicAlgebra
     grading: Grading
@@ -219,10 +222,16 @@ class BuiltGrading:
     alpha: GroupHom
     params: TypeIIIParams | None = None
 
+    @cached_property
+    def components(self) -> dict:
+        """{canonical degree: sorted basis indices} of V, grouped once for
+        `rank`, the invariants and the orientation."""
+        return self.grading.components("V")
+
     @property
     def rank(self) -> int:
         """The dimension of the identity component of V."""
-        return len(self.grading.identity_component("V"))
+        return len(self.components.get(self.grading.group.identity().canonical(), ()))
 
     @property
     def h(self) -> GroupElem:
@@ -335,25 +344,19 @@ def _weyl(kind: str):
     group_args, _model, generators = _FINE_KINDS[kind]
     U = make_group(*group_args)
     units = [U.generator(i).canonical() for i in range(3)]
-
-    def image(g, c):
-        # g(c) = c1 g(e1) + c2 g(e2) + c3 g(e3)
-        return U.reduce(tuple(sum(x * col[r] for x, col in zip(c, g)) for r in range(3)))
-
-    orbit = list(units)
-    for c in orbit:  # grows while it is read
-        for g in generators.values():
-            gc = image(g, c)
-            if gc not in orbit:
-                orbit.append(gc)
+    matrices = {name: list(zip(*g)) for name, g in generators.items()}  # g(c) = c1 g(e1) + c2 g(e2) + c3 g(e3)
+    orbit, new = set(units), units
+    while new:  # the images of the columns found last, until none is new
+        new = {c for m in matrices.values() for c in U.images(m, new, 3)} - orbit
+        orbit |= new
     columns = sorted(orbit)
     index = {c: i for i, c in enumerate(columns)}
-    sigmas = {name: tuple(index[image(g, c)] for c in columns) for name, g in generators.items()}
+    sigmas = {name: tuple(map(index.__getitem__, U.images(m, columns, 3))) for name, m in matrices.items()}
     queue = [tuple(range(len(columns)))]
     words = {queue[0]: []}
     for w in queue:  # grows while it is read: breadth-first
         for name, sigma in sigmas.items():
-            wg = tuple(w[j] for j in sigma)
+            wg = tuple(map(w.__getitem__, sigma))
             if wg not in words:
                 words[wg] = words[w] + [name]
                 queue.append(wg)
@@ -362,10 +365,9 @@ def _weyl(kind: str):
 
 
 def _alpha_on_columns(kind: str, images) -> list:
-    """The alpha: U_kind -> G with alpha(e_i) = images[i] on the columns of W_kind."""
-    rows = list(zip(*(g.coords for g in images)))
-    reduce = images[0].group.reduce
-    return [reduce(tuple(x * a + y * b + z * d for a, b, d in rows)) for x, y, z in _weyl(kind)[0]]
+    """The alpha: U_kind -> G with alpha(e_i) = images[i] on the columns of
+    W_kind, canonical, in one `AbGroup.images` pass."""
+    return images[0].group.images(list(zip(*(g.coords for g in images))), _weyl(kind)[0], 3)
 
 
 def similar_params(p: TypeIIIParams, q: TypeIIIParams) -> SimilarityVerdict:
@@ -397,7 +399,7 @@ def okubo_orientation(built: BuiltGrading) -> str:
     if built.params is None:
         raise ParamError("orientation is read in the frame (k1, k2) of a tuple, and the record has none")
     V = built.grading.structure
-    comps = built.grading.components("V")
+    comps = built.components
 
     def generator(k):
         idxs = comps.get(k.canonical())

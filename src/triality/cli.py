@@ -323,7 +323,7 @@ def cmd_invariants(args) -> int:
 def invariants_of_built(built) -> dict:
     """Rank, support, type vector (n_i components of dimension i) and
     universal group of a built grading on V, read off its record."""
-    comps = built.grading.components("V")
+    comps = built.components
     dims = [len(ix) for ix in comps.values()]
     U = built.universal.group
     out = {

@@ -3,7 +3,8 @@
 Groups are kept in the canonical form Z^r x Z_{d_1} x ... x Z_{d_t} with
 d_1 | d_2 | ... | d_t (free coordinates first).  Elements carry the
 coordinates they were created with; canonical reduction happens on
-comparison, so constructor parameters stay readable in reports.
+comparison, so constructor parameters stay readable in reports.  A matrix
+is applied to coordinate vectors by one rule, `AbGroup.images`, many at once.
 
 >>> G = make_group(2, [3])
 >>> G
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from math import gcd
+from operator import mul
 
 
 # ---------------------------------------------------------------- SNF
@@ -194,7 +196,25 @@ class AbGroup:
         r = self.free_rank
         return tuple(coords[:r]) + tuple(c % d for c, d in zip(coords[r:], self.torsion))
 
+    def images(self, matrix, vectors, width: int) -> list:
+        """[canonical coordinates of matrix * v for v in vectors]: each
+        coordinate is formed for every v, a list reduced once by its modulus
+        (free coordinates stay).  matrix has ndim rows, and a vector not of
+        length width raises ValueError.
+
+        >>> make_group(1, [3]).images([[1, 1], [2, -1]], [(1, 0), (4, -5)], 2)
+        [(1, 2), (-1, 1)]
+        """
+        if len(matrix) != self.ndim or any(len(v) != width for v in vectors):
+            raise ValueError(f"expected a {self.ndim} x {width} matrix and vectors of length {width}")
+        r = self.free_rank
+        coords = [[sum(map(mul, row, v)) for v in vectors] for row in matrix]
+        coords[r:] = [[x % d for x in xs] for xs, d in zip(coords[r:], self.torsion)]
+        return list(zip(*coords)) if coords else [()] * len(vectors)
+
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, AbGroup)
             and other.free_rank == self.free_rank
@@ -220,10 +240,10 @@ class GroupElem:
 
     __slots__ = ("group", "coords", "_can")
 
-    def __init__(self, group: AbGroup, coords: tuple):
+    def __init__(self, group: AbGroup, coords: tuple, canonical: tuple | None = None):
         self.group = group
         self.coords = coords
-        self._can = None
+        self._can = canonical
 
     def canonical(self) -> tuple:
         if self._can is None:
@@ -292,15 +312,14 @@ class GroupHom:
         r = domain.free_rank
         for i, d in enumerate(domain.torsion):
             col = [row[r + i] for row in self.matrix]
-            img = self.codomain.element(tuple(d * x for x in col))
-            if not img.is_identity():
+            if any(codomain.reduce([d * x for x in col])):
                 raise ValueError(f"matrix does not kill the relation {d}*e_{r + i}")
 
     def __call__(self, g: GroupElem) -> GroupElem:
         if g.group != self.domain:
             raise ValueError("element not in the domain")
-        c = g.coords
-        return self.codomain.element(tuple(sum(row[j] * c[j] for j in range(len(c))) for row in self.matrix))
+        (c,) = self.codomain.images(self.matrix, [g.coords], self.domain.ndim)
+        return GroupElem(self.codomain, c, c)
 
     @staticmethod
     def identity(G: AbGroup) -> "GroupHom":

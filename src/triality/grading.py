@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import getitem
 
-from .fgab import AbGroup, GroupHom, _cokernel, _relation_columns
+from .fgab import AbGroup, GroupElem, GroupHom, _cokernel, _relation_columns
 from .linalg import axpy, bilinear, grouped
 
 
@@ -254,16 +254,25 @@ def verify_grading(grading: Grading) -> Report:
     return report
 
 
+def _support(grading: Grading) -> list:
+    """The distinct canonical degrees of every sort, in order of first occurrence."""
+    return list(dict.fromkeys(d.canonical() for ds in grading.degrees.values() for d in ds))
+
+
 def coarsen(grading: Grading, hom: GroupHom) -> Grading:
     """Push the grading forward along a group homomorphism.
 
-    The composition of a grading with a homomorphism is again a grading, so
-    the verified flag carries over.
+    Each distinct degree is mapped once (`AbGroup.images`) and its image
+    shared.  The composition of a grading with a homomorphism is again a
+    grading, so the verified flag carries over.
     """
     if hom.domain != grading.group:
         raise ValueError("homomorphism domain does not match the grading group")
-    degs = {s: [hom(d) for d in ds] for s, ds in grading.degrees.items()}
-    out = Grading(grading.structure, hom.codomain, degs)
+    G = hom.codomain
+    support = _support(grading)
+    image = {s: GroupElem(G, c, c) for s, c in zip(support, G.images(hom.matrix, support, hom.domain.ndim))}
+    degs = {s: [image[d.canonical()] for d in ds] for s, ds in grading.degrees.items()}
+    out = Grading(grading.structure, G, degs)
     out.verified = grading.verified
     return out
 
@@ -372,27 +381,12 @@ def universal_group(grading: Grading) -> UniversalResult:
 
     basis = [[col.get(i, 0) for i in range(m)] for _p, col in sorted(lattice.columns.items())]
     U, rows, lifts = _cokernel(m, basis)
-
-    def u_elem(s_can):
-        j = index[s_can]
-        return U.element(tuple(row[j] for row in rows))
-
-    degree_of = {s: u_elem(s) for s in support}
+    degree_of = {s: U.element(tuple(row[j] for row in rows)) for j, s in enumerate(support)}
     degs = {s: [degree_of[d.canonical()] for d in ds] for s, ds in grading.degrees.items()}
     relabeled = Grading(grading.structure, U, degs)
-    # universal -> original: generator j of U maps to the corresponding
-    # integer combination of support elements of G
-    cols = []
-    for lift in lifts:
-        coords = [0] * G.ndim
-        for s_pos, mult in enumerate(lift):
-            if mult:
-                sc = support[s_pos]
-                for a in range(G.ndim):
-                    coords[a] += mult * sc[a]
-        cols.append(coords)
-    matrix = [[cols[j][a] for j in range(len(cols))] for a in range(G.ndim)]
-    to_original = GroupHom(U, G, matrix)
+    # universal -> original: generator j of U maps to the integer
+    # combination of support elements of G that its lift names
+    to_original = GroupHom(U, G, [[sum(c * s[a] for c, s in zip(lift, support)) for lift in lifts] for a in range(G.ndim)])
     wrong = [v for v in relations.values() if any(U.reduce([sum(row[j] * c for j, c in v.items()) for row in rows]))]
     Report(wrong, len(relations)).require(AssertionError, "universal relabeling")
     relabeled.verified = True
@@ -423,32 +417,31 @@ def coarsened_universal(result: UniversalResult, hom: GroupHom, grading: Grading
       through U~/N, uniquely since pi(S) generates U~/N.
 
     U~/N is U~'s presentation with the differences added, one Smith normal
-    form; to_original is the matrix of a, composed once, on the lifts of
-    the quotient's generators."""
+    form.  `AbGroup.images` maps S through a and into U~/N, one image per
+    element, and the lifts of U~/N's generators through a (to_original)."""
     fine = result.grading
     G = hom.codomain
+    U = result.group
     if hom.domain != result.to_original.codomain:
         raise ValueError("homomorphism domain does not match the original group of the result")
     a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*result.to_original.matrix)] for row in hom.matrix]
-    image, first, differences = {}, {}, []
-    for ds in fine.degrees.values():
-        for d in ds:
-            s = d.canonical()
-            if s not in image:
-                g = image[s] = G.reduce([sum(x * y for x, y in zip(row, s)) for row in a])
-                s0 = first.setdefault(g, s)
-                if s0 != s:
-                    differences.append([x - y for x, y in zip(s, s0)])
+    support = _support(fine)
+    image = dict(zip(support, G.images(a, support, U.ndim)))
+    first, differences = {}, []
+    for s, g in image.items():
+        s0 = first.setdefault(g, s)
+        if s0 != s:
+            differences.append([x - y for x, y in zip(s, s0)])
     if (
         grading.structure is not fine.structure
         or grading.group != G
         or any([image[d.canonical()] for d in fine.degrees[sort]] != [d.canonical() for d in ds] for sort, ds in grading.degrees.items())
     ):
         raise ValueError("the grading is not the pushforward of the refinement along the homomorphism")
-    U = result.group
     Q, rows, lifts = _cokernel(U.ndim, _relation_columns(U) + differences)
-    degree_of = {s: Q.element([sum(x * y for x, y in zip(row, s)) for row in rows]) for s in image}
+    degree_of = {s: GroupElem(Q, c, c) for s, c in zip(support, Q.images(rows, support, U.ndim))}
     relabeled = Grading(fine.structure, Q, {sort: [degree_of[d.canonical()] for d in ds] for sort, ds in fine.degrees.items()})
     relabeled.verified = True
-    to_original = GroupHom(Q, G, [[sum(x * y for x, y in zip(row, lift)) for lift in lifts] for row in a])
+    columns = G.images(a, lifts, U.ndim)  # a on the lifts of Q's generators
+    to_original = GroupHom(Q, G, [[c[i] for c in columns] for i in range(G.ndim)])
     return UniversalResult(Q, relabeled, to_original)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import pathlib
@@ -66,6 +67,50 @@ def test_rank_values():
     h2 = G2223.element((0, 0, 2))
     K = [G2223.element((1, 0, 0)), G2223.element((0, 1, 0)), G2223.element((0, 0, 3))]
     assert build(params_r1(G2223, K, h2)).rank == 1
+
+
+@pytest.mark.parametrize(
+    "G, h, g",
+    [
+        (G333, (0, 0, 1), (1, 0, 0)),
+        (make_group(0, [9]), (3,), (1,)),
+        (make_group(1, [3]), (0, 1), (1, 0)),
+        (G2223, (0, 0, 2), (1, 0, 0)),
+    ],
+    ids=["Z3^3", "Z9", "ZxZ3", "Z2^2xZ6"],
+)
+def test_gamma_in_h_is_refused_at_every_position(G, h, g):
+    # x in {e, h, 2h} at each position of gamma, the other two g and
+    # -(x + g) outside <h>; one quotient G/<h> decides all three
+    h, g = G.element(h), G.element(g)
+    for x in (G.identity(), h, 2 * h):
+        with pytest.raises(ParamError, match="^g must lie outside <h>$"):
+            params_r4(G, x, h)
+        for i in range(3):
+            gamma = [g, -(x + g)]
+            gamma.insert(i, x)
+            with pytest.raises(ParamError, match="^every g_i must lie outside <h>$"):
+                params_r2(G, gamma, h)
+    assert params_r4(G, g, h).gamma == (g,)
+
+
+OTHER = make_group(0, [3, 3])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: params_r0(G333, G333.element((1, 0, 0)), OTHER.element((0, 1)), G333.element((0, 0, 1)), "+"),
+        lambda: params_r1(G2223, [G2223.element((1, 0, 0)), G2223.element((0, 1, 0)), OTHER.element((1, 1))], G2223.element((0, 0, 2))),
+        lambda: params_r2(G333, (G333.element((1, 0, 0)), OTHER.element((1, 0)), G333.element((1, 0, 0))), G333.element((0, 0, 1))),
+        lambda: params_r4(G333, OTHER.element((1, 0)), G333.element((0, 0, 1))),
+    ],
+    ids=["r0", "r1", "r2", "r4"],
+)
+def test_elements_outside_the_group_are_refused(make):
+    # as for h: a ParamError (exit 2 in the CLI), not a bare ValueError
+    with pytest.raises(ParamError, match="^K and gamma must lie in the parameter group$"):
+        make()
 
 
 def test_similarity_bullet_examples():
@@ -372,6 +417,72 @@ def test_a_dropped_identification_fails_the_walk(sweep_tuples, other_tuples, mon
     for params, summaries in zip(families, expected):
         wrong = [p for p, summary in zip(params, summaries) if universal_summary(build(p).universal) != summary]
         assert 0 < len(wrong) < len(params)
+
+
+def reference_coarsen(grading, hom):
+    """The pushforward that coarsen replaced: every basis degree mapped on
+    its own, by the codomain's element() on the summed coordinates."""
+    G = hom.codomain
+    degs = {
+        sort: [G.element(tuple(sum(x * y for x, y in zip(row, d.coords)) for row in hom.matrix)) for d in ds]
+        for sort, ds in grading.degrees.items()
+    }
+    return Grading(grading.structure, G, degs)
+
+
+# three alpha per kind, among them one into a group with free rank and one
+# that is not injective (the first and last of each kind)
+COARSENINGS = [
+    ("cartan", (1, [3]), ((1, 0), (-2, 1), (0, 1))),
+    ("cartan", (2, [3]), ((1, 0, 1), (0, -2, 0), (0, 0, 2))),
+    ("cartan", (0, [3, 3, 3]), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ("okubo", (1, [3]), ((0, 1), (0, 2), (0, 1))),
+    ("okubo", (0, [3, 3, 3]), ((1, 1, 0), (0, 1, 0), (2, 0, 1))),
+    ("okubo", (0, [2, 2, 6]), ((0, 0, 2), (0, 0, 0), (0, 0, 4))),
+    ("z2cubed", (1, [2, 6]), ((0, 1, 0), (0, 0, 3), (0, 1, 2))),
+    ("z2cubed", (0, [2, 2, 6]), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ("z2cubed", (0, [6]), ((3,), (3,), (1,))),
+]
+
+
+@pytest.mark.parametrize("kind, group_args, images", COARSENINGS, ids=lambda x: repr(x).replace(" ", ""))
+def test_coarsening_matches_the_per_basis_pushforward_and_the_walk(kind, group_args, images):
+    G = make_group(*group_args)
+    built = coarsening(kind, [G.element(c) for c in images])
+    reference = reference_coarsen(classify._fine_grading(kind, 12), built.alpha)
+    assert built.grading.group == G and _canonical(built.grading) == _canonical(reference)
+    assert built.grading.verified
+    assert universal_summary(built.universal) == universal_summary(universal_group(built.grading))
+
+
+def test_a_warm_build_maps_each_fine_degree_once(monkeypatch):
+    # counts, not timings: a warm build and its invariants make one Smith
+    # normal form for G/<h> (validate) and one for the quotient of the fine
+    # universal group (coarsened_universal).  Through the batched rule,
+    # validate maps gamma's three elements into G/<h>, coarsen maps each
+    # distinct fine degree once, and coarsened_universal maps each once
+    # through alpha and once into the quotient, then the lifts of the
+    # quotient's generators through alpha.
+    import triality.fgab as fgab
+
+    p = params_r2(G333, (G333.element((1, 0, 1)), G333.element((0, 1, 1)), G333.element((2, 2, 1))), G333.element((0, 0, 1)))
+    invariants_of_built(build(p))  # models(12), the fine grading and its universal group
+    fine_degrees = len({d.canonical() for ds in classify._fine_grading("cartan", 12).degrees.values() for d in ds})
+    snf, mapped = [], []
+    real_snf, real_images = fgab.smith_normal_form, fgab.AbGroup.images
+
+    def images(self, matrix, vectors, width):
+        mapped.append(list(vectors))
+        return real_images(self, matrix, mapped[-1], width)
+
+    monkeypatch.setattr(fgab, "smith_normal_form", lambda M: snf.append(M) or real_snf(M))
+    monkeypatch.setattr(fgab.AbGroup, "images", images)
+    built = build(p)
+    invariants_of_built(built)
+    assert len(snf) == 2
+    assert built.universal.group.ndim == 3 and fine_degrees == 21
+    assert sorted(map(len, mapped)) == [1, 1, 1, 3, fine_degrees, fine_degrees, fine_degrees]
+    assert all(len(set(map(tuple, vectors))) == len(vectors) for vectors in mapped)
 
 
 def test_universal_refuses_a_replaced_grading():
@@ -851,6 +962,27 @@ def test_weyl_closure_matches_the_reference(kind):
     # the permutation closure visits the elements of the closure on
     # triples in the same order, with the same words
     assert classify._weyl(kind) == reference_weyl(kind)
+
+
+def test_alpha_on_columns_matches_the_per_column_reduce(sweep_tuples, other_tuples):
+    # the batched rule against AbGroup.reduce on each column, over Z3^3,
+    # Z2^2 x Z6 and Z x Z3
+    tuples = [p for params in sweep_tuples.values() for p in params]
+    tuples += [p for (G, _r), params in other_tuples.items() if G == make_group(1, [3]) for p in params]
+    for p in tuples:
+        kind, images = classify._fine_kind_and_alpha(p)
+        rows = list(zip(*(g.coords for g in images)))
+        reference = [p.group.reduce(tuple(x * a + y * b + z * d for a, b, d in rows)) for x, y, z in classify._weyl(kind)[0]]
+        assert classify._alpha_on_columns(kind, images) == reference, p
+
+
+def test_canonical_keys_are_unchanged(sweep_tuples, other_tuples):
+    # the keys of every sweep and oracle-family tuple, as the per-column
+    # reduce gave them
+    tuples = [p for params in sweep_tuples.values() for p in params]
+    tuples += [p for params in other_tuples.values() for p in params]
+    digest = hashlib.sha256("\n".join(repr(canonical_key(p)) for p in tuples).encode()).hexdigest()
+    assert (len(tuples), digest) == (1922, "c8ea39daef56606b181e9ff93b9807b3b1096ec0282d09555be5ee498b66722f")
 
 
 @pytest.mark.parametrize(

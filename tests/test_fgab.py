@@ -7,6 +7,7 @@ import pytest
 
 from triality.fgab import (
     Character,
+    GroupElem,
     GroupHom,
     characters,
     in_subgroup,
@@ -169,6 +170,41 @@ def test_lattice_routines_match_brute_force():
         for g in G.elements():
             assert in_subgroup(g, gens) == (g.canonical() in S)
             assert pr(g).is_identity() == (g.canonical() in S)
+
+
+def reference_image(G, matrix, coords):
+    """The image rule GroupHom.__call__ had: the codomain element with
+    coordinates summed over the vector, reduced on comparison."""
+    return G.element(tuple(sum(row[j] * coords[j] for j in range(len(coords))) for row in matrix)).canonical()
+
+
+@pytest.mark.parametrize(
+    "G",
+    [make_group(0, [3, 3, 3]), make_group(0, [2, 2, 6]), make_group(1, [3]), make_group(2, [3])],
+    ids=repr,
+)
+def test_images_match_the_per_element_rule(G):
+    """The batched rule on random matrices and vectors with negative
+    entries, free coordinates outside any modulus included, against the
+    per-element rule and the homomorphism's own call."""
+    rng = random.Random(repr(G))
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        D = make_group(width)
+        matrix = [[rng.randint(-7, 7) for _ in range(width)] for _ in range(G.ndim)]
+        vectors = [tuple(rng.randint(-20, 20) for _ in range(width)) for _ in range(rng.randint(1, 6))]
+        expected = [reference_image(G, matrix, v) for v in vectors]
+        assert G.images(matrix, vectors, width) == expected
+        hom = GroupHom(D, G, matrix)
+        assert [hom(D.element(v)).canonical() for v in vectors] == expected
+        # a vector of another length is refused, not truncated
+        for bad in (vectors[0] + (1,), vectors[0][:-1]):
+            with pytest.raises(ValueError, match="length"):
+                G.images(matrix, [vectors[0], bad], width)
+            with pytest.raises(ValueError, match="length"):
+                hom(GroupElem(D, bad))
+    assert G.images([[0] * 2] * G.ndim, [], 2) == []
+    assert make_group(0).images([], [(1, 2), (3, 4)], 2) == [(), ()]
 
 
 def test_hom_well_defined():
