@@ -1,14 +1,14 @@
-"""Graded division algebras and graded Brauer data.
+"""Graded Brauer data of the algebras related to a Type I grading.
 
 A graded division algebra over an algebraically closed-enough field is a
 twisted group algebra F^tau T, classified by its support T and the
 alternating bicharacter beta(s,t) with X_s X_t = beta(s,t) X_t X_s.  This
-module constructs F^tau T from (T, beta) via a symplectic-style
-decomposition, reads (T, beta) of a graded matrix algebra off the units of
-its generating characters (their degrees and commutation factors),
-propagates a Type I grading on tri(S) to the three 8-dimensional
-representations (the related triple), and verifies the Brauer-class
-relations [E_i]^2 = 1, [E_1] = [E_2][E_3] through commutation factors.
+module reads (T, beta) of a graded matrix algebra End_D(W), D = F^tau T,
+off the units of its generating characters (their degrees and commutation
+factors), propagates a Type I grading on tri(S) to the three
+8-dimensional representations (the related triple), and verifies the
+Brauer-class relations [E_i]^2 = 1, [E_1] = [E_2][E_3] through
+commutation factors.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fgab import AbGroup, Character, GroupElem, characters, subgroup_generated, quotient
+from .fgab import AbGroup, Character, characters, subgroup_generated
 from .grading import AdaptedRows, Grading, StructAlgebra, VerificationError, verify_grading
-from .linalg import Echelon, Residues, axpy, compose, echelon_from, grouped, invert_dense, kernel, to_flat
+from .linalg import Echelon, axpy, compose, echelon_from, invert_dense, kernel, to_flat
 
 
 class BrauerError(VerificationError):
     pass
 
 
-# ----------------------------------------------- twisted group algebras
+# ------------------------------------------------ division parameters
 
 
 def _value_to_exponent(field, value):
@@ -33,178 +33,6 @@ def _value_to_exponent(field, value):
         if value == field.zeta(k):
             return k
     raise BrauerError(f"{value!r} is not a root of unity in the field")
-
-
-class TwistedGroupAlgebra(StructAlgebra):
-    """F^tau T on the basis {X_t : t in T}, built from an ordered generator
-    decomposition T = prod <g_i> with the cocycle
-    tau(s, t) = prod_{i<j} beta(g_j, g_i)^(s_j t_i), and graded by T with
-    X_t in degree t."""
-
-    def __init__(self, field, T: AbGroup, gens, beta_exp_gens, elem_coords):
-        self.T = T
-        self.gens = gens                  # list of GroupElem in T
-        self.beta_exp = beta_exp_gens     # matrix of zeta exponents on gens
-        self.elems = sorted(T.elements(), key=lambda g: g.canonical())
-        self.index = {g.canonical(): i for i, g in enumerate(self.elems)}
-        self.coords = elem_coords         # canonical tuple -> generator coords
-        N = field.conductor
-        mul = {}
-        for i, s in enumerate(self.elems):
-            sc = self.coords[s.canonical()]
-            for j, t in enumerate(self.elems):
-                tc = self.coords[t.canonical()]
-                expo = 0
-                for a in range(len(gens)):
-                    for b in range(a + 1, len(gens)):
-                        e = self.beta_exp[b][a]
-                        if e:
-                            expo += e * sc[b] * tc[a]
-                st = (s + t).canonical()
-                mul[(i, j)] = {self.index[st]: field.zeta(expo % N)}
-        super().__init__(field, [f"X{list(g.canonical())}" for g in self.elems], mul)
-        self.grading = Grading(self, T, {"A": list(self.elems)})
-        verify_grading(self.grading).require(BrauerError, "twisted group algebra grading")
-
-    def beta_value(self, s: GroupElem, t: GroupElem):
-        sc = self.coords[s.canonical()]
-        tc = self.coords[t.canonical()]
-        expo = 0
-        for a in range(len(self.gens)):
-            for b in range(len(self.gens)):
-                e = self.beta_exp[a][b]
-                if e:
-                    expo += e * sc[a] * tc[b]
-        return self.field.zeta(expo % self.field.conductor)
-
-
-def _beta_exponent_matrix(field, T: AbGroup, beta_gens):
-    """Validate and convert a CycloScalar-valued bicharacter table on the
-    canonical generators into zeta exponents."""
-    t = len(T.torsion)
-    N = field.conductor
-    exp = [[0] * t for _ in range(t)]
-    for i in range(t):
-        for j in range(t):
-            exp[i][j] = _value_to_exponent(field, beta_gens[i][j])
-    for i in range(t):
-        if exp[i][i] % N:
-            raise BrauerError("beta is not alternating: beta(t,t) != 1")
-        for j in range(t):
-            if (exp[i][j] + exp[j][i]) % N:
-                raise BrauerError("beta is not alternating")
-            if (exp[i][j] * T.torsion[i]) % N or (exp[i][j] * T.torsion[j]) % N:
-                raise BrauerError("beta is not bimultiplicative on the given orders")
-    return exp
-
-
-def graded_division_from_pair(T: AbGroup, beta_gens, field) -> TwistedGroupAlgebra:
-    """Construct F^tau T from an alternating bicharacter given on the
-    canonical generators of a finite T.
-
-    The generator list is put in symplectic-style order first: hyperbolic
-    planes (a_i, b_i) carrying generalized Pauli pairs, then generators of
-    the radical (a plain group-algebra factor).  Every nonzero homogeneous
-    element is invertible and X_s X_t = beta(s,t) X_t X_s exactly.
-    """
-    if not T.is_finite():
-        raise BrauerError("the support of a graded division algebra must be finite")
-    exp = _beta_exponent_matrix(field, T, beta_gens)
-    N = field.conductor
-    elems = list(T.elements())
-
-    def beta_e(x, y):
-        xc, yc = x.canonical(), y.canonical()
-        e = 0
-        for a in range(len(T.torsion)):
-            for b in range(len(T.torsion)):
-                if exp[a][b]:
-                    e += exp[a][b] * xc[a] * yc[b]
-        return e % N
-
-    def value_order(e):
-        if e == 0:
-            return 1
-        from math import gcd
-
-        return N // gcd(N, e)
-
-    # symplectic-style ordering: extract hyperbolic planes greedily
-    plane_gens = []
-    radical_gens = []
-    current = elems
-
-    def orthogonal(space, pair):
-        out = []
-        for x in space:
-            if beta_e(x, pair[0]) == 0 and beta_e(x, pair[1]) == 0:
-                out.append(x)
-        return out
-
-    space = current
-    while True:
-        best = None
-        best_m = 1
-        for x in space:
-            if x.is_identity():
-                continue
-            for y in space:
-                m = value_order(beta_e(x, y))
-                if m > best_m and x.order() == m and y.order() == m:
-                    best = (x, y)
-                    best_m = m
-        if best is None:
-            break
-        plane_gens.extend(best)
-        space = orthogonal(space, best)
-    # the remaining space is the radical; take canonical generators of it
-    rad_elems = [g for g in space]
-    if len(rad_elems) > 1:
-        R, incl = subgroup_generated(T, [g for g in rad_elems if not g.is_identity()])
-        rgen = []
-        for jcol in range(R.ndim):
-            col = [incl.matrix[i][jcol] for i in range(T.ndim)]
-            rgen.append(T.element(col))
-        radical_gens = rgen
-    gens = plane_gens + radical_gens
-    orders = [g.order() for g in gens]
-    if len(elems) != 1:
-        total = 1
-        for o in orders:
-            total *= o
-        if total != T.order():
-            raise BrauerError("decomposition does not span T (beta may be malformed)")
-    # coordinates of every element in the ordered generator list
-    coords = {}
-    for tup in itertools.product(*(range(o) for o in orders)):
-        acc = T.identity()
-        for c, g in zip(tup, gens):
-            acc = acc + c * g
-        key = acc.canonical()
-        if key in coords:
-            raise BrauerError("generator decomposition is not direct")
-        coords[key] = tup
-    if len(coords) != T.order():
-        raise BrauerError("generator decomposition misses elements")
-    beta_exp_gens = [[beta_e(a, b) for b in gens] for a in gens]
-    alg = TwistedGroupAlgebra(field, T, gens, beta_exp_gens, coords)
-    # certify: homogeneous invertibility and the commutation relation
-    unit_idx = alg.index[T.identity().canonical()]
-    for i, s in enumerate(alg.elems):
-        j = alg.index[(-s).canonical()]
-        prod = alg.product(alg.basis_vec(i), alg.basis_vec(j))
-        if set(prod) != {unit_idx}:
-            raise BrauerError("homogeneous basis element is not invertible")
-    for i, s in enumerate(alg.elems):
-        for j, t in enumerate(alg.elems):
-            lhs = alg.product(alg.basis_vec(i), alg.basis_vec(j))
-            rhs = alg.scale(alg.beta_value(s, t), alg.product(alg.basis_vec(j), alg.basis_vec(i)))
-            if lhs != rhs:
-                raise BrauerError("commutation relation fails")
-    return alg
-
-
-# ------------------------------------------------ division parameters
 
 
 @dataclass
@@ -504,148 +332,3 @@ def verify_brauer_relations(triple: RelatedTriple, field) -> BrauerReport:
     for c1, c2 in itertools.combinations(characters(G, field), 2):
         factors[(c1.exps, c2.exps)] = [field.zeta(_pairing(p.expo, c1.exps, c2.exps)).to_strings() for p in params]
     return BrauerReport(params, elem2, pm1, product_ok, {"factors": factors})
-
-
-# ------------------------------------------------------- Proposition check
-
-
-@dataclass
-class BetaBarReport:
-    k: int
-    components_isomorphic: bool
-    tbar_matches: bool
-    betabar_matches: bool
-    details: dict
-
-    def ok(self):
-        return self.components_isomorphic and self.tbar_matches and self.betabar_matches
-
-
-def check_beta_bar(alg: TwistedGroupAlgebra) -> BetaBarReport:
-    """Decompose a semisimple graded division algebra by the minimal
-    central idempotents of its center (the graded field on the radical H of
-    beta), verify the character-permutation isomorphisms between the simple
-    components, and match each component's division parameters against
-    (T/H, induced beta).
-
-    First the table must be associative, (X_i X_j) X_k = X_i (X_j X_k) at
-    every (i, j, k), decided on a `Residues` table reached from its nonzero
-    constants: the later checks compare products pairwise and multiply by
-    the radical only, so they do not see every corrupted constant."""
-    right = grouped((a, (k, row)) for (a, k), row in alg.mul.items())  # a -> [(k, X_a X_k)]
-    left = grouped((a, (i, row)) for (i, a), row in alg.mul.items())  # a -> [(i, X_i X_a)]
-    assoc = Residues()
-    for (i, j), row in alg.mul.items():
-        for a, c in row.items():
-            for k, r in right.get(a, ()):
-                assoc.add((i, j, k), c, r)
-            for h, r in left.get(a, ()):
-                assoc.add((h, i, j), -c, r)
-    if assoc.uncancelled():
-        raise BrauerError("twisted group algebra is not associative")
-    F = alg.field
-    T = alg.T
-    rad = []
-    for s in alg.elems:
-        if all(alg.beta_value(s, t) == F.one for t in alg.elems):
-            rad.append(s)
-    H_group, H_incl = subgroup_generated(T, [g for g in rad if not g.is_identity()])
-    k = len(rad)
-    if H_group.order() != k:
-        raise BrauerError("radical is not a subgroup")
-    # center = span of X_h, h in rad: verify centrality
-    for h in rad:
-        i = alg.index[h.canonical()]
-        for j in range(alg.dim):
-            if alg.product(alg.basis_vec(i), alg.basis_vec(j)) != alg.product(alg.basis_vec(j), alg.basis_vec(i)):
-                raise BrauerError("radical element is not central")
-    # characters of H acting on the center; idempotents e_chi
-    Hchars = characters(H_group, F) if not H_group.is_trivial() else [None]
-    rad_in_H = {}
-    for h in rad:
-        # coordinates of h inside H via brute force over H
-        for cand in H_group.elements():
-            img = H_incl(cand)
-            if img == h:
-                rad_in_H[h.canonical()] = cand
-                break
-    inv_k = F.scalar(1, k)
-    idems = []
-    for chi in Hchars:
-        vec = {}
-        for h in rad:
-            coef = inv_k if chi is None else inv_k * chi(rad_in_H[h.canonical()]).conjugate()
-            vec[alg.index[h.canonical()]] = coef
-        idems.append(vec)
-    for e in idems:
-        if alg.product(e, e) != e:
-            raise BrauerError("central idempotent is not idempotent")
-    # quotient grading
-    Q, pr = quotient(T, [g for g in rad if not g.is_identity()])
-    Tbar_expected, _ = subgroup_generated(Q, [pr(s) for s in alg.elems])
-    comps = []
-    for e in idems:
-        basis = []
-        degs = []
-        ech = Echelon(F)
-        for i, s in enumerate(alg.elems):
-            v = alg.product(e, alg.basis_vec(i))
-            if v and ech.insert(dict(v)):
-                basis.append(v)
-                degs.append(pr(s))
-        comps.append((e, basis, degs))
-    dims = {len(b) for _e, b, _d in comps}
-    if len(dims) != 1:
-        raise BrauerError("components have different dimensions")
-    # character-permutation isomorphisms: extend each chi in H^ to T and
-    # check the diagonal automorphism maps component 1 onto component i
-    Tchars = characters(T, F)
-    comp_iso = True
-    e1 = idems[0]
-    for chi in Hchars:
-        if chi is None:
-            continue
-        ext = None
-        for psi in Tchars:
-            if all(psi(H_incl(x)) == chi(x) for x in H_group.elements()):
-                ext = psi
-                break
-        if ext is None:
-            comp_iso = False
-            break
-        # alpha_psi(X_t) = psi(t) X_t maps e_(chi_0) to e_(chi_0 * chi^-1)-ish;
-        # verify it maps the first component bijectively onto some component
-        img = {}
-        for i, c in e1.items():
-            s = alg.elems[i]
-            img[i] = c * ext(s)
-        img = {i: c for i, c in img.items() if not c.is_zero()}
-        if img not in idems:
-            comp_iso = False
-            break
-    # each component is Gbar-graded division with parameters (T/H, beta_bar)
-    tbar_ok = True
-    betabar_ok = True
-    for e, basis, degs in comps:
-        seen = grouped((d.canonical(), v) for v, d in zip(basis, degs))
-        for d, vs in seen.items():
-            if len(vs) != 1:
-                tbar_ok = False
-        supp_group, _ = subgroup_generated(Q, [Q.element(d) for d in seen])
-        if supp_group != Tbar_expected:
-            tbar_ok = False
-        for v1, v2 in itertools.product(list(seen.values()), repeat=2):
-            x, y = v1[0], v2[0]
-            fwd = alg.product(x, y)
-            bwd = alg.product(y, x)
-            lam = _proportionality(F, fwd, bwd)
-            if lam is None:
-                betabar_ok = False
-                continue
-            # beta_bar is induced by beta, whose value only depends on the
-            # cosets modulo the radical, so any preimage representative works
-            s_full = alg.elems[min(x)]
-            t_full = alg.elems[min(y)]
-            if lam != alg.beta_value(s_full, t_full):
-                betabar_ok = False
-    return BetaBarReport(k, comp_iso, tbar_ok, betabar_ok, {"component_dim": dims.pop()})

@@ -321,14 +321,6 @@ class GroupHom:
         (c,) = self.codomain.images(self.matrix, [g.coords], self.domain.ndim)
         return GroupElem(self.codomain, c, c)
 
-    @staticmethod
-    def identity(G: AbGroup) -> "GroupHom":
-        return GroupHom(G, G, _identity_matrix(G.ndim))
-
-    @staticmethod
-    def zero(domain: AbGroup, codomain: AbGroup) -> "GroupHom":
-        return GroupHom(domain, codomain, [[0] * domain.ndim for _ in range(codomain.ndim)])
-
 
 def make_group(free_rank: int, torsion_orders=()) -> AbGroup:
     """Canonical f.g. abelian group; arbitrary torsion orders are normalized
@@ -507,9 +499,4 @@ def characters(G: AbGroup, field) -> list[Character]:
         raise ValueError(
             f"exponent {G.exponent()} does not divide the conductor {field.conductor}"
         )
-    import itertools
-
-    out = []
-    for exps in itertools.product(*(range(d) for d in G.torsion)):
-        out.append(Character(G, field, exps))
-    return out
+    return [Character(G, field, g.coords) for g in G.elements()]

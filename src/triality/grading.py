@@ -14,8 +14,8 @@ The scalar sort "F" is implicit and always sits in degree e.
 
 `StructAlgebra` is the one table-defined algebra type: S, tri(S) and its
 adapted forms, the Albert algebra, the triple model V, End_L(V) and the
-twisted group algebras F^tau T all store their product as one sparse table
-and share its arithmetic and grading protocol.  Only the even Clifford
+related algebras End(S) of a Type I grading all store their product as one
+sparse table and share its arithmetic and grading protocol.  Only the even Clifford
 algebra, whose product is computed lazily per monomial pair, is not one.
 """
 

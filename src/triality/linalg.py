@@ -48,8 +48,8 @@ a dense loop over the tuples: `axpy` into one vector per tuple, from the
 nonzero structure constants, and the tuples that do not cancel.  Its users
 are the composition laws of `is_hurwitz` and `is_symmetric_composition`
 (F-valued sides as one-entry vectors {0: c}), the polarized identities of
-`verify_cyclic_axioms` (L-valued sides), the involution of `end_algebra`
-and the associativity of `check_beta_bar`.  `grouped` builds the indexes
+`verify_cyclic_axioms` (L-valued sides) and the involution of
+`end_algebra`.  `grouped` builds the indexes
 they are filled through: the products landing at an index, the form
 entries at an index, the products with a given left or right factor.
 

@@ -173,15 +173,6 @@ class CycloField:
                     out[j] += c * r
         return out
 
-    def galois(self, a: CycloScalar, k: int) -> CycloScalar:
-        """The field automorphism zeta -> zeta^k, gcd(k, N) = 1."""
-        k %= self.conductor
-        if gcd(k, self.conductor) != 1:
-            raise ValueError(f"zeta -> zeta^{k} is not an automorphism")
-        # an automorphism of Z[zeta] is unimodular on the power basis, so the
-        # numerators keep their content and the denominator stays reduced
-        return CycloScalar(self, tuple(self._galois_num(a.num, k)), a.den)
-
     def sum_products(self, terms) -> CycloScalar:
         """The sum of the products over the scalar tuples of terms (pairs
         or triples), in lowest terms: int products, not folded, over the
@@ -342,10 +333,6 @@ class CycloScalar:
         if not isinstance(other, CycloScalar):
             return NotImplemented
         return self * other.inverse()
-
-    def conjugate(self) -> CycloScalar:
-        """Complex conjugation zeta -> zeta^(-1)."""
-        return self.field.galois(self, -1)
 
     def __eq__(self, other):
         if not isinstance(other, CycloScalar):

@@ -264,6 +264,6 @@ def test_grade_albert_requires_type_III(field):
     G = make_group(0, [3])
     built = build(params_r8(G, G.element((1,)), "p"))
     T = make_group(0, [])
-    trivial = coarsen(built.grading, GroupHom.zero(G, T))
+    trivial = coarsen(built.grading, GroupHom(G, T, []))
     with pytest.raises(AlbertError):
         grade_albert(trivial)

@@ -8,10 +8,8 @@ from triality.brauer import (
     RelatedTriple,
     _proportionality,
     _solve_character_unit,
-    check_beta_bar,
     commutation_factor,
     division_params,
-    graded_division_from_pair,
     related_triple,
     verify_brauer_relations,
 )
@@ -23,15 +21,50 @@ from triality.linalg import Echelon, axpy, compose, echelon_from, invert_dense, 
 from triality.scalars import make_field
 
 
+def bicharacter(field, beta, s, t, pairs):
+    """prod beta[a][b]^(s_a t_b) over the generator pairs (a, b) in pairs,
+    for canonical coordinates s and t."""
+    value = field.one
+    for a, b in pairs:
+        for _ in range(s[a] * t[b]):
+            value = value * beta[a][b]
+    return value
+
+
+def twisted_group_algebra(field, orders, beta):
+    """(F^tau T, its grading by T), T = make_group(0, orders), on the basis
+    X_t, t in T in lexicographic order, with X_t in degree t and beta[a][b] =
+    beta(g_a, g_b) on the canonical generators g_a of T:
+    X_s X_t = tau(s, t) X_(s+t), tau(s, t) = prod_{a>b} beta[a][b]^(s_a t_b).
+    tau is a bicharacter, so a 2-cocycle and the table is associative; for
+    beta alternating, tau(s, t) / tau(t, s) = beta(s, t), so no symplectic
+    ordering of the generators is needed."""
+    T = make_group(0, orders)
+    elems = list(T.elements())
+    index = {g.canonical(): k for k, g in enumerate(elems)}
+    below = [(a, b) for a in range(len(T.torsion)) for b in range(a)]
+    mul = {}
+    for (i, s), (j, t) in itertools.product(enumerate(elems), repeat=2):
+        mul[(i, j)] = {index[(s + t).canonical()]: bicharacter(field, beta, s.canonical(), t.canonical(), below)}
+    A = StructAlgebra(field, [f"X{list(g.canonical())}" for g in elems], mul)
+    gr = Grading(A, T, {"A": elems})
+    assert verify_grading(gr).ok
+    return A, gr
+
+
+def minus_one_pair(field):
+    """beta = -1 on the two canonical generators."""
+    m1 = -field.one
+    return [[field.one, m1], [m1, field.one]]
+
+
 @pytest.fixture(scope="module")
 def pauli(field):
-    T = make_group(0, [2, 2])
-    m1 = -field.one
-    return graded_division_from_pair(T, [[field.one, m1], [m1, field.one]], field)
+    return twisted_group_algebra(field, [2, 2], minus_one_pair(field))
 
 
 def test_pauli_is_m2(field, pauli):
-    A = pauli
+    A, _gr = pauli
     assert A.dim == 4
     # central simple: the centralizer of everything is the unit line
     from triality.linalg import null_space
@@ -213,37 +246,13 @@ def test_graded_simple_check(field):
     graded_simple_check(matrix_units(field, [(1, 1), (1, 2), (2, 1), (2, 2)]))
 
 
-def test_trivial_and_group_algebra(field):
-    T0 = make_group(0, [])
-    alg0 = graded_division_from_pair(T0, [], field)
-    assert alg0.dim == 1
-    T3 = make_group(0, [3])
-    alg3 = graded_division_from_pair(T3, [[field.one]], field)
-    assert alg3.dim == 3
-    # group algebra of Z3 is F x F x F: three orthogonal idempotents
-    rep = check_beta_bar(alg3)
-    assert rep.k == 3 and rep.ok()
-    assert rep.details["component_dim"] == 1
-
-
-def test_beta_validation(field):
-    T = make_group(0, [2, 2])
-    w = field.omega
-    with pytest.raises(BrauerError):
-        # omega has order 3, incompatible with Z2 factors
-        graded_division_from_pair(T, [[field.one, w], [w * w, field.one]], field)
-    with pytest.raises(BrauerError):
-        # not alternating
-        graded_division_from_pair(T, [[-field.one, field.one], [field.one, field.one]], field)
-
-
 def test_division_params_pauli(field, pauli):
-    dp = division_params(pauli, pauli.grading)
+    dp = division_params(*pauli)
     assert dp.support_group == make_group(0, [2, 2])
-    m1 = -field.one
-    gens = sorted(dp.support)
+    assert dp.support == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     # beta takes the value -1 on the two generators
-    assert dp.beta[(gens[1], gens[2])] == m1 if len(gens) > 2 else True
+    m1 = -field.one
+    assert dp.beta[((0, 1), (1, 0))] == dp.beta[((1, 0), (0, 1))] == m1
     assert dp.beta_pm1(field) and dp.elementary_2()
 
 
@@ -276,20 +285,19 @@ def test_division_params_elementary(field):
     assert cut_division_params(A, gr, {idx[(1, 1)]: field.one}) == (dp.support_group, dp.support, dp.beta)
 
 
-def generalized_pauli(field, orders):
-    """F^tau T, T = prod Z_d over the (even number of) orders, with
-    beta(a, b) = zeta_d on each pair (a, b) of consecutive generators: a
-    graded division algebra with nondegenerate beta, graded by T."""
-    T = make_group(0, orders)
+def pauli_beta(field, orders):
+    """beta(a, b) = zeta_d on each pair (a, b) of consecutive generators of
+    T = prod Z_d over the (even number of) orders, a divisibility chain that
+    make_group keeps as it is: a nondegenerate alternating bicharacter."""
     N = field.conductor
     beta = [[field.one] * len(orders) for _ in orders]
     for a in range(0, len(orders), 2):
-        d = T.torsion[a]
+        d = orders[a]
         beta[a][a + 1], beta[a + 1][a] = field.zeta(N // d), field.zeta(-N // d)
-    return graded_division_from_pair(T, beta, field)
+    return beta
 
 
-def with_elementary_m2(D, G, lead, shift):
+def with_elementary_m2(D, D_grading, G, lead, shift):
     """D (x) M_2(F), graded by G: X_t (x) E_ij in degree t + (i - j) shift,
     with t in G at the coordinates after the first lead ones."""
     mul = {}
@@ -298,7 +306,7 @@ def with_elementary_m2(D, G, lead, shift):
             mul[(4 * a + 2 * i + j, 4 * b + 2 * j + l)] = {4 * k + 2 * i + l: c for k, c in row.items()}
     A = StructAlgebra(D.field, [f"{x}E{i}{j}" for x in D.labels for i in range(2) for j in range(2)], mul)
     degs = []
-    for t in D.elems:
+    for t in D_grading.degrees["A"]:
         coords = (0,) * lead + t.canonical()
         g = G.element(coords + (0,) * (G.ndim - len(coords)))
         degs.extend(g + (i - j) * G.element(shift) for i in range(2) for j in range(2))
@@ -319,6 +327,52 @@ DIVISION_INPUTS = {
 }
 
 
+def division_certificate(A, gr, beta):
+    """Whether A, graded by T with X_t in degree t, is the graded division
+    algebra with commutation factor beta (on the canonical generators of
+    T): its table is associative, X_s X_t = beta(s, t) X_t X_s on every
+    pair, and X_s X_-s is a nonzero multiple of X_0."""
+    F, elems = A.field, gr.degrees["A"]
+    index = {g.canonical(): k for k, g in enumerate(elems)}
+    X = [A.basis_vec(k) for k in range(A.dim)]
+    pairs = list(itertools.product(range(len(gr.group.torsion)), repeat=2))
+    return (
+        all(
+            A.product(X[i], X[j]) == A.scale(bicharacter(F, beta, s.canonical(), t.canonical(), pairs), A.product(X[j], X[i]))
+            for (i, s), (j, t) in itertools.product(enumerate(elems), repeat=2)
+        )
+        and all(set(A.product(X[i], X[index[(-s).canonical()]])) == {index[gr.group.identity().canonical()]} for i, s in enumerate(elems))
+        and all(
+            A.product(A.product(X[i], X[j]), X[k]) == A.product(X[i], A.product(X[j], X[k]))
+            for i, j, k in itertools.product(range(A.dim), repeat=3)
+        )
+    )
+
+
+# the certificate's inputs: the pauli fixture's algebra, the Pauli factors of
+# DIVISION_INPUTS, and F^tau(Z3 x Z2^2) with beta = -1 on its generators,
+# whose radical is Z3
+CERTIFIED = ["pauli"] + [name for name, (_orders, m2) in DIVISION_INPUTS.items() if m2 is None] + ["Z3 x Z2^2"]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_twisted_group_algebra_is_certified(name, field):
+    # the table is certified; one constant times omega is not: X_s X_t for
+    # s != t breaks the commutation relation, and X_0 X_0 or the last square
+    # X_s X_s, each still a nonzero multiple of X_2s, only associativity
+    if name in DIVISION_INPUTS:
+        orders, beta = DIVISION_INPUTS[name][0], pauli_beta(field, DIVISION_INPUTS[name][0])
+    else:
+        orders, beta = ([2, 2] if name == "pauli" else [3, 2, 2]), minus_one_pair(field)
+    A, gr = twisted_group_algebra(field, orders, beta)
+    assert division_certificate(A, gr, beta)
+    for key in ((1, 2), (0, 0), max(A.mul)):
+        ((out, c),) = A.mul[key].items()
+        bad = copy.copy(A)
+        bad.mul = {**A.mul, key: {out: field.omega * c}}
+        assert not division_certificate(bad, gr, beta), key
+
+
 @pytest.mark.parametrize("name", DIVISION_INPUTS)
 def test_division_params_equal_the_cut(name, field, monkeypatch):
     # T, its support in G and beta, read off the character units, equal
@@ -327,8 +381,8 @@ def test_division_params_equal_the_cut(name, field, monkeypatch):
     import triality.brauer as brauer
 
     orders, m2 = DIVISION_INPUTS[name]
-    D = generalized_pauli(field, orders)
-    A, gr = (D, D.grading) if m2 is None else with_elementary_m2(D, *m2)
+    D, D_grading = twisted_group_algebra(field, orders, pauli_beta(field, orders))
+    A, gr = (D, D_grading) if m2 is None else with_elementary_m2(D, D_grading, *m2)
     solved = []
     solve = brauer._solve_character_unit
     monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: solved.append(chi.exps) or solve(A, g, chi))
@@ -346,85 +400,32 @@ def test_division_params_refuses_an_inhomogeneous_unit(pauli, monkeypatch):
     solve = brauer._solve_character_unit
     monkeypatch.setattr(brauer, "_solve_character_unit", lambda A, g, chi: axpy(dict(solve(A, g, chi)), None, A.basis_vec(0)))
     with pytest.raises(BrauerError, match="not homogeneous"):
-        division_params(pauli, pauli.grading)
+        division_params(*pauli)
 
 
 def test_division_params_needs_the_characters():
     # the group algebra of Z2 over Q(zeta_3), which lacks the character of
     # order 2
     F3 = make_field(3)
-    A = graded_division_from_pair(make_group(0, [2]), [[F3.one]], F3)
     with pytest.raises(BrauerError, match="does not provide the characters"):
-        division_params(A, A.grading)
+        division_params(*twisted_group_algebra(F3, [2], [[F3.one]]))
 
 
 def test_commutation_factor_examples(field, pauli):
-    G = pauli.grading.group
-    chars = characters(G, field)
+    A, gr = pauli
+    chars = characters(gr.group, field)
     chi_a = next(c for c in chars if c.exps == (1, 0))
     chi_b = next(c for c in chars if c.exps == (0, 1))
     triv = next(c for c in chars if c.exps == (0, 0))
     chi_ab = chi_a * chi_b
-    u = {chi: _solve_character_unit(pauli, pauli.grading, chi) for chi in (chi_a, chi_b, triv, chi_ab)}
+    u = {chi: _solve_character_unit(A, gr, chi) for chi in (chi_a, chi_b, triv, chi_ab)}
     m1 = -field.one
-    assert commutation_factor(pauli, u[chi_a], u[chi_b]) == m1
-    assert commutation_factor(pauli, u[triv], u[chi_b]) == field.one
+    assert commutation_factor(A, u[chi_a], u[chi_b]) == m1
+    assert commutation_factor(A, u[triv], u[chi_b]) == field.one
     # bimultiplicativity in the first argument
-    v1 = commutation_factor(pauli, u[chi_ab], u[chi_b])
-    v2 = commutation_factor(pauli, u[chi_a], u[chi_b]) * commutation_factor(pauli, u[chi_b], u[chi_b])
+    v1 = commutation_factor(A, u[chi_ab], u[chi_b])
+    v2 = commutation_factor(A, u[chi_a], u[chi_b]) * commutation_factor(A, u[chi_b], u[chi_b])
     assert v1 == v2
-
-
-def test_beta_bar_tensor_case(field):
-    T6 = make_group(0, [3, 2, 2])
-    m1 = -field.one
-    alg6 = graded_division_from_pair(T6, [[field.one, m1], [m1, field.one]], field)
-    rep = check_beta_bar(alg6)
-    assert rep.k == 3 and rep.ok()
-    assert rep.details["component_dim"] == 4  # Pauli factors
-
-
-def beta_bar_mutants_caught(field, orders):
-    """F^tau T with beta = -1 on the two Z2 generators of T, and for each
-    way to corrupt one structure constant X_s X_t (negated, multiplied by
-    omega, zeroed): the number of such mutants that check_beta_bar rejects
-    (report not ok, or BrauerError), and the number of products whose
-    factors lie in one coset of the radical H of beta other than H itself."""
-    m1 = -field.one
-    alg = graded_division_from_pair(make_group(0, orders), [[field.one, m1], [m1, field.one]], field)
-    assert check_beta_bar(alg).ok()
-    radical = [s for s in alg.elems if all(alg.beta_value(s, t) == field.one for t in alg.elems)]
-    in_coset = sum(s not in radical and s - t in radical for s in alg.elems for t in alg.elems)
-    bumps = {"negate": lambda c: -c, "times_omega": lambda c: c * field.omega, "zero": lambda c: field.zero}
-    caught = dict.fromkeys(bumps, 0)
-    for (i, j), row in alg.mul.items():
-        ((out, c),) = row.items()
-        for name, bump in bumps.items():
-            new = bump(c)
-            bad = copy.copy(alg)
-            bad.mul = {key: r for key, r in alg.mul.items() if key != (i, j)}
-            if not new.is_zero():
-                bad.mul[(i, j)] = {out: new}
-            try:
-                caught[name] += not check_beta_bar(bad).ok()
-            except BrauerError:
-                caught[name] += 1
-    return caught, in_coset
-
-
-def test_beta_bar_catches_corrupted_constants(field):
-    # every structure constant of F^tau(Z3 x Z2 x Z2), in each family, is
-    # caught; no mutant is exempt, the 27 products within one coset of the
-    # radical other than the radical itself included, which only the
-    # associativity check sees
-    caught, in_coset = beta_bar_mutants_caught(field, [3, 2, 2])
-    assert (caught, in_coset) == (dict.fromkeys(("negate", "times_omega", "zero"), 144), 27)
-
-
-def test_beta_bar_catches_corrupted_pauli_constants(field):
-    # the same for the Pauli algebra F^tau(Z2^2), whose radical is trivial
-    caught, in_coset = beta_bar_mutants_caught(field, [2, 2])
-    assert (caught, in_coset) == (dict.fromkeys(("negate", "times_omega", "zero"), 16), 3)
 
 
 def test_related_triple_trivial_divisions(field, okubo_triple):
@@ -661,12 +662,11 @@ def test_character_unit_refuses_a_centre_larger_than_F(field):
     # F^tau(Z2 x Z6) with beta = -1 on its generators has centre F[Z3]: the
     # unit system of the character with exps (1, 0) has a 3-line kernel,
     # X_s Z(A), and no unit is unique up to a scalar
-    m1 = -field.one
-    alg = graded_division_from_pair(make_group(0, [3, 2, 2]), [[field.one, m1], [m1, field.one]], field)
-    chi = next(c for c in characters(alg.grading.group, field) if c.exps == (1, 0))
-    assert len(full_system_units(alg, alg.grading, chi)) == 3
+    alg, gr = twisted_group_algebra(field, [3, 2, 2], minus_one_pair(field))
+    chi = next(c for c in characters(gr.group, field) if c.exps == (1, 0))
+    assert len(full_system_units(alg, gr, chi)) == 3
     with pytest.raises(BrauerError, match="not unique up to a scalar"):
-        _solve_character_unit(alg, alg.grading, chi)
+        _solve_character_unit(alg, gr, chi)
 
 
 def rejects(decide):

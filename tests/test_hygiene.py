@@ -148,13 +148,6 @@ UNREACHED = {
         "cyclic.para_subalgebra_from_idempotent",
         "cyclic.cut_on_basis",
     },
-    "item 7, graded-division layer": {
-        "brauer.graded_division_from_pair",
-        "brauer.TwistedGroupAlgebra",
-        "brauer._beta_exponent_matrix",
-        "brauer.check_beta_bar",
-        "brauer.BetaBarReport",
-    },
 }
 
 

@@ -90,33 +90,10 @@ def test_field_axioms(conductor, ca, cb, cc):
         assert b * b.inverse() == F.one
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([1, 5, 7, 11]),
-    st.tuples(*(st.integers(-5, 5) for _ in range(4))),
-    st.tuples(*(st.integers(-5, 5) for _ in range(4))),
-)
-def test_galois_ring_homomorphism(k, ca, cb):
-    F = make_field(12)
-    a, b = F.element(ca), F.element(cb)
-    assert F.galois(a + b, k) == F.galois(a, k) + F.galois(b, k)
-    assert F.galois(a * b, k) == F.galois(a, k) * F.galois(b, k)
-
-
 def test_conductor_bound():
     # rejected before the cyclotomic polynomial or the power table is built
     with pytest.raises(ValueError, match="MAX_CONDUCTOR"):
         make_field(MAX_CONDUCTOR + 3)
-
-
-def test_galois_examples(field):
-    w = field.omega
-    x = field.element([3, -2, 5, 7])
-    assert field.galois(x, 1) == x
-    assert field.galois(w, -1) == w * w
-    assert field.galois(field.scalar(22, 7), 5) == field.scalar(22, 7)
-    with pytest.raises(ValueError):
-        field.galois(x, 2)  # gcd(2, 12) != 1
 
 
 def test_serialization_roundtrip(field):
@@ -204,10 +181,9 @@ def test_kernel_against_fraction_reference(conductor, data):
     else:
         with pytest.raises(ZeroDivisionError):
             b.inverse()
+    # the conjugates whose product inverse takes
     k = data.draw(st.sampled_from([k for k in range(1, conductor) if gcd(k, conductor) == 1]))
-    g = F.galois(a, k)
-    _assert_canonical(g)
-    assert g.coeffs == _ref_galois(ca, k, F)
+    assert tuple(Rational(c, a.den) for c in F._galois_num(a.num, k)) == _ref_galois(ca, k, F)
 
 
 def test_scalar_from_integers_matches_fraction(field):

@@ -292,7 +292,7 @@ def test_trivial_grading_detects_type_I(mod, trial_zorn):
     G = make_group(0, [3])
     built = build(params_r8(G, G.element((1,)), "p"))
     T = make_group(0, [])
-    gr = coarsen(built.grading, GroupHom.zero(G, T))
+    gr = coarsen(built.grading, GroupHom(G, T, []))
     gE = induce_E_grading(gr, trial_zorn["E"])
     ty, _ = detect_type(gE)
     assert ty == "I"

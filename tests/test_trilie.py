@@ -190,7 +190,7 @@ def test_trivial_grading_induces_trivial(mod, tri_zorn):
     built = build(params_r8(G, h, "p"))
     # coarsen to the trivial group: everything in degree e
     T = make_group(0, [])
-    gr = coarsen(built.grading, GroupHom.zero(G, T))
+    gr = coarsen(built.grading, GroupHom(G, T, []))
     out, adapted = induce_tri_grading(gr, tri_zorn)
     assert len(out.components()) == 1
     assert len(adapted) == 28
